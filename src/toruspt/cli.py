@@ -7,9 +7,11 @@ and LF line endings with a header row, and JSON key order is fixed, so a
 rerun with the same configuration produces byte-identical files.
 
 Exit codes: 0 success, 1 verification or domain failure, 2 argument error.
-Flags override an optional key=value config file; unknown config keys are
-errors.  The only environment variable consulted is TORUSPT_OUTDIR, an
-optional prefix for relative output paths.
+Flags override an optional key=value config file; a missing config file,
+unknown config keys, non-numeric or non-finite numbers and grids of more than
+MAX_POINTS points are argument errors.  An output column that would hold NaN
+or inf is a domain failure.  The only environment variable consulted is
+TORUSPT_OUTDIR, an optional prefix for relative output paths.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ import numpy as np
 
 from . import errata as errata_mod
 from . import iso21, oracle, susy, verify
-from .errors import TorusPTError
+from .errors import NonFinitePotential, NormalizationFailure, TorusPTError
 from .geometry import TorusGeometry, prefactor_f
 
 CASES = ("pt", "rational", "beta", "appell", "component2", "iso21")
 MAX_LEVELS = 8
+MAX_POINTS = 1_000_001
 
 
 def _fmt(v) -> str:
@@ -86,19 +89,23 @@ class CLIError(Exception):
 
 
 def _load_config(path: str, known: set) -> dict:
+    try:
+        with open(path) as handle:
+            lines = handle.readlines()
+    except OSError as exc:
+        raise CLIError(f"cannot read config file {path}: {exc.strerror}") from exc
     values = {}
-    with open(path) as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CLIError(f"{path}:{lineno}: expected key=value")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in known:
-                raise CLIError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = val.strip()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise CLIError(f"{path}:{lineno}: expected key=value")
+        key, _, val = line.partition("=")
+        key = key.strip()
+        if key not in known:
+            raise CLIError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = val.strip()
     return values
 
 
@@ -116,12 +123,28 @@ def _apply_config(args, parser_name) -> None:
     for key, raw in values.items():
         if getattr(args, f"_seen_{key}", False):
             continue  # explicit flag wins
-        if key in _FLOAT_KEYS:
-            setattr(args, key, float(raw))
-        elif key in _INT_KEYS:
-            setattr(args, key, int(raw))
-        else:
-            setattr(args, key, raw)
+        convert = float if key in _FLOAT_KEYS else int if key in _INT_KEYS else str
+        try:
+            setattr(args, key, convert(raw))
+        except ValueError as exc:
+            raise CLIError(f"{args.config}: {key} expects a number, got {raw!r}") \
+                from exc
+
+
+def _check_numbers(args) -> None:
+    """Reject non-finite float parameters and grids above MAX_POINTS."""
+    for key in _FLOAT_KEYS:
+        val = getattr(args, key, None)
+        if val is not None and not math.isfinite(val):
+            raise CLIError(f"{key} must be finite, got {val}")
+    if getattr(args, "n_points", 0) > MAX_POINTS:
+        raise CLIError(f"n_points must be at most {MAX_POINTS}")
+
+
+def _check_finite(header, cols, error) -> None:
+    bad = [name for name, col in zip(header, cols) if not np.all(np.isfinite(col))]
+    if bad:
+        raise error("non-finite values in output column(s) " + ", ".join(bad))
 
 
 class _Tracking(argparse.Action):
@@ -248,6 +271,7 @@ def cmd_potential(args) -> int:
             vm, vp = susy.partner_potentials(spec, xs)
         header = ["x", "V_minus", "V_plus"]
         cols = [xs, vm, vp]
+    _check_finite(header, cols, NonFinitePotential)
     if args.format == "csv":
         _write_output(_csv_table(header, cols), args.output)
     else:
@@ -338,6 +362,7 @@ def cmd_wavefunction(args) -> int:
                 fp = susy.eigenfunction_plus(spec, args.n, xs)
             header.append("F_plus")
             cols.append(_normalized(fp, xs))
+    _check_finite(header, cols, NormalizationFailure)
     if args.format == "csv":
         for key, val in notes.items():
             print(f"note: {key} = {val}", file=sys.stderr)
@@ -416,6 +441,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(args, args.command)
+        _check_numbers(args)
         if args.command == "algebra":
             args.case = "iso21"
         return args.fn(args)

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from . import iso21, susy
 from .geometry import TorusGeometry
@@ -121,24 +122,18 @@ def _ev_eq67_eq68():
 
 def _commutator_residual_sign(sign):
     # backbone commutator residual with bracket sign +((nu+-1/2)S - T) (used)
-    # versus the printed -((nu+-1/2)S - T)
+    # versus the printed -((nu+-1/2)S - T); U = 0 on the backbone (K1 = K2 = 0),
+    # so the printed operator is the sector operator minus 2i ((nu+-1/2)S - T)
     geom = TorusGeometry(1.0, 1.0)
     p = iso21.AlgebraParams(B1=-0.8, mu=0.3, K1=0.0, K2=0.0, geom=geom, mu1=1.3)
     lo, hi, n = 0.2, math.pi - 0.2, 1024
     xg = np.linspace(lo, hi, n)
-    step = xg[1] - xg[0]
+    s, t = iso21.st_functions(p.B1, xg)
 
     def op(nu, direction):
-        sgn = 1.0 if direction == "raise" else -1.0
         label = nu + 0.5 if direction == "raise" else nu - 0.5
-        s, t = iso21.st_functions(p.B1, xg)
-        d = np.zeros((n, n))
-        idx = np.arange(1, n - 1)
-        d[idx, idx + 1] = 1.0 / (2.0 * step)
-        d[idx, idx - 1] = -1.0 / (2.0 * step)
-        d[0, 0:3] = np.array([-1.5, 2.0, -0.5]) / step
-        d[n - 1, n - 3:] = np.array([0.5, -2.0, 1.5]) / step
-        return 1j * (sgn * d + sign * np.diag(label * s - t))
+        used = iso21.sector_operator(p, nu, direction, xg)
+        return used if sign > 0 else used - 2j * sparse.diags(label * s - t)
 
     psi = np.sin(np.pi * (xg - lo) / (hi - lo)) ** 2
     lhs = op(p.mu - 1.0, "raise") @ (op(p.mu, "lower") @ psi) \

@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DomainError, GridTooCoarse, SingularGeometry
 from .geometry import TorusGeometry
@@ -168,7 +169,7 @@ def _u_for_label(p: AlgebraParams, label: float):
 
 
 def sector_operator(p: AlgebraParams, mu_sector: float, direction: str, grid):
-    """Dense matrix of J+ or J- restricted to the e^{i mu_sector phi} sector.
+    """Sparse CSR matrix of J+ or J- restricted to the e^{i mu_sector phi} sector.
 
     The derivative is a central difference (one-sided second order at the
     two boundary rows); at least 256 points are required.  J3 is the scalar
@@ -189,15 +190,15 @@ def sector_operator(p: AlgebraParams, mu_sector: float, direction: str, grid):
     s, t = st_functions(p.B1, x)
     u = modification_U(k, p.geom, x, which)
 
-    d = np.zeros((n, n))
     idx = np.arange(1, n - 1)
-    d[idx, idx + 1] = 1.0 / (2.0 * step)
-    d[idx, idx - 1] = -1.0 / (2.0 * step)
-    d[0, 0:3] = np.array([-1.5, 2.0, -0.5]) / step
-    d[n - 1, n - 3:n] = np.array([0.5, -2.0, 1.5]) / step
+    rows = np.concatenate([idx, idx, [0, 0, 0, n - 1, n - 1, n - 1]])
+    cols = np.concatenate([idx + 1, idx - 1, [0, 1, 2, n - 3, n - 2, n - 1]])
+    vals = np.concatenate([np.full(n - 2, 0.5), np.full(n - 2, -0.5),
+                           [-1.5, 2.0, -0.5, 0.5, -2.0, 1.5]]) / step
+    d = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
     diag = label * s - t + u
-    return 1j * (sgn * d + np.diag(diag))
+    return (1j * (sgn * d + sparse.diags(diag))).tocsr()
 
 
 def algebra_spectrum(p: AlgebraParams, n: int):

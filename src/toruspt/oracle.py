@@ -3,8 +3,9 @@
 This module is the ground truth against which every closed-form spectrum and
 eigenfunction claim is checked, so it deliberately shares no code with the
 analytic side: the operator -d^2/dx^2 + V is discretized with the standard
-second-order stencil under Dirichlet conditions, eigenvalues come from
-bisection on Sturm sign counts, and eigenvectors from inverse iteration.
+second-order stencil under Dirichlet conditions.  The lowest eigenvalues come
+from Sturm-count bisection and the eigenvectors from inverse iteration, both
+compiled: LAPACK stebz and stein through scipy.linalg.eigh_tridiagonal.
 
 Singular potential endpoints (the csc^2 walls at 0 and pi) are handled by
 truncating the domain slightly inside (0, pi); the repulsive wall makes the
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .errors import (
     ConvergenceFailure,
@@ -161,50 +162,25 @@ def check_friedrichs(v_vals, grid: Grid1D, margin: float = 0.01) -> None:
             f"endpoint 1/x^2 coefficient {c:.4f} below Friedrichs bound -1/4")
 
 
-def _sturm_counts(diag, off2, sigmas, pivmin):
-    """Number of eigenvalues below each shift, vectorized over shifts."""
-    q = diag[0] - sigmas
-    q = np.where(np.abs(q) < pivmin, -pivmin, q)
-    count = (q < 0.0).astype(np.int64)
-    for i in range(1, diag.shape[0]):
-        q = diag[i] - sigmas - off2[i - 1] / q
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        count += q < 0.0
-    return count
-
-
-def lowest_eigenvalues(m: SymTridiagonal, n_eigs: int, max_iter: int = 200):
-    """The n_eigs smallest eigenvalues by bisection on Sturm sign counts.
-
-    Deterministic and ascending.  Raises ConvergenceFailure if the bisection
-    interval fails to contract below tolerance within max_iter sweeps.
-    """
+def _lowest(m: SymTridiagonal, n_eigs: int, eigvals_only: bool):
+    """LAPACK stebz (Sturm bisection), plus stein (inverse iteration) for vectors."""
     if not 1 <= n_eigs <= m.n:
         raise DomainError("need 1 <= n_eigs <= matrix dimension")
-    d = np.asarray(m.diag, dtype=float)
-    e = np.asarray(m.offdiag, dtype=float)
-    e2 = e * e
-    radius = np.zeros(m.n)
-    radius[:-1] += np.abs(e)
-    radius[1:] += np.abs(e)
-    lo = float(np.min(d - radius))
-    hi = float(np.max(d + radius))
-    scale = max(abs(lo), abs(hi), 1.0)
-    pivmin = max(np.max(e2), 1.0) * 1e-290
-    tol = 16.0 * np.finfo(float).eps * scale
+    try:
+        return eigh_tridiagonal(m.diag, m.offdiag, eigvals_only=eigvals_only,
+                                select="i", select_range=(0, n_eigs - 1),
+                                lapack_driver="stebz")
+    except LinAlgError as exc:
+        raise ConvergenceFailure(f"tridiagonal eigensolver failed: {exc}") from exc
 
-    los = np.full(n_eigs, lo)
-    his = np.full(n_eigs, hi)
-    targets = np.arange(1, n_eigs + 1)
-    for _ in range(max_iter):
-        mids = 0.5 * (los + his)
-        counts = _sturm_counts(d, e2, mids, pivmin)
-        above = counts >= targets
-        his = np.where(above, mids, his)
-        los = np.where(above, los, mids)
-        if np.max(his - los) <= tol:
-            return 0.5 * (los + his)
-    raise ConvergenceFailure("Sturm bisection did not contract to tolerance")
+
+def lowest_eigenvalues(m: SymTridiagonal, n_eigs: int):
+    """The n_eigs smallest eigenvalues, ascending, by Sturm-count bisection.
+
+    Deterministic.  Raises ConvergenceFailure if LAPACK reports that the
+    bisection failed to converge.
+    """
+    return _lowest(m, n_eigs, eigvals_only=True)
 
 
 def eigenpairs(m: SymTridiagonal, n_eigs: int, grid: Grid1D):
@@ -214,27 +190,11 @@ def eigenpairs(m: SymTridiagonal, n_eigs: int, grid: Grid1D):
     appreciable size positive, and relative residual ||Mv - eps v|| / ||v||
     below 1e-10 * ||M||.
     """
-    vals = lowest_eigenvalues(m, n_eigs)
-    n = m.n
+    vals, vecs = _lowest(m, n_eigs, eigvals_only=False)
     h = grid.h
     scale = float(np.max(np.abs(m.diag)) + 2.0 * np.max(np.abs(m.offdiag)))
-    rng = np.random.default_rng(1234)  # fixed seed: deterministic output
-    vecs = np.empty((n, n_eigs))
-    ab = np.zeros((3, n))
     for j, lam in enumerate(vals):
-        shift = lam + 1e-11 * scale
-        ab[0, 1:] = m.offdiag
-        ab[1, :] = m.diag - shift
-        ab[2, :-1] = m.offdiag
-        v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        for _ in range(3):
-            v = solve_banded((1, 1), ab, v)
-            # re-orthogonalize inside near-degenerate clusters
-            for i in range(j):
-                if abs(vals[i] - lam) < 1e-8 * scale:
-                    v -= (vecs[:, i] @ v) * vecs[:, i] * h
-            v /= np.linalg.norm(v)
+        v = vecs[:, j] / np.linalg.norm(vecs[:, j])
         resid = np.linalg.norm(m.matvec(v) - lam * v)
         if resid > 1e-10 * scale:
             raise ConvergenceFailure(
@@ -242,7 +202,7 @@ def eigenpairs(m: SymTridiagonal, n_eigs: int, grid: Grid1D):
         big = np.nonzero(np.abs(v) > 0.1 * np.max(np.abs(v)))[0][0]
         if v[big] < 0.0:
             v = -v
-        vecs[:, j] = v / math.sqrt(h) / np.linalg.norm(v)
+        vecs[:, j] = v / math.sqrt(h)
     return vals, vecs
 
 

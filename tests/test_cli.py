@@ -181,6 +181,47 @@ def test_config_unknown_key_exits_2(tmp_path):
     assert "unknown key" in res.stderr
 
 
+def test_missing_config_file_exits_2(tmp_path):
+    res = run_cli("potential", "--case", "pt", "--A", "-2", "--B", "0.5",
+                  "--config", str(tmp_path / "absent.cfg"))
+    assert res.returncode == 2
+    assert "cannot read config file" in res.stderr
+
+
+def test_non_numeric_config_value_exits_2(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("A=abc\nB=0.5\n")
+    res = run_cli("potential", "--case", "pt", "--config", str(cfg))
+    assert res.returncode == 2
+    assert "expects a number" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("flag, value", [("--A", "nan"), ("--x-hi", "inf")])
+def test_non_finite_flag_exits_2(flag, value):
+    args = {"--A": "-2", "--B": "0.5", "--n-points": "65", flag: value}
+    res = run_cli("potential", "--case", "pt", *sum(args.items(), ()))
+    assert res.returncode == 2
+    assert "must be finite" in res.stderr
+    assert res.stdout == ""
+
+
+def test_grid_above_cap_exits_2():
+    res = run_cli("spectrum", "--case", "pt", "--A", "-2", "--B", "0.5",
+                  "--n-points", "1000002")
+    assert res.returncode == 2
+    assert "n_points must be at most 1000001" in res.stderr
+
+
+def test_non_finite_wavefunction_exits_1():
+    # equal-radii '+' branch has c = -a: the prefactor overflows on the grid
+    res = run_cli("wavefunction", "--case", "rational", "--a", "1", "--B",
+                  "-0.5", "--branch", "+", "--n-points", "101")
+    assert res.returncode == 1
+    assert "NormalizationFailure" in res.stderr
+    assert res.stdout == ""
+
+
 def test_output_dir_override(tmp_path):
     res = run_cli("potential", "--case", "pt", "--A", "-2", "--B", "0.5",
                   "--n-points", "65", "--output", "out.csv",

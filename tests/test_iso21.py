@@ -199,6 +199,29 @@ def test_sector_bookkeeping_j3():
     op_same = sector_operator(CLOSED, CLOSED.mu + 1.0, "lower", xg)
     # the two share the modification label mu + 1/2, hence the same
     # multiplication part (interior rows; boundary rows carry stencil terms)
-    d_up = np.diag(op_up)[1:-1]
-    d_same = np.diag(op_same)[1:-1]
+    d_up = op_up.diagonal()[1:-1]
+    d_same = op_same.diagonal()[1:-1]
     np.testing.assert_allclose(d_up - d_same, 0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("direction", ["raise", "lower"])
+def test_sector_operator_matches_dense_stencil(direction):
+    # dense reference: central interior rows, one-sided second-order boundary rows
+    xg = np.linspace(0.2, math.pi - 0.2, 300)
+    n, step = xg.size, xg[1] - xg[0]
+    d = np.zeros((n, n))
+    idx = np.arange(1, n - 1)
+    d[idx, idx + 1] = 1.0 / (2.0 * step)
+    d[idx, idx - 1] = -1.0 / (2.0 * step)
+    d[0, 0:3] = np.array([-1.5, 2.0, -0.5]) / step
+    d[n - 1, n - 3:n] = np.array([0.5, -2.0, 1.5]) / step
+    sgn, label, which, k = ((1.0, CLOSED.mu + 0.5, 1, CLOSED.K1)
+                            if direction == "raise"
+                            else (-1.0, CLOSED.mu - 0.5, 2, CLOSED.K2))
+    s, t = st_functions(CLOSED.B1, xg)
+    u = modification_U(k, CLOSED.geom, xg, which)
+    dense = 1j * (sgn * d + np.diag(label * s - t + u))
+    op = sector_operator(CLOSED, CLOSED.mu, direction, xg)
+    assert op.format == "csr"
+    assert op.nnz == 3 * n
+    np.testing.assert_array_equal(op.toarray(), dense)

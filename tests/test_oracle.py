@@ -4,8 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
-from toruspt.errors import DomainError, IllPosedPotential, NonFinitePotential
+from toruspt import oracle
+from toruspt.errors import (
+    ConvergenceFailure,
+    DomainError,
+    IllPosedPotential,
+    NonFinitePotential,
+)
 from toruspt.oracle import (
     Grid1D,
     SymTridiagonal,
@@ -75,6 +82,34 @@ def test_dense_oracle_agreement():
     dense = np.linalg.eigvalsh(m.toarray())[:8]
     np.testing.assert_allclose(mine, dense, atol=1e-10)
     assert np.all(np.diff(mine) >= 0.0)
+
+
+def test_pt_hamiltonian_dense_solver_agreement():
+    grid = Grid1D(0.002, math.pi - 0.002, 2000)
+    x = grid.points
+    m = build_hamiltonian(2.25 / np.sin(x) ** 2 - 1.5 * np.cos(x) / np.sin(x) ** 2,
+                          grid)
+    mine = lowest_eigenvalues(m, 6)
+    dense = np.linalg.eigvalsh(m.toarray())[:6]
+    # bisection to full precision: a few ulps of the matrix norm
+    norm = float(np.max(np.abs(m.diag)) + 2.0 * np.max(np.abs(m.offdiag)))
+    np.testing.assert_allclose(mine, dense, rtol=0.0,
+                               atol=64.0 * np.finfo(float).eps * norm)
+
+
+def test_lapack_failure_maps_to_convergence_failure(monkeypatch):
+    def failing(*args, **kwargs):
+        raise LinAlgError("stein did not converge")
+
+    monkeypatch.setattr(oracle, "eigh_tridiagonal", failing)
+    grid = Grid1D(0.1, 3.0, 100)
+    m = build_hamiltonian(np.zeros(100), grid)
+    with pytest.raises(ConvergenceFailure):
+        eigenpairs(m, 3, grid)
+    with pytest.raises(ConvergenceFailure):
+        lowest_eigenvalues(m, 3)
+    with pytest.raises(DomainError):
+        lowest_eigenvalues(m, 0)
 
 
 def test_eigenpairs_box_shape_residual_orthogonality():
