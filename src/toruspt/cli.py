@@ -318,8 +318,11 @@ def cmd_spectrum(args) -> int:
 
 
 def _normalized(vals, xs):
-    norm = math.sqrt(np.trapezoid(vals * vals, xs))
-    return vals / norm if norm > 0.0 else vals
+    # A column that overflows leaves a non-finite norm; _check_finite reports
+    # it as NormalizationFailure, so numpy's own warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = math.sqrt(np.trapezoid(vals * vals, xs))
+        return vals / norm if norm > 0.0 else vals
 
 
 def cmd_wavefunction(args) -> int:

@@ -207,54 +207,101 @@ def incomplete_beta(z, s, w, ctl: SeriesControl = DEFAULT_CONTROL):
     return out
 
 
+# Points per block of the Appell sweep: a block's working diagonals hold at
+# most this many float64 values (about 20 MB) at any max_terms.
+_F1_BLOCK_VALUES = 2_500_000
+_F1_FIRST_WIDTH = 64
+
+
+def _rows(work, n, width):
+    """(buffer, n x width view on its front); a new buffer if work is too small."""
+    if work.size < n * width:
+        work = np.empty(n * width)
+    return work, work[:n * width].reshape(n, width)
+
+
+def _appell_f1_block(a, b1, b2, c, x, y, ctl, work):
+    """F1 at the 1-D points x, y: one anti-diagonal sweep for all of them.
+
+    Row i of ``diag`` holds diagonal k of live point i, T(m, k-m) in column m.
+    A point leaves the sweep (its row is compacted away) once it converges.
+    The rows are widened by doubling, so memory follows the diagonals reached;
+    they live in ``work``, which is returned with the values for the next
+    block to reuse.
+    """
+    out = np.empty(x.size)
+    live = np.arange(x.size)
+    width = min(_F1_FIRST_WIDTH, ctl.max_terms + 1)
+    work, diag = _rows(work, x.size, width)
+    diag[:, 0] = 1.0
+    partial = np.ones(x.size)
+    prev_small = np.full(x.size, 1.0 <= ctl.abs_tol + ctl.rel_tol)
+    n = np.arange(1, ctl.max_terms + 1, dtype=float)
+    ratio_y = (b2 + n - 1.0) / n  # n-step ratio of T(m, n) without (a)/(c) and y
+    for k in range(1, ctl.max_terms + 1):
+        if k == width:
+            width = min(2 * k, ctl.max_terms + 1)
+            work, wider = _rows(work, live.size, width)
+            wider[:, :k] = diag[:live.size]  # numpy buffers the copy if they overlap
+            diag = wider
+        g = (a + k - 1.0) / (c + k - 1.0)
+        d = diag[:live.size, :k + 1]
+        d[:, k] = d[:, k - 1] * (g * (b1 + k - 1.0) / k * x)
+        d[:, :k] *= g * ratio_y[k - 1::-1]
+        d[:, :k] *= y[:, None]
+        s = d.sum(axis=1)
+        if not np.all(np.isfinite(s)):
+            raise NonConvergence("appell_f1 series overflowed before converging")
+        partial += s
+        small = np.abs(s) <= ctl.abs_tol + ctl.rel_tol * np.abs(partial)
+        done = small & prev_small
+        prev_small = small
+        if done.any():
+            out[live[done]] = partial[done]
+            keep = ~done
+            if not keep.any():
+                return out, work
+            diag[:np.count_nonzero(keep), :k + 1] = d[keep]
+            live, x, y, partial, prev_small = (
+                v[keep] for v in (live, x, y, partial, prev_small))
+    raise NonConvergence(
+        f"appell_f1 did not converge within {ctl.max_terms} diagonals "
+        f"at {live.size} point(s)")
+
+
 def appell_f1(a, b1, b2, c, x, y, ctl: SeriesControl = DEFAULT_CONTROL):
     """Appell F1(a; b1, b2; c; x, y) by truncated double series.
 
     Terms T(m,n) = (a)_{m+n} (b1)_m (b2)_n / ((c)_{m+n} m! n!) x^m y^n are
-    summed along anti-diagonals m+n = const (diagonal sweep); convergence is
-    declared when two consecutive diagonal sums fall below tolerance.
-    Requires |x| < 1, |y| < 1 and c not a non-positive integer.  max_terms
-    caps the largest anti-diagonal index.
+    summed along anti-diagonals m+n = k; diagonal k is built from diagonal
+    k-1 by the term ratios, for all points at once.  x and y are scalars or
+    arrays of one shape; the result has that shape, and a 0-d input gives a
+    float.  Each point converges on its own: once two consecutive diagonal
+    sums are both within abs_tol + rel_tol |partial sum|, it returns its
+    partial sum and leaves the sweep.  Requires |x| < 1, |y| < 1 at every
+    point and c not a non-positive integer.  Raises NonConvergence if any
+    point is still unconverged after max_terms diagonals, or if a diagonal
+    sum is not finite.
     """
-    if not (abs(x) < 1.0 and abs(y) < 1.0):
+    x_arr = np.asarray(x, dtype=float)
+    y_arr = np.asarray(y, dtype=float)
+    if x_arr.shape != y_arr.shape:
+        raise DomainError("appell_f1 requires x and y of one shape")
+    if not (np.all(np.abs(x_arr) < 1.0) and np.all(np.abs(y_arr) < 1.0)):
         raise DomainError("appell_f1 requires |x| < 1 and |y| < 1")
     if c <= 0.0 and abs(c - round(c)) < 1e-12:
         raise DomainError("appell_f1 requires c not a non-positive integer")
-    if x == 0.0 and y == 0.0:
-        return 1.0
 
-    size = 48
-    while True:
-        size = min(size, ctl.max_terms + 1)
-        j = np.arange(size, dtype=float)
-        # row 0 over n: ratio (a+n-1)(b2+n-1) y / ((c+n-1) n)
-        row = np.ones(size)
-        if size > 1:
-            r = (a + j[1:] - 1.0) * (b2 + j[1:] - 1.0) * y / ((c + j[1:] - 1.0) * j[1:])
-            row[1:] = np.cumprod(r)
-        terms = np.empty((size, size))
-        terms[0] = row
-        for i in range(1, size):
-            # ratio over m at fixed n: (a+m+n-1)(b1+m-1) x / ((c+m+n-1) m)
-            terms[i] = terms[i - 1] * ((a + i + j - 1.0) * (b1 + i - 1.0) * x
-                                       / ((c + i + j - 1.0) * i))
-        idx = (np.arange(size)[:, None] + np.arange(size)[None, :]).ravel()
-        diag_sums = np.bincount(idx, weights=terms.ravel(), minlength=2 * size - 1)
-        diag_sums = diag_sums[:size]  # only complete anti-diagonals
-        if not np.all(np.isfinite(diag_sums)):
-            raise NonConvergence("appell_f1 series overflowed before converging")
-        partial = np.cumsum(diag_sums)
-        tol = ctl.abs_tol + ctl.rel_tol * np.abs(partial)
-        small = np.abs(diag_sums) <= tol
-        ok = small[1:] & small[:-1]
-        hits = np.nonzero(ok)[0]
-        if hits.size:
-            return float(partial[hits[0] + 1])
-        if size >= ctl.max_terms + 1:
-            raise NonConvergence(
-                f"appell_f1 did not converge within {ctl.max_terms} diagonals"
-            )
-        size *= 2
+    xf, yf = x_arr.ravel(), y_arr.ravel()
+    out = np.empty(xf.size)
+    step = max(1, _F1_BLOCK_VALUES // (ctl.max_terms + 1))
+    work = np.empty(0)
+    for lo in range(0, xf.size, step):
+        out[lo:lo + step], work = _appell_f1_block(
+            a, b1, b2, c, xf[lo:lo + step], yf[lo:lo + step], ctl, work)
+    if x_arr.ndim == 0:
+        return float(out[0])
+    return out.reshape(x_arr.shape)
 
 
 def numeric_derivative(f, x, order=1, h=1e-5):

@@ -188,11 +188,8 @@ def _appell_tail_pieces(spec: AppellTail, x, ctl):
     eta = 2.0 * a / (a + c)
     pw = A + B + 0.5
     pref = 4.0 ** A * (a + c) ** (-2.0 * lam / a) / pw
-    big_m = np.array([
-        pref * si ** pw * appell_f1(pw, 0.5 - A + B, 2.0 * lam / a, pw + 1.0,
-                                    si, eta * si, ctl)
-        for si in s2
-    ])
+    big_m = pref * s2 ** pw * appell_f1(pw, 0.5 - A + B, 2.0 * lam / a, pw + 1.0,
+                                        s2, eta * s2, ctl)
     d = C1 - big_m  # d' = -m
     dlogm = (2.0 * (A * cx + B) / sx) + 2.0 * lam * sx / p
     g_over_p = m / d

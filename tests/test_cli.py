@@ -222,6 +222,20 @@ def test_non_finite_wavefunction_exits_1():
     assert res.stdout == ""
 
 
+def test_failed_normalization_prints_no_numpy_warning():
+    res = run_cli("wavefunction", "--case", "rational", "--a", "1", "--B",
+                  "-0.5", "--branch", "+")
+    assert "RuntimeWarning" not in res.stderr
+
+
+def test_failed_normalization_exit_code_and_error_line():
+    res = run_cli("wavefunction", "--case", "rational", "--a", "1", "--B",
+                  "-0.5", "--branch", "+")
+    assert res.returncode == 1
+    assert res.stderr.splitlines()[-1] == (
+        "error: NormalizationFailure: non-finite values in output column(s) psi1")
+
+
 def test_output_dir_override(tmp_path):
     res = run_cli("potential", "--case", "pt", "--A", "-2", "--B", "0.5",
                   "--n-points", "65", "--output", "out.csv",

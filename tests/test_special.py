@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from toruspt import special
 from toruspt.errors import DomainError, NonConvergence
 from toruspt.special import (
     DEFAULT_CONTROL,
@@ -16,6 +17,7 @@ from toruspt.special import (
     jacobi_poly,
     numeric_derivative,
 )
+from toruspt.susy import solve_parameter_conditions
 
 
 # --- independent oracles ----------------------------------------------------
@@ -258,6 +260,81 @@ def test_appell_budget_exhaustion():
     ctl = SeriesControl(max_terms=8, abs_tol=1e-16, rel_tol=1e-15)
     with pytest.raises(NonConvergence):
         appell_f1(0.5, 1.0, 1.0, 2.0, 0.9, 0.9, ctl)
+
+
+def _appell_grid(n):
+    rng = np.random.default_rng(29)
+    return rng.uniform(-0.85, 0.85, n), rng.uniform(-0.85, 0.85, n)
+
+
+def test_appell_array_equals_scalar_calls_bitwise(monkeypatch):
+    # a small block size makes the 301 points span four blocks
+    monkeypatch.setattr(special, "_F1_BLOCK_VALUES",
+                        100 * (DEFAULT_CONTROL.max_terms + 1))
+    x, y = _appell_grid(301)
+    got = appell_f1(0.7, -0.4, 1.3, 1.9, x, y)
+    ref = np.array([appell_f1(0.7, -0.4, 1.3, 1.9, float(u), float(v))
+                    for u, v in zip(x, y)])
+    assert np.array_equal(got, ref)
+
+
+def test_appell_array_shapes():
+    x, y = _appell_grid(12)
+    flat = appell_f1(0.5, 0.25, 1.5, 2.0, x, y)
+    assert flat.shape == (12,)
+    grid = appell_f1(0.5, 0.25, 1.5, 2.0, x.reshape(3, 4), y.reshape(3, 4))
+    assert grid.shape == (3, 4)
+    assert np.array_equal(grid.ravel(), flat)
+    scalar = appell_f1(0.5, 0.25, 1.5, 2.0, np.array(x[0]), np.array(y[0]))
+    assert type(scalar) is float
+    assert scalar == flat[0]
+
+
+def test_appell_origin_inside_array_is_one():
+    out = appell_f1(0.5, 1.0, 2.0, 3.0, np.array([0.4, 0.0, -0.3]),
+                    np.array([0.1, 0.0, 0.6]))
+    assert out[1] == 1.0
+
+
+def test_appell_array_domain_errors():
+    with pytest.raises(DomainError):
+        appell_f1(0.5, 1.0, 1.0, 2.0, np.array([0.1, 1.0, 0.2]), np.zeros(3))
+    with pytest.raises(DomainError):
+        appell_f1(0.5, 1.0, 1.0, 2.0, np.zeros(3), np.array([0.1, -1.2, 0.2]))
+    with pytest.raises(DomainError):
+        appell_f1(0.5, 1.0, 1.0, 2.0, np.zeros(3), np.zeros(4))
+
+
+def test_appell_one_slow_point_exhausts_budget():
+    ctl = SeriesControl(max_terms=40, abs_tol=1e-16, rel_tol=1e-15)
+    x = np.array([0.05, 0.1, 0.95, 0.0])
+    appell_f1(0.5, 1.0, 1.0, 2.0, x[[0, 1, 3]], x[[0, 1, 3]], ctl)  # these converge
+    with pytest.raises(NonConvergence):
+        appell_f1(0.5, 1.0, 1.0, 2.0, x, x, ctl)
+
+
+def test_appell_matches_mpmath():
+    import mpmath
+
+    rng = np.random.default_rng(31)
+    cases = []
+    for _ in range(12):
+        a, b1, b2 = rng.uniform(0.2, 2.0), *rng.uniform(-1.5, 2.0, 2)
+        cases.append((a, b1, b2, rng.uniform(0.5, 3.5),
+                      rng.uniform(-0.6, 0.6, 1), rng.uniform(-0.6, 0.6, 1)))
+    # the AppellTail parameter line that susy sums at every grid point
+    spec = solve_parameter_conditions("appell", a=1.0, lam=2.0, branch="+")
+    a, c = spec.geom.a, spec.geom.c
+    pw = spec.A + spec.B + 0.5
+    s = np.sin(0.5 * np.linspace(0.002, 2.0, 8)) ** 2
+    cases.append((pw, 0.5 - spec.A + spec.B, 2.0 * spec.lam / a, pw + 1.0,
+                  s, 2.0 * a / (a + c) * s))
+    for a, b1, b2, c, x, y in cases:
+        got = appell_f1(a, b1, b2, c, x, y)
+        for g, u, v in zip(got, x, y):
+            with mpmath.workdps(30):
+                ref = float(mpmath.appellf1(a, b1, b2, c, u, v))
+            assert g == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 # --- numeric derivative --------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
+from toruspt import special, susy
 from toruspt.errors import (
     DegenerateJacobiWarning,
     DomainError,
@@ -182,6 +183,28 @@ def test_appell_g_functional_vanishes():
          + (4.0 * spec.lam - 2.0 * a) * np.sin(xs))
     cal_g = 2.0 * gv ** 2 + gv * q - 2.0 * p * gp
     assert np.max(np.abs(cal_g)) < 1e-6
+
+
+def test_appell_tail_batched_matches_scalar_calls(monkeypatch):
+    spec = solve_parameter_conditions("appell", a=1.0, lam=2.0, branch="+")
+    x = np.linspace(0.002, 2.0, 501)
+    v_minus, v_plus = partner_potentials(spec, x)
+
+    # reference: the tail's own F1 line, one scalar call per grid point
+    a, c = spec.geom.a, spec.geom.c
+    pw = spec.A + spec.B + 0.5
+    s2 = np.sin(0.5 * x) ** 2
+    line = (pw, 0.5 - spec.A + spec.B, 2.0 * spec.lam / a, pw + 1.0)
+
+    def per_point(*args):
+        ctl = args[-1]
+        return np.array([special.appell_f1(*line, u, 2.0 * a / (a + c) * u, ctl)
+                         for u in s2])
+
+    monkeypatch.setattr(susy, "appell_f1", per_point)
+    ref_minus, ref_plus = partner_potentials(spec, x)
+    np.testing.assert_allclose(v_minus, ref_minus, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(v_plus, ref_plus, rtol=1e-13, atol=0.0)
 
 
 # --- spectra --------------------------------------------------------------------
