@@ -4,7 +4,9 @@ Subcommands: potential, spectrum, wavefunction, verify, algebra (an alias of
 spectrum --case iso21) and errata.  Outputs are deterministic: floats are
 rendered with 17 significant digits, CSV uses '.' decimals, comma delimiters
 and LF line endings with a header row, and JSON key order is fixed, so a
-rerun with the same configuration produces byte-identical files.
+rerun with the same configuration produces byte-identical files.  Tables are
+rendered and written in blocks of rows, so memory does not grow with the
+output text.
 
 Exit codes: 0 success, 1 verification or domain failure, 2 argument error.
 Flags override an optional key=value config file; a missing config file,
@@ -17,6 +19,7 @@ TORUSPT_OUTDIR, an optional prefix for relative output paths.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -34,9 +37,13 @@ MAX_LEVELS = 8
 MAX_POINTS = 1_000_001
 
 
-def _fmt(v) -> str:
+def _json_scalar(v) -> str:
+    if v is None:
+        return "null"
     if isinstance(v, bool):
         return "true" if v else "false"
+    if isinstance(v, str):
+        return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
@@ -44,44 +51,78 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _json_render(obj, indent=0) -> str:
-    pad = "  " * indent
+# Rows per % fill: bounds the Python floats and the text alive at once.
+_BLOCK_ROWS = 8192
+
+
+class _Table:
+    """Named float columns, rendered a block of rows at a time.
+
+    Each row is one %-template ("%.17g" gives the bytes of format(v, ".17g")),
+    so a whole block is filled by a single % over its values and the text of
+    the table never exists as one string.
+    """
+
+    def __init__(self, header, columns):
+        self.header = list(header)
+        self.data = np.column_stack(columns)
+
+    def _blocks(self, row, sep):
+        for start in range(0, len(self.data), _BLOCK_ROWS):
+            block = self.data[start:start + _BLOCK_ROWS]
+            text = sep.join([row] * len(block)) % tuple(block.ravel().tolist())
+            yield sep + text if start else text
+
+    def csv_pieces(self):
+        yield ",".join(self.header) + "\n"
+        yield from self._blocks(",".join(["%.17g"] * len(self.header)) + "\n", "")
+
+    def json_pieces(self, indent):
+        pad = "  " * (indent + 1)
+        fields = ",\n".join(f'{pad}  "{h}": %.17g' for h in self.header)
+        yield "[\n"
+        yield from self._blocks(f"{pad}{{\n{fields}\n{pad}}}", ",\n")
+        yield "\n" + "  " * indent + "]"
+
+
+def _json_render(obj, indent=0):
+    """Yield the JSON text of obj in pieces: fixed key order, 2-space indent."""
+    if isinstance(obj, _Table):
+        yield from obj.json_pieces(indent)
+        return
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  "{k}": {_json_render(v, indent + 1)}' for k, v in obj.items())
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(f"{pad}  {_json_render(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    return _fmt(obj)
+        entries, brackets = [(f'"{k}": ', v) for k, v in obj.items()], "{}"
+    elif isinstance(obj, (list, tuple)):
+        entries, brackets = [("", v) for v in obj], "[]"
+    else:
+        yield _json_scalar(obj)
+        return
+    if not entries:
+        yield brackets
+        return
+    pad = "  " * indent
+    sep = brackets[0] + "\n"
+    for key, value in entries:
+        yield f"{sep}{pad}  {key}"
+        yield from _json_render(value, indent + 1)
+        sep = ",\n"
+    yield "\n" + pad + brackets[1]
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _write_output(pieces, path: str | None) -> None:
+    """Write an iterable of string pieces to stdout or path as they come."""
     if path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     outdir = os.environ.get("TORUSPT_OUTDIR")
     if outdir and not os.path.isabs(path):
         path = os.path.join(outdir, path)
     with open(path, "w", newline="") as handle:
-        handle.write(text)
+        handle.writelines(pieces)
 
 
-def _csv_table(header, columns) -> str:
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _write_json(obj, path: str | None) -> None:
+    _write_output(itertools.chain(_json_render(obj), ("\n",)), path)
 
 
 class CLIError(Exception):
@@ -272,12 +313,11 @@ def cmd_potential(args) -> int:
         header = ["x", "V_minus", "V_plus"]
         cols = [xs, vm, vp]
     _check_finite(header, cols, NonFinitePotential)
+    table = _Table(header, cols)
     if args.format == "csv":
-        _write_output(_csv_table(header, cols), args.output)
+        _write_output(table.csv_pieces(), args.output)
     else:
-        rows = [{h: c[i] for h, c in zip(header, cols)} for i in range(xs.size)]
-        _write_output(_json_render({"case": args.case, "rows": rows}) + "\n",
-                      args.output)
+        _write_json({"case": args.case, "rows": table}, args.output)
     return 0
 
 
@@ -313,7 +353,7 @@ def cmd_spectrum(args) -> int:
     eps, v, grid, params = _spectrum_inputs(args)
     report = oracle.spectrum_report(args.case, params, eps, v, grid,
                                     rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-    _write_output(_json_render(report.to_json_obj()) + "\n", args.output)
+    _write_json(report.to_json_obj(), args.output)
     return 0 if report.passed else 1
 
 
@@ -366,28 +406,28 @@ def cmd_wavefunction(args) -> int:
             header.append("F_plus")
             cols.append(_normalized(fp, xs))
     _check_finite(header, cols, NormalizationFailure)
+    table = _Table(header, cols)
     if args.format == "csv":
         for key, val in notes.items():
             print(f"note: {key} = {val}", file=sys.stderr)
-        _write_output(_csv_table(header, cols), args.output)
+        _write_output(table.csv_pieces(), args.output)
     else:
-        rows = [{h: c[i] for h, c in zip(header, cols)} for i in range(xs.size)]
-        obj = {"case": args.case, "n": args.n, **notes, "rows": rows}
-        _write_output(_json_render(obj) + "\n", args.output)
+        _write_json({"case": args.case, "n": args.n, **notes, "rows": table},
+                    args.output)
     return 0
 
 
 def cmd_verify(args) -> int:
     report = verify.run_suite(args.suite)
     if args.format == "json":
-        _write_output(_json_render(report.to_json_obj()) + "\n", args.output)
+        _write_json(report.to_json_obj(), args.output)
     else:
-        _write_output(report.render_text() + "\n", args.output)
+        _write_output((report.render_text(), "\n"), args.output)
     return 0 if report.passed else 1
 
 
 def cmd_errata(args) -> int:
-    _write_output(errata_mod.render_text(), args.output)
+    _write_output((errata_mod.render_text(),), args.output)
     return 0
 
 

@@ -183,10 +183,9 @@ def _ev_eq17():
 
 
 def _ev_commutator_defect():
-    from .verify import _commutator_residual
     p = iso21.AlgebraParams.from_closure(c=1.0, K1=0.6)
-    return {"raw residual": _commutator_residual(p, 1024),
-            "after subtracting 4*S*U2*psi": _commutator_residual(
+    return {"raw residual": iso21.commutator_residual(p, 1024),
+            "after subtracting 4*S*U2*psi": iso21.commutator_residual(
                 p, 1024, subtract_defect=True)}
 
 

@@ -44,6 +44,7 @@ __all__ = [
     "closure_riccati_residuals",
     "casimir_potential",
     "sector_operator",
+    "commutator_residual",
     "algebra_spectrum",
     "energy_scalings",
 ]
@@ -106,12 +107,7 @@ def _u_and_deriv(K: float, geom: TorusGeometry, x, which: int):
 
 def closure_riccati_residuals(p: AlgebraParams, grid):
     """Max of |R1| and |R2| over the grid (the two identities behind closure)."""
-    x = np.asarray(grid, dtype=float)
-    s, t = st_functions(p.B1, x)
-    u1, u1p = _u_and_deriv(p.K1, p.geom, x, 1)
-    u2, u2p = _u_and_deriv(p.K2, p.geom, x, 2)
-    r1 = u1 * u1 - u1p + 2.0 * u1 * ((p.mu + 0.5) * s - t)
-    r2 = u2 * u2 + u2p + 2.0 * u2 * ((p.mu1 + 0.5) * s - t)
+    r1, r2 = _riccati_fields(p, grid)
     return float(np.max(np.abs(r1))), float(np.max(np.abs(r2)))
 
 
@@ -199,6 +195,29 @@ def sector_operator(p: AlgebraParams, mu_sector: float, direction: str, grid):
 
     diag = label * s - t + u
     return (1j * (sgn * d + sparse.diags(diag))).tocsr()
+
+
+def commutator_residual(p: AlgebraParams, n_points: int, lo=0.2, hi=math.pi - 0.2,
+                        subtract_defect=False) -> float:
+    """Relative residual ||([J+, J-] + 2 J3) psi|| / ||psi|| on the mu sector.
+
+    The sector operators act on a fixed smooth bump psi that vanishes at both
+    ends of [lo, hi] (n_points nodes).  With subtract_defect the 4 S U2 psi
+    multiplication defect left by the modification terms is removed first.
+    """
+    xg = np.linspace(lo, hi, n_points)
+    jp_m1 = sector_operator(p, p.mu - 1.0, "raise", xg)
+    jm_mu = sector_operator(p, p.mu, "lower", xg)
+    jm_p1 = sector_operator(p, p.mu + 1.0, "lower", xg)
+    jp_mu = sector_operator(p, p.mu, "raise", xg)
+    psi = np.sin(np.pi * (xg - lo) / (hi - lo)) ** 2 \
+        * (0.7 + 0.3 * np.sin(3.0 * (xg - lo) + 1.0))
+    lhs = jp_m1 @ (jm_mu @ psi) - jm_p1 @ (jp_mu @ psi)
+    resid = lhs + 2.0 * p.mu * psi
+    if subtract_defect:
+        s, _ = st_functions(p.B1, xg)
+        resid = resid - 4.0 * s * modification_U(p.K2, p.geom, xg, 2) * psi
+    return float(np.linalg.norm(resid) / np.linalg.norm(psi))
 
 
 def algebra_spectrum(p: AlgebraParams, n: int):

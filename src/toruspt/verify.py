@@ -711,28 +711,11 @@ def _constraint77_negative(ctx):
                    "0.1 perturbation of any single parameter", compare="ge")
 
 
-def _commutator_residual(p, n_points, lo=0.2, hi=math.pi - 0.2, subtract_defect=False):
-    xg = np.linspace(lo, hi, n_points)
-    jp_m1 = iso21.sector_operator(p, p.mu - 1.0, "raise", xg)
-    jm_mu = iso21.sector_operator(p, p.mu, "lower", xg)
-    jm_p1 = iso21.sector_operator(p, p.mu + 1.0, "lower", xg)
-    jp_mu = iso21.sector_operator(p, p.mu, "raise", xg)
-    psi = np.sin(np.pi * (xg - lo) / (hi - lo)) ** 2 \
-        * (0.7 + 0.3 * np.sin(3.0 * (xg - lo) + 1.0))
-    lhs = jp_m1 @ (jm_mu @ psi) - jm_p1 @ (jp_mu @ psi)
-    resid = lhs + 2.0 * p.mu * psi
-    if subtract_defect:
-        s, _ = iso21.st_functions(p.B1, xg)
-        u2 = iso21.modification_U(p.K2, p.geom, xg, 2)
-        resid = resid - 4.0 * s * u2 * psi
-    return float(np.linalg.norm(resid) / np.linalg.norm(psi))
-
-
 @_check("commutator_backbone", "algebra")
 def _commutator_backbone(ctx):
     p = iso21.AlgebraParams(B1=-0.8, mu=0.3, K1=0.0, K2=0.0,
                             geom=TorusGeometry(1.0, 1.0), mu1=1.3)
-    r = _commutator_residual(p, 2048)
+    r = iso21.commutator_residual(p, 2048)
     return _result("commutator_backbone", "algebra", r, 1e-4,
                    "[J+, J-] = -2 J3 on the unmodified generators, N=2048")
 
@@ -741,8 +724,8 @@ def _commutator_backbone(ctx):
 def _commutator_decay(ctx):
     p = iso21.AlgebraParams(B1=-0.8, mu=0.3, K1=0.0, K2=0.0,
                             geom=TorusGeometry(1.0, 1.0), mu1=1.3)
-    r1 = _commutator_residual(p, 1024)
-    r2 = _commutator_residual(p, 2048)
+    r1 = iso21.commutator_residual(p, 1024)
+    r2 = iso21.commutator_residual(p, 2048)
     ratio = r1 / r2
     ok = 3.0 <= ratio <= 5.5
     return CheckResult("commutator_h2_decay", "algebra", ok, ratio, 4.0,
@@ -754,8 +737,8 @@ def _commutator_modified(ctx):
     # With the rational modification terms the operator commutator retains a
     # 4 S U2 multiplication defect; verify the defect is exactly that.
     p = _closure_params()
-    raw = _commutator_residual(p, 2048)
-    clean = _commutator_residual(p, 2048, subtract_defect=True)
+    raw = iso21.commutator_residual(p, 2048)
+    clean = iso21.commutator_residual(p, 2048, subtract_defect=True)
     return _result("commutator_modified_defect", "algebra", clean, 1e-3,
                    f"raw residual {raw:.2f}; after subtracting 4 S U2 psi")
 

@@ -1,4 +1,4 @@
-"""Black-box CLI tests: exit codes, output schemas, determinism."""
+"""CLI tests: exit codes, output schemas, determinism, table rendering."""
 
 import json
 import math
@@ -6,7 +6,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from toruspt import cli
 
 PKG_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -269,3 +272,144 @@ def test_verify_single_suite_exits_zero():
 
 def test_verify_rejects_unknown_suite():
     assert run_cli("verify", "--suite", "nonsense").returncode == 2
+
+
+# -- table rendering: the block renderer against the per-value algorithm ----
+
+def _ref_fmt(v):
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return format(float(v), ".17g")
+    return str(v)
+
+
+def _ref_csv(header, cols):
+    lines = [",".join(header)]
+    for row in zip(*cols):
+        lines.append(",".join(format(float(v), ".17g") for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _ref_json(obj, indent=0):
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        items = ",\n".join(
+            f'{pad}  "{k}": {_ref_json(v, indent + 1)}' for k, v in obj.items())
+        return "{\n" + items + "\n" + pad + "}" if obj else "{}"
+    if isinstance(obj, list):
+        items = ",\n".join(f"{pad}  {_ref_json(v, indent + 1)}" for v in obj)
+        return "[\n" + items + "\n" + pad + "]" if obj else "[]"
+    if isinstance(obj, str):
+        return '"' + obj + '"'
+    return _ref_fmt(obj)
+
+
+def _ref_rows(header, cols):
+    return [{h: float(c[i]) for h, c in zip(header, cols)}
+            for i in range(len(cols[0]))]
+
+
+def _assert_same_text(got, want):
+    """Exact comparison that reports the first difference, not a diff of MBs."""
+    if got != want:
+        at = len(os.path.commonprefix([got, want]))
+        pytest.fail(f"texts differ at offset {at}: got {got[at - 40:at + 40]!r}, "
+                    f"want {want[at - 40:at + 40]!r}")
+
+
+def _render_in_process(monkeypatch, capsys, *argv):
+    """Stdout, stderr and the (header, columns) of the table the CLI rendered."""
+    tables = []
+
+    class Recording(cli._Table):
+        def __init__(self, header, columns):
+            super().__init__(header, columns)
+            tables.append((list(header), [np.array(c) for c in columns]))
+
+    monkeypatch.setattr(cli, "_Table", Recording)
+    code = cli.main(list(argv))
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    assert len(tables) == 1
+    return out.out, out.err, tables[0]
+
+
+def _assert_round_trip(text, header, cols):
+    # "%.17g" writes integral values without a point ("-0", "10000000000000000");
+    # read them as floats, as any JSON number is, so -0.0 keeps its sign
+    rows = json.loads(text, parse_int=float)["rows"]
+    assert len(rows) == len(cols[0])
+    for h, c in zip(header, cols):
+        parsed = np.array([row[h] for row in rows])
+        assert np.array_equal(parsed.view(np.int64), c.view(np.int64)), h
+
+
+PT = ("--case", "pt", "--A", "-2", "--B", "0.5")
+ISO21 = ("--case", "iso21", "--B1", "-0.8", "--mu", "0.1", "--K1", "0.6",
+         "--a", "1")
+
+
+@pytest.mark.parametrize("argv, n_cols", [
+    (("potential",) + PT + ("--n-points", "301"), 3),
+    (("potential",) + ISO21 + ("--n-points", "301"), 4),
+    (("wavefunction",) + PT + ("--n", "2", "--with-plus", "--n-points", "301"), 4),
+    (("potential",) + PT + ("--n-points", str(2 * cli._BLOCK_ROWS + 5)), 3),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_bytes_match_per_value_rendering(monkeypatch, capsys, argv, n_cols,
+                                               fmt, tmp_path):
+    out, _, (header, cols) = _render_in_process(monkeypatch, capsys, *argv,
+                                                "--format", fmt)
+    assert len(header) == n_cols
+    if fmt == "csv":
+        _assert_same_text(out, _ref_csv(header, cols))
+    else:
+        obj = {"case": argv[2]}
+        if argv[0] == "wavefunction":
+            obj["n"] = 2
+        obj["rows"] = _ref_rows(header, cols)
+        _assert_same_text(out, _ref_json(obj) + "\n")
+        _assert_round_trip(out, header, cols)
+    path = tmp_path / "table.out"
+    _render_in_process(monkeypatch, capsys, *argv, "--format", fmt,
+                       "--output", str(path))
+    _assert_same_text(path.read_bytes().decode(), out)
+
+
+def test_component2_json_notes_match_per_value_rendering(monkeypatch, capsys):
+    out, _, (header, cols) = _render_in_process(
+        monkeypatch, capsys, "wavefunction", "--case", "component2", "--a", "1",
+        "--B", "0.25", "--branch", "-", "--n", "1", "--format", "json",
+        "--n-points", "301")
+    notes = {"normalizable": True, "warnings": ["DegenerateJacobiWarning"]}
+    obj = {"case": "component2", "n": 1, **notes,
+           "rows": _ref_rows(header, cols)}
+    _assert_same_text(out, _ref_json(obj) + "\n")
+    _assert_round_trip(out, header, cols)
+
+
+def test_table_renderer_extreme_values():
+    values = np.array([-0.0, 5e-324, 1e16, 1.7976931348623157e308])
+    header, cols = ["x", "y"], [values, -values[::-1]]
+    table = cli._Table(header, cols)
+    assert "".join(table.csv_pieces()) == _ref_csv(header, cols)
+    obj = {"case": "pt", "rows": _ref_rows(header, cols)}
+    text = "".join(cli._json_render({"case": "pt", "rows": table}))
+    assert text == _ref_json(obj)
+    _assert_round_trip(text, header, cols)
+
+
+def test_table_is_written_a_block_at_a_time(monkeypatch):
+    n = 2 * cli._BLOCK_ROWS + 5
+    xs = np.linspace(0.0, 1.0, n)
+    writes = []
+
+    class Sink:
+        def writelines(self, pieces):
+            writes.extend(len(p) for p in pieces)
+
+    monkeypatch.setattr(cli.sys, "stdout", Sink())
+    cli._write_output(cli._Table(["x"], [xs]).csv_pieces(), "-")
+    assert len(writes) == 1 + 3  # the header, then one piece per block
+    assert max(writes) < sum(writes[1:])
