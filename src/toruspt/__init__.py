@@ -30,7 +30,6 @@ from .errors import (
 )
 from .geometry import ModeParams, TorusGeometry, TransformResult
 from .iso21 import AlgebraParams
-from .oracle import EigenReport, Grid1D, SymTridiagonal
 from .special import JacobiParams, SeriesControl
 from .susy import (
     AppellTail,
@@ -42,3 +41,15 @@ from .susy import (
 )
 
 __version__ = "0.1.0"
+
+
+# oracle imports scipy.linalg, so its names are imported on first access and
+# "import toruspt" stays free of scipy
+_ORACLE_NAMES = ("EigenReport", "Grid1D", "SymTridiagonal")
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

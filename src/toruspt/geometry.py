@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 from .errors import (
     BlowUp,
@@ -174,6 +173,10 @@ def solve_g_transform(geom, mode: ModeParams, target, grid, h0=1.0):
     representable (DegenerateMode otherwise).  BlowUp is raised if w leaves
     (0, inf) inside the grid.
     """
+    # scipy is imported where it is called: importing it costs most of a
+    # CLI call that samples potentials and never solves the ODE
+    from scipy.integrate import solve_ivp
+
     x = np.asarray(grid, dtype=float)
     if x.ndim != 1 or x.size < 3:
         raise DomainError("grid must be a 1D array with at least 3 points")
@@ -234,6 +237,8 @@ def solve_g_transform(geom, mode: ModeParams, target, grid, h0=1.0):
 
 
 def _pack_transform(geom, x, h, component, h0):
+    from scipy.integrate import cumulative_trapezoid
+
     g = cumulative_trapezoid(h, x, initial=0.0)
     r = geom.c + geom.a * np.cos(x)
     _require_regular(r)

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DomainError, GridTooCoarse, SingularGeometry
 from .geometry import TorusGeometry
@@ -171,6 +170,8 @@ def sector_operator(p: AlgebraParams, mu_sector: float, direction: str, grid):
     two boundary rows); at least 256 points are required.  J3 is the scalar
     mu_sector on the sector, so [J3, J+-] = +-J+- holds by bookkeeping.
     """
+    from scipy import sparse  # here, so that importing iso21 loads no scipy
+
     x = np.asarray(grid, dtype=float)
     n = x.size
     if n < 256:

@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .errors import (
     DomainError,
@@ -466,7 +465,7 @@ _NORM_GRID_SIZE = 20001
 def _l2_normalize(fn, a_lo=0.0, a_hi=math.pi):
     xs = np.linspace(a_lo, a_hi, _NORM_GRID_SIZE)[1:-1]
     vals = fn(xs)
-    norm2 = trapezoid(vals * vals, xs)
+    norm2 = np.trapezoid(vals * vals, xs)
     if not np.isfinite(norm2) or norm2 <= 0.0:
         raise NormalizationFailure("L2 normalization integral is not finite")
     return 1.0 / math.sqrt(norm2)
@@ -490,7 +489,7 @@ def integrability_probe(fn, endpoint: str = "left", base: float = 1e-3,
         else:
             xs = np.linspace(math.pi - 0.3, math.pi - cut, 4001)
         v = fn(xs)
-        total = trapezoid(v * v, xs)
+        total = np.trapezoid(v * v, xs)
         if prev is not None:
             increments.append(total - prev)
         prev = total

@@ -1,10 +1,13 @@
 """CLI tests: exit codes, output schemas, determinism, table rendering."""
 
+import argparse
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -14,13 +17,17 @@ from toruspt import cli
 PKG_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
-def run_cli(*argv, env_extra=None):
+def run_python(*args, env_extra=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = PKG_ROOT + os.pathsep + env.get("PYTHONPATH", "")
     if env_extra:
         env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "toruspt", *argv],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env)
+
+
+def run_cli(*argv, env_extra=None):
+    return run_python("-m", "toruspt", *argv, env_extra=env_extra)
 
 
 def test_potential_contains_midpoint_value():
@@ -272,6 +279,91 @@ def test_verify_single_suite_exits_zero():
 
 def test_verify_rejects_unknown_suite():
     assert run_cli("verify", "--suite", "nonsense").returncode == 2
+
+
+def test_parser_suite_choices_are_verify_suites():
+    from toruspt import verify
+
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    assert tuple(suite.choices) == ("all",) + verify.SUITES
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_verify_stdout_does_not_depend_on_the_clock(monkeypatch, capsys, fmt):
+    from toruspt import verify
+
+    outs, errs = [], []
+    for step in (0.25, 1.5):  # seconds per clock reading; the oracle gate is 5 s
+        ticks = itertools.count()
+        monkeypatch.setattr(verify, "time", types.SimpleNamespace(
+            perf_counter=lambda: step * next(ticks)))
+        assert cli.main(["verify", "--suite", "susy", "--format", fmt]) == 0
+        out, err = capsys.readouterr()
+        outs.append(out)
+        errs.append(err)
+    assert outs[0] == outs[1]
+    # the suite's time is reported once, on stderr
+    assert errs[0] != errs[1]
+    for err in errs:
+        line, = err.splitlines()
+        assert line.startswith("verify: suite=susy took ") and line.endswith(" s")
+
+
+# -- cold start: only spectrum, verify and errata load scipy ---------------
+
+_LIGHT_CASES = {
+    "pt": ["--A", "-2", "--B", "0.5"],
+    "rational": ["--a", "2", "--B", "-1.5", "--branch", "-"],
+    "beta": ["--A", "1", "--B", "0.25", "--a", "1", "--c", "1.5"],
+    "appell": ["--a", "1", "--lambda", "2", "--branch", "+", "--C1", "-1"],
+    "component2": ["--a", "1", "--B", "0.25", "--branch", "-"],
+    "iso21": ["--B1", "-0.8", "--mu", "0.1", "--K1", "0.6", "--a", "1"],
+}
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+from toruspt import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+cli.build_parser()
+loaded = {"parser": scipy_modules()}
+codes = {}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        codes[" ".join(argv[:3])] = cli.main(argv)
+loaded["requests"] = scipy_modules()
+print(json.dumps({"loaded": loaded, "codes": codes}))
+"""
+
+
+def test_potential_and_wavefunction_load_no_scipy():
+    grid = ["--x-lo", "0.2", "--x-hi", "2.0", "--n-points", "65"]
+    argvs = [[cmd, "--case", case, *extra, *grid]
+             for case, extra in _LIGHT_CASES.items()
+             for cmd in ("potential", "wavefunction")]
+    res = run_python("-c", _SCIPY_PROBE, json.dumps(argvs))
+    assert res.returncode == 0, res.stderr
+    obj = json.loads(res.stdout)
+    assert obj["loaded"] == {"parser": [], "requests": []}
+    expected = {" ".join(a[:3]): 0 for a in argvs}
+    expected["wavefunction --case iso21"] = 2  # no wavefunction family for iso21
+    assert obj["codes"] == expected
+
+
+def test_package_names_resolve_without_loading_scipy_first():
+    code = ("import sys, toruspt\n"
+            "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+            "from toruspt import EigenReport, Grid1D, SymTridiagonal, oracle\n"
+            "assert (EigenReport, Grid1D, SymTridiagonal) == "
+            "(oracle.EigenReport, oracle.Grid1D, oracle.SymTridiagonal)\n"
+            "assert not hasattr(toruspt, 'no_such_name')\n")
+    res = run_python("-c", code)
+    assert res.returncode == 0, res.stderr
 
 
 # -- table rendering: the block renderer against the per-value algorithm ----
