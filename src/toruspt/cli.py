@@ -181,12 +181,19 @@ def _apply_config(args, parser_name) -> None:
 
 
 def _check_numbers(args) -> None:
-    """Reject non-finite float parameters and grids above MAX_POINTS."""
+    """Reject non-finite float parameters and bad grids: x_lo, x_hi outside
+    0 < x_lo < x_hi < pi, or fewer than 64 or more than MAX_POINTS points."""
     for key in _FLOAT_KEYS:
         val = getattr(args, key, None)
         if val is not None and not math.isfinite(val):
             raise CLIError(f"{key} must be finite, got {val}")
-    if getattr(args, "n_points", 0) > MAX_POINTS:
+    if not hasattr(args, "n_points"):
+        return
+    if not (0.0 < args.x_lo < args.x_hi < math.pi):
+        raise CLIError("grid must satisfy 0 < x_lo < x_hi < pi")
+    if args.n_points < 64:
+        raise CLIError("n_points must be at least 64")
+    if args.n_points > MAX_POINTS:
         raise CLIError(f"n_points must be at most {MAX_POINTS}")
 
 
@@ -293,16 +300,8 @@ def _warn_regime(spec):
               file=sys.stderr)
 
 
-def _grid_points(args):
-    if not (0.0 < args.x_lo < args.x_hi < math.pi):
-        raise CLIError("grid must satisfy 0 < x_lo < x_hi < pi")
-    if args.n_points < 64:
-        raise CLIError("n_points must be at least 64")
-    return np.linspace(args.x_lo, args.x_hi, args.n_points)
-
-
 def cmd_potential(args) -> int:
-    xs = _grid_points(args)
+    xs = np.linspace(args.x_lo, args.x_hi, args.n_points)
     if args.case == "iso21":
         p = _algebra_from_args(args)
         mapped = susy.RationalSin(A=-p.mu - 0.5, B=-p.B1, lam=-p.K1, geom=p.geom)
@@ -380,17 +379,16 @@ def _normalized(vals, xs):
 def cmd_wavefunction(args) -> int:
     if args.n < 0:
         raise CLIError("level n must be non-negative")
-    xs = _grid_points(args)
+    xs = np.linspace(args.x_lo, args.x_hi, args.n_points)
     notes = {}
     if args.case == "component2":
-        solved = susy.solve_parameter_conditions(
-            "equal_radii", a=args.a, B=args.B, branch=args.branch) \
-            if args.A is None else None
-        if solved is None:
+        if args.A is not None:
             raise CLIError("component2 case takes --a, --B, --branch")
+        # the mirrored family keeps the solved a and lambda, all psi2 reads
+        spec = _family_from_args(args)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            bare = lambda x: susy.spinor_psi2(solved.geom, solved.lam, args.n, x,
+            bare = lambda x: susy.spinor_psi2(spec.geom, spec.lam, args.n, x,
                                               normalized=False)
             psi2 = bare(xs)
             normalizable = susy.integrability_probe(bare, "left") and \

@@ -17,7 +17,7 @@ from scipy import sparse
 
 from . import iso21, susy
 from .geometry import TorusGeometry
-from .special import JacobiParams, incomplete_beta, jacobi_poly
+from .special import incomplete_beta, numeric_derivative
 
 __all__ = ["ErrataEntry", "ENTRIES", "render_text"]
 
@@ -47,23 +47,10 @@ def _ev_eq37_vs_eq89():
 
 
 def _ev_eq54():
+    # the numbers of the susy/psi2_substitution check, from its own function
     spec = susy.solve_parameter_conditions("equal_radii", a=1.0, B=0.25, branch="-")
-    lam, aq = spec.lam, spec.A
-    v2 = susy.PTCoefficients(aq * (aq + 1.0) + spec.B ** 2,
-                             -(1.0 + 2.0 * aq) * spec.B, -aq * aq)
-    xs = np.linspace(0.3, math.pi - 0.3, 1201)
-    d = xs[1] - xs[0]
-    out = {}
-    for n in (0, 1):
-        cx = np.cos(xs)
-        f = ((1.0 - cx) ** ((1.0 - 2.0 * lam) / 4.0) * (1.0 + cx) ** -0.25
-             * jacobi_poly(JacobiParams(n, -1.0, -lam), cx))
-        fpp = (-f[4:] + 16.0 * f[3:-1] - 30.0 * f[2:-2] + 16.0 * f[1:-3] - f[:-4]) \
-            / (12.0 * d * d)
-        eps = (n - aq) ** 2 - aq ** 2
-        out[f"substitution_residual_n{n}"] = float(
-            np.max(np.abs(-fpp + (v2(xs) - eps)[2:-2] * f[2:-2])) / np.abs(f).max())
-    return out
+    return {f"substitution_residual_n{n}": susy.psi2_substitution_residual(spec, n)
+            for n in (0, 1)}
 
 
 def _beta_identity_residual(coeff_power):
@@ -79,8 +66,7 @@ def _beta_identity_residual(coeff_power):
         bz = incomplete_beta(np.cos(0.5 * x) ** 2, 0.5 + abt - bbt, 0.5 + abt + bbt)
         return (abt * np.cos(x) + bbt) / sx + m / (c1 + 4.0 ** coeff_power * bz)
 
-    h = 1e-5
-    wp = (w_of(xs + h) - w_of(xs - h)) / (2.0 * h)
+    wp = numeric_derivative(w_of, xs)
     vm = susy.pt_coefficients(susy.BetaTail(abt, bbt, c1, geom), "minus")(xs)
     return float(np.max(np.abs(vm - (w_of(xs) ** 2 - wp))))
 
@@ -97,15 +83,6 @@ def _ev_eq57_domain():
             "accepted": False}
 
 
-def _bracket_max(a, lam, b_val, c_val):
-    aa = lam / (2.0 * a)
-    xs = np.linspace(0.1, math.pi - 0.1, 501)
-    br = (lam * (2.0 * a * (aa - 1.0) + 4.0 * b_val * c_val + lam)
-          + 2.0 * lam * (2.0 * a * b_val + c_val * (2.0 * aa - 1.0)) * np.cos(xs)
-          + lam * (2.0 * a * aa - lam) * np.cos(2.0 * xs))
-    return float(np.max(np.abs(br)))
-
-
 def _ev_eq67_eq68():
     a, lam = 1.0, 2.0
     # printed radical values (inherit the stray "1 +")
@@ -113,9 +90,15 @@ def _ev_eq67_eq68():
     b_printed, c_printed = 0.5 * (1.0 - lam / a) * rad, a * rad
     # corrected values (terminate the rational part exactly)
     b_fixed, c_fixed = 0.5 * (1.0 - lam / a), a
+    xs = np.linspace(0.1, math.pi - 0.1, 501)
+
+    def numerator_max(b_val, c_val):
+        return float(np.max(np.abs(
+            susy.lambda_bracket(lam / (2.0 * a), b_val, lam, a, c_val, xs))))
+
     return {
-        "rational numerator, printed B,c": _bracket_max(a, lam, b_printed, c_printed),
-        "rational numerator, corrected B,c": _bracket_max(a, lam, b_fixed, c_fixed),
+        "rational numerator, printed B,c": numerator_max(b_printed, c_printed),
+        "rational numerator, corrected B,c": numerator_max(b_fixed, c_fixed),
         "resolution A": "A = lambda/(2a)",
     }
 
@@ -152,11 +135,8 @@ def _ev_eq77():
     r1, r2 = iso21.closure_riccati_residuals(p, xs)
     # verbatim reading: -U2' inside the bracket and coefficient mu1 (not mu1+1/2)
     s, t = iso21.st_functions(p.B1, xs)
-    u1 = iso21.modification_U(p.K1, p.geom, xs, 1)
-    u2 = iso21.modification_U(p.K2, p.geom, xs, 2)
-    r = p.geom.c + p.geom.a * np.cos(xs)
-    u1p = -p.K1 * (np.cos(xs) * r + p.geom.a * np.sin(xs) ** 2) / r**2
-    u2p = p.K2 * (np.cos(xs) * r + p.geom.a * np.sin(xs) ** 2) / r**2
+    u1, u1p = iso21.modification_U_and_deriv(p.K1, p.geom, xs, 1)
+    u2, u2p = iso21.modification_U_and_deriv(p.K2, p.geom, xs, 2)
     verbatim = (u1 * u1 - u1p + 2.0 * u1 * ((p.mu + 0.5) * s - t)
                 - (u2 * u2 - u2p + 2.0 * u2 * (p.mu1 * s - t)))
     return {"riccati pair (corrected)": max(r1, r2),
@@ -164,16 +144,12 @@ def _ev_eq77():
 
 
 def _ev_eq65():
-    # the cos 2x term of the rational numerator carries a lambda factor
+    # the cos 2x term of the rational numerator carries a lambda factor;
+    # partner_potentials uses lambda*(2aA - lambda) cos 2x
     spec = susy.RationalSin(0.7, 0.3, 1.3, TorusGeometry(1.0, 1.7))
     xs = np.linspace(0.2, math.pi - 0.2, 601)
-    h = 1e-5
-    w = susy.superpotential_eval(spec, xs)
-    wp = (susy.superpotential_eval(spec, xs + h)
-          - susy.superpotential_eval(spec, xs - h)) / (2.0 * h)
-    vm, _ = susy.partner_potentials(spec, xs)  # uses lambda*(2aA - lambda) cos 2x
-    return {"V- identity residual with lambda factor": float(
-        np.max(np.abs(vm - (w * w - wp))))}
+    return {"V- identity residual with lambda factor":
+            susy.susy_residual(spec, xs, "fd")[0]}
 
 
 def _ev_eq17():
@@ -184,9 +160,10 @@ def _ev_eq17():
 
 def _ev_commutator_defect():
     p = iso21.AlgebraParams.from_closure(c=1.0, K1=0.6)
-    return {"raw residual": iso21.commutator_residual(p, 1024),
+    # N = 2048, as in the algebra/commutator_modified_defect check
+    return {"raw residual": iso21.commutator_residual(p, 2048),
             "after subtracting 4*S*U2*psi": iso21.commutator_residual(
-                p, 1024, subtract_defect=True)}
+                p, 2048, subtract_defect=True)}
 
 
 ENTRIES = [

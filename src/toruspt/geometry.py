@@ -26,7 +26,7 @@ from .errors import (
     InvalidVelocity,
     SingularGeometry,
 )
-from .special import numeric_derivative
+from .special import grid_derivative, numeric_derivative
 
 __all__ = [
     "TorusGeometry",
@@ -248,41 +248,21 @@ def _pack_transform(geom, x, h, component, h0):
     )
 
 
-_ONESIDED_4TH = np.array([-25.0 / 12.0, 4.0, -3.0, 4.0 / 3.0, -0.25])
-
-
-def _gpp_central(x, h, i):
-    # 4th-order central difference of g' where the stencil fits, one-sided
-    # 4th-order at the first/last interior node
-    d = x[1] - x[0]
-    if 2 <= i <= x.size - 3:
-        return (-h[i + 2] + 8.0 * h[i + 1] - 8.0 * h[i - 1] + h[i - 2]) / (12.0 * d)
-    if i < 2:
-        return float(_ONESIDED_4TH @ h[i:i + 5]) / d
-    return -float(_ONESIDED_4TH @ h[i - 4:i + 1][::-1]) / d
-
-
 def reduced_potential(geom, mode: ModeParams, transform: TransformResult, i: int):
-    """Reduced potential at interior grid index i, with g'' by central differences.
+    """Reduced potential at interior grid index i, with g'' by finite differences.
 
     Component 1:  V = a^4 k^2/(R^4 g'^2) - 2 a^2 k R'/(R^3 g'^2) - a^2 k g''/(R^2 g'^3);
     component 2 flips the signs of the last two terms.
     """
-    x = transform.x
-    if not 1 <= i <= x.size - 2:
+    if not 1 <= i <= transform.x.size - 2:
         raise IndexOutOfRange("central stencil needs 1 <= i <= n-2")
-    gpp = _gpp_central(x, transform.g_prime, i)
-    return _reduced_value(geom, mode, x[i], transform.g_prime[i], gpp)
+    return reduced_potential_grid(geom, mode, transform)[i - 1]
 
 
 def reduced_potential_grid(geom, mode: ModeParams, transform: TransformResult):
-    """Reduced potential on the interior nodes (vectorized form of reduced_potential)."""
+    """Reduced potential on the interior nodes, g'' from special.grid_derivative."""
     x, h = transform.x, transform.g_prime
-    d = x[1] - x[0]
-    gpp = np.empty(x.size - 2)
-    gpp[0] = float(_ONESIDED_4TH @ h[1:6]) / d
-    gpp[-1] = -float(_ONESIDED_4TH @ h[-6:-1][::-1]) / d
-    gpp[1:-1] = (-h[4:] + 8.0 * h[3:-1] - 8.0 * h[1:-3] + h[:-4]) / (12.0 * d)
+    gpp = grid_derivative(h, x[1] - x[0])[1:-1]
     return _reduced_value(geom, mode, x[1:-1], h[1:-1], gpp)
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "AlgebraParams",
     "st_functions",
     "modification_U",
+    "modification_U_and_deriv",
     "constraint_residual_77",
     "closure_riccati_residuals",
     "casimir_potential",
@@ -96,7 +97,8 @@ def modification_U(K: float, geom: TorusGeometry, x, which: int):
     return sign * K * np.sin(x) / r
 
 
-def _u_and_deriv(K: float, geom: TorusGeometry, x, which: int):
+def modification_U_and_deriv(K: float, geom: TorusGeometry, x, which: int):
+    """(U, U') for modification_U, with U' in closed form."""
     u = modification_U(K, geom, x, which)
     r = geom.c + geom.a * np.cos(x)
     sign = -1.0 if which == 1 else 1.0
@@ -127,8 +129,8 @@ def constraint_residual_77(p: AlgebraParams, grid) -> float:
 def _riccati_fields(p: AlgebraParams, grid):
     x = np.asarray(grid, dtype=float)
     s, t = st_functions(p.B1, x)
-    u1, u1p = _u_and_deriv(p.K1, p.geom, x, 1)
-    u2, u2p = _u_and_deriv(p.K2, p.geom, x, 2)
+    u1, u1p = modification_U_and_deriv(p.K1, p.geom, x, 1)
+    u2, u2p = modification_U_and_deriv(p.K2, p.geom, x, 2)
     r1 = u1 * u1 - u1p + 2.0 * u1 * ((p.mu + 0.5) * s - t)
     r2 = u2 * u2 + u2p + 2.0 * u2 * ((p.mu1 + 0.5) * s - t)
     return r1, r2

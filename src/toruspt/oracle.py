@@ -8,8 +8,10 @@ from Sturm-count bisection and the eigenvectors from inverse iteration, both
 compiled: LAPACK stebz and stein through scipy.linalg.eigh_tridiagonal.
 
 Singular potential endpoints (the csc^2 walls at 0 and pi) are handled by
-truncating the domain slightly inside (0, pi); the repulsive wall makes the
-truncation error negligible.  Potentials whose endpoint 1/x^2 coefficient
+truncating the domain slightly inside (0, pi).  The cutoff sets the accuracy:
+the level error grows as x_lo^2 and, at x_lo = 0.002, plateaus near 1e-5
+relative however fine the grid (1.15e-5 at 4000 nodes, 1.30e-5 at 16000, for
+the PT family A = -2, B = 0.5).  Potentials whose endpoint 1/x^2 coefficient
 falls below the Friedrichs bound -1/4 are rejected: below the bound the
 operator has no unique self-adjoint extension and a Dirichlet spectrum would
 be an artifact of the cutoff.

@@ -26,6 +26,8 @@ __all__ = [
     "incomplete_beta",
     "appell_f1",
     "numeric_derivative",
+    "grid_derivative",
+    "grid_second_derivative",
 ]
 
 
@@ -316,3 +318,34 @@ def numeric_derivative(f, x, order=1, h=1e-5):
     if order == 2:
         return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
     raise DomainError("order must be 1 or 2")
+
+
+# 4th-order one-sided first-derivative row: f'(x0) h ~ sum_j w_j f(x0 + j h)
+_ONE_SIDED_D1 = np.array([-25.0 / 12.0, 4.0, -3.0, 4.0 / 3.0, -0.25])
+
+
+def grid_derivative(f, step):
+    """First derivative of samples on a uniform grid, error O(step^4).
+
+    The 4th-order central stencil (-f[i+2] + 8f[i+1] - 8f[i-1] + f[i-2]) / 12h
+    inside, the 4th-order one-sided stencil at the two nodes on each edge.
+    Needs at least 5 samples.
+    """
+    if f.size < 5:
+        raise DomainError("grid_derivative needs at least 5 samples")
+    out = np.empty_like(f)
+    out[2:-2] = (-f[4:] + 8.0 * f[3:-1] - 8.0 * f[1:-3] + f[:-4]) / (12.0 * step)
+    for i in (0, 1):
+        out[i] = (_ONE_SIDED_D1 @ f[i:i + 5]) / step
+        out[-1 - i] = -(_ONE_SIDED_D1 @ f[-1 - i - 4:f.size - i][::-1]) / step
+    return out
+
+
+def grid_second_derivative(f, step):
+    """Second derivative at the interior nodes 2..n-3 of a uniform grid.
+
+    The 5-point stencil (-f[i+2] + 16f[i+1] - 30f[i] + 16f[i-1] - f[i-2]) / 12h^2,
+    error O(step^4); the result has n - 4 entries, aligned with f[2:-2].
+    """
+    return (-f[4:] + 16.0 * f[3:-1] - 30.0 * f[2:-2] + 16.0 * f[1:-3] - f[:-4]) \
+        / (12.0 * step * step)

@@ -13,6 +13,10 @@ Four families share the trigonometric core W = A cot x + B csc x:
                       kills its own contribution to V-, and the remaining
                       lambda part cancels under solve_parameter_conditions.
 
+Every tail is built from two shared pieces: the sin tail lambda sin x / P
+(RationalSin, AppellTail) and the integral tail G/P = m/D with D' = -m
+(BetaTail, AppellTail), for which each family supplies only m, (ln m)' and D.
+
 Parameters produced by the cancellation conditions violate the normalizable
 regime A < -|B|; such spectra are algebraically exact but formal, and the
 evaluators emit NonNormalizableWarning rather than refuse.
@@ -37,12 +41,14 @@ from .errors import (
 )
 from .geometry import TorusGeometry
 from .special import (
-    DEFAULT_CONTROL,
     JacobiParams,
     SeriesControl,
     appell_f1,
+    grid_derivative,
+    grid_second_derivative,
     incomplete_beta,
     jacobi_poly,
+    numeric_derivative,
 )
 
 __all__ = [
@@ -57,6 +63,7 @@ __all__ = [
     "superpotential_deriv",
     "partner_potentials",
     "susy_residual",
+    "lambda_bracket",
     "solve_parameter_conditions",
     "spectrum_formula",
     "analytic_spectrum",
@@ -65,6 +72,7 @@ __all__ = [
     "ladder_apply",
     "spinor_psi1",
     "spinor_psi2",
+    "psi2_substitution_residual",
     "integrability_probe",
 ]
 
@@ -158,45 +166,47 @@ def _core_deriv(A, B, x):
     return -(A + B * np.cos(x)) / sx**2
 
 
-def _beta_tail_pieces(spec: BetaTail, x, ctl):
-    """(tail, tail') with tail = G/P = m/D; no division by P anywhere."""
-    A, B, C1 = spec.A, spec.B, spec.C1
-    s = 0.5 + A - B
-    w = 0.5 + A + B
-    sx, cx = np.sin(x), np.cos(x)
-    m = sx ** (2.0 * A) * np.tan(0.5 * x) ** (2.0 * B)
-    bz = incomplete_beta(np.cos(0.5 * x) ** 2, s, w, ctl)
-    d = C1 + 4.0 ** A * bz  # d' = -m
-    dlogm = 2.0 * (A * cx + B) / sx
-    tail = m / d
-    tail_p = m * dlogm / d + m * m / (d * d)
+def _sin_tail(spec, x):
+    """(lam sin x/P, its derivative) with P = c + a cos x."""
+    a, c = spec.geom.a, spec.geom.c
+    p = c + a * np.cos(x)
+    if np.any(np.asarray(p) == 0.0):
+        raise DomainError("c + a cos x vanishes at a requested point")
+    tail = spec.lam * np.sin(x) / p
+    tail_p = spec.lam * (np.cos(x) * p + a * np.sin(x) ** 2) / p**2
     return tail, tail_p
 
 
-def _appell_tail_pieces(spec: AppellTail, x, ctl):
-    """(tail, tail') for (G + lam sin x)/P; requires P > 0 on the points."""
-    A, B, lam, C1 = spec.A, spec.B, spec.lam, spec.C1
+def _integral_tail(m, dlogm, d):
+    """(q, q') for the integral tail q = m/D with D' = -m: q' = q (ln m)' + q^2."""
+    return m / d, m * dlogm / d + m * m / (d * d)
+
+
+def _beta_integrand(spec: BetaTail, x, ctl):
+    """(m, (ln m)', D) of the beta tail: m = sin^2A x tan^2B(x/2) and
+    D = C1 + 4^A B(cos^2(x/2); 1/2+A-B, 1/2+A+B)."""
+    A, B = spec.A, spec.B
+    m = np.sin(x) ** (2.0 * A) * np.tan(0.5 * x) ** (2.0 * B)
+    bz = incomplete_beta(np.cos(0.5 * x) ** 2, 0.5 + A - B, 0.5 + A + B, ctl)
+    return m, 2.0 * (A * np.cos(x) + B) / np.sin(x), spec.C1 + 4.0 ** A * bz
+
+
+def _appell_integrand(spec: AppellTail, x, ctl):
+    """(m, (ln m)', D) of the Appell tail: m = sin^2A x tan^2B(x/2) P^(-2 lam/a),
+    D = C1 - M with M = int_0^x m from the two-variable series; requires P > 0."""
+    A, B, lam = spec.A, spec.B, spec.lam
     a, c = spec.geom.a, spec.geom.c
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     sx, cx = np.sin(x), np.cos(x)
     p = c + a * cx
     if np.any(p <= 0.0):
         raise DomainError("appell tail needs c + a cos x > 0 on the points")
     m = sx ** (2.0 * A) * np.tan(0.5 * x) ** (2.0 * B) * p ** (-2.0 * lam / a)
     s2 = np.sin(0.5 * x) ** 2
-    eta = 2.0 * a / (a + c)
     pw = A + B + 0.5
     pref = 4.0 ** A * (a + c) ** (-2.0 * lam / a) / pw
     big_m = pref * s2 ** pw * appell_f1(pw, 0.5 - A + B, 2.0 * lam / a, pw + 1.0,
-                                        s2, eta * s2, ctl)
-    d = C1 - big_m  # d' = -m
-    dlogm = (2.0 * (A * cx + B) / sx) + 2.0 * lam * sx / p
-    g_over_p = m / d
-    gp = p * (g_over_p * dlogm - a * sx / p * g_over_p + g_over_p ** 2)
-    # tail = (G + lam sin x)/P with G = P m / d
-    tail = g_over_p + lam * sx / p
-    tail_p = ((gp + lam * cx) / p + (p * g_over_p + lam * sx) * a * sx / p ** 2)
-    return tail, tail_p
+                                        s2, 2.0 * a / (a + c) * s2, ctl)
+    return m, 2.0 * (A * cx + B) / sx + 2.0 * lam * sx / p, spec.C1 - big_m
 
 
 def _tail(spec, x, ctl):
@@ -204,17 +214,13 @@ def _tail(spec, x, ctl):
         z = np.zeros_like(np.asarray(x, dtype=float))
         return z, z
     if isinstance(spec, RationalSin):
-        a, c = spec.geom.a, spec.geom.c
-        p = c + a * np.cos(x)
-        if np.any(np.asarray(p) == 0.0):
-            raise DomainError("c + a cos x vanishes at a requested point")
-        tail = spec.lam * np.sin(x) / p
-        tail_p = spec.lam * (np.cos(x) * p + a * np.sin(x) ** 2) / p**2
-        return tail, tail_p
+        return _sin_tail(spec, x)
     if isinstance(spec, BetaTail):
-        return _beta_tail_pieces(spec, x, ctl)
+        return _integral_tail(*_beta_integrand(spec, x, ctl))
     if isinstance(spec, AppellTail):
-        return _appell_tail_pieces(spec, x, ctl)
+        q, q_p = _integral_tail(*_appell_integrand(spec, x, ctl))
+        s, s_p = _sin_tail(spec, x)
+        return q + s, q_p + s_p
     raise DomainError(f"unknown superpotential family: {type(spec).__name__}")
 
 
@@ -232,8 +238,9 @@ def superpotential_deriv(spec, x, ctl: SeriesControl = _TAIL_CONTROL):
     return float(out) if np.asarray(x).ndim == 0 else out
 
 
-def _lambda_bracket(A, B, lam, a, c, x):
-    """Residual rational numerator over 2P^2 left after the G-part cancels."""
+def lambda_bracket(A, B, lam, a, c, x):
+    """Rational numerator of the Appell-tail V-, over 2P^2, left after the G-part
+    cancels; solve_parameter_conditions('appell') makes it vanish."""
     return (lam * (2.0 * a * (A - 1.0) + 4.0 * B * c + lam)
             + 2.0 * lam * (2.0 * a * B + c * (2.0 * A - 1.0)) * np.cos(x)
             + lam * (2.0 * a * A - lam) * np.cos(2.0 * x))
@@ -261,7 +268,7 @@ def partner_potentials(spec, x, ctl: SeriesControl = _TAIL_CONTROL):
     else:
         a, c = spec.geom.a, spec.geom.c
         p = c + a * np.cos(arr)
-        vm = vm_pt + _lambda_bracket(spec.A, spec.B, spec.lam, a, c, arr) / (2.0 * p**2)
+        vm = vm_pt + lambda_bracket(spec.A, spec.B, spec.lam, a, c, arr) / (2.0 * p**2)
         vp = vm + 2.0 * superpotential_deriv(spec, arr, ctl)
     if scalar:
         return float(vm), float(vp)
@@ -283,8 +290,8 @@ def susy_residual(spec, grid, derivative: str = "auto", fd_step: float = 1e-5,
     if derivative == "analytic":
         wp = superpotential_deriv(spec, x, ctl)
     elif derivative == "fd":
-        wp = (superpotential_eval(spec, x + fd_step, ctl)
-              - superpotential_eval(spec, x - fd_step, ctl)) / (2.0 * fd_step)
+        wp = numeric_derivative(lambda t: superpotential_eval(spec, t, ctl), x,
+                                h=fd_step)
     else:
         raise DomainError("derivative must be 'auto', 'analytic' or 'fd'")
     vm, vp = partner_potentials(spec, x, ctl)
@@ -422,20 +429,6 @@ def eigenfunction_plus(spec, n: int, x):
     return float(out) if np.asarray(x).ndim == 0 else np.asarray(out)
 
 
-_D1_4TH = np.array([-25.0 / 12.0, 4.0, -3.0, 4.0 / 3.0, -0.25])
-
-
-def _grid_derivative(f: np.ndarray, step: float) -> np.ndarray:
-    """First derivative on a uniform grid: 4th-order central stencil inside,
-    4th-order one-sided at the two nodes on each edge."""
-    out = np.empty_like(f)
-    out[2:-2] = (-f[4:] + 8.0 * f[3:-1] - 8.0 * f[1:-3] + f[:-4]) / (12.0 * step)
-    for i in (0, 1):
-        out[i] = (_D1_4TH @ f[i:i + 5]) / step
-        out[-1 - i] = -(_D1_4TH @ f[-1 - i - 4:f.size - i][::-1]) / step
-    return out
-
-
 def ladder_apply(spec, f_vals, grid, direction: str = "lower",
                  ctl: SeriesControl = _TAIL_CONTROL):
     """Apply the first-order ladder operator to a sampled function.
@@ -451,7 +444,7 @@ def ladder_apply(spec, f_vals, grid, direction: str = "lower",
     if f.shape != x.shape:
         raise DomainError("function samples must match the grid")
     w = superpotential_eval(spec, x, ctl)
-    fp = _grid_derivative(f, x[1] - x[0])
+    fp = grid_derivative(f, x[1] - x[0])
     if direction == "lower":
         return fp + w * f
     if direction == "raise":
@@ -552,3 +545,25 @@ def spinor_psi2(geom: TorusGeometry, lam: float, n: int, x,
         scale = 1.0
     out = scale * bare(_check_open_interval(x))
     return float(out) if np.asarray(x).ndim == 0 else np.asarray(out)
+
+
+def psi2_substitution_residual(spec: RationalSin, n: int) -> float:
+    """Relative residual of the printed second-component solution, level n.
+
+    Substitutes F = (1-cos x)^((a-2 lam)/(4a)) (1+cos x)^(-1/4)
+    P_n^(-1, -lam/a)(cos x), the printed form without its e^{-a/2R} prefactor,
+    into -F'' + (V2 - eps_n) F = 0, with V2 the minus partner of the mirrored
+    family (A, -B) and eps_n = (n - A)^2 - A^2.  F'' is the 5-point stencil on
+    2001 nodes of [0.3, pi - 0.3]; the result is max |residual| / max |F|.
+    Small at n = 0, O(1) for n >= 1 (the printed Jacobi pair is transposed).
+    """
+    A, B, lam, a = spec.A, spec.B, spec.lam, spec.geom.a
+    v2 = pt_coefficients(PureTrigPT(A, -B), "minus")
+    xs = np.linspace(0.3, math.pi - 0.3, 2001)
+    cx = np.cos(xs)
+    f = ((1.0 - cx) ** ((a - 2.0 * lam) / (4.0 * a)) * (1.0 + cx) ** -0.25
+         * jacobi_poly(JacobiParams(n, -1.0, -lam / a), cx))
+    fpp = grid_second_derivative(f, xs[1] - xs[0])
+    eps = (n - A) ** 2 - A ** 2
+    return float(np.max(np.abs(-fpp + (v2(xs) - eps)[2:-2] * f[2:-2]))
+                 / np.abs(f).max())

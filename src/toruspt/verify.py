@@ -20,8 +20,8 @@ from scipy.integrate import quad
 
 from . import geometry, iso21, oracle, susy
 from .geometry import ModeParams, TorusGeometry
-from .special import JacobiParams, appell_f1, incomplete_beta, jacobi_poly, \
-    numeric_derivative
+from .special import JacobiParams, appell_f1, grid_second_derivative, \
+    incomplete_beta, jacobi_poly, numeric_derivative
 
 __all__ = ["CheckResult", "VerifyReport", "run_suite", "SUITES", "CHECKS"]
 
@@ -438,9 +438,8 @@ def _appell_g_functional(ctx):
         p = c + a * np.cos(x)
         return (w - core) * p - lam * np.sin(x)
 
-    h = 3e-5
     gv = g_of(xs)
-    gp = (g_of(xs + h) - g_of(xs - h)) / (2.0 * h)
+    gp = numeric_derivative(g_of, xs, h=3e-5)
     p = c + a * np.cos(xs)
     q = ((4.0 * a * B + 4.0 * A * c) * np.cos(xs) / np.sin(xs)
          + 4.0 * a * A * np.cos(xs) ** 2 / np.sin(xs)
@@ -494,13 +493,11 @@ def _b_independence(ctx):
 def _eigenfunction_residual(ctx):
     spec = ctx.pt_spec()
     xs = np.linspace(0.25, math.pi - 0.25, 2001)
-    d = xs[1] - xs[0]
     v = susy.pt_coefficients(spec, "minus")(xs)
     worst = 0.0
     for n in range(5):
         f = susy.eigenfunction_minus(PT_A, PT_B, n, xs)
-        fpp = (-f[4:] + 16.0 * f[3:-1] - 30.0 * f[2:-2] + 16.0 * f[1:-3] - f[:-4]) \
-            / (12.0 * d * d)
+        fpp = grid_second_derivative(f, xs[1] - xs[0])
         eps = susy.analytic_spectrum(spec, n)
         resid = np.abs(-fpp + (v[2:-2] - eps) * f[2:-2])
         worst = max(worst, float(resid.max() / np.abs(f).max()))
@@ -641,23 +638,7 @@ def _psi2_substitution(ctx):
     # report-only: the printed second-component solution passes at n = 0 and
     # fails for n >= 1 (its Jacobi parameter pair is transposed)
     spec = susy.solve_parameter_conditions("equal_radii", a=1.0, B=0.25, branch="-")
-    lam, aq, bq = spec.lam, spec.A, spec.B
-    v2 = susy.PTCoefficients(aq * (aq + 1.0) + bq * bq, -(1.0 + 2.0 * aq) * bq,
-                             -aq * aq)
-    xs = np.linspace(0.3, math.pi - 0.3, 2001)
-    d = xs[1] - xs[0]
-    resids = []
-    for n in (0, 1):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cx = np.cos(xs)
-            f = ((1.0 - cx) ** ((1.0 - 2.0 * lam) / 4.0) * (1.0 + cx) ** -0.25
-                 * jacobi_poly(JacobiParams(n, -1.0, -lam), cx))
-        fpp = (-f[4:] + 16.0 * f[3:-1] - 30.0 * f[2:-2] + 16.0 * f[1:-3] - f[:-4]) \
-            / (12.0 * d * d)
-        eps = (n - aq) ** 2 - aq ** 2
-        resids.append(float(np.max(np.abs(-fpp + (v2(xs) - eps)[2:-2] * f[2:-2]))
-                            / np.abs(f).max()))
+    resids = [susy.psi2_substitution_residual(spec, n) for n in (0, 1)]
     detail = f"relative residuals: n=0 {resids[0]:.1e}, n=1 {resids[1]:.1e}"
     return CheckResult("psi2_substitution", "susy", True, resids[1], None,
                        detail, info=True)

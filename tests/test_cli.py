@@ -158,6 +158,36 @@ def test_wavefunction_component2_flags():
     assert set(obj["rows"][0]) == {"x", "psi2"}
 
 
+@pytest.mark.parametrize("drop", ["--a", "--B", "--branch"])
+def test_wavefunction_component2_missing_flag_exits_2(drop):
+    flags = {"--a": "1", "--B": "0.25", "--branch": "-"}
+    del flags[drop]
+    res = run_cli("wavefunction", "--case", "component2", *sum(flags.items(), ()),
+                  "--n-points", "65")
+    assert res.returncode == 2
+    assert "requires " + drop in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_wavefunction_component2_rejects_A():
+    res = run_cli("wavefunction", "--case", "component2", "--A", "-2", "--a", "1",
+                  "--B", "0.25", "--branch", "-", "--n-points", "65")
+    assert res.returncode == 2
+    assert "component2 case takes --a, --B, --branch" in res.stderr
+
+
+@pytest.mark.parametrize("command", ["potential", "wavefunction", "spectrum",
+                                     "algebra"])
+@pytest.mark.parametrize("grid", [("--n-points", "10"),
+                                  ("--x-lo", "2.0", "--x-hi", "1.0")])
+def test_bad_grid_exits_2_for_every_grid_command(capsys, command, grid):
+    case = [] if command == "algebra" else ["--case", "pt", "--A", "-2", "--B", "0.5"]
+    extra = ["--B1", "-0.5", "--mu", "1.5", "--a", "1"] if command == "algebra" else []
+    assert cli.main([command, *case, *extra, *grid]) == 2
+    err = capsys.readouterr().err
+    assert "n_points must be at least 64" in err or "0 < x_lo < x_hi < pi" in err
+
+
 def test_byte_identical_reruns(tmp_path):
     args = ("spectrum", "--case", "pt", "--A", "-2", "--B", "0.5", "--levels",
             "3", "--n-points", "1000")

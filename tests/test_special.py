@@ -13,6 +13,8 @@ from toruspt.special import (
     JacobiParams,
     SeriesControl,
     appell_f1,
+    grid_derivative,
+    grid_second_derivative,
     incomplete_beta,
     jacobi_poly,
     numeric_derivative,
@@ -359,6 +361,42 @@ def test_derivative_h2_scaling():
     e1 = abs(numeric_derivative(f, x0, 1, 2e-3) - math.cos(x0))
     e2 = abs(numeric_derivative(f, x0, 1, 1e-3) - math.cos(x0))
     assert 3.0 < e1 / e2 < 5.0
+
+
+# --- grid stencils ------------------------------------------------------------
+
+def test_grid_derivative_exact_on_quartic():
+    # 4th order everywhere: exact to rounding on a quartic, on the interior
+    # rows and on both pairs of one-sided edge rows
+    x = np.linspace(-1.0, 2.0, 31)
+    step = x[1] - x[0]
+    f = 0.3 - 1.2 * x + 0.7 * x**2 + 0.4 * x**3 - 0.25 * x**4
+    want = -1.2 + 1.4 * x + 1.2 * x**2 - x**3
+    err = np.abs(grid_derivative(f, step) - want)
+    tol = 1e-14 * np.abs(f).max() / step
+    for rows in (slice(2, -2), slice(0, 2), slice(-2, None)):
+        assert err[rows].max() < tol
+
+
+def test_grid_derivative_is_not_exact_on_quintic():
+    x = np.linspace(-1.0, 2.0, 31)
+    err = np.abs(grid_derivative(x**5, x[1] - x[0]) - 5.0 * x**4)
+    assert err[:2].min() > 1e-4 and err[2:-2].min() > 1e-4
+
+
+def test_grid_derivative_needs_five_samples():
+    with pytest.raises(DomainError):
+        grid_derivative(np.ones(4), 0.1)
+
+
+def test_grid_second_derivative_exact_on_quintic():
+    x = np.linspace(-1.0, 2.0, 31)
+    step = x[1] - x[0]
+    f = 0.3 - 1.2 * x + 0.7 * x**2 + 0.4 * x**3 - 0.25 * x**4 + 0.1 * x**5
+    want = 1.4 + 2.4 * x - 3.0 * x**2 + 2.0 * x**3
+    got = grid_second_derivative(f, step)
+    assert got.shape == (x.size - 4,)
+    assert np.abs(got - want[2:-2]).max() < 1e-14 * np.abs(f).max() / step**2
 
 
 def test_series_control_invariants():
