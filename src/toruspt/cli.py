@@ -10,10 +10,11 @@ output text.
 
 Exit codes: 0 success, 1 verification or domain failure, 2 argument error.
 Flags override an optional key=value config file; a missing config file,
-unknown config keys, non-numeric or non-finite numbers and grids of more than
-MAX_POINTS points are argument errors.  An output column that would hold NaN
-or inf is a domain failure.  The only environment variable consulted is
-TORUSPT_OUTDIR, an optional prefix for relative output paths.
+unknown config keys, non-numeric or non-finite numbers, grids of more than
+MAX_POINTS points and family parameters the case does not read are argument
+errors.  An output column that would hold NaN or inf is a domain failure.
+The only environment variable consulted is TORUSPT_OUTDIR, an optional
+prefix for relative output paths.
 
 Only spectrum (and algebra), verify and errata load scipy, inside the command
 that needs it: importing this module and building the parser loads none, so
@@ -158,7 +159,7 @@ def _load_config(path: str, known: set) -> dict:
     return values
 
 
-_FLOAT_KEYS = ("A", "B", "lam", "C1", "a", "c", "k", "B1", "mu", "K1",
+_FLOAT_KEYS = ("A", "B", "lam", "C1", "a", "c", "B1", "mu", "K1",
                "x_lo", "x_hi", "rel_tol", "abs_tol")
 _INT_KEYS = ("n_points", "levels", "n")
 _STR_KEYS = ("case", "branch", "format", "output", "suite")
@@ -224,7 +225,7 @@ def _add_params(p, case_required=True):
         p.add_argument("--case", choices=CASES, required=True, action=_Tracking)
     else:
         p.add_argument("--case", choices=CASES, default="iso21", action=_Tracking)
-    for name in ("A", "B", "a", "c", "k", "B1", "mu", "K1", "C1"):
+    for name in ("A", "B", "a", "c", "B1", "mu", "K1", "C1"):
         p.add_argument(f"--{name}", type=float, dest=name, action=_Tracking)
     p.add_argument("--lambda", type=float, dest="lam", action=_Tracking)
     p.add_argument("--branch", choices=("+", "-"), action=_Tracking)
@@ -236,10 +237,18 @@ def _add_params(p, case_required=True):
                    action=_Tracking)
 
 
-def _need(args, *names):
+_FAMILY_KEYS = ("A", "B", "a", "c", "B1", "mu", "K1", "C1", "lam", "branch")
+
+
+def _need(args, *names, optional=()):
+    """Require the family flags names, allow optional ones, reject the rest."""
     missing = [n for n in names if getattr(args, n, None) is None]
     if missing:
         raise CLIError(f"case {args.case!r} requires --" + ", --".join(missing))
+    reads = names + optional
+    if any(getattr(args, n) is not None for n in _FAMILY_KEYS if n not in reads):
+        raise CLIError(f"{args.case} case takes --" + ", --".join(
+            "lambda" if n == "lam" else n for n in reads))
 
 
 def _family_from_args(args):
@@ -257,12 +266,12 @@ def _family_from_args(args):
         return susy.solve_parameter_conditions(
             "equal_radii", a=args.a, B=args.B, branch=args.branch)
     if case == "beta":
-        _need(args, "A", "B", "a", "c")
+        _need(args, "A", "B", "a", "c", optional=("C1",))
         return susy.BetaTail(args.A, args.B,
                              args.C1 if args.C1 is not None else 1.0,
                              TorusGeometry(args.a, args.c))
     if case == "appell":
-        _need(args, "a", "lam", "branch")
+        _need(args, "a", "lam", "branch", optional=("C1",))
         return susy.solve_parameter_conditions(
             "appell", a=args.a, lam=args.lam, branch=args.branch,
             C1=args.C1 if args.C1 is not None else -1.0)
@@ -277,7 +286,7 @@ def _family_from_args(args):
 
 
 def _algebra_from_args(args):
-    _need(args, "B1", "mu", "a")
+    _need(args, "B1", "mu", "a", optional=("K1", "c"))
     k1 = args.K1 if args.K1 is not None else 0.0
     c = args.c if args.c is not None else args.a
     geom = TorusGeometry(args.a, c)
@@ -304,10 +313,9 @@ def cmd_potential(args) -> int:
     xs = np.linspace(args.x_lo, args.x_hi, args.n_points)
     if args.case == "iso21":
         p = _algebra_from_args(args)
-        mapped = susy.RationalSin(A=-p.mu - 0.5, B=-p.B1, lam=-p.K1, geom=p.geom)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            vm, vp = susy.partner_potentials(mapped, xs)
+            vm, vp = susy.partner_potentials(iso21.susy_family(p), xs)
         vcas = iso21.casimir_potential(p, xs)
         header = ["x", "V_minus", "V_plus", "V_casimir"]
         cols = [xs, vm, vp, vcas]
@@ -337,8 +345,7 @@ def _spectrum_inputs(args):
     if args.case == "iso21":
         p = _algebra_from_args(args)
         eps = [iso21.algebra_spectrum(p, n)[0] for n in range(args.levels)]
-        shift = (p.mu + 0.5) ** 2 - 0.25
-        v = iso21.casimir_potential(p, x) - shift
+        v = iso21.casimir_potential(p, x) - iso21.casimir_shift(p)
         return eps, v, grid, _params_dict(args, ("B1", "mu", "K1", "a", "c"))
     spec = _family_from_args(args)
     _warn_regime(spec)
@@ -382,8 +389,6 @@ def cmd_wavefunction(args) -> int:
     xs = np.linspace(args.x_lo, args.x_hi, args.n_points)
     notes = {}
     if args.case == "component2":
-        if args.A is not None:
-            raise CLIError("component2 case takes --a, --B, --branch")
         # the mirrored family keeps the solved a and lambda, all psi2 reads
         spec = _family_from_args(args)
         with warnings.catch_warnings(record=True) as caught:

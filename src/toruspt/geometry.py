@@ -26,7 +26,7 @@ from .errors import (
     InvalidVelocity,
     SingularGeometry,
 )
-from .special import grid_derivative, numeric_derivative
+from .special import grid_derivative
 
 __all__ = [
     "TorusGeometry",
@@ -64,7 +64,15 @@ class TorusGeometry:
         return self.a == self.c
 
     def radius(self, x):
+        """Profile radius R(x) = c + a cos x, the only place it is computed."""
         return self.c + self.a * np.cos(x)
+
+    def checked_radius(self, x):
+        """radius(x), raising SingularGeometry where R vanishes."""
+        r = self.radius(x)
+        if np.any(np.asarray(r) == 0.0):
+            raise SingularGeometry("profile radius R(x) vanishes at a requested point")
+        return r
 
 
 @dataclass(frozen=True)
@@ -99,21 +107,12 @@ class TransformResult:
 def profile_radius(geom: TorusGeometry, x):
     """R, R', R'' of the profile R(x) = c + a cos x."""
     x = np.asarray(x, dtype=float) if not np.isscalar(x) else x
-    r = geom.c + geom.a * np.cos(x)
-    rp = -geom.a * np.sin(x)
-    rpp = -geom.a * np.cos(x)
-    return r, rp, rpp
-
-
-def _require_regular(r):
-    if np.any(np.asarray(r) == 0.0):
-        raise SingularGeometry("profile radius R(x) vanishes at a requested point")
+    return geom.radius(x), -geom.a * np.sin(x), -geom.a * np.cos(x)
 
 
 def christoffel(geom: TorusGeometry, x):
     """Nonzero Christoffel symbols (Gamma^1_22, Gamma^2_12) of the surface metric."""
-    r, _, _ = profile_radius(geom, x)
-    _require_regular(r)
+    r = geom.checked_radius(x)
     g1_22 = (1.0 / geom.a) * r * np.sin(x)
     g2_12 = -geom.a * np.sin(x) / r
     return g1_22, g2_12
@@ -121,25 +120,22 @@ def christoffel(geom: TorusGeometry, x):
 
 def spin_connection_coeff(geom: TorusGeometry, x):
     """Scalar s(x) with Gamma_2 = gamma_1 gamma_2 s(x); equals Gamma^2_12 / 2."""
-    r, _, _ = profile_radius(geom, x)
-    _require_regular(r)
-    return -geom.a * np.sin(x) / (2.0 * r)
+    return -geom.a * np.sin(x) / (2.0 * geom.checked_radius(x))
 
 
-def effective_coefficients(geom, mode: ModeParams, x, vf, vf_prime=None):
+def effective_coefficients(geom, mode: ModeParams, x, vf, vf_prime):
     """Zeroth-order coefficient U_1(x) or U_2(x) of the separated equation.
 
-    vf is the Fermi-velocity profile V_F(x) (callable); its derivative is
-    taken by central differences when vf_prime is not supplied.  The two
-    components differ in the signs of the two k-linear terms; the last term
-    carries 1/V_F only for component 2.
+    vf is the Fermi-velocity profile V_F(x) and vf_prime its derivative (both
+    callables).  The two components differ in the signs of the two k-linear
+    terms; the last term carries 1/V_F only for component 2.
     """
-    r, rp, rpp = profile_radius(geom, x)
-    _require_regular(r)
+    r = geom.checked_radius(x)
+    _, rp, rpp = profile_radius(geom, x)
     v = vf(x)
     if np.any(np.asarray(v) <= 0.0):
         raise InvalidVelocity("Fermi velocity must be positive")
-    vp = vf_prime(x) if vf_prime is not None else numeric_derivative(vf, x, order=1)
+    vp = vf_prime(x)
     a, k = geom.a, mode.k
     common = (- rp**2 * a**2 / (4.0 * r**4)
               - rp**2 * a / r**3
@@ -154,12 +150,6 @@ def effective_coefficients(geom, mode: ModeParams, x, vf, vf_prime=None):
             + 2.0 * k * rp * a**2 / r**3
             - k * vp * a**2 / (r**2 * v)
             + rpp * a / (2.0 * r**2 * v))
-
-
-def _target_values(target, x):
-    return (target.coeff_csc2 / np.sin(x) ** 2
-            + target.coeff_cotcsc * np.cos(x) / np.sin(x) ** 2
-            + target.eps_const)
 
 
 def solve_g_transform(geom, mode: ModeParams, target, grid, h0=1.0):
@@ -197,10 +187,11 @@ def solve_g_transform(geom, mode: ModeParams, target, grid, h0=1.0):
     sign = 1.0 if mode.component == 1 else -1.0
 
     def rhs(t, w):
+        # scalar R and R' here: this runs once per solver step
         r = geom.c + a * math.cos(t)
         rp = -a * math.sin(t)
         p = a * a * k / (r * r) - sign * 2.0 * rp / r
-        v = _target_values(target, t)
+        v = target(t)
         return sign * (-2.0 * p * w[0] + 2.0 * v * r * r / (a * a * k))
 
     def hit_floor(t, w):
@@ -240,11 +231,9 @@ def _pack_transform(geom, x, h, component, h0):
     from scipy.integrate import cumulative_trapezoid
 
     g = cumulative_trapezoid(h, x, initial=0.0)
-    r = geom.c + geom.a * np.cos(x)
-    _require_regular(r)
     return TransformResult(
         x=x, g=g, g_prime=h, fermi_velocity=1.0 / h,
-        prefactor=np.exp(-geom.a / (2.0 * r)), component=component, h0=h0,
+        prefactor=prefactor_f(geom, x), component=component, h0=h0,
     )
 
 
@@ -268,8 +257,7 @@ def reduced_potential_grid(geom, mode: ModeParams, transform: TransformResult):
 
 def _reduced_value(geom, mode, x, h, gpp):
     a, k = geom.a, mode.k
-    r = geom.c + a * np.cos(x)
-    _require_regular(r)
+    r = geom.checked_radius(x)
     rp = -a * np.sin(x)
     sign = 1.0 if mode.component == 1 else -1.0
     return (a**4 * k**2 / (r**4 * h**2)
@@ -280,6 +268,4 @@ def _reduced_value(geom, mode, x, h, gpp):
 def prefactor_f(geom: TorusGeometry, x):
     """Row-reduction prefactor f(x) = e^(-a/2R); with V_F = 1/g' the C1 e/sqrt
     form collapses to this pure exponential."""
-    r, _, _ = profile_radius(geom, x)
-    _require_regular(r)
-    return np.exp(-geom.a / (2.0 * r))
+    return np.exp(-geom.a / (2.0 * geom.checked_radius(x)))

@@ -23,6 +23,10 @@ identities
 
 vanishes; the closure conditions tie B1 = -(c+K1)/(2c), mu = K1/(2c) - 1/2,
 a = c, K2 = -K1 - 2c, and make both identities exact.
+
+The Casimir spectrum is the SUSY partner tower of the sin-tail family under
+A = -mu - 1/2, B = -B1, lambda = -K1 (susy_family), shifted by
+(mu + 1/2)^2 - 1/4 (casimir_shift).
 """
 
 from __future__ import annotations
@@ -32,8 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridTooCoarse, SingularGeometry
+from .errors import DomainError, GridTooCoarse
 from .geometry import TorusGeometry
+from .susy import RationalSin, sin_tail
 
 __all__ = [
     "AlgebraParams",
@@ -43,6 +48,8 @@ __all__ = [
     "constraint_residual_77",
     "closure_riccati_residuals",
     "casimir_potential",
+    "susy_family",
+    "casimir_shift",
     "sector_operator",
     "commutator_residual",
     "algebra_spectrum",
@@ -88,22 +95,14 @@ def st_functions(B1: float, x):
 
 def modification_U(K: float, geom: TorusGeometry, x, which: int):
     """U1 = -K sin x / (c + a cos x) for which=1, U2 = +K sin x / (...) for which=2."""
-    if which not in (1, 2):
-        raise DomainError("which must be 1 or 2")
-    r = geom.c + geom.a * np.cos(x)
-    if np.any(np.asarray(r) == 0.0):
-        raise SingularGeometry("profile radius vanishes at a requested point")
-    sign = -1.0 if which == 1 else 1.0
-    return sign * K * np.sin(x) / r
+    return modification_U_and_deriv(K, geom, x, which)[0]
 
 
 def modification_U_and_deriv(K: float, geom: TorusGeometry, x, which: int):
-    """(U, U') for modification_U, with U' in closed form."""
-    u = modification_U(K, geom, x, which)
-    r = geom.c + geom.a * np.cos(x)
-    sign = -1.0 if which == 1 else 1.0
-    up = sign * K * (np.cos(x) * r + geom.a * np.sin(x) ** 2) / r**2
-    return u, up
+    """(U, U'): the sin tail of susy at lambda = -K (which=1) or +K (which=2)."""
+    if which not in (1, 2):
+        raise DomainError("which must be 1 or 2")
+    return sin_tail(-K if which == 1 else K, geom, x)
 
 
 def closure_riccati_residuals(p: AlgebraParams, grid):
@@ -143,16 +142,26 @@ def casimir_potential(p: AlgebraParams, x):
         + 2 K1 (B1 + (mu+1) cos x)/(c + a cos x)
         + K1 (a + K1) sin^2 x/(c + a cos x)^2.
     """
-    a, c = p.geom.a, p.geom.c
-    r = c + a * np.cos(x)
-    if np.any(np.asarray(r) == 0.0):
-        raise SingularGeometry("profile radius vanishes at a requested point")
+    a = p.geom.a
+    r = p.geom.checked_radius(x)
     sx = np.sin(x)
     return (-0.25
             + 2.0 * p.B1 * p.mu * np.cos(x) / sx**2
             + (p.mu**2 + p.B1**2 - 0.25) / sx**2
             + 2.0 * p.K1 * (p.B1 + (p.mu + 1.0) * np.cos(x)) / r
             + p.K1 * (a + p.K1) * sx**2 / r**2)
+
+
+def susy_family(p: AlgebraParams) -> RationalSin:
+    """The sin-tail family whose minus partner is the Casimir potential up to
+    a constant: A = -mu - 1/2, B = -B1, lambda = -K1 on the same torus."""
+    return RationalSin(A=-p.mu - 0.5, B=-p.B1, lam=-p.K1, geom=p.geom)
+
+
+def casimir_shift(p: AlgebraParams) -> float:
+    """Constant (mu + 1/2)^2 - 1/4 by which the Casimir potential exceeds the
+    minus partner of susy_family(p); subtracting it puts the ground level at 0."""
+    return (p.mu + 0.5) ** 2 - 0.25
 
 
 def _u_for_label(p: AlgebraParams, label: float):
@@ -200,14 +209,16 @@ def sector_operator(p: AlgebraParams, mu_sector: float, direction: str, grid):
     return (1j * (sgn * d + sparse.diags(diag))).tocsr()
 
 
-def commutator_residual(p: AlgebraParams, n_points: int, lo=0.2, hi=math.pi - 0.2,
+def commutator_residual(p: AlgebraParams, n_points: int,
                         subtract_defect=False) -> float:
     """Relative residual ||([J+, J-] + 2 J3) psi|| / ||psi|| on the mu sector.
 
     The sector operators act on a fixed smooth bump psi that vanishes at both
-    ends of [lo, hi] (n_points nodes).  With subtract_defect the 4 S U2 psi
-    multiplication defect left by the modification terms is removed first.
+    ends of [lo, hi] = [0.2, pi - 0.2] (n_points nodes).  With subtract_defect
+    the 4 S U2 psi multiplication defect left by the modification terms is
+    removed first.
     """
+    lo, hi = 0.2, math.pi - 0.2
     xg = np.linspace(lo, hi, n_points)
     jp_m1 = sector_operator(p, p.mu - 1.0, "raise", xg)
     jm_mu = sector_operator(p, p.mu, "lower", xg)
@@ -227,15 +238,14 @@ def algebra_spectrum(p: AlgebraParams, n: int):
     """(eps, E) with eps(n) = (n + mu + 1/2)^2 - (mu + 1/2)^2 and E = sqrt(eps)/a.
 
     eps is the 1D operator eigenvalue (the Casimir spectrum shifted so the
-    ground level sits at zero); E follows the published 1/a scaling, while
-    energy_scalings() also reports the 1/a^2 variant used by the direct
-    solution of the transformed equation.
+    ground level sits at zero); E is energy_scalings' E_eq89, the published
+    1/a scaling (0 where eps < 0).
     """
     if n < 0:
         raise DomainError("level index must be non-negative")
     half = p.mu + 0.5
     eps = (n + half) ** 2 - half**2
-    return eps, math.copysign(math.sqrt(abs(eps)), 1.0) / p.geom.a
+    return eps, energy_scalings(eps, p.geom.a)["E_eq89"]
 
 
 def energy_scalings(eps: float, a: float) -> dict:

@@ -147,19 +147,20 @@ def build_hamiltonian(v_vals, grid: Grid1D) -> SymTridiagonal:
                           offdiag=np.full(grid.n_points - 1, -1.0 / h2))
 
 
-def check_friedrichs(v_vals, grid: Grid1D, margin: float = 0.01) -> None:
+def check_friedrichs(v_vals, grid: Grid1D) -> None:
     """Reject potentials below the -1/4 endpoint bound (ill-posed oracle input).
 
     The 1/x^2 coefficient is estimated from the two grid nodes nearest each
     singular endpoint (0 and pi); for a regular potential the estimate is
-    ~V*x^2 -> 0 and the gate passes.
+    ~V*x^2 -> 0 and the gate passes.  Coefficients within 0.01 of the bound
+    are rejected too.
     """
     v = np.asarray(v_vals, dtype=float)
     x = grid.points
     c_lo = min(v[0] * x[0] ** 2, v[1] * x[1] ** 2)
     c_hi = min(v[-1] * (math.pi - x[-1]) ** 2, v[-2] * (math.pi - x[-2]) ** 2)
     c = min(c_lo, c_hi)
-    if c < -0.25 + margin:
+    if c < -0.25 + 0.01:
         raise IllPosedPotential(
             f"endpoint 1/x^2 coefficient {c:.4f} below Friedrichs bound -1/4")
 
@@ -208,29 +209,18 @@ def eigenpairs(m: SymTridiagonal, n_eigs: int, grid: Grid1D):
     return vals, vecs
 
 
-def solve_potential(v_vals, grid: Grid1D, n_eigs: int, friedrichs: bool = True):
+def solve_potential(v_vals, grid: Grid1D, n_eigs: int):
     """Convenience path: gate, build, and solve for the lowest eigenvalues."""
-    if friedrichs:
-        check_friedrichs(v_vals, grid)
+    check_friedrichs(v_vals, grid)
     return lowest_eigenvalues(build_hamiltonian(v_vals, grid), n_eigs)
 
 
-def isospectral_check(v_minus, v_plus, grid: Grid1D, n_levels: int,
-                      tol: float = 5e-3) -> EigenReport:
-    """Compare spec(V+)[0..m-1] with spec(V-)[1..m] level by level."""
-    eps_minus = solve_potential(v_minus, grid, n_levels + 1)
-    eps_plus = solve_potential(v_plus, grid, n_levels)
-    rows = []
-    for n in range(n_levels):
-        ref = eps_minus[n + 1]
-        got = eps_plus[n]
-        abs_err = abs(got - ref)
-        rel = abs_err / abs(ref) if abs(ref) > 1e-9 else None
-        rows.append({"n": n, "eps_analytic": float(ref), "eps_numeric": float(got),
-                     "abs_err": float(abs_err),
-                     "rel_err": float(rel) if rel is not None else None})
-    return EigenReport(case="isospectral", params={"levels": n_levels},
-                       levels=rows, rel_tol=tol, abs_tol=tol)
+def isospectral_check(v_minus, v_plus, grid: Grid1D, n_levels: int) -> EigenReport:
+    """Compare spec(V+)[0..m-1] with spec(V-)[1..m] level by level, with
+    relative and absolute tolerance 5e-3."""
+    return spectrum_report("isospectral", {"levels": n_levels},
+                           solve_potential(v_minus, grid, n_levels + 1)[1:],
+                           v_plus, grid, 5e-3, 5e-3)
 
 
 def spectrum_report(case: str, params: dict, eps_analytic, v_vals, grid: Grid1D,

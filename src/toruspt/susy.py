@@ -14,8 +14,10 @@ Four families share the trigonometric core W = A cot x + B csc x:
                       lambda part cancels under solve_parameter_conditions.
 
 Every tail is built from two shared pieces: the sin tail lambda sin x / P
-(RationalSin, AppellTail) and the integral tail G/P = m/D with D' = -m
-(BetaTail, AppellTail), for which each family supplies only m, (ln m)' and D.
+(sin_tail: RationalSin, AppellTail, and the iso(2,1) modification terms) and
+the integral tail G/P = m/D with D' = -m (BetaTail, AppellTail), for which
+each family supplies only m, (ln m)' and D.  P = c + a cos x is
+TorusGeometry.radius.
 
 Parameters produced by the cancellation conditions violate the normalizable
 regime A < -|B|; such spectra are algebraically exact but formal, and the
@@ -39,7 +41,7 @@ from .errors import (
     NormalizationFailure,
     OutOfRange,
 )
-from .geometry import TorusGeometry
+from .geometry import TorusGeometry, prefactor_f
 from .special import (
     JacobiParams,
     SeriesControl,
@@ -62,6 +64,7 @@ __all__ = [
     "superpotential_eval",
     "superpotential_deriv",
     "partner_potentials",
+    "sin_tail",
     "susy_residual",
     "lambda_bracket",
     "solve_parameter_conditions",
@@ -166,14 +169,12 @@ def _core_deriv(A, B, x):
     return -(A + B * np.cos(x)) / sx**2
 
 
-def _sin_tail(spec, x):
-    """(lam sin x/P, its derivative) with P = c + a cos x."""
-    a, c = spec.geom.a, spec.geom.c
-    p = c + a * np.cos(x)
-    if np.any(np.asarray(p) == 0.0):
-        raise DomainError("c + a cos x vanishes at a requested point")
-    tail = spec.lam * np.sin(x) / p
-    tail_p = spec.lam * (np.cos(x) * p + a * np.sin(x) ** 2) / p**2
+def sin_tail(lam: float, geom: TorusGeometry, x):
+    """(lam sin x/P, its derivative) with P = c + a cos x; SingularGeometry
+    where P vanishes."""
+    p = geom.checked_radius(x)
+    tail = lam * np.sin(x) / p
+    tail_p = lam * (np.cos(x) * p + geom.a * np.sin(x) ** 2) / p**2
     return tail, tail_p
 
 
@@ -182,22 +183,23 @@ def _integral_tail(m, dlogm, d):
     return m / d, m * dlogm / d + m * m / (d * d)
 
 
-def _beta_integrand(spec: BetaTail, x, ctl):
+def _beta_integrand(spec: BetaTail, x):
     """(m, (ln m)', D) of the beta tail: m = sin^2A x tan^2B(x/2) and
     D = C1 + 4^A B(cos^2(x/2); 1/2+A-B, 1/2+A+B)."""
     A, B = spec.A, spec.B
     m = np.sin(x) ** (2.0 * A) * np.tan(0.5 * x) ** (2.0 * B)
-    bz = incomplete_beta(np.cos(0.5 * x) ** 2, 0.5 + A - B, 0.5 + A + B, ctl)
+    bz = incomplete_beta(np.cos(0.5 * x) ** 2, 0.5 + A - B, 0.5 + A + B,
+                         _TAIL_CONTROL)
     return m, 2.0 * (A * np.cos(x) + B) / np.sin(x), spec.C1 + 4.0 ** A * bz
 
 
-def _appell_integrand(spec: AppellTail, x, ctl):
+def _appell_integrand(spec: AppellTail, x):
     """(m, (ln m)', D) of the Appell tail: m = sin^2A x tan^2B(x/2) P^(-2 lam/a),
     D = C1 - M with M = int_0^x m from the two-variable series; requires P > 0."""
     A, B, lam = spec.A, spec.B, spec.lam
     a, c = spec.geom.a, spec.geom.c
     sx, cx = np.sin(x), np.cos(x)
-    p = c + a * cx
+    p = spec.geom.radius(x)
     if np.any(p <= 0.0):
         raise DomainError("appell tail needs c + a cos x > 0 on the points")
     m = sx ** (2.0 * A) * np.tan(0.5 * x) ** (2.0 * B) * p ** (-2.0 * lam / a)
@@ -205,36 +207,36 @@ def _appell_integrand(spec: AppellTail, x, ctl):
     pw = A + B + 0.5
     pref = 4.0 ** A * (a + c) ** (-2.0 * lam / a) / pw
     big_m = pref * s2 ** pw * appell_f1(pw, 0.5 - A + B, 2.0 * lam / a, pw + 1.0,
-                                        s2, 2.0 * a / (a + c) * s2, ctl)
+                                        s2, 2.0 * a / (a + c) * s2, _TAIL_CONTROL)
     return m, 2.0 * (A * cx + B) / sx + 2.0 * lam * sx / p, spec.C1 - big_m
 
 
-def _tail(spec, x, ctl):
+def _tail(spec, x):
     if isinstance(spec, PureTrigPT):
         z = np.zeros_like(np.asarray(x, dtype=float))
         return z, z
     if isinstance(spec, RationalSin):
-        return _sin_tail(spec, x)
+        return sin_tail(spec.lam, spec.geom, x)
     if isinstance(spec, BetaTail):
-        return _integral_tail(*_beta_integrand(spec, x, ctl))
+        return _integral_tail(*_beta_integrand(spec, x))
     if isinstance(spec, AppellTail):
-        q, q_p = _integral_tail(*_appell_integrand(spec, x, ctl))
-        s, s_p = _sin_tail(spec, x)
+        q, q_p = _integral_tail(*_appell_integrand(spec, x))
+        s, s_p = sin_tail(spec.lam, spec.geom, x)
         return q + s, q_p + s_p
     raise DomainError(f"unknown superpotential family: {type(spec).__name__}")
 
 
-def superpotential_eval(spec, x, ctl: SeriesControl = _TAIL_CONTROL):
+def superpotential_eval(spec, x):
     """W(x) for the selected family; x scalar or array in (0, pi)."""
     arr = _check_open_interval(x)
-    out = _core(spec.A, spec.B, arr) + _tail(spec, arr, ctl)[0]
+    out = _core(spec.A, spec.B, arr) + _tail(spec, arr)[0]
     return float(out) if np.asarray(x).ndim == 0 else out
 
 
-def superpotential_deriv(spec, x, ctl: SeriesControl = _TAIL_CONTROL):
+def superpotential_deriv(spec, x):
     """Analytic W'(x) (chain rule through the special functions)."""
     arr = _check_open_interval(x)
-    out = _core_deriv(spec.A, spec.B, arr) + _tail(spec, arr, ctl)[1]
+    out = _core_deriv(spec.A, spec.B, arr) + _tail(spec, arr)[1]
     return float(out) if np.asarray(x).ndim == 0 else out
 
 
@@ -246,7 +248,7 @@ def lambda_bracket(A, B, lam, a, c, x):
             + lam * (2.0 * a * A - lam) * np.cos(2.0 * x))
 
 
-def partner_potentials(spec, x, ctl: SeriesControl = _TAIL_CONTROL):
+def partner_potentials(spec, x):
     """(V-, V+) in closed form; V-+ = W^2 -+ W' holds by construction."""
     arr = _check_open_interval(x)
     vm_pt = pt_coefficients(spec, "minus")(arr)
@@ -255,8 +257,8 @@ def partner_potentials(spec, x, ctl: SeriesControl = _TAIL_CONTROL):
     if isinstance(spec, PureTrigPT):
         vm, vp = vm_pt, pt_coefficients(spec, "plus")(arr)
     elif isinstance(spec, RationalSin):
-        a, c, lam = spec.geom.a, spec.geom.c, spec.lam
-        p = c + a * np.cos(arr)
+        a, lam = spec.geom.a, spec.lam
+        p = spec.geom.checked_radius(arr)
         s2 = np.sin(arr) ** 2
         vm = vm_pt + lam * (lam - a) * s2 / p**2 + lam * (
             2.0 * spec.B + (2.0 * spec.A - 1.0) * np.cos(arr)) / p
@@ -264,37 +266,33 @@ def partner_potentials(spec, x, ctl: SeriesControl = _TAIL_CONTROL):
             2.0 * spec.B + (2.0 * spec.A + 1.0) * np.cos(arr)) / p
     elif isinstance(spec, BetaTail):
         vm = vm_pt  # the beta tail is built to cancel exactly
-        vp = vm + 2.0 * superpotential_deriv(spec, arr, ctl)
+        vp = vm + 2.0 * superpotential_deriv(spec, arr)
     else:
         a, c = spec.geom.a, spec.geom.c
-        p = c + a * np.cos(arr)
+        # unchecked: superpotential_deriv rejects P <= 0 for this family
+        p = spec.geom.radius(arr)
         vm = vm_pt + lambda_bracket(spec.A, spec.B, spec.lam, a, c, arr) / (2.0 * p**2)
-        vp = vm + 2.0 * superpotential_deriv(spec, arr, ctl)
+        vp = vm + 2.0 * superpotential_deriv(spec, arr)
     if scalar:
         return float(vm), float(vp)
     return vm, vp
 
 
-def susy_residual(spec, grid, derivative: str = "auto", fd_step: float = 1e-5,
-                  ctl: SeriesControl = _TAIL_CONTROL):
+def susy_residual(spec, grid, derivative: str):
     """Max grid residual of the definitional identity V-+ = W^2 -+ W'.
 
-    derivative 'analytic' uses the closed-form W'; 'fd' a central difference
-    with step fd_step; 'auto' picks analytic for the bare PT family and
-    finite differences for the extended ones.
+    derivative 'analytic' uses the closed-form W'; 'fd' the central
+    difference of special.numeric_derivative (step 1e-5).
     """
     x = _check_open_interval(grid)
-    if derivative == "auto":
-        derivative = "analytic" if isinstance(spec, PureTrigPT) else "fd"
-    w = superpotential_eval(spec, x, ctl)
+    w = superpotential_eval(spec, x)
     if derivative == "analytic":
-        wp = superpotential_deriv(spec, x, ctl)
+        wp = superpotential_deriv(spec, x)
     elif derivative == "fd":
-        wp = numeric_derivative(lambda t: superpotential_eval(spec, t, ctl), x,
-                                h=fd_step)
+        wp = numeric_derivative(lambda t: superpotential_eval(spec, t), x)
     else:
-        raise DomainError("derivative must be 'auto', 'analytic' or 'fd'")
-    vm, vp = partner_potentials(spec, x, ctl)
+        raise DomainError("derivative must be 'analytic' or 'fd'")
+    vm, vp = partner_potentials(spec, x)
     return (float(np.max(np.abs(vm - (w * w - wp)))),
             float(np.max(np.abs(vp - (w * w + wp)))))
 
@@ -343,11 +341,10 @@ def solve_parameter_conditions(case: str, *, a: float, B: float | None = None,
 
 @dataclass(frozen=True)
 class SpectrumFormula:
-    """Closed-form 1D eigenvalues eps(n) = (n - A)^2 - A^2 and physical energies."""
+    """Closed-form 1D eigenvalues eps(n) = (n - A)^2 - A^2; the physical
+    energies are iso21.energy_scalings."""
 
-    case: str
     A: float
-    a: float
 
     def eps(self, n: int) -> float:
         val = (n - self.A) ** 2 - self.A ** 2
@@ -355,23 +352,9 @@ class SpectrumFormula:
             raise OutOfRange(f"eps({n}) < 0: level outside the valid range")
         return max(val, 0.0)
 
-    def eps_plus(self, n: int) -> float:
-        """Partner spectrum: the minus tower with its ground state deleted."""
-        return self.eps(n + 1)
 
-    def energy(self, n: int, sign: int = 1, scaling: str = "a2") -> float:
-        """Physical E = sign * sqrt(eps) / a^2 ('a2') or / a ('a1')."""
-        root = math.sqrt(self.eps(n))
-        if scaling == "a2":
-            return sign * root / self.a ** 2
-        if scaling == "a1":
-            return sign * root / self.a
-        raise DomainError("scaling must be 'a2' or 'a1'")
-
-
-def spectrum_formula(spec, case: str | None = None) -> SpectrumFormula:
-    a = spec.geom.a if hasattr(spec, "geom") else 1.0
-    return SpectrumFormula(case=case or type(spec).__name__, A=spec.A, a=a)
+def spectrum_formula(spec) -> SpectrumFormula:
+    return SpectrumFormula(A=spec.A)
 
 
 def analytic_spectrum(spec, n: int) -> float:
@@ -429,8 +412,7 @@ def eigenfunction_plus(spec, n: int, x):
     return float(out) if np.asarray(x).ndim == 0 else np.asarray(out)
 
 
-def ladder_apply(spec, f_vals, grid, direction: str = "lower",
-                 ctl: SeriesControl = _TAIL_CONTROL):
+def ladder_apply(spec, f_vals, grid, direction: str = "lower"):
     """Apply the first-order ladder operator to a sampled function.
 
     'lower' gives F' + W F (annihilates the minus ground state); 'raise'
@@ -443,7 +425,7 @@ def ladder_apply(spec, f_vals, grid, direction: str = "lower",
         raise GridTooCoarse("ladder_apply needs at least 64 grid points")
     if f.shape != x.shape:
         raise DomainError("function samples must match the grid")
-    w = superpotential_eval(spec, x, ctl)
+    w = superpotential_eval(spec, x)
     fp = grid_derivative(f, x[1] - x[0])
     if direction == "lower":
         return fp + w * f
@@ -464,19 +446,17 @@ def _l2_normalize(fn, a_lo=0.0, a_hi=math.pi):
     return 1.0 / math.sqrt(norm2)
 
 
-def integrability_probe(fn, endpoint: str = "left", base: float = 1e-3,
-                        levels: int = 4) -> bool:
+def integrability_probe(fn, endpoint: str = "left") -> bool:
     """Decide square-integrability toward an endpoint by shrinking cutoffs.
 
     Integrates fn^2 on nested windows approaching 0 (or pi) with cutoffs
-    base, base/4, base/16, ...; convergent integrals show geometrically
-    decaying increments, divergent ones do not.
+    1e-3, 1e-3/4, 1e-3/16 and 1e-3/64; convergent integrals show
+    geometrically decaying increments, divergent ones do not.
     """
     increments = []
-    hi = 0.3 if endpoint == "left" else math.pi - 0.3
     prev = None
-    for k in range(levels):
-        cut = base / 4.0 ** k
+    for k in range(4):
+        cut = 1e-3 / 4.0 ** k
         if endpoint == "left":
             xs = np.linspace(cut, 0.3, 4001)
         else:
@@ -506,8 +486,7 @@ def spinor_psi1(spec, n: int, x, normalized: bool = True):
     _warn_if_formal(A, B)
 
     def bare(xs):
-        r = geom.c + geom.a * np.cos(xs)
-        return np.exp(-geom.a / (2.0 * r)) * eigenfunction_minus(A, B, n, xs, warn=False)
+        return prefactor_f(geom, xs) * eigenfunction_minus(A, B, n, xs, warn=False)
 
     scale = _l2_normalize(bare) if normalized else 1.0
     out = scale * bare(_check_open_interval(x))
@@ -524,15 +503,17 @@ def spinor_psi2(geom: TorusGeometry, lam: float, n: int, x,
     The Jacobi parameter alpha = -1 is degenerate (DegenerateJacobiWarning);
     the polynomial is evaluated through its parameter-limit identity.  The
     claimed form fails the Schroedinger substitution test for n >= 1, which
-    the verification suite reports rather than hides.
+    the verification suite reports rather than hides.  The exponential is
+    prefactor_f on the printed torus c = a, whatever the sign of geom.c.
     """
     warnings.warn("Jacobi parameter alpha = -1 is degenerate in psi2",
                   DegenerateJacobiWarning, stacklevel=2)
     a = geom.a
+    printed = TorusGeometry(a, a)
 
     def bare(xs):
         cx = np.cos(xs)
-        return (np.exp(-a / (2.0 * (a + a * cx)))
+        return (prefactor_f(printed, xs)
                 * (1.0 - cx) ** ((a - 2.0 * lam) / (4.0 * a))
                 * (1.0 + cx) ** (-0.25)
                 * jacobi_poly(JacobiParams(n, -1.0, -lam / a), cx))

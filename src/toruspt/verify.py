@@ -30,13 +30,13 @@ PT_A, PT_B = -2.0, 0.5  # reference solvable family used throughout
 
 @dataclass
 class CheckResult:
-    name: str
-    suite: str
     passed: bool
     measured: float | None
     tolerance: float | None
     detail: str = ""
     info: bool = False
+    name: str = ""   # name and suite are stamped by run_suite from @_check
+    suite: str = ""
 
     @property
     def status(self) -> str:
@@ -130,15 +130,15 @@ def _check(name, suite):
     return deco
 
 
-def _result(name, suite, measured, tol, detail="", info=False, compare="le"):
+def _result(measured, tol, detail="", info=False, compare="le"):
     if info:
         ok = True
     elif compare == "le":
         ok = measured <= tol
     else:
         ok = measured >= tol
-    return CheckResult(name=name, suite=suite, passed=ok, measured=measured,
-                       tolerance=tol, detail=detail, info=info)
+    return CheckResult(passed=ok, measured=measured, tolerance=tol, detail=detail,
+                       info=info)
 
 
 # --------------------------------------------------------------------------
@@ -167,7 +167,7 @@ def _jacobi_recurrence(ctx):
         c4 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + a + b)
         scale = max(abs(c1 * p2), abs(c4 * p0), 1.0)
         worst = max(worst, abs(c1 * p2 - (c2 + c3 * z) * p1 + c4 * p0) / scale)
-    return _result("jacobi_recurrence", "special", worst, 1e-12,
+    return _result(worst, 1e-12,
                    "three-term recurrence on 200 random draws")
 
 
@@ -183,7 +183,7 @@ def _beta_quadrature(ctx):
         ref = quad(lambda u: u ** (s - 1.0) * (1.0 - u) ** (w - 1.0), 0.0, z,
                    epsabs=1e-14, epsrel=1e-13, limit=400)[0]
         worst = max(worst, abs(mine - ref) / max(1.0, abs(ref)))
-    return _result("beta_quadrature", "special", worst, 1e-10,
+    return _result(worst, 1e-10,
                    "100 random triples vs adaptive quadrature")
 
 
@@ -194,7 +194,7 @@ def _beta_monotone(ctx):
     for (s, w) in ((0.5, 0.5), (2.0, 3.0), (1.2, 0.4)):
         vals = incomplete_beta(zs, s, w)
         worst = max(worst, -float(np.min(np.diff(vals))))
-    return _result("beta_monotone", "special", worst, 0.0,
+    return _result(worst, 0.0,
                    "non-decreasing in z for s, w > 0", compare="le")
 
 
@@ -227,7 +227,7 @@ def _appell_brute(ctx):
         mine = appell_f1(a, b1, b2, c, x, y)
         ref = _brute_f1(a, b1, b2, c, x, y)
         worst = max(worst, abs(mine - ref) / max(1.0, abs(ref)))
-    return _result("appell_brute", "special", worst, 1e-9,
+    return _result(worst, 1e-9,
                    "25 random points vs brute-force double sum")
 
 
@@ -247,7 +247,7 @@ def _appell_reduce_y0(ctx):
     for (a, b1, b2, c, x) in ((0.5, 0.25, 1.5, 2.0, 0.4), (1.2, -0.7, 0.3, 2.5, -0.5),
                               (0.8, 1.1, 2.2, 3.0, 0.7)):
         worst = max(worst, abs(appell_f1(a, b1, b2, c, x, 0.0) - _gauss_2f1(a, b1, c, x)))
-    return _result("appell_reduce_y0", "special", worst, 1e-10,
+    return _result(worst, 1e-10,
                    "y = 0 reduction to the Gauss series")
 
 
@@ -258,7 +258,7 @@ def _appell_reduce_xy(ctx):
                               (0.8, 1.1, 2.2, 4.2, 0.55)):
         worst = max(worst,
                     abs(appell_f1(a, b1, b2, c, x, x) - _gauss_2f1(a, b1 + b2, c, x)))
-    return _result("appell_reduce_xy", "special", worst, 1e-9,
+    return _result(worst, 1e-9,
                    "x = y reduction to the Gauss series")
 
 
@@ -273,7 +273,7 @@ def _appell_symmetry(ctx):
         x, y = rng.uniform(-0.6, 0.6, 2)
         worst = max(worst, abs(appell_f1(a, b1, b2, c, x, y)
                                - appell_f1(a, b2, b1, c, y, x)))
-    return _result("appell_symmetry", "special", worst, 1e-12,
+    return _result(worst, 1e-12,
                    "(b1,x) <-> (b2,y) exchange")
 
 
@@ -288,7 +288,7 @@ def _derivative_h2(ctx):
     worst = min(ratios)
     detail = "halving h: error ratios " + ", ".join(f"{r:.2f}" for r in ratios)
     ok = all(3.0 <= r <= 5.0 for r in ratios)
-    return CheckResult("derivative_h2", "special", ok, worst, 4.0, detail)
+    return CheckResult(ok, worst, 4.0, detail)
 
 
 # --------------------------------------------------------------------------
@@ -305,7 +305,7 @@ def _spin_identity(ctx):
         s = geometry.spin_connection_coeff(g, xs)
         _, g2 = geometry.christoffel(g, xs)
         worst = max(worst, float(np.max(np.abs(s - 0.5 * g2))))
-    return _result("spin_connection_identity", "geometry", worst, 1e-15,
+    return _result(worst, 1e-15,
                    "s(x) = Gamma^2_12 / 2 on random grids")
 
 
@@ -316,7 +316,7 @@ def _christoffel_odd(ctx):
     f1, f2 = geometry.christoffel(g, xs)
     m1, m2 = geometry.christoffel(g, -xs)
     worst = float(max(np.max(np.abs(f1 + m1)), np.max(np.abs(f2 + m2))))
-    return _result("christoffel_odd", "geometry", worst, 1e-14,
+    return _result(worst, 1e-14,
                    "componentwise odd in x")
 
 
@@ -333,13 +333,13 @@ def _roundtrip(component, n_points, h0):
 
 @_check("roundtrip_component1", "geometry")
 def _roundtrip_c1(ctx):
-    return _result("roundtrip_component1", "geometry", _roundtrip(1, 4001, 0.1),
+    return _result(_roundtrip(1, 4001, 0.1),
                    1e-6, "transform then reduced potential, k=1, a=c=1")
 
 
 @_check("roundtrip_component2", "geometry")
 def _roundtrip_c2(ctx):
-    return _result("roundtrip_component2", "geometry", _roundtrip(2, 6001, 0.3),
+    return _result(_roundtrip(2, 6001, 0.3),
                    1e-6, "second component, sign-flipped reduction")
 
 
@@ -352,7 +352,7 @@ def _u1u2k0(ctx):
     u1 = geometry.effective_coefficients(g, ModeParams(0.0, 1), xs, vf, vfp)
     u2 = geometry.effective_coefficients(g, ModeParams(0.0, 2), xs, vf, vfp)
     worst = float(np.max(np.abs(u1 - u2)))
-    return _result("u1_eq_u2_at_k0", "geometry", worst, 1e-12,
+    return _result(worst, 1e-12,
                    "k = 0 and V_F' = 0 collapse the two components")
 
 
@@ -365,7 +365,7 @@ def _prefactor_identity(ctx):
     r = g.c + g.a * np.cos(xs)
     ident = tr.prefactor * np.sqrt(tr.g_prime * tr.fermi_velocity) * np.exp(g.a / (2.0 * r))
     worst = float(np.max(np.abs(ident - 1.0)))
-    return _result("prefactor_identity", "geometry", worst, 1e-12,
+    return _result(worst, 1e-12,
                    "f sqrt(g' V_F) e^{a/2R} = 1 by construction")
 
 
@@ -377,7 +377,7 @@ def _prefactor_identity(ctx):
 def _identity_pt(ctx):
     xs = np.linspace(0.05, math.pi - 0.05, 2001)
     rm, rp = susy.susy_residual(ctx.pt_spec(), xs, "analytic")
-    return _result("identity_pt_analytic", "susy", max(rm, rp), 1e-9,
+    return _result(max(rm, rp), 1e-9,
                    "V-+ = W^2 -+ W' with closed-form W'")
 
 
@@ -389,7 +389,7 @@ def _fd_grid():
 def _identity_rational(ctx):
     spec = susy.solve_parameter_conditions("equal_radii", a=2.0, B=-1.5, branch="-")
     rm, rp = susy.susy_residual(spec, _fd_grid(), "fd")
-    return _result("identity_rational_fd", "susy", max(rm, rp), 1e-6,
+    return _result(max(rm, rp), 1e-6,
                    "sin-tail family, central-difference W'")
 
 
@@ -397,7 +397,7 @@ def _identity_rational(ctx):
 def _identity_beta(ctx):
     spec = susy.BetaTail(1.0, 0.25, 1.0, TorusGeometry(1.0, 1.5))
     rm, rp = susy.susy_residual(spec, _fd_grid(), "fd")
-    return _result("identity_beta_fd", "susy", max(rm, rp), 1e-6,
+    return _result(max(rm, rp), 1e-6,
                    "beta-tail family (exercises the incomplete beta)")
 
 
@@ -407,7 +407,7 @@ def _identity_appell(ctx):
                                            C1=-1.0)
     xs = np.linspace(0.15, 2.0, 801)
     rm, rp = susy.susy_residual(spec, xs, "fd")
-    return _result("identity_appell_fd", "susy", max(rm, rp), 1e-6,
+    return _result(max(rm, rp), 1e-6,
                    "two-variable-series tail family")
 
 
@@ -420,7 +420,7 @@ def _cancellation_rational(ctx):
         vm, _ = susy.partner_potentials(spec, xs)
         pt = susy.pt_coefficients(spec, "minus")(xs)
         worst = max(worst, float(np.max(np.abs(vm - pt))))
-    return _result("cancellation_rational", "susy", worst, 1e-10,
+    return _result(worst, 1e-10,
                    "rational part of V- vanishes under the solved conditions")
 
 
@@ -446,7 +446,7 @@ def _appell_g_functional(ctx):
          + 4.0 * B * c / np.sin(xs) + (4.0 * lam - 2.0 * a) * np.sin(xs))
     cal_g = 2.0 * gv ** 2 + gv * q - 2.0 * p * gp
     worst = float(np.max(np.abs(cal_g)))
-    return _result("appell_g_functional", "susy", worst, 1e-6,
+    return _result(worst, 1e-6,
                    "tail functional vanishes for the series-built G")
 
 
@@ -460,7 +460,7 @@ def _spectrum_pt(ctx):
     # no seconds in the detail, so that reruns print the same bytes
     detail = f"|eps0|={abs0:.2e}, max rel={rel:.2e}" + \
         ("" if elapsed < 5.0 else ", solve took 5 s or more")
-    return CheckResult("spectrum_pt_oracle", "susy", ok, rel, 5e-3, detail)
+    return CheckResult(ok, rel, 5e-3, detail)
 
 
 @_check("isospectral_pt", "susy")
@@ -470,8 +470,8 @@ def _isospectral_pt(ctx):
     x = grid.points
     rep = oracle.isospectral_check(susy.pt_coefficients(spec, "minus")(x),
                                    susy.pt_coefficients(spec, "plus")(x),
-                                   grid, 4, tol=5e-3)
-    return CheckResult("isospectral_pt", "susy", rep.passed, rep.max_rel_err,
+                                   grid, 4)
+    return CheckResult(rep.passed, rep.max_rel_err,
                        5e-3, "spec(V+) vs spec(V-) shifted by one level")
 
 
@@ -485,7 +485,7 @@ def _b_independence(ctx):
         eps = oracle.solve_potential(susy.pt_coefficients(spec, "minus")(x), grid, 5)
         for n in range(1, 5):
             worst = max(worst, abs(eps[n] / (n * (n + 4.0)) - 1.0))
-    return _result("spectrum_b_independence", "susy", worst, 5e-3,
+    return _result(worst, 5e-3,
                    "eps(n) = (n-A)^2 - A^2 for B in {0, 0.25, 0.5}")
 
 
@@ -501,7 +501,7 @@ def _eigenfunction_residual(ctx):
         eps = susy.analytic_spectrum(spec, n)
         resid = np.abs(-fpp + (v[2:-2] - eps) * f[2:-2])
         worst = max(worst, float(resid.max() / np.abs(f).max()))
-    return _result("eigenfunction_residual", "susy", worst, 1e-6,
+    return _result(worst, 1e-6,
                    "Schroedinger substitution, n = 0..4")
 
 
@@ -515,7 +515,7 @@ def _eigenfunction_nodes(ctx):
         k = int(np.sum(np.sign(f[1:]) * np.sign(f[:-1]) < 0))
         counts.append(k)
         bad += k != n
-    return CheckResult("eigenfunction_nodes", "susy", bad == 0, float(bad), 0.0,
+    return CheckResult(bad == 0, float(bad), 0.0,
                        f"node counts {counts} for n = 0..4")
 
 
@@ -529,7 +529,7 @@ def _eigenfunction_orth(ctx):
         for n in range(m + 1, 5):
             ip = np.trapezoid(fs[m] * fs[n], xs) / (norms[m] * norms[n])
             worst = max(worst, abs(ip))
-    return _result("eigenfunction_orthogonality", "susy", worst, 1e-6,
+    return _result(worst, 1e-6,
                    "pairwise overlaps, n <= 4")
 
 
@@ -540,7 +540,7 @@ def _ladder_annihilation(ctx):
     f0 = susy.eigenfunction_minus(PT_A, PT_B, 0, x)
     out = susy.ladder_apply(spec, f0, x, "lower")
     worst = float(np.max(np.abs(out)) / np.max(np.abs(f0)))
-    return _result("ladder_annihilation", "susy", worst, 1e-6,
+    return _result(worst, 1e-6,
                    "lowering operator kills the ground state")
 
 
@@ -558,7 +558,7 @@ def _ladder_cosine(ctx):
         deficits.append(1.0 - cos)
         worst = max(worst, 1.0 - cos)
     detail = "1-cos = " + ", ".join(f"{d:.1e}" for d in deficits)
-    return _result("ladder_partner_cosine", "susy", worst, 1e-6, detail)
+    return _result(worst, 1e-6, detail)
 
 
 @_check("ladder_partner_cosine_ground", "susy")
@@ -569,7 +569,7 @@ def _ladder_cosine_ground(ctx):
                             "lower")
     v = vecs[:, 0]
     cos = abs(float(np.dot(img, v))) / (np.linalg.norm(img) * np.linalg.norm(v))
-    return _result("ladder_partner_cosine_ground", "susy", 1.0 - cos, 1e-8,
+    return _result(1.0 - cos, 1e-8,
                    "lowest partner level against the oracle eigenvector")
 
 
@@ -584,7 +584,7 @@ def _ladder_norm_ratio(ctx):
         ratio = np.trapezoid(img * img, x) / np.trapezoid(f * f, x)
         eps = susy.analytic_spectrum(spec, n + 1)
         worst = max(worst, abs(ratio / eps - 1.0))
-    return _result("ladder_norm_ratio", "susy", worst, 1e-4,
+    return _result(worst, 1e-4,
                    "||lowered||^2/||F||^2 = eps(n+1)")
 
 
@@ -602,7 +602,7 @@ def _partner_closed_form(ctx):
         cos = abs(float(np.dot(img, closed))) / (
             np.linalg.norm(img) * np.linalg.norm(closed))
         worst = max(worst, 1.0 - cos)
-    return _result("partner_closed_form", "susy", worst, 1e-6,
+    return _result(worst, 1e-6,
                    "closed-form partner eigenfunction vs ladder image")
 
 
@@ -614,7 +614,7 @@ def _psi1_normalization(ctx):
         warnings.simplefilter("ignore")
         psi = susy.spinor_psi1(spec, 0, xs)
     err = abs(float(np.trapezoid(psi * psi, xs)) - 1.0)
-    return _result("psi1_normalization", "susy", err, 1e-8,
+    return _result(err, 1e-8,
                    "unit L2 norm under the fixed quadrature convention")
 
 
@@ -629,7 +629,7 @@ def _psi2_integrability(ctx):
 
     left = susy.integrability_probe(bare, "left")
     right = susy.integrability_probe(bare, "right")
-    return CheckResult("psi2_integrability", "susy", True, None, None,
+    return CheckResult(True, None, None,
                        f"L2-integrable: left={left}, right={right}", info=True)
 
 
@@ -640,7 +640,7 @@ def _psi2_substitution(ctx):
     spec = susy.solve_parameter_conditions("equal_radii", a=1.0, B=0.25, branch="-")
     resids = [susy.psi2_substitution_residual(spec, n) for n in (0, 1)]
     detail = f"relative residuals: n=0 {resids[0]:.1e}, n=1 {resids[1]:.1e}"
-    return CheckResult("psi2_substitution", "susy", True, resids[1], None,
+    return CheckResult(True, resids[1], None,
                        detail, info=True)
 
 
@@ -663,21 +663,21 @@ def _st_constraints(ctx):
     sp = 1.0 / np.sin(xs) ** 2
     tp = 2.5 * np.cos(xs) / np.sin(xs) ** 2
     worst = float(max(np.max(np.abs(sp - s * s - 1.0)), np.max(np.abs(tp - s * t))))
-    return _result("st_constraints", "algebra", worst, 1e-10,
+    return _result(worst, 1e-10,
                    "S' - S^2 = 1 and T' - S T = 0")
 
 
 @_check("constraint77_closure", "algebra")
 def _constraint77_closure(ctx):
     r = iso21.constraint_residual_77(_closure_params(), _algebra_grid())
-    return _result("constraint77_closure", "algebra", r, 1e-10,
+    return _result(r, 1e-10,
                    "difference form under the closure conditions")
 
 
 @_check("closure_riccati_pair", "algebra")
 def _closure_riccati(ctx):
     r1, r2 = iso21.closure_riccati_residuals(_closure_params(), _algebra_grid())
-    return _result("closure_riccati_pair", "algebra", max(r1, r2), 1e-10,
+    return _result(max(r1, r2), 1e-10,
                    "both Riccati identities vanish individually")
 
 
@@ -690,7 +690,7 @@ def _constraint77_negative(ctx):
     for fieldname in ("K2", "mu", "B1"):
         q = dataclasses.replace(p, **{fieldname: getattr(p, fieldname) + 0.1})
         worst = min(worst, iso21.constraint_residual_77(q, xs))
-    return _result("constraint77_negative", "algebra", worst, 1e-3,
+    return _result(worst, 1e-3,
                    "0.1 perturbation of any single parameter", compare="ge")
 
 
@@ -699,7 +699,7 @@ def _commutator_backbone(ctx):
     p = iso21.AlgebraParams(B1=-0.8, mu=0.3, K1=0.0, K2=0.0,
                             geom=TorusGeometry(1.0, 1.0), mu1=1.3)
     r = iso21.commutator_residual(p, 2048)
-    return _result("commutator_backbone", "algebra", r, 1e-4,
+    return _result(r, 1e-4,
                    "[J+, J-] = -2 J3 on the unmodified generators, N=2048")
 
 
@@ -711,7 +711,7 @@ def _commutator_decay(ctx):
     r2 = iso21.commutator_residual(p, 2048)
     ratio = r1 / r2
     ok = 3.0 <= ratio <= 5.5
-    return CheckResult("commutator_h2_decay", "algebra", ok, ratio, 4.0,
+    return CheckResult(ok, ratio, 4.0,
                        f"residual ratio N=1024/N=2048 = {ratio:.2f}")
 
 
@@ -722,7 +722,7 @@ def _commutator_modified(ctx):
     p = _closure_params()
     raw = iso21.commutator_residual(p, 2048)
     clean = iso21.commutator_residual(p, 2048, subtract_defect=True)
-    return _result("commutator_modified_defect", "algebra", clean, 1e-3,
+    return _result(clean, 1e-3,
                    f"raw residual {raw:.2f}; after subtracting 4 S U2 psi")
 
 
@@ -730,11 +730,10 @@ def _commutator_modified(ctx):
 def _casimir_constant(ctx):
     p = _closure_params()
     xs = np.linspace(0.05, math.pi - 0.3, 2001)
-    mapped = susy.RationalSin(A=-p.mu - 0.5, B=-p.B1, lam=-p.K1, geom=p.geom)
-    diff = iso21.casimir_potential(p, xs) - susy.partner_potentials(mapped, xs)[0]
-    aa = (-p.mu - 0.5) ** 2
-    detail = f"mean {np.mean(diff):.6f} vs A^2 - 1/4 = {aa - 0.25:.6f}"
-    return _result("casimir_susy_constant", "algebra", float(np.std(diff)), 1e-10,
+    diff = iso21.casimir_potential(p, xs) \
+        - susy.partner_potentials(iso21.susy_family(p), xs)[0]
+    detail = f"mean {np.mean(diff):.6f} vs A^2 - 1/4 = {iso21.casimir_shift(p):.6f}"
+    return _result(float(np.std(diff)), 1e-10,
                    detail)
 
 
@@ -742,7 +741,7 @@ def _casimir_constant(ctx):
 def _eps_identity(ctx):
     p = iso21.AlgebraParams(B1=-0.5, mu=1.5, K1=0.0, K2=0.0,
                             geom=TorusGeometry(1.0, 1.0), mu1=2.5)
-    mapped = susy.PureTrigPT(A=-p.mu - 0.5, B=-p.B1)
+    mapped = iso21.susy_family(p)
     worst = 0.0
     for n in range(6):
         eps_alg, _ = iso21.algebra_spectrum(p, n)
@@ -750,7 +749,7 @@ def _eps_identity(ctx):
             warnings.simplefilter("ignore")
             eps_susy = susy.analytic_spectrum(mapped, n)
         worst = max(worst, abs(eps_alg - eps_susy))
-    return _result("eps_identity", "algebra", worst, 1e-12,
+    return _result(worst, 1e-12,
                    "algebra and partner-tower eps agree under A = -mu - 1/2")
 
 
@@ -761,13 +760,13 @@ def _casimir_oracle(ctx):
     grid = oracle.Grid1D(0.002, math.pi - 0.002, 2000)
     v = iso21.casimir_potential(p, grid.points)
     evals = oracle.solve_potential(v, grid, 4)
-    shift = (p.mu + 0.5) ** 2 - 0.25
+    shift = iso21.casimir_shift(p)
     worst = 0.0
     for n in range(4):
         eps, _ = iso21.algebra_spectrum(p, n)
         got = evals[n] - shift
         worst = max(worst, abs(got - eps) / max(abs(eps), 1.0))
-    return _result("casimir_spectrum_oracle", "algebra", worst, 5e-3,
+    return _result(worst, 5e-3,
                    "Casimir potential spectrum matches eps(n) + const")
 
 
@@ -780,7 +779,7 @@ def _scaling_routes(ctx):
     lam_b = 2.0 * p.geom.a * (-p.mu - 0.5)  # via the cancellation conditions
     detail = (f"E_eq37={scalings['E_eq37']:.6f}, E_eq89={scalings['E_eq89']:.6f}; "
               f"lambda via mapping {lam_a:.3f}, via conditions {lam_b:.3f}")
-    return CheckResult("scaling_routes", "algebra", True, None, None, detail,
+    return CheckResult(True, None, None, detail,
                        info=True)
 
 
@@ -798,6 +797,8 @@ def run_suite(suite: str = "all") -> VerifyReport:
     for (name, sname, fn) in _REGISTRY:
         if suite != "all" and sname != suite:
             continue
-        report.results.append(fn(ctx))
+        result = fn(ctx)
+        result.name, result.suite = name, sname
+        report.results.append(result)
     report.elapsed = time.perf_counter() - t0
     return report

@@ -53,7 +53,7 @@ def test_criterion_2_isospectrality():
     x = grid.points
     rep = oracle.isospectral_check(susy.pt_coefficients(PT, "minus")(x),
                                    susy.pt_coefficients(PT, "plus")(x),
-                                   grid, 4, tol=5e-3)
+                                   grid, 4)
     report(2, rep.passed,
            f"spec(V+) vs shifted spec(V-): max rel={rep.max_rel_err:.2e} (<5e-3)")
 

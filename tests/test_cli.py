@@ -176,6 +176,42 @@ def test_wavefunction_component2_rejects_A():
     assert "component2 case takes --a, --B, --branch" in res.stderr
 
 
+# one request per case (two for rational) that names every flag the case
+# reads, then the same request with a flag it does not read; the spectrum
+# request exits 1 (formal parameters fail the oracle), not 2
+@pytest.mark.parametrize("argv, unread", [
+    (["potential", "--case", "pt", "--A", "-2", "--B", "0.5"], ["--C1", "1"]),
+    (["potential", "--case", "rational", "--A", "-2", "--B", "0.5", "--lambda",
+      "0.3", "--a", "1", "--c", "2"], ["--branch", "+"]),
+    (["potential", "--case", "rational", "--a", "1", "--B", "0.25", "--branch",
+      "-"], ["--C1", "2"]),
+    (["potential", "--case", "beta", "--A", "1", "--B", "0.25", "--a", "1", "--c",
+      "1.5", "--C1", "1"], ["--lambda", "3", "--branch", "+"]),
+    (["potential", "--case", "appell", "--a", "1", "--lambda", "2", "--branch",
+      "+", "--C1", "-1", "--x-hi", "2"], ["--B", "0.5"]),
+    (["spectrum", "--case", "component2", "--a", "1", "--B", "0.25", "--branch",
+      "-"], ["--A", "5"]),
+    (["potential", "--case", "iso21", "--B1", "-0.5", "--mu", "1.5", "--K1",
+      "0", "--a", "1", "--c", "1"], ["--A", "2"]),
+], ids=["pt", "rational", "rational-solved", "beta", "appell", "component2",
+        "iso21"])
+def test_flag_the_case_does_not_read_exits_2(capsys, argv, unread):
+    assert cli.main(argv + ["--n-points", "65"]) in (0, 1)
+    capsys.readouterr()
+    assert cli.main(argv + unread + ["--n-points", "65"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{argv[2]} case takes --" in captured.err
+
+
+def test_config_key_the_case_does_not_read_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lam=3\n")
+    assert cli.main(["potential", "--case", "pt", "--A", "-2", "--B", "0.5",
+                     "--n-points", "65", "--config", str(cfg)]) == 2
+    assert "pt case takes --A, --B" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["potential", "wavefunction", "spectrum",
                                      "algebra"])
 @pytest.mark.parametrize("grid", [("--n-points", "10"),

@@ -15,6 +15,7 @@ from toruspt.errors import (
     InconsistentConditions,
     NonNormalizableWarning,
     OutOfRange,
+    SingularGeometry,
 )
 from toruspt.geometry import TorusGeometry
 from toruspt.oracle import Grid1D, build_hamiltonian, eigenpairs, solve_potential
@@ -54,6 +55,13 @@ def test_pt_superpotential_at_midpoint():
 def test_rational_superpotential_at_midpoint():
     spec = RationalSin(-2.0, 0.5, -4.0, TorusGeometry(1.0, 1.0))
     assert superpotential_eval(spec, math.pi / 2.0) == pytest.approx(-3.5, abs=1e-14)
+
+
+def test_vanishing_radius_raises_singular_geometry():
+    # c = -cos x0 puts R = c + a cos x exactly at 0 on the grid node x0 = 1
+    spec = RationalSin(-2.0, 0.5, 0.3, TorusGeometry(1.0, -math.cos(1.0)))
+    with pytest.raises(SingularGeometry):
+        partner_potentials(spec, np.array([0.5, 1.0, 1.5]))
 
 
 def test_beta_tail_c1_dominant_limit():
@@ -213,9 +221,6 @@ def test_spectrum_formula_values():
     f = spectrum_formula(PT)
     assert f.eps(0) == 0.0
     assert [f.eps(n) for n in range(5)] == [0.0, 5.0, 12.0, 21.0, 32.0]
-    assert f.eps_plus(0) == f.eps(1)
-    assert f.energy(1, 1, "a2") == pytest.approx(math.sqrt(5.0))
-    assert f.energy(1, -1, "a1") == pytest.approx(-math.sqrt(5.0))
 
 
 def test_spectrum_out_of_range():
