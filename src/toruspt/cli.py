@@ -9,10 +9,15 @@ rendered and written in blocks of rows, so memory does not grow with the
 output text.
 
 Exit codes: 0 success, 1 verification or domain failure, 2 argument error.
-Flags override an optional key=value config file; a missing config file,
-unknown config keys, non-numeric or non-finite numbers, grids of more than
-MAX_POINTS points and family parameters the case does not read are argument
-errors.  An output column that would hold NaN or inf is a domain failure.
+An optional key=value config file (--config) holds the subcommand's flags
+('_' for '-', lam for --lambda; --case and boolean flags are flag-only): each
+line becomes a --flag=value token ahead of the command line's own, so the
+one parser reads both with the same types and choices, and explicit flags
+win.  A missing config file, unknown config keys, non-numeric or non-finite
+numbers, values outside a flag's choices, grids of more than MAX_POINTS
+points, family parameters the case does not read and an output file that
+cannot be opened are argument errors.  An output column that would hold NaN
+or inf is a domain failure.
 The only environment variable consulted is TORUSPT_OUTDIR, an optional
 prefix for relative output paths.
 
@@ -126,7 +131,11 @@ def _write_output(pieces, path: str | None) -> None:
     outdir = os.environ.get("TORUSPT_OUTDIR")
     if outdir and not os.path.isabs(path):
         path = os.path.join(outdir, path)
-    with open(path, "w", newline="") as handle:
+    try:
+        handle = open(path, "w", newline="")
+    except OSError as exc:
+        raise CLIError(f"cannot write output file {path}: {exc.strerror}") from exc
+    with handle:
         handle.writelines(pieces)
 
 
@@ -159,35 +168,33 @@ def _load_config(path: str, known: set) -> dict:
     return values
 
 
-_FLOAT_KEYS = ("A", "B", "lam", "C1", "a", "c", "B1", "mu", "K1",
-               "x_lo", "x_hi", "rel_tol", "abs_tol")
-_INT_KEYS = ("n_points", "levels", "n")
-_STR_KEYS = ("case", "branch", "format", "output", "suite")
+def _config_flags(args) -> list:
+    """The config file of args as --flag=value tokens for the same parser.
+
+    The keys are the subcommand's flag destinations, except --case and the
+    boolean flags; the single-token form keeps a value such as -2 or - from
+    being read as an option."""
+    known = {k for k, v in vars(args).items()
+             if k not in ("command", "fn", "config", "case")
+             and not isinstance(v, bool)}
+    return [f"--{'lambda' if key == 'lam' else key.replace('_', '-')}={val}"
+            for key, val in _load_config(args.config, known).items()]
 
 
-def _apply_config(args, parser_name) -> None:
-    if not getattr(args, "config", None):
-        return
-    known = {k for k in _FLOAT_KEYS + _INT_KEYS + _STR_KEYS if hasattr(args, k)}
-    values = _load_config(args.config, known)
-    for key, raw in values.items():
-        if getattr(args, f"_seen_{key}", False):
-            continue  # explicit flag wins
-        convert = float if key in _FLOAT_KEYS else int if key in _INT_KEYS else str
-        try:
-            setattr(args, key, convert(raw))
-        except ValueError as exc:
-            raise CLIError(f"{args.config}: {key} expects a number, got {raw!r}") \
-                from exc
+def _finite(text: str) -> float:
+    """argparse type of every float flag: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
 
 
-def _check_numbers(args) -> None:
-    """Reject non-finite float parameters and bad grids: x_lo, x_hi outside
-    0 < x_lo < x_hi < pi, or fewer than 64 or more than MAX_POINTS points."""
-    for key in _FLOAT_KEYS:
-        val = getattr(args, key, None)
-        if val is not None and not math.isfinite(val):
-            raise CLIError(f"{key} must be finite, got {val}")
+def _check_grid(args) -> None:
+    """Reject bad grids: x_lo, x_hi outside 0 < x_lo < x_hi < pi, or fewer
+    than 64 or more than MAX_POINTS points."""
     if not hasattr(args, "n_points"):
         return
     if not (0.0 < args.x_lo < args.x_hi < math.pi):
@@ -204,40 +211,24 @@ def _check_finite(header, cols, error) -> None:
         raise error("non-finite values in output column(s) " + ", ".join(bad))
 
 
-class _Tracking(argparse.Action):
-    """Store the value and remember that the flag was given explicitly."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        setattr(namespace, f"_seen_{self.dest}", True)
-
-
 def _add_common(p):
     p.add_argument("--config", help="key=value file; explicit flags override")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   action=_Tracking)
-    p.add_argument("--output", default="-", action=_Tracking,
-                   help="output path ('-' for stdout)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--output", default="-", help="output path ('-' for stdout)")
 
 
-def _add_params(p, case_required=True):
-    if case_required:
-        p.add_argument("--case", choices=CASES, required=True, action=_Tracking)
-    else:
-        p.add_argument("--case", choices=CASES, default="iso21", action=_Tracking)
+def _add_params(p):
     for name in ("A", "B", "a", "c", "B1", "mu", "K1", "C1"):
-        p.add_argument(f"--{name}", type=float, dest=name, action=_Tracking)
-    p.add_argument("--lambda", type=float, dest="lam", action=_Tracking)
-    p.add_argument("--branch", choices=("+", "-"), action=_Tracking)
-    p.add_argument("--x-lo", type=float, dest="x_lo", default=0.002,
-                   action=_Tracking)
-    p.add_argument("--x-hi", type=float, dest="x_hi", default=math.pi - 0.002,
-                   action=_Tracking)
-    p.add_argument("--n-points", type=int, dest="n_points", default=2001,
-                   action=_Tracking)
+        p.add_argument(f"--{name}", type=_finite, dest=name)
+    p.add_argument("--lambda", type=_finite, dest="lam")
+    p.add_argument("--branch", choices=("+", "-"))
+    p.add_argument("--x-lo", type=_finite, dest="x_lo", default=0.002)
+    p.add_argument("--x-hi", type=_finite, dest="x_hi", default=math.pi - 0.002)
+    p.add_argument("--n-points", type=int, dest="n_points", default=2001)
 
 
-_FAMILY_KEYS = ("A", "B", "a", "c", "B1", "mu", "K1", "C1", "lam", "branch")
+# every family flag, in the order spectrum reports them
+_FAMILY_KEYS = ("A", "B", "lam", "C1", "B1", "mu", "K1", "a", "c", "branch")
 
 
 def _need(args, *names, optional=()):
@@ -294,9 +285,9 @@ def _algebra_from_args(args):
                                K2=-k1 - 2.0 * c, geom=geom, mu1=args.mu + 1.0)
 
 
-def _params_dict(args, keys):
+def _params_dict(args):
     out = {}
-    for key in keys:
+    for key in _FAMILY_KEYS:
         val = getattr(args, key, None)
         if val is not None:
             out[key if key != "lam" else "lambda"] = val
@@ -313,20 +304,18 @@ def cmd_potential(args) -> int:
     xs = np.linspace(args.x_lo, args.x_hi, args.n_points)
     if args.case == "iso21":
         p = _algebra_from_args(args)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            vm, vp = susy.partner_potentials(iso21.susy_family(p), xs)
-        vcas = iso21.casimir_potential(p, xs)
-        header = ["x", "V_minus", "V_plus", "V_casimir"]
-        cols = [xs, vm, vp, vcas]
+        spec = iso21.susy_family(p)
     else:
         spec = _family_from_args(args)
-        _warn_regime(spec)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            vm, vp = susy.partner_potentials(spec, xs)
-        header = ["x", "V_minus", "V_plus"]
-        cols = [xs, vm, vp]
+    _warn_regime(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        vm, vp = susy.partner_potentials(spec, xs)
+    header = ["x", "V_minus", "V_plus"]
+    cols = [xs, vm, vp]
+    if args.case == "iso21":
+        header.append("V_casimir")
+        cols.append(iso21.casimir_potential(p, xs))
     _check_finite(header, cols, NonFinitePotential)
     table = _Table(header, cols)
     if args.format == "csv":
@@ -344,9 +333,10 @@ def _spectrum_inputs(args):
     x = grid.points
     if args.case == "iso21":
         p = _algebra_from_args(args)
+        _warn_regime(iso21.susy_family(p))
         eps = [iso21.algebra_spectrum(p, n)[0] for n in range(args.levels)]
         v = iso21.casimir_potential(p, x) - iso21.casimir_shift(p)
-        return eps, v, grid, _params_dict(args, ("B1", "mu", "K1", "a", "c"))
+        return eps, v, grid, _params_dict(args)
     spec = _family_from_args(args)
     _warn_regime(spec)
     formula = susy.spectrum_formula(spec)
@@ -357,8 +347,7 @@ def _spectrum_inputs(args):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             v, _ = susy.partner_potentials(spec, x)
-    keys = ("A", "B", "lam", "C1", "a", "c", "branch")
-    params = _params_dict(args, keys)
+    params = _params_dict(args)
     params.update({"A_solved": spec.A, "B_solved": spec.B})
     return eps, v, grid, params
 
@@ -459,55 +448,51 @@ def build_parser() -> argparse.ArgumentParser:
                     "Poschl-Teller families on a torus surface, with an "
                     "independent finite-difference verification oracle.")
     sub = parser.add_subparsers(dest="command", required=True)
+    spectrum_help = "compare the closed-form spectrum against the oracle"
+    cmds = {}
+    for name, fn, text in (
+            ("potential", cmd_potential, "sample partner potentials on a grid"),
+            ("spectrum", cmd_spectrum, spectrum_help),
+            ("algebra", cmd_spectrum,
+             spectrum_help + " (alias of spectrum --case iso21)"),
+            ("wavefunction", cmd_wavefunction, "sample eigenfunctions and spinors"),
+            ("verify", cmd_verify, "run the verification suite"),
+            ("errata", cmd_errata, "print the machine-checked errata")):
+        cmds[name] = sub.add_parser(name, help=text)
+        cmds[name].set_defaults(fn=fn)
 
-    p_pot = sub.add_parser("potential", help="sample partner potentials on a grid")
-    _add_params(p_pot)
-    _add_common(p_pot)
-    p_pot.set_defaults(fn=cmd_potential)
-
+    for name in ("potential", "spectrum", "wavefunction"):
+        cmds[name].add_argument("--case", choices=CASES, required=True)
+    cmds["algebra"].set_defaults(case="iso21")
+    for name in ("potential", "spectrum", "algebra", "wavefunction"):
+        _add_params(cmds[name])
     for name in ("spectrum", "algebra"):
-        p_spec = sub.add_parser(
-            name, help="compare the closed-form spectrum against the oracle"
-                       + (" (alias of spectrum --case iso21)" if name == "algebra"
-                          else ""))
-        _add_params(p_spec, case_required=(name == "spectrum"))
-        p_spec.add_argument("--levels", type=int, default=5, action=_Tracking)
-        p_spec.add_argument("--rel-tol", type=float, dest="rel_tol", default=5e-3,
-                            action=_Tracking)
-        p_spec.add_argument("--abs-tol", type=float, dest="abs_tol", default=0.01,
-                            action=_Tracking)
-        p_spec.set_defaults(fn=cmd_spectrum, n_points=4000)
-
-    p_wf = sub.add_parser("wavefunction", help="sample eigenfunctions and spinors")
-    _add_params(p_wf)
-    p_wf.add_argument("--n", type=int, default=0, action=_Tracking)
-    p_wf.add_argument("--with-plus", action="store_true", dest="with_plus")
-    _add_common(p_wf)
-    p_wf.set_defaults(fn=cmd_wavefunction)
-
-    p_ver = sub.add_parser("verify", help="run the verification suite")
-    p_ver.add_argument("--suite", default="all",
-                       choices=("all",) + VERIFY_SUITES, action=_Tracking)
-    _add_common(p_ver)
-    p_ver.set_defaults(fn=cmd_verify)
-
-    p_err = sub.add_parser("errata", help="print the machine-checked errata")
-    _add_common(p_err)
-    p_err.set_defaults(fn=cmd_errata)
-
-    for p in (sub.choices["spectrum"], sub.choices["algebra"]):
+        cmds[name].add_argument("--levels", type=int, default=5)
+        cmds[name].add_argument("--rel-tol", type=_finite, dest="rel_tol",
+                                default=5e-3)
+        cmds[name].add_argument("--abs-tol", type=_finite, dest="abs_tol",
+                                default=0.01)
+        cmds[name].set_defaults(n_points=4000)
+    cmds["wavefunction"].add_argument("--n", type=int, default=0)
+    cmds["wavefunction"].add_argument("--with-plus", action="store_true",
+                                      dest="with_plus")
+    cmds["verify"].add_argument("--suite", default="all",
+                                choices=("all",) + VERIFY_SUITES)
+    for p in cmds.values():
         _add_common(p)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, args.command)
-        _check_numbers(args)
-        if args.command == "algebra":
-            args.case = "iso21"
+        if args.config:
+            # the config's flags go first, so the command line's own win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_flags(args) + argv[at:])
+        _check_grid(args)
         return args.fn(args)
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)

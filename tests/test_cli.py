@@ -75,6 +75,15 @@ def test_spectrum_passes_and_exit_zero():
     assert set(obj) == {"case", "params", "levels", "max_rel_err", "pass"}
 
 
+@pytest.mark.parametrize("command", [["spectrum", "--case", "iso21"], ["algebra"]])
+def test_iso21_spectrum_warns_outside_regime(capsys, command):
+    # B1 = -0.8, mu = 0.1, K1 = 0.6 maps to A = -0.6, B = 0.8: A >= -|B|
+    code = cli.main(command + ["--B1", "-0.8", "--mu", "0.1", "--K1", "0.6", "--a", "1",
+                               "--c", "1"])
+    assert code == 1  # formal parameters fail the oracle
+    assert "warning: non-normalizable regime" in capsys.readouterr().err
+
+
 def test_algebra_alias_matches_pt_spectrum():
     res = run_cli("algebra", "--B1", "-0.5", "--mu", "1.5", "--a", "1",
                   "--levels", "4", "--n-points", "2000")
@@ -96,6 +105,11 @@ def test_bad_arguments_exit_2():
     assert run_cli("potential", "--case", "bogus").returncode == 2
     assert run_cli("potential").returncode == 2
     assert run_cli("spectrum", "--case", "pt").returncode == 2  # missing A, B
+    # algebra is spectrum --case iso21 and has no --case flag of its own
+    res = run_cli("algebra", "--case", "pt", "--B1", "-0.5", "--mu", "1.5", "--a", "1")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
 
 
 def test_domain_failure_exits_1():
@@ -250,11 +264,15 @@ def test_config_file_roundtrip(tmp_path):
 
 def test_config_unknown_key_exits_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("A=-2\nnot_a_key=3\n")
-    res = run_cli("potential", "--case", "pt", "--B", "0.5", "--config",
-                  str(cfg), "--n-points", "65")
-    assert res.returncode == 2
-    assert "unknown key" in res.stderr
+    # --case is a flag only, not a config key
+    for text in ("A=-2\nnot_a_key=3\n", "A=-2\ncase=pt\n"):
+        cfg.write_text(text)
+        res = run_cli("potential", "--case", "pt", "--B", "0.5", "--config",
+                      str(cfg), "--n-points", "65")
+        assert res.returncode == 2
+        assert "unknown key" in res.stderr
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr
 
 
 def test_missing_config_file_exits_2(tmp_path):
@@ -270,6 +288,26 @@ def test_non_numeric_config_value_exits_2(tmp_path):
     res = run_cli("potential", "--case", "pt", "--config", str(cfg))
     assert res.returncode == 2
     assert "expects a number" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+# a config value passes through its flag's own type and choices
+@pytest.mark.parametrize("argv, line, message", [
+    (["potential", "--case", "pt", "--A", "-2", "--B", "0.5", "--n-points", "65"],
+     "format=xml", "argument --format: invalid choice: 'xml'"),
+    (["potential", "--case", "rational", "--a", "1", "--B", "0.25", "--n-points",
+      "65"], "branch=x", "argument --branch: invalid choice: 'x'"),
+    (["verify"], "suite=foo", "argument --suite: invalid choice: 'foo'"),
+    (["potential", "--case", "pt", "--B", "0.5", "--n-points", "65"], "A=nan",
+     "argument --A: must be finite, got nan"),
+], ids=["format", "branch", "suite", "nan"])
+def test_config_value_its_flag_rejects_exits_2(tmp_path, argv, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    res = run_cli(*argv, "--config", str(cfg))
+    assert res.returncode == 2
+    assert message in res.stderr
+    assert res.stdout == ""
     assert "Traceback" not in res.stderr
 
 
@@ -310,6 +348,20 @@ def test_failed_normalization_exit_code_and_error_line():
     assert res.returncode == 1
     assert res.stderr.splitlines()[-1] == (
         "error: NormalizationFailure: non-finite values in output column(s) psi1")
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    path = tmp_path / "absent" / "x.csv"
+    argv = ["potential", "--case", "pt", "--A", "-2", "--B", "0.5", "--n-points", "65"]
+    assert cli.main(argv + ["--output", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot write output file {path}: No such file or directory\n"
+    # an empty config value is an empty path, not stdout
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("output=\n")
+    assert cli.main(argv + ["--config", str(cfg)]) == 2
+    assert "cannot write output file" in capsys.readouterr().err
 
 
 def test_output_dir_override(tmp_path):
