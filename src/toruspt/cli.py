@@ -6,7 +6,11 @@ rendered with 17 significant digits, CSV uses '.' decimals, comma delimiters
 and LF line endings with a header row, and JSON key order is fixed, so a
 rerun with the same configuration produces byte-identical files.  Tables are
 rendered and written in blocks of rows, so memory does not grow with the
-output text.
+output text.  Their bytes are those of format(v, ".17g"), produced by a numpy
+kernel (_g17): a double-double scaling to a 17-digit integer, 4-digit lookup
+tables and one precomputed %g layout per sign, exponent class and digit
+count.  format() itself renders the values the kernel cannot decide: |v|
+outside [1e-280, 1e280] and values within 1e-6 of a rounding tie.
 
 Exit codes: 0 success, 1 verification or domain failure, 2 argument error.
 An optional key=value config file (--config) holds the subcommand's flags
@@ -14,10 +18,10 @@ An optional key=value config file (--config) holds the subcommand's flags
 line becomes a --flag=value token ahead of the command line's own, so the
 one parser reads both with the same types and choices, and explicit flags
 win.  A missing config file, unknown config keys, non-numeric or non-finite
-numbers, values outside a flag's choices, grids of more than MAX_POINTS
-points, family parameters the case does not read and an output file that
-cannot be opened are argument errors.  An output column that would hold NaN
-or inf is a domain failure.
+numbers, values outside a flag's choices, abbreviated flags, grids of more
+than MAX_POINTS points, family parameters the case does not read and an
+output file that cannot be opened are argument errors.  An output column
+that would hold NaN or inf is a domain failure.
 The only environment variable consulted is TORUSPT_OUTDIR, an optional
 prefix for relative output paths.
 
@@ -31,6 +35,7 @@ suite's elapsed time as one line to stderr, never to its report.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import os
@@ -65,16 +70,169 @@ def _json_scalar(v) -> str:
     return str(v)
 
 
-# Rows per % fill: bounds the Python floats and the text alive at once.
+# Rows per % fill: bounds the Python objects and the text alive at once.
 _BLOCK_ROWS = 8192
+
+# -- format(v, ".17g") for a float64 array -----------------------------------
+# |v| is scaled by 10**(16 - e) in double-double arithmetic (an exact Dekker
+# product with a (hi, lo) power of ten), giving y in [1e16, 1e17) to about
+# 1e-14; the 17 significant digits are round(y), whose direction is certain
+# unless frac(y) lies within _G17_TIE of 1/2.  Those values and every |v|
+# outside [_G17_MIN, _G17_MAX], where the table or the split would leave the
+# normal range, go through format() itself, the exact reference.
+_G17_CHUNK = 4096           # values per pass: bounds the kernel's temporaries
+_G17_MIN, _G17_MAX = 1e-280, 1e280
+_G17_TIE = 1e-6
+_G17_SPLIT = 134217729.0    # 2**27 + 1, Dekker's splitter
+# powers 10**k for k in [_G17_K0, _G17_K1]: e = 16 - k spans [-284, 286],
+# beyond the fast range's [-281, 280]; 10**300 * _G17_SPLIT stays finite and
+# the lo part of 10**-270 stays normal
+_G17_K0, _G17_K1 = -270, 300
+# Byte offsets in a value's 32-byte source row, eight 4-byte table words:
+# "000d" (leading digit), four 4-digit groups, |e| as 4 digits, "-.e+", NULs.
+_G17_LEAD, _G17_EXP = 3, 20
+_G17_MINUS, _G17_POINT, _G17_E, _G17_PLUS, _G17_NUL = 24, 25, 26, 27, 28
+_G17_ZERO = 0
+
+
+def _g17_layout(x, d):
+    """Source offsets of %.17g's bytes, less any sign, for decimal exponent x
+    and d significant digits left after dropping trailing zeros."""
+    digit = [_G17_LEAD + i for i in range(17)]
+    if -4 <= x < 0:
+        return [_G17_ZERO, _G17_POINT] + [_G17_ZERO] * (-x - 1) + digit[:d]
+    if 0 <= x < 17:
+        point = [_G17_POINT] if d > x + 1 else []
+        return digit[:x + 1] + point + digit[x + 1:d]
+    point = [_G17_POINT] if d > 1 else []
+    exp = [_G17_EXP + i for i in (range(1, 4) if abs(x) >= 100 else range(2, 4))]
+    return (digit[:1] + point + digit[1:d] + [_G17_E]
+            + [_G17_MINUS if x < 0 else _G17_PLUS] + exp)
+
+
+class _G17Tables:
+    """The kernel's lookup tables; built once, on first use."""
+
+    def __init__(self):
+        hi, lo = [], []
+        for k in range(_G17_K0, _G17_K1 + 1):
+            if k >= 0:
+                h = float(10 ** k)
+                hi.append(h)
+                lo.append(float(10 ** k - int(h)))
+            else:
+                # correctly rounded integer true division, then the exact rest
+                scale = 10 ** -k
+                h = 1 / scale
+                num, den = h.as_integer_ratio()
+                hi.append(h)
+                lo.append((den - num * scale) / (den * scale))
+        self.p_hi, self.p_lo = np.array(hi), np.array(lo)
+        c = self.p_hi * _G17_SPLIT
+        self.p_hh = c - (c - self.p_hi)
+        self.p_hl = self.p_hi - self.p_hh
+        i = np.arange(10000)[:, None]
+        groups = (i // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+        self.words = np.frombuffer(groups.tobytes() + b"-.e+" + bytes(4),
+                                   dtype=np.uint32)
+        self.trailing = (i % np.array([10, 100, 1000, 10000]) == 0).sum(axis=1)
+        # layout key: neg * 425 + exponent class * 17 + d - 1; the class is
+        # x + 4 for fixed notation (x in -4..16), then 21..24 for e-100..,
+        # e-5.., e+17.. and e+100..
+        xs = list(range(-4, 17)) + [-100, -5, 17, 100]
+        plus = [_g17_layout(x, d) for x in xs for d in range(1, 18)]
+        self.minus = len(plus)
+        rows = b"".join(bytes(sign + row).ljust(24, bytes([_G17_NUL]))
+                        for sign in ([], [_G17_MINUS]) for row in plus)
+        self.layouts = np.frombuffer(rows, dtype=np.uint8).reshape(-1, 24)
+        self.layouts = self.layouts.astype(np.intp)
+        e = np.arange(-300, 301)
+        cls = np.select([e <= -100, e < -4, e < 17, e < 100],
+                        [21, 22, e + 4, 23], 24)
+        self.class_base = cls * 17 - 1    # indexed by e + 300
+
+
+@functools.cache
+def _g17_tables():
+    return _G17Tables()
+
+
+def _g17_scale(tab, a, e):
+    """floor and fractional part of a * 10**(16 - e), to about 1e-14."""
+    i = 16 - e - _G17_K0
+    p_hi, p_hh, p_hl = tab.p_hi[i], tab.p_hh[i], tab.p_hl[i]
+    hi = a * p_hi
+    c = a * _G17_SPLIT
+    a_h = c - (c - a)
+    a_l = a - a_h
+    err = ((a_h * p_hh - hi) + a_h * p_hl + a_l * p_hh) + a_l * p_hl
+    whole = np.floor(hi)
+    rest = (hi - whole) + (err + a * tab.p_lo[i])
+    down = np.floor(rest)
+    return whole.astype(np.int64) + down.astype(np.int64), rest - down
+
+
+def _g17_chunk(tab, v):
+    a = np.abs(v)
+    slow = ~((a >= _G17_MIN) & (a <= _G17_MAX))   # also 0, subnormals, nan
+    a[slow] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    floor, frac = _g17_scale(tab, a, e)
+    # log10 can miss by one next to a power of ten: rescale those values
+    off = (floor >= 10 ** 17).astype(np.int64) - (floor < 10 ** 16)
+    if off.any():
+        redo = off != 0
+        e[redo] += off[redo]
+        floor[redo], frac[redo] = _g17_scale(tab, a[redo], e[redo])
+    n = floor + (frac > 0.5)
+    carry = n == 10 ** 17       # y in [1e17 - 1/2, 1e17): one digit more
+    n[carry] = 10 ** 16
+    e += carry
+    slow |= np.abs(frac - 0.5) < _G17_TIE
+    # the 17 digits and |e| as indices of 4-byte words
+    m = len(v)
+    q = np.empty((8, m), dtype=np.intp)
+    q[0] = n // 10 ** 16
+    rest = n - q[0] * 10 ** 16
+    high = rest // 10 ** 8
+    low = rest - high * 10 ** 8
+    q[1] = high // 10 ** 4
+    q[2] = high - q[1] * 10 ** 4
+    q[3] = low // 10 ** 4
+    q[4] = low - q[3] * 10 ** 4
+    np.abs(e, out=q[5])
+    q[6], q[7] = 10000, 10001   # the "-.e+" and the NUL word
+    src = tab.words.take(q.T).view(np.uint8)
+    t = tab.trailing
+    zeros = t[q[4]] + (q[4] == 0) * (t[q[3]] + (q[3] == 0) * (
+        t[q[2]] + (q[2] == 0) * t[q[1]]))
+    key = tab.class_base[e + 300] + np.signbit(v) * tab.minus + (17 - zeros)
+    idx = tab.layouts.take(key, axis=0)
+    idx += np.arange(0, 32 * m, 32)[:, None]
+    text = src.reshape(-1).take(idx).view("S24").ravel().tolist()
+    for i in np.flatnonzero(slow).tolist():
+        text[i] = format(v.item(i), ".17g").encode()
+    return text
+
+
+def _g17(values) -> list:
+    """format(v, ".17g").encode() of every value of a 1-D float64 array."""
+    tab = _g17_tables()
+    out = []
+    for start in range(0, len(values), _G17_CHUNK):
+        out += _g17_chunk(tab, values[start:start + _G17_CHUNK])
+    return out
 
 
 class _Table:
     """Named float columns, rendered a block of rows at a time.
 
-    Each row is one %-template ("%.17g" gives the bytes of format(v, ".17g")),
-    so a whole block is filled by a single % over its values and the text of
-    the table never exists as one string.
+    Values are written as the bytes of format(v, ".17g"): _g17 computes
+    them with numpy, 4096 values at a time, and leaves to format() itself
+    only |v| outside [1e-280, 1e280] and values whose scaled remainder lies
+    within 1e-6 of a rounding tie.  Each row is one bytes %s-template, so a
+    block is filled by a single % over its values, and the text of the
+    table never exists as one string.
     """
 
     def __init__(self, header, columns):
@@ -82,18 +240,19 @@ class _Table:
         self.data = np.column_stack(columns)
 
     def _blocks(self, row, sep):
+        row, sep = row.encode(), sep.encode()
         for start in range(0, len(self.data), _BLOCK_ROWS):
             block = self.data[start:start + _BLOCK_ROWS]
-            text = sep.join([row] * len(block)) % tuple(block.ravel().tolist())
-            yield sep + text if start else text
+            text = sep.join([row] * len(block)) % tuple(_g17(block.ravel()))
+            yield (sep + text if start else text).decode("ascii")
 
     def csv_pieces(self):
         yield ",".join(self.header) + "\n"
-        yield from self._blocks(",".join(["%.17g"] * len(self.header)) + "\n", "")
+        yield from self._blocks(",".join(["%s"] * len(self.header)) + "\n", "")
 
     def json_pieces(self, indent):
         pad = "  " * (indent + 1)
-        fields = ",\n".join(f'{pad}  "{h}": %.17g' for h in self.header)
+        fields = ",\n".join(f'{pad}  "{h}": %s' for h in self.header)
         yield "[\n"
         yield from self._blocks(f"{pad}{{\n{fields}\n{pad}}}", ",\n")
         yield "\n" + "  " * indent + "]"
@@ -442,8 +601,10 @@ def cmd_errata(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False everywhere: a prefix such as --n must not be read as
+    # --n-points (or --su as --suite)
     parser = argparse.ArgumentParser(
-        prog="toruspt",
+        prog="toruspt", allow_abbrev=False,
         description="Solvable and rationally extended trigonometric "
                     "Poschl-Teller families on a torus surface, with an "
                     "independent finite-difference verification oracle.")
@@ -458,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("wavefunction", cmd_wavefunction, "sample eigenfunctions and spinors"),
             ("verify", cmd_verify, "run the verification suite"),
             ("errata", cmd_errata, "print the machine-checked errata")):
-        cmds[name] = sub.add_parser(name, help=text)
+        cmds[name] = sub.add_parser(name, help=text, allow_abbrev=False)
         cmds[name].set_defaults(fn=fn)
 
     for name in ("potential", "spectrum", "wavefunction"):

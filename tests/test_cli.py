@@ -9,6 +9,8 @@ import subprocess
 import sys
 import types
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -311,6 +313,30 @@ def test_config_value_its_flag_rejects_exits_2(tmp_path, argv, line, message):
     assert "Traceback" not in res.stderr
 
 
+# a unique prefix of a flag is not that flag: --n is no --n-points, --su no
+# --suite and --form no --format
+@pytest.mark.parametrize("argv", [
+    ["potential", "--case", "pt", "--A", "-2", "--B", "0.5", "--n", "100"],
+    ["verify", "--su", "geometry", "--form", "json"],
+], ids=["potential-n", "verify-su-form"])
+def test_abbreviated_flag_exits_2(argv):
+    res = run_cli(*argv)
+    assert res.returncode == 2
+    assert "unrecognized arguments" in res.stderr
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+
+
+def test_config_keys_parse_without_abbreviations(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("A=-2\nB=0.5\nlam=1.5\na=1\nc=1.5\nx_lo=0.1\nx_hi=3.0\n"
+                   "n_points=65\nformat=json\n")
+    assert cli.main(["potential", "--case", "rational", "--config", str(cfg)]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 65
+    assert (rows[0]["x"], rows[-1]["x"]) == (0.1, 3.0)
+
+
 @pytest.mark.parametrize("flag, value", [("--A", "nan"), ("--x-hi", "inf")])
 def test_non_finite_flag_exits_2(flag, value):
     args = {"--A": "-2", "--B": "0.5", "--n-points": "65", flag: value}
@@ -558,6 +584,31 @@ def _assert_round_trip(text, header, cols):
 PT = ("--case", "pt", "--A", "-2", "--B", "0.5")
 ISO21 = ("--case", "iso21", "--B1", "-0.8", "--mu", "0.1", "--K1", "0.6",
          "--a", "1")
+# a table of two blocks and 5 rows whose V-+ columns are _edge_columns
+EDGE = ("potential",) + PT + ("--n-points", str(2 * cli._BLOCK_ROWS + 5),
+                              "--x-lo", "0.001")
+
+
+def _edge_values():
+    """Values at %.17g's fixed/exponent boundaries (1e-5, 1e-4, 1e16, 1e17),
+    powers of ten at +-1 ulp, subnormals, +-0.0 and values the kernel
+    leaves to format() (ties, |v| outside [1e-280, 1e280])."""
+    powers = 10.0 ** np.arange(-8, 20)
+    near = np.concatenate([powers, np.nextafter(powers, 0.0),
+                           np.nextafter(powers, np.inf), 9.5 * powers,
+                           [99999999999999999.0, 2.0 ** -25, 0.5, 1e-300,
+                            1e300, 1.7976931348623157e308]])
+    subnormal = np.array([5e-324, 2.5e-320, np.nextafter(2.2250738585072014e-308, 0)])
+    return np.concatenate([near, -near, subnormal, -subnormal, [0.0, -0.0]])
+
+
+def _edge_columns(spec, xs):
+    rng = np.random.default_rng(7)
+    corpus = _edge_values()
+    sweep = rng.choice([-1.0, 1.0], len(xs)) * 10.0 ** rng.uniform(-8, 20, len(xs))
+    return np.resize(corpus, len(xs)), np.where(np.arange(len(xs)) % 3 == 0,
+                                                np.resize(corpus[::-1], len(xs)),
+                                                sweep)
 
 
 @pytest.mark.parametrize("argv, n_cols", [
@@ -565,10 +616,13 @@ ISO21 = ("--case", "iso21", "--B1", "-0.8", "--mu", "0.1", "--K1", "0.6",
     (("potential",) + ISO21 + ("--n-points", "301"), 4),
     (("wavefunction",) + PT + ("--n", "2", "--with-plus", "--n-points", "301"), 4),
     (("potential",) + PT + ("--n-points", str(2 * cli._BLOCK_ROWS + 5)), 3),
+    (EDGE, 3),
 ])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_table_bytes_match_per_value_rendering(monkeypatch, capsys, argv, n_cols,
                                                fmt, tmp_path):
+    if argv == EDGE:
+        monkeypatch.setattr(cli.susy, "partner_potentials", _edge_columns)
     out, _, (header, cols) = _render_in_process(monkeypatch, capsys, *argv,
                                                 "--format", fmt)
     assert len(header) == n_cols
@@ -608,6 +662,38 @@ def test_table_renderer_extreme_values():
     text = "".join(cli._json_render({"case": "pt", "rows": table}))
     assert text == _ref_json(obj)
     _assert_round_trip(text, header, cols)
+
+
+def _assert_g17(values):
+    values = np.asarray(values, dtype=np.float64)
+    want = [format(v, ".17g").encode() for v in values.tolist()]
+    got = cli._g17(values)
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and not bad, bad[:5]
+
+
+def test_g17_kernel_random_bit_patterns():
+    bits = np.random.default_rng(20261018).integers(0, 2 ** 64, 200_000,
+                                                    dtype=np.uint64)
+    _assert_g17(bits.view(np.float64))
+
+
+def test_g17_kernel_edge_corpus():
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    corpus = np.concatenate([
+        _edge_values(), powers, np.nextafter(powers, 0.0),
+        np.nextafter(powers, np.inf),
+        2.0 ** np.arange(-1074, 1024), [1.7976931348623157e308],
+        np.arange(-2000, 2000) / 8.0])
+    _assert_g17(np.concatenate([corpus, -corpus]))
+    assert cli._g17(np.array([99999999999999999.0])) == [b"1e+17"]
+
+
+@hypothesis.settings(derandomize=True, max_examples=300, deadline=None)
+@hypothesis.given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=64))
+def test_g17_kernel_matches_format(values):
+    _assert_g17(values)
 
 
 def test_table_is_written_a_block_at_a_time(monkeypatch):
