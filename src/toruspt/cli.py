@@ -19,9 +19,10 @@ line becomes a --flag=value token ahead of the command line's own, so the
 one parser reads both with the same types and choices, and explicit flags
 win.  A missing config file, unknown config keys, non-numeric or non-finite
 numbers, values outside a flag's choices, abbreviated flags, grids of more
-than MAX_POINTS points, family parameters the case does not read and an
-output file that cannot be opened are argument errors.  An output column
-that would hold NaN or inf is a domain failure.
+than MAX_POINTS points, a wavefunction level --n above MAX_N, family
+parameters the case does not read and an output file that cannot be opened
+are argument errors.  An output column that would hold NaN or inf is a domain
+failure.
 The only environment variable consulted is TORUSPT_OUTDIR, an optional
 prefix for relative output paths.
 
@@ -30,6 +31,11 @@ that needs it: importing this module and building the parser loads none, so
 a potential or wavefunction process spends about 0.25 s on imports, where
 scipy would add about 0.75 s (2 vCPU Xeon, Python 3.11).  verify writes the
 suite's elapsed time as one line to stderr, never to its report.
+
+main builds the parser once per process and reuses it; build_parser() itself
+returns a new one on every call.  Building it takes about 2-3 ms against
+0.1 ms for parsing, so in-process callers of main (tests, the benchmark,
+notebooks) pay it once, not on every call.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from .geometry import TorusGeometry, prefactor_f
 CASES = ("pt", "rational", "beta", "appell", "component2", "iso21")
 MAX_LEVELS = 8
 MAX_POINTS = 1_000_001
+MAX_N = 1000    # highest wavefunction --n: a level's cost grows with n
 # verify.SUITES, spelled out so that building the parser loads no verify (a
 # test keeps the two equal)
 VERIFY_SUITES = ("special", "geometry", "susy", "algebra")
@@ -534,6 +541,8 @@ def _normalized(vals, xs):
 def cmd_wavefunction(args) -> int:
     if args.n < 0:
         raise CLIError("level n must be non-negative")
+    if args.n > MAX_N:
+        raise CLIError(f"level n must be at most {MAX_N}")
     xs = np.linspace(args.x_lo, args.x_hi, args.n_points)
     notes = {}
     if args.case == "component2":
@@ -644,9 +653,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves a parser as it found it, so one serves every call of main
+# in a process; the cmd_* functions are bound when it is built
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.config:

@@ -353,6 +353,30 @@ def test_grid_above_cap_exits_2():
     assert "n_points must be at most 1000001" in res.stderr
 
 
+_LEVEL = ["wavefunction", "--case", "pt", "--A", "-2", "--B", "0.5",
+          "--n-points", "64"]
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_level_above_bound_exits_2(tmp_path, capsys, how):
+    level = str(cli.MAX_N + 1)
+    if how == "flag":
+        argv = _LEVEL + ["--n", level]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n={level}\n")
+        argv = _LEVEL + ["--config", str(cfg)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: level n must be at most {cli.MAX_N}\n"
+
+
+def test_level_at_bound_exits_0(capsys):
+    assert cli.main(_LEVEL + ["--n", str(cli.MAX_N)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 65
+
+
 def test_non_finite_wavefunction_exits_1():
     # equal-radii '+' branch has c = -a: the prefactor overflows on the grid
     res = run_cli("wavefunction", "--case", "rational", "--a", "1", "--B",
@@ -432,6 +456,54 @@ def test_parser_suite_choices_are_verify_suites():
                if isinstance(a, argparse._SubParsersAction))
     suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
     assert tuple(suite.choices) == ("all",) + verify.SUITES
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    build, built = cli.build_parser, []
+
+    def counting():
+        built.append(parser := build())
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    argv = ["potential", "--case", "pt", "--A", "-2", "--B", "0.5", "--n-points", "64"]
+    for _ in range(3):
+        assert cli.main(argv) == 0
+    with pytest.raises(SystemExit):
+        cli.main(["potential", "--case", "bogus"])
+    assert len(built) == 1
+    # build_parser itself still hands out a new parser on every call
+    assert build() is not build()
+
+
+def _in_process(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_reruns_in_one_process_are_identical(tmp_path, capsys):
+    good = tmp_path / "good.cfg"
+    good.write_text("A=-2\nB=0.5\nn_points=65\n")
+    xml = tmp_path / "xml.cfg"
+    xml.write_text("format=xml\n")
+    pt = ["potential", "--case", "pt", "--A", "-2", "--B", "0.5", "--n-points", "65"]
+    argvs = [pt, ["potential", "--case", "bogus"], ["--help"],
+             ["potential", "--help"], ["potential", "--case", "pt", "--config",
+                                       str(good)],
+             pt + ["--config", str(xml)],
+             ["wavefunction", "--case", "pt", "--A", "-2", "--B", "0.5", "--n",
+              str(cli.MAX_N + 1)]]
+    cli._parser.cache_clear()
+    # the first round builds the parser, the second reuses it
+    rounds = [[_in_process(argv, capsys) for argv in argvs] for _ in range(2)]
+    assert rounds[0] == rounds[1]
+    assert [code for code, _, _ in rounds[0]] == [0, 2, 0, 0, 0, 2, 2]
+    assert rounds[0][0][1] == rounds[0][4][1]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -2,6 +2,8 @@
 
 import math
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -20,6 +22,10 @@ from toruspt.special import (
     numeric_derivative,
 )
 from toruspt.susy import solve_parameter_conditions
+
+
+# Parameter-domain properties: derandomized, so tier-1 stays deterministic.
+_PROPERTY = hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
 
 
 # --- independent oracles ----------------------------------------------------
@@ -107,25 +113,26 @@ def test_jacobi_vs_library_evaluator():
             eval_jacobi(n, a, b, z), rel=1e-10, abs=1e-11)
 
 
-def test_jacobi_recurrence_property():
-    rng = np.random.default_rng(7)
-    for _ in range(300):
-        n = int(rng.integers(2, 13))
-        while True:
-            a, b = rng.uniform(-3.0, 3.0, 2)
-            s = a + b
-            if abs(s - round(s)) > 1e-3 or round(s) > -2:
-                break
-        z = rng.uniform(-0.9, 0.9)
-        p2 = jacobi_poly(JacobiParams(n, a, b), z)
-        p1 = jacobi_poly(JacobiParams(n - 1, a, b), z)
-        p0 = jacobi_poly(JacobiParams(n - 2, a, b), z)
-        c1 = 2 * n * (n + a + b) * (2 * n + a + b - 2)
-        c2 = (2 * n + a + b - 1) * (a * a - b * b)
-        c3 = (2 * n + a + b - 2) * (2 * n + a + b - 1) * (2 * n + a + b)
-        c4 = 2 * (n + a - 1) * (n + b - 1) * (2 * n + a + b)
-        scale = max(abs(c1 * p2), abs(c4 * p0), 1.0)
-        assert abs(c1 * p2 - (c2 + c3 * z) * p1 + c4 * p0) / scale < 1e-12
+@_PROPERTY
+@hypothesis.given(n=st.integers(2, 12), a=st.floats(-3.0, 3.0),
+                  b=st.floats(-3.0, 3.0), z=st.floats(-0.9, 0.9))
+@hypothesis.example(n=2, a=-1.0, b=-0.5, z=0.3)      # alpha = -1 limit identity
+@hypothesis.example(n=7, a=0.25, b=-1.25, z=-0.6)    # a + b = -1
+def test_jacobi_recurrence_property(n, a, b, z):
+    # 2n(n+a+b)(2n+a+b-2) P_n = (2n+a+b-1)[(2n+a+b)(2n+a+b-2) z + a^2-b^2] P_{n-1}
+    #                           - 2(n+a-1)(n+b-1)(2n+a+b) P_{n-2},
+    # off the manifold a + b in {-2, -3, ...}, where the leading factor can vanish
+    s = a + b
+    hypothesis.assume(abs(s - round(s)) > 1e-3 or round(s) > -2)
+    p2 = jacobi_poly(JacobiParams(n, a, b), z)
+    p1 = jacobi_poly(JacobiParams(n - 1, a, b), z)
+    p0 = jacobi_poly(JacobiParams(n - 2, a, b), z)
+    c1 = 2 * n * (n + a + b) * (2 * n + a + b - 2)
+    c2 = (2 * n + a + b - 1) * (a * a - b * b)
+    c3 = (2 * n + a + b - 2) * (2 * n + a + b - 1) * (2 * n + a + b)
+    c4 = 2 * (n + a - 1) * (n + b - 1) * (2 * n + a + b)
+    scale = max(abs(c1 * p2), abs(c4 * p0), 1.0)
+    assert abs(c1 * p2 - (c2 + c3 * z) * p1 + c4 * p0) / scale < 1e-12
 
 
 def test_jacobi_negative_integer_alpha_matches_parameter_limit():
@@ -196,10 +203,36 @@ def test_incbeta_random_triples_vs_quadrature():
         assert incomplete_beta(z, s, w) == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
 
-def test_incbeta_monotone_in_z():
+# a budget that reaches z = 0.98 also at w = 0, -1, -2, where the series in z
+# itself runs (the default 512 terms stop near z = 0.95)
+_INCBETA_TO_098 = SeriesControl(max_terms=2048)
+
+
+@_PROPERTY
+@hypothesis.given(s=st.floats(0.15, 4.0), w=st.floats(-2.5, 4.0))
+@hypothesis.example(s=1.3, w=2.1)
+@hypothesis.example(s=1.0, w=0.0)
+@hypothesis.example(s=0.5, w=-1.0)
+def test_incbeta_monotone_in_z(s, w):
+    # the integrand u^(s-1) (1-u)^(w-1) is positive on (0, 1); w within 1e-9
+    # of 0, -1 or -2 (but not on it) is test_incbeta_near_zero_w's defect,
+    # which breaks the order of the grid's values from about 1e-12 on
+    k = round(w)
+    hypothesis.assume(k > 0 or w == k or abs(w - k) >= 1e-9)
     zs = np.linspace(0.02, 0.98, 193)
-    vals = incomplete_beta(zs, 1.3, 2.1)
+    vals = incomplete_beta(zs, s, w, _INCBETA_TO_098)
     assert np.all(np.diff(vals) > 0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="for w near 0 the reflection (w > 0) and "
+                   "the raise-w step (w < 0) divide a cancelled difference by "
+                   "w: the relative error grows as 1/|w| (about 4e-16/|w| "
+                   "for w > 0 and 1e-13/|w| for w < 0)")
+@pytest.mark.parametrize("w", [1e-14, -1e-14])
+def test_incbeta_near_zero_w(w):
+    # B(z; 1, w) = (1 - (1-z)^w) / w, which tends to -log(1-z) as w -> 0
+    exact = -math.expm1(w * math.log1p(-0.9)) / w
+    assert incomplete_beta(0.9, 1.0, w) == pytest.approx(exact, rel=1e-10)
 
 
 def test_incbeta_domain_errors():
@@ -223,9 +256,18 @@ def test_appell_origin_is_one():
     assert appell_f1(0.5, 1.0, 2.0, 3.0, 0.0, 0.0) == 1.0
 
 
-def test_appell_reduces_to_gauss_at_y0():
-    val = appell_f1(0.5, 0.25, 1.5, 2.0, 0.4, 0.0)
-    assert val == pytest.approx(gauss_2f1_oracle(0.5, 0.25, 2.0, 0.4), abs=1e-10)
+# the domain of test_appell_vs_brute_force
+_F1_PARAMS = dict(a=st.floats(0.2, 2.0), b1=st.floats(-1.5, 2.0),
+                  b2=st.floats(-1.5, 2.0), c=st.floats(0.5, 3.5),
+                  x=st.floats(-0.6, 0.6))
+
+
+@_PROPERTY
+@hypothesis.given(**_F1_PARAMS)
+@hypothesis.example(a=0.5, b1=0.25, b2=1.5, c=2.0, x=0.4)
+def test_appell_reduces_to_gauss_at_y0(a, b1, b2, c, x):
+    val = appell_f1(a, b1, b2, c, x, 0.0)
+    assert val == pytest.approx(gauss_2f1_oracle(a, b1, c, x), abs=1e-10)
 
 
 def test_appell_reduces_on_diagonal():
@@ -245,9 +287,13 @@ def test_appell_vs_brute_force():
                                                               abs=1e-9)
 
 
-def test_appell_symmetry():
-    v1 = appell_f1(0.5, 0.25, 1.5, 2.0, 0.4, 0.2)
-    v2 = appell_f1(0.5, 1.5, 0.25, 2.0, 0.2, 0.4)
+@_PROPERTY
+@hypothesis.given(y=st.floats(-0.6, 0.6), **_F1_PARAMS)
+@hypothesis.example(a=0.5, b1=0.25, b2=1.5, c=2.0, x=0.4, y=0.2)
+def test_appell_symmetry(a, b1, b2, c, x, y):
+    # F1(a; b1, b2; c; x, y) = F1(a; b2, b1; c; y, x)
+    v1 = appell_f1(a, b1, b2, c, x, y)
+    v2 = appell_f1(a, b2, b1, c, y, x)
     assert abs(v1 - v2) < 1e-12
 
 
