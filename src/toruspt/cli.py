@@ -6,11 +6,13 @@ rendered with 17 significant digits, CSV uses '.' decimals, comma delimiters
 and LF line endings with a header row, and JSON key order is fixed, so a
 rerun with the same configuration produces byte-identical files.  Tables are
 rendered and written in blocks of rows, so memory does not grow with the
-output text.  Their bytes are those of format(v, ".17g"), produced by a numpy
-kernel (_g17): a double-double scaling to a 17-digit integer, 4-digit lookup
-tables and one precomputed %g layout per sign, exponent class and digit
-count.  format() itself renders the values the kernel cannot decide: |v|
-outside [1e-280, 1e280] and values within 1e-6 of a rounding tie.
+output text.  Every float written, in CSV and JSON alike, is format(v, ".17g")
+with ".0" appended when that has no '.', 'e' or 'n' ("-0.0", not "-0"), so a
+JSON reader gets a float back.  A numpy kernel (_g17) produces a table's bytes:
+a double-double scaling to a 17-digit integer, 4-digit lookup tables and one
+precomputed %g layout per sign, exponent class and digit count.  format()
+itself renders the values the kernel cannot decide: |v| outside [1e-280,
+1e280] and values within 1e-6 of a rounding tie.
 
 Exit codes: 0 success, 1 verification or domain failure, 2 argument error.
 An optional key=value config file (--config) holds the subcommand's flags
@@ -73,8 +75,14 @@ def _json_scalar(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
+        return _f17(float(v))
     return str(v)
+
+
+def _f17(v: float) -> str:
+    """format(v, ".17g"), and ".0" after it when it has no '.', 'e' or 'n'."""
+    text = format(v, ".17g")
+    return text if "." in text or "e" in text or "n" in text else text + ".0"
 
 
 # Rows per % fill: bounds the Python objects and the text alive at once.
@@ -109,8 +117,9 @@ def _g17_layout(x, d):
     if -4 <= x < 0:
         return [_G17_ZERO, _G17_POINT] + [_G17_ZERO] * (-x - 1) + digit[:d]
     if 0 <= x < 17:
-        point = [_G17_POINT] if d > x + 1 else []
-        return digit[:x + 1] + point + digit[x + 1:d]
+        if d <= x + 1:      # an integral value: "ddd.0", as _f17 writes it
+            return digit[:x + 1] + [_G17_POINT, _G17_ZERO]
+        return digit[:x + 1] + [_G17_POINT] + digit[x + 1:d]
     point = [_G17_POINT] if d > 1 else []
     exp = [_G17_EXP + i for i in (range(1, 4) if abs(x) >= 100 else range(2, 4))]
     return (digit[:1] + point + digit[1:d] + [_G17_E]
@@ -218,12 +227,12 @@ def _g17_chunk(tab, v):
     idx += np.arange(0, 32 * m, 32)[:, None]
     text = src.reshape(-1).take(idx).view("S24").ravel().tolist()
     for i in np.flatnonzero(slow).tolist():
-        text[i] = format(v.item(i), ".17g").encode()
+        text[i] = _f17(v.item(i)).encode()
     return text
 
 
 def _g17(values) -> list:
-    """format(v, ".17g").encode() of every value of a 1-D float64 array."""
+    """_f17(v).encode() of every value of a 1-D float64 array."""
     tab = _g17_tables()
     out = []
     for start in range(0, len(values), _G17_CHUNK):
@@ -234,7 +243,7 @@ def _g17(values) -> list:
 class _Table:
     """Named float columns, rendered a block of rows at a time.
 
-    Values are written as the bytes of format(v, ".17g"): _g17 computes
+    Values are written as the bytes of _f17(v): _g17 computes
     them with numpy, 4096 values at a time, and leaves to format() itself
     only |v| outside [1e-280, 1e280] and values whose scaled remainder lies
     within 1e-6 of a rounding tie.  Each row is one bytes %s-template, so a

@@ -3,15 +3,14 @@
 Everything here is self-contained (recurrences and truncated series), so each
 evaluator can be checked against an independent brute-force oracle: the test
 suite compares the Jacobi recurrence against a term-by-term hypergeometric
-sum, the incomplete beta against adaptive quadrature, and the double-variable
-hypergeometric series against its single-variable reductions.
+sum, the incomplete beta against adaptive quadrature and mpmath, and the
+double-variable hypergeometric series against its single-variable reductions.
 
 All operations are pure and deterministic; there is no shared state.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,65 +147,83 @@ def jacobi_poly(params: JacobiParams, z):
 
 
 def _incbeta_series(z, s, w, ctl):
-    """sum form B(z;s,w) = z^s sum_k (1-w)_k z^k / (k! (s+k)), vectorized in z."""
+    """sum form B(z;s,w) = z^s sum_k (1-w)_k z^k / (k! (s+k)), vectorized in z.
+    The largest z converges last (its terms are the largest and its sum, for
+    w >= 1, the smallest), so the stop test looks at that point only."""
     acc = np.full_like(z, 1.0 / s)
     f = np.ones_like(z)
-    converged = np.zeros_like(z, dtype=bool)
+    term = np.empty_like(z)
+    top = int(np.argmax(z))
     for k in range(1, ctl.max_terms + 1):
-        f = f * ((k - w) / k) * z
-        term = f / (s + k)
-        acc = acc + term
-        converged = np.abs(term) <= ctl.abs_tol + ctl.rel_tol * np.abs(acc)
-        if np.all(converged):
-            break
-    else:
-        raise NonConvergence(
-            f"incomplete beta series did not converge in {ctl.max_terms} terms"
-        )
-    return np.power(z, s) * acc
+        np.multiply(f, (k - w) / k, out=f)
+        f *= z
+        acc += np.divide(f, s + k, out=term)
+        if abs(term[top]) <= ctl.abs_tol + ctl.rel_tol * abs(acc[top]):
+            return np.power(z, s) * acc
+    raise NonConvergence(
+        f"incomplete beta series did not converge in {ctl.max_terms} terms")
 
 
-def _log_beta(s, w):
-    return math.lgamma(s) + math.lgamma(w) - math.lgamma(s + w)
+_INCBETA_Z0 = 0.75  # the series in z serves z <= z0; past it, it crawls
+
+
+def _incbeta_upper(t, s, w, floor, ctl):
+    """int_t^T (1-v)^(s-1) v^(w-1) dv for T = 1 - z0 > t, summed over the
+    binomial series of (1-v)^(s-1): sum_k (1-s)_k/k! (T^e - t^e)/e, e = w + k.
+    For the one k with |e| <= 1/2 the difference is -T^e expm1(e ln(t/T))/e,
+    or ln(T/t) at e = 0, so no term has a pole in w.  A term with e > 0 is at
+    most |(1-s)_k/k!| T^e/e; the sum stops once that is within the tolerances
+    of floor = B(z0) > 0, to which the result is added."""
+    big_t = 1.0 - _INCBETA_Z0
+    coef, big_te, t_e = 1.0, big_t ** w, np.power(t, w)
+    acc = np.zeros_like(t)
+    for k in range(ctl.max_terms):
+        e = w + k
+        if k == round(-w):
+            log_ratio = np.log(t / big_t)
+            acc += coef * (-log_ratio if e == 0.0
+                           else np.expm1(e * log_ratio) * (-big_te / e))
+        else:
+            acc += (coef / e) * (big_te - t_e)
+        if e > 0.5 and abs(coef) * big_te / e <= ctl.abs_tol + ctl.rel_tol * floor:
+            return acc
+        coef *= (k + 1.0 - s) / (k + 1.0)
+        big_te *= big_t
+        t_e *= t
+    raise NonConvergence(
+        f"incomplete beta series did not converge in {ctl.max_terms} terms")
 
 
 def incomplete_beta(z, s, w, ctl: SeriesControl = DEFAULT_CONTROL):
     """Incomplete beta function B(z; s, w) = int_0^z u^(s-1) (1-u)^(w-1) du.
 
     Requires 0 < z < 1 and s > 0 (integrability at the lower endpoint);
-    w may be any real.  z may be a scalar or an ndarray.  Monotone
+    w may be any finite real.  z may be a scalar or an ndarray.  Monotone
     non-decreasing in z, and for s, w > 0 it approaches the complete beta
-    function as z -> 1.
+    function as z -> 1.  One algorithm for every w, in two regions (DLMF
+    8.17): the series in z up to z0 = 0.75; past z0, B(z0), one more point
+    of the same series call, plus the integral from z0, summed in powers of
+    1 - u with no pole at w = 0, -1, -2, ...
 
-    Raises DomainError outside the domain, NonConvergence if the series
-    budget is exhausted (which happens for w <= 0 with z very close to 1,
-    where the integral grows without bound).
+    Raises DomainError outside the domain, NonConvergence if either series
+    exhausts the term budget.
     """
     z_arr = np.asarray(z, dtype=float)
     if np.any(z_arr <= 0.0) or np.any(z_arr >= 1.0):
         raise DomainError("incomplete beta requires 0 < z < 1")
-    if not (s > 0.0):
-        raise DomainError("incomplete beta requires s > 0 for integrability at 0")
+    if not (s > 0.0 and np.isfinite(w)):
+        raise DomainError("incomplete beta requires s > 0 and a finite w")
 
-    if w == 0.0:
-        # (1-w)_k = k!, series still geometric in z; no reflection available
-        out = _incbeta_series(z_arr, s, w, ctl)
-    elif w < 0.0:
-        # raise w until positive:  B(z;s,w) = [(s+w) B(z;s,w+1) - z^s (1-z)^w] / w
-        up = incomplete_beta(z_arr, s, w + 1.0, ctl)
-        out = ((s + w) * up - np.power(z_arr, s) * np.power(1.0 - z_arr, w)) / w
+    flat = z_arr.ravel()
+    upper = flat > _INCBETA_Z0
+    if not upper.any():
+        out = _incbeta_series(flat, s, w, ctl)
     else:
-        out = np.empty_like(z_arr)
-        near1 = z_arr > 0.75
-        if np.any(~near1):
-            out[~near1] = _incbeta_series(z_arr[~near1], s, w, ctl)
-        if np.any(near1):
-            # reflect about z -> 1-z where the direct series crawls
-            complete = math.exp(_log_beta(s, w))
-            out[near1] = complete - _incbeta_series(1.0 - z_arr[near1], w, s, ctl)
-    if np.isscalar(z) or np.asarray(z).ndim == 0:
-        return float(out)
-    return out
+        low = _incbeta_series(np.append(flat[~upper], _INCBETA_Z0), s, w, ctl)
+        out = np.empty_like(flat)
+        out[~upper] = low[:-1]
+        out[upper] = low[-1] + _incbeta_upper(1.0 - flat[upper], s, w, low[-1], ctl)
+    return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
 
 
 # Points per block of the Appell sweep: a block's working diagonals hold at

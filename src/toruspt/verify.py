@@ -10,6 +10,7 @@ order, so two runs of the same suite produce identical reports.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import warnings
@@ -26,6 +27,7 @@ from .special import JacobiParams, appell_f1, grid_second_derivative, \
 __all__ = ["CheckResult", "VerifyReport", "run_suite", "SUITES", "CHECKS"]
 
 PT_A, PT_B = -2.0, 0.5  # reference solvable family used throughout
+PT_SPEC = susy.PureTrigPT(PT_A, PT_B)
 
 
 @dataclass
@@ -81,43 +83,16 @@ class VerifyReport:
 
 
 class Context:
-    """Lazy cache for artifacts shared between checks."""
+    """Per-run cache of the artifacts several checks share."""
 
-    def __init__(self):
-        self._cache = {}
-
-    def get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    # -- shared fixtures ---------------------------------------------------
-
-    def pt_spec(self):
-        return susy.PureTrigPT(PT_A, PT_B)
-
-    def pt_oracle_grid(self):
-        return oracle.Grid1D(0.002, math.pi - 0.002, 4000)
-
-    def pt_spectrum_run(self):
-        def build():
-            spec = self.pt_spec()
-            grid = self.pt_oracle_grid()
-            v = susy.pt_coefficients(spec, "minus")(grid.points)
-            t0 = time.perf_counter()
-            eps = oracle.solve_potential(v, grid, 5)
-            return eps, time.perf_counter() - t0
-        return self.get("pt_spectrum", build)
-
-    def ladder_fixture(self):
-        def build():
-            spec = self.pt_spec()
-            grid = oracle.Grid1D(0.05, math.pi - 0.05, 6001)
-            x = grid.points
-            vp = susy.pt_coefficients(spec, "plus")(x)
-            vals, vecs = oracle.eigenpairs(oracle.build_hamiltonian(vp, grid), 3, grid)
-            return grid, x, vals, vecs
-        return self.get("ladder", build)
+    @functools.cached_property
+    def ladder(self):
+        """(x, vecs): 6001 points of [0.05, pi - 0.05] and the oracle's three
+        lowest eigenvectors of the reference V+ there."""
+        grid = oracle.Grid1D(0.05, math.pi - 0.05, 6001)
+        vp = susy.pt_coefficients(PT_SPEC, "plus")(grid.points)
+        _, vecs = oracle.eigenpairs(oracle.build_hamiltonian(vp, grid), 3, grid)
+        return grid.points, vecs
 
 
 _REGISTRY: list = []
@@ -322,7 +297,7 @@ def _christoffel_odd(ctx):
 
 def _roundtrip(component, n_points, h0):
     g = TorusGeometry(1.0, 1.0)
-    target = susy.pt_coefficients(susy.PureTrigPT(PT_A, PT_B), "minus")
+    target = susy.pt_coefficients(PT_SPEC, "minus")
     xs = np.linspace(0.3, 2.4, n_points)
     mode = ModeParams(1.0, component)
     tr = geometry.solve_g_transform(g, mode, target, xs, h0=h0)
@@ -376,7 +351,7 @@ def _prefactor_identity(ctx):
 @_check("identity_pt_analytic", "susy")
 def _identity_pt(ctx):
     xs = np.linspace(0.05, math.pi - 0.05, 2001)
-    rm, rp = susy.susy_residual(ctx.pt_spec(), xs, "analytic")
+    rm, rp = susy.susy_residual(PT_SPEC, xs, "analytic")
     return _result(max(rm, rp), 1e-9,
                    "V-+ = W^2 -+ W' with closed-form W'")
 
@@ -452,7 +427,11 @@ def _appell_g_functional(ctx):
 
 @_check("spectrum_pt_oracle", "susy")
 def _spectrum_pt(ctx):
-    eps, elapsed = ctx.pt_spectrum_run()
+    grid = oracle.Grid1D(0.002, math.pi - 0.002, 4000)
+    v = susy.pt_coefficients(PT_SPEC, "minus")(grid.points)
+    t0 = time.perf_counter()
+    eps = oracle.solve_potential(v, grid, 5)
+    elapsed = time.perf_counter() - t0
     expect = [n * (n + 4.0) for n in range(5)]
     abs0 = abs(eps[0])
     rel = max(abs(eps[n] / expect[n] - 1.0) for n in range(1, 5))
@@ -465,11 +444,10 @@ def _spectrum_pt(ctx):
 
 @_check("isospectral_pt", "susy")
 def _isospectral_pt(ctx):
-    spec = ctx.pt_spec()
     grid = oracle.Grid1D(0.002, math.pi - 0.002, 2000)
     x = grid.points
-    rep = oracle.isospectral_check(susy.pt_coefficients(spec, "minus")(x),
-                                   susy.pt_coefficients(spec, "plus")(x),
+    rep = oracle.isospectral_check(susy.pt_coefficients(PT_SPEC, "minus")(x),
+                                   susy.pt_coefficients(PT_SPEC, "plus")(x),
                                    grid, 4)
     return CheckResult(rep.passed, rep.max_rel_err,
                        5e-3, "spec(V+) vs spec(V-) shifted by one level")
@@ -491,14 +469,13 @@ def _b_independence(ctx):
 
 @_check("eigenfunction_residual", "susy")
 def _eigenfunction_residual(ctx):
-    spec = ctx.pt_spec()
     xs = np.linspace(0.25, math.pi - 0.25, 2001)
-    v = susy.pt_coefficients(spec, "minus")(xs)
+    v = susy.pt_coefficients(PT_SPEC, "minus")(xs)
     worst = 0.0
     for n in range(5):
         f = susy.eigenfunction_minus(PT_A, PT_B, n, xs)
         fpp = grid_second_derivative(f, xs[1] - xs[0])
-        eps = susy.analytic_spectrum(spec, n)
+        eps = susy.analytic_spectrum(PT_SPEC, n)
         resid = np.abs(-fpp + (v[2:-2] - eps) * f[2:-2])
         worst = max(worst, float(resid.max() / np.abs(f).max()))
     return _result(worst, 1e-6,
@@ -535,10 +512,9 @@ def _eigenfunction_orth(ctx):
 
 @_check("ladder_annihilation", "susy")
 def _ladder_annihilation(ctx):
-    _, x, _, _ = ctx.ladder_fixture()
-    spec = ctx.pt_spec()
+    x, _ = ctx.ladder
     f0 = susy.eigenfunction_minus(PT_A, PT_B, 0, x)
-    out = susy.ladder_apply(spec, f0, x, "lower")
+    out = susy.ladder_apply(PT_SPEC, f0, x, "lower")
     worst = float(np.max(np.abs(out)) / np.max(np.abs(f0)))
     return _result(worst, 1e-6,
                    "lowering operator kills the ground state")
@@ -546,12 +522,11 @@ def _ladder_annihilation(ctx):
 
 @_check("ladder_partner_cosine", "susy")
 def _ladder_cosine(ctx):
-    _, x, _, vecs = ctx.ladder_fixture()
-    spec = ctx.pt_spec()
+    x, vecs = ctx.ladder
     worst = 0.0
     deficits = []
     for n in range(3):
-        img = susy.ladder_apply(spec, susy.eigenfunction_minus(PT_A, PT_B, n + 1, x),
+        img = susy.ladder_apply(PT_SPEC, susy.eigenfunction_minus(PT_A, PT_B, n + 1, x),
                                 x, "lower")
         v = vecs[:, n]
         cos = abs(float(np.dot(img, v))) / (np.linalg.norm(img) * np.linalg.norm(v))
@@ -563,9 +538,8 @@ def _ladder_cosine(ctx):
 
 @_check("ladder_partner_cosine_ground", "susy")
 def _ladder_cosine_ground(ctx):
-    _, x, _, vecs = ctx.ladder_fixture()
-    spec = ctx.pt_spec()
-    img = susy.ladder_apply(spec, susy.eigenfunction_minus(PT_A, PT_B, 1, x), x,
+    x, vecs = ctx.ladder
+    img = susy.ladder_apply(PT_SPEC, susy.eigenfunction_minus(PT_A, PT_B, 1, x), x,
                             "lower")
     v = vecs[:, 0]
     cos = abs(float(np.dot(img, v))) / (np.linalg.norm(img) * np.linalg.norm(v))
@@ -575,14 +549,13 @@ def _ladder_cosine_ground(ctx):
 
 @_check("ladder_norm_ratio", "susy")
 def _ladder_norm_ratio(ctx):
-    _, x, _, _ = ctx.ladder_fixture()
-    spec = ctx.pt_spec()
+    x, _ = ctx.ladder
     worst = 0.0
     for n in range(3):
         f = susy.eigenfunction_minus(PT_A, PT_B, n + 1, x)
-        img = susy.ladder_apply(spec, f, x, "lower")
+        img = susy.ladder_apply(PT_SPEC, f, x, "lower")
         ratio = np.trapezoid(img * img, x) / np.trapezoid(f * f, x)
-        eps = susy.analytic_spectrum(spec, n + 1)
+        eps = susy.analytic_spectrum(PT_SPEC, n + 1)
         worst = max(worst, abs(ratio / eps - 1.0))
     return _result(worst, 1e-4,
                    "||lowered||^2/||F||^2 = eps(n+1)")

@@ -137,6 +137,44 @@ def test_beta_case_potential():
     assert res.stdout.startswith("x,V_minus,V_plus")
 
 
+def _beta_partners_mpmath(A, B, C1, x):
+    """(V-, V+) = W^2 -+ W' of the beta tail in 30-digit arithmetic:
+    W = A cot x + B csc x + m/D, m = sin^2A x tan^2B(x/2),
+    D = C1 + 4^A B(z; 1/2+A-B, 1/2+A+B), D' = -m, at the z = cos^2(x/2) the
+    tail computes in floating point: near x = 0 the rounding of z is a
+    relative error of about 1e-16/(1 - z) in 1 - z (1e-10 at x = 0.002), which
+    no evaluator of B can undo."""
+    import mpmath
+
+    z = float(np.cos(0.5 * x) ** 2)
+    with mpmath.workdps(30):
+        A, B, C1, x = (mpmath.mpf(v) for v in (A, B, C1, x))
+        half = mpmath.mpf(1) / 2
+        m = mpmath.sin(x) ** (2 * A) * mpmath.tan(x / 2) ** (2 * B)
+        q = m / (C1 + 4 ** A * mpmath.betainc(half + A - B, half + A + B, 0, z))
+        w = (A * mpmath.cos(x) + B) / mpmath.sin(x) + q
+        wp = (-(A + B * mpmath.cos(x)) / mpmath.sin(x) ** 2
+              + q * 2 * (A * mpmath.cos(x) + B) / mpmath.sin(x) + q * q)
+        return float(w * w - wp), float(w * w + wp)
+
+
+@pytest.mark.parametrize("A, B", [
+    ("-0.4", "-0.1"),    # 1/2 + A + B is -2.8e-17 in floating point
+    ("-0.25", "-0.25"),  # 1/2 + A + B = 0
+    ("-0.75", "-0.75"),  # 1/2 + A + B = -1
+])
+def test_beta_potential_at_a_pole_of_w_matches_mpmath(capsys, A, B):
+    code = cli.main(["potential", "--case", "beta", "--A", A, "--B", B,
+                     "--a", "1", "--c", "1.5", "--n-points", "65"])
+    out = capsys.readouterr().out
+    assert code == 0
+    rows = [[float(v) for v in line.split(",")] for line in out.split("\n")[1:-1]]
+    for x, vm, vp in rows[::16]:
+        ref_m, ref_p = _beta_partners_mpmath(float(A), float(B), 1.0, x)
+        assert vm == pytest.approx(ref_m, rel=1e-10)
+        assert vp == pytest.approx(ref_p, rel=1e-10)
+
+
 def test_appell_case_potential():
     res = run_cli("potential", "--case", "appell", "--a", "1", "--lambda", "2",
                   "--branch", "+", "--C1", "-1", "--x-lo", "0.2", "--x-hi",
@@ -584,18 +622,24 @@ def test_package_names_resolve_without_loading_scipy_first():
 
 # -- table rendering: the block renderer against the per-value algorithm ----
 
+def _ref_g17(v):
+    """format(v, ".17g"), and ".0" after an integral value ("-0.0", "1.0")."""
+    text = format(v, ".17g")
+    return text if "." in text or "e" in text or "n" in text else text + ".0"
+
+
 def _ref_fmt(v):
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return format(float(v), ".17g")
+        return _ref_g17(float(v))
     return str(v)
 
 
 def _ref_csv(header, cols):
     lines = [",".join(header)]
     for row in zip(*cols):
-        lines.append(",".join(format(float(v), ".17g") for v in row))
+        lines.append(",".join(_ref_g17(float(v)) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -644,9 +688,9 @@ def _render_in_process(monkeypatch, capsys, *argv):
 
 
 def _assert_round_trip(text, header, cols):
-    # "%.17g" writes integral values without a point ("-0", "10000000000000000");
-    # read them as floats, as any JSON number is, so -0.0 keeps its sign
-    rows = json.loads(text, parse_int=float)["rows"]
+    # integral values are written with ".0", so json reads every value as a
+    # float and -0.0 keeps its sign
+    rows = json.loads(text)["rows"]
     assert len(rows) == len(cols[0])
     for h, c in zip(header, cols):
         parsed = np.array([row[h] for row in rows])
@@ -738,7 +782,7 @@ def test_table_renderer_extreme_values():
 
 def _assert_g17(values):
     values = np.asarray(values, dtype=np.float64)
-    want = [format(v, ".17g").encode() for v in values.tolist()]
+    want = [_ref_g17(v).encode() for v in values.tolist()]
     got = cli._g17(values)
     bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
     assert len(got) == len(want) and not bad, bad[:5]
@@ -759,6 +803,10 @@ def test_g17_kernel_edge_corpus():
         np.arange(-2000, 2000) / 8.0])
     _assert_g17(np.concatenate([corpus, -corpus]))
     assert cli._g17(np.array([99999999999999999.0])) == [b"1e+17"]
+    # integral values carry ".0" on the kernel's path and on format()'s
+    assert cli._g17(np.array([-0.0, 1.0, -300.0, 1e16, 9.5e15])) == [
+        b"-0.0", b"1.0", b"-300.0", b"10000000000000000.0", b"9500000000000000.0"]
+    assert cli._json_scalar(-0.0) == "-0.0" and cli._json_scalar(2) == "2"
 
 
 @hypothesis.settings(derandomize=True, max_examples=300, deadline=None)

@@ -25,3 +25,13 @@ def test_eq75_evidence_is_the_commutator_defect_check():
     assert ev["after subtracting 4*S*U2*psi"] == res.measured
     assert f"raw residual {ev['raw residual']:.2f}" in res.detail
 
+
+
+def test_every_check_ref_names_a_verify_check():
+    # a check_refs entry is "suite/name" of a registered check
+    refs = [ref for e in errata.ENTRIES for ref in e.check_refs]
+    assert refs
+    for ref in refs:
+        suite, name = ref.split("/")
+        assert name in verify.CHECKS, ref
+        assert verify.CHECKS[name][0] == suite, ref

@@ -203,36 +203,50 @@ def test_incbeta_random_triples_vs_quadrature():
         assert incomplete_beta(z, s, w) == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
 
-# a budget that reaches z = 0.98 also at w = 0, -1, -2, where the series in z
-# itself runs (the default 512 terms stop near z = 0.95)
-_INCBETA_TO_098 = SeriesControl(max_terms=2048)
-
-
 @_PROPERTY
 @hypothesis.given(s=st.floats(0.15, 4.0), w=st.floats(-2.5, 4.0))
 @hypothesis.example(s=1.3, w=2.1)
 @hypothesis.example(s=1.0, w=0.0)
 @hypothesis.example(s=0.5, w=-1.0)
+@hypothesis.example(s=1.0, w=4.7e-172)
+@hypothesis.example(s=1.0, w=-1e-12)
 def test_incbeta_monotone_in_z(s, w):
-    # the integrand u^(s-1) (1-u)^(w-1) is positive on (0, 1); w within 1e-9
-    # of 0, -1 or -2 (but not on it) is test_incbeta_near_zero_w's defect,
-    # which breaks the order of the grid's values from about 1e-12 on
-    k = round(w)
-    hypothesis.assume(k > 0 or w == k or abs(w - k) >= 1e-9)
-    zs = np.linspace(0.02, 0.98, 193)
-    vals = incomplete_beta(zs, s, w, _INCBETA_TO_098)
+    # the integrand u^(s-1) (1-u)^(w-1) is positive on (0, 1)
+    zs = np.linspace(0.02, 0.999, 193)
+    vals = incomplete_beta(zs, s, w)
     assert np.all(np.diff(vals) > 0.0)
 
 
-@pytest.mark.xfail(strict=True, reason="for w near 0 the reflection (w > 0) and "
-                   "the raise-w step (w < 0) divide a cancelled difference by "
-                   "w: the relative error grows as 1/|w| (about 4e-16/|w| "
-                   "for w > 0 and 1e-13/|w| for w < 0)")
-@pytest.mark.parametrize("w", [1e-14, -1e-14])
-def test_incbeta_near_zero_w(w):
-    # B(z; 1, w) = (1 - (1-z)^w) / w, which tends to -log(1-z) as w -> 0
-    exact = -math.expm1(w * math.log1p(-0.9)) / w
-    assert incomplete_beta(0.9, 1.0, w) == pytest.approx(exact, rel=1e-10)
+def _incbeta_mpmath_draw(rng, i):
+    """(z, s, w): every odd draw within 1e-15..1e-2 of w = 0, -1 or -2, every
+    tenth draw on it; half the z within 1e-6..0.1 of 1."""
+    s = rng.uniform(0.15, 4.0)
+    if i % 2:
+        w = float(rng.choice([0.0, -1.0, -2.0]))
+        if i % 10 != 1:
+            w += float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-15.0, -2.0)
+    else:
+        w = rng.uniform(-2.5, 4.0)
+    if i % 4 < 2:
+        z = 1.0 - 10.0 ** rng.uniform(-6.0, -1.0)
+    else:
+        z = rng.uniform(0.01, 0.9)
+    return z, s, w
+
+
+def test_incbeta_matches_mpmath():
+    import mpmath
+
+    rng = np.random.default_rng(606)
+    worst, at = 0.0, None
+    with mpmath.workdps(30):
+        for i in range(640):
+            z, s, w = _incbeta_mpmath_draw(rng, i)
+            ref = float(mpmath.betainc(s, w, 0, z))
+            err = abs(incomplete_beta(z, s, w) - ref) / abs(ref)
+            if err > worst:
+                worst, at = err, (z, s, w)
+    assert worst <= 1e-12, at
 
 
 def test_incbeta_domain_errors():
@@ -242,6 +256,8 @@ def test_incbeta_domain_errors():
         incomplete_beta(1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         incomplete_beta(0.5, -0.2, 1.0)
+    with pytest.raises(DomainError):
+        incomplete_beta(0.5, 1.0, math.nan)
 
 
 def test_incbeta_nonconvergence_budget():
