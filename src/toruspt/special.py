@@ -93,19 +93,23 @@ def _jacobi_recurrence(n, a, b, z):
     return p
 
 
-def _jacobi_terminating_series(n, a, b, z):
-    # P_n^(a,b)(z) = (a+1)_n/n! * sum_k (-n)_k (n+a+b+1)_k / ((a+1)_k k!) u^k,
-    # u = (1-z)/2.  Valid when a+k != 0 for k = 1..n.
-    u = 0.5 * (1.0 - z)
-    term = np.ones_like(z)
-    acc = np.ones_like(z)
-    for k in range(1, n + 1):
-        term = term * ((-n + k - 1.0) * (n + a + b + k) / ((a + k) * k)) * u
-        acc = acc + term
-    pref = 1.0
-    for j in range(1, n + 1):
-        pref *= (a + j) / j
-    return pref * acc
+def _binom(x, j):
+    """Generalized binomial coefficient C(x, j) for real x, integer j >= 0."""
+    out = 1.0
+    for i in range(j):
+        out *= (x - i) / (i + 1.0)
+    return out
+
+
+def _jacobi_binomial_sum(n, a, b, z):
+    # P_n^(a,b)(z) = sum_s C(n+a, n-s) C(n+b, s) ((z-1)/2)^s ((z+1)/2)^(n-s),
+    # valid for every a, b.  Both powers are at most 1 in size on [-1, 1], so
+    # the sum does not cancel the way the series in (1-z)/2 alone does.
+    zm, zp = 0.5 * (z - 1.0), 0.5 * (z + 1.0)
+    acc = np.zeros_like(z)
+    for s in range(n + 1):
+        acc += _binom(n + a, n - s) * _binom(n + b, s) * zm ** s * zp ** (n - s)
+    return acc
 
 
 def jacobi_poly(params: JacobiParams, z):
@@ -114,8 +118,8 @@ def jacobi_poly(params: JacobiParams, z):
     Forward three-term recurrence; z may be a scalar or an ndarray and may
     lie outside [-1, 1].  Negative-integer alpha (or beta) and the
     recurrence-degenerate manifold alpha+beta in {-2, -3, ...} are routed
-    through the parameter-limit identity / terminating series, so the
-    function is total.
+    through the parameter-limit identity / a sum over binomial coefficients,
+    so the function is total.
     """
     n, a, b = params.n, params.alpha, params.beta
     z_arr = np.asarray(z, dtype=float)
@@ -138,7 +142,7 @@ def jacobi_poly(params: JacobiParams, z):
         # mirror symmetry P_n^(a,b)(z) = (-1)^n P_n^(b,a)(-z)
         out = (-1.0) ** n * np.asarray(jacobi_poly(JacobiParams(n, b, a), -z_arr))
     elif _recurrence_degenerate(n, a, b):
-        out = _jacobi_terminating_series(n, a, b, z_arr)
+        out = _jacobi_binomial_sum(n, a, b, z_arr)
     else:
         out = _jacobi_recurrence(n, a, b, z_arr)
     if np.isscalar(z) or np.asarray(z).ndim == 0:
@@ -283,9 +287,41 @@ def _appell_f1_block(a, b1, b2, c, x, y, ctl, work):
             diag[:np.count_nonzero(keep), :k + 1] = d[keep]
             live, x, y, partial, prev_small = (
                 v[keep] for v in (live, x, y, partial, prev_small))
-    raise NonConvergence(
+    raise _f1_unconverged(ctl, live.size)
+
+
+def _f1_unconverged(ctl, points):
+    return NonConvergence(
         f"appell_f1 did not converge within {ctl.max_terms} diagonals "
-        f"at {live.size} point(s)")
+        f"at {points} point(s)")
+
+
+def _appell_f1_diagonal(a, b, c, x, ctl):
+    """F1 at the 1-D points x = y, with b = b1 + b2: diagonal k sums to
+    (a)_k (b)_k / ((c)_k k!) x^k (Chu-Vandermonde), one term of 2F1(a, b; c; x),
+    built from term k-1 for all points at once.  Same stop rule, compaction
+    and budget as the 2-D sweep."""
+    out = np.empty(x.size)
+    live = np.arange(x.size)
+    term = np.ones(x.size)
+    partial = np.ones(x.size)
+    prev_small = np.full(x.size, 1.0 <= ctl.abs_tol + ctl.rel_tol)
+    for k in range(1, ctl.max_terms + 1):
+        term *= (a + k - 1.0) * (b + k - 1.0) / ((c + k - 1.0) * k) * x
+        if not np.all(np.isfinite(term)):
+            raise NonConvergence("appell_f1 series overflowed before converging")
+        partial += term
+        small = np.abs(term) <= ctl.abs_tol + ctl.rel_tol * np.abs(partial)
+        done = small & prev_small
+        prev_small = small
+        if done.any():
+            out[live[done]] = partial[done]
+            keep = ~done
+            if not keep.any():
+                return out
+            live, x, term, partial, prev_small = (
+                v[keep] for v in (live, x, term, partial, prev_small))
+    raise _f1_unconverged(ctl, live.size)
 
 
 def appell_f1(a, b1, b2, c, x, y, ctl: SeriesControl = DEFAULT_CONTROL):
@@ -301,6 +337,12 @@ def appell_f1(a, b1, b2, c, x, y, ctl: SeriesControl = DEFAULT_CONTROL):
     point and c not a non-positive integer.  Raises NonConvergence if any
     point is still unconverged after max_terms diagonals, or if a diagonal
     sum is not finite.
+
+    When x and y are equal element for element (the Appell tail's case),
+    diagonal k collapses to one term, (a)_k (b1+b2)_k / ((c)_k k!) x^k, by
+    Chu-Vandermonde: F1(a; b1, b2; c; x, x) = 2F1(a, b1+b2; c; x).  That
+    one-variable series is summed instead, O(max_terms) per point rather than
+    O(max_terms^2), with the same stop rule, budget and errors.
     """
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
@@ -312,12 +354,15 @@ def appell_f1(a, b1, b2, c, x, y, ctl: SeriesControl = DEFAULT_CONTROL):
         raise DomainError("appell_f1 requires c not a non-positive integer")
 
     xf, yf = x_arr.ravel(), y_arr.ravel()
-    out = np.empty(xf.size)
-    step = max(1, _F1_BLOCK_VALUES // (ctl.max_terms + 1))
-    work = np.empty(0)
-    for lo in range(0, xf.size, step):
-        out[lo:lo + step], work = _appell_f1_block(
-            a, b1, b2, c, xf[lo:lo + step], yf[lo:lo + step], ctl, work)
+    if xf.size and np.array_equal(xf, yf):
+        out = _appell_f1_diagonal(a, b1 + b2, c, xf, ctl)
+    else:
+        out = np.empty(xf.size)
+        step = max(1, _F1_BLOCK_VALUES // (ctl.max_terms + 1))
+        work = np.empty(0)
+        for lo in range(0, xf.size, step):
+            out[lo:lo + step], work = _appell_f1_block(
+                a, b1, b2, c, xf[lo:lo + step], yf[lo:lo + step], ctl, work)
     if x_arr.ndim == 0:
         return float(out[0])
     return out.reshape(x_arr.shape)

@@ -135,6 +135,29 @@ def test_jacobi_recurrence_property(n, a, b, z):
     assert abs(c1 * p2 - (c2 + c3 * z) * p1 + c4 * p0) / scale < 1e-12
 
 
+# alpha = -1, -2 (limit identity), beta = -2.5, the mirrored beta = -1, the
+# degenerate manifold alpha + beta = -2 and generic pairs on either side
+_JACOBI_MPMATH_PAIRS = [(-1.0, 0.5), (-1.0, -2.5), (-2.0, 0.3), (-2.0, -2.5),
+                        (0.7, -2.5), (0.4, -1.0), (-1.25, -0.75), (-0.5, -1.5),
+                        (-3.3, 1.3), (1.5, -3.5), (-0.4, 0.9), (2.2, 1.7)]
+
+
+@pytest.mark.parametrize("alpha,beta", _JACOBI_MPMATH_PAIRS)
+def test_jacobi_matches_mpmath(alpha, beta):
+    # 30-digit mpmath.jacobi on 41 points of [-1, 1], n = 0..12.  Near a root
+    # no double-precision value has a small error relative to itself, so the
+    # error is measured against the polynomial's largest value on the points.
+    import mpmath
+
+    zs = np.linspace(-1.0, 1.0, 41)
+    for n in range(13):
+        got = jacobi_poly(JacobiParams(n, alpha, beta), zs)
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.jacobi(n, alpha, beta, z)) for z in zs])
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * scale, (n, alpha, beta)
+
+
 def test_jacobi_negative_integer_alpha_matches_parameter_limit():
     # alpha = -1 is the degenerate family used by the second spinor component
     for n in (1, 2, 3):
@@ -324,6 +347,73 @@ def test_appell_budget_exhaustion():
     ctl = SeriesControl(max_terms=8, abs_tol=1e-16, rel_tol=1e-15)
     with pytest.raises(NonConvergence):
         appell_f1(0.5, 1.0, 1.0, 2.0, 0.9, 0.9, ctl)
+
+
+def _gauss_abs_sum(a, b, c, x):
+    """sum_k |(a)_k (b)_k / ((c)_k k!) x^k|: the rounding scale of the series."""
+    t, tot = 1.0, 1.0
+    for k in range(1, 4000):
+        t *= abs((a + k - 1.0) * (b + k - 1.0) / ((c + k - 1.0) * k) * x)
+        tot += t
+        if t < 1e-17 * tot:
+            break
+    return tot
+
+
+_TIGHT = SeriesControl(max_terms=2048, abs_tol=1e-18, rel_tol=1e-16)
+
+
+@_PROPERTY
+@hypothesis.given(**{**_F1_PARAMS, "x": st.floats(-0.85, 0.85)})
+@hypothesis.example(a=0.5, b1=0.25, b2=1.5, c=2.0, x=0.3)
+@hypothesis.example(a=1.98, b1=1.49, b2=1.41, c=1.24, x=-0.844)  # F1 = 0.0148
+def test_appell_sweep_agrees_with_diagonal_series(a, b1, b2, c, x):
+    # appell_f1 sums x = y as the one-variable series; the 2-D anti-diagonal
+    # sweep must give the same value.  A tight budget makes both stop past
+    # rounding, so what is left is the rounding of the two summations, within
+    # 1e-13 of the sum of |terms| (|F1| itself when no term is negative).
+    pts = np.array([x])
+    sweep, _ = special._appell_f1_block(a, b1, b2, c, pts, pts, _TIGHT, np.empty(0))
+    diag = appell_f1(a, b1, b2, c, x, x, _TIGHT)
+    assert abs(sweep[0] - diag) <= 1e-13 * _gauss_abs_sum(a, b1 + b2, c, x)
+
+
+def test_appell_diagonal_skips_the_sweep(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("the 2-D sweep ran on x = y")
+
+    monkeypatch.setattr(special, "_appell_f1_block", no_sweep)
+    x = np.linspace(-0.8, 0.8, 9).reshape(3, 3)
+    got = appell_f1(0.5, 0.25, 1.5, 2.0, x, x.copy())
+    assert got.shape == (3, 3)
+    for u, v in zip(x.ravel(), got.ravel()):
+        assert v == pytest.approx(gauss_2f1_oracle(0.5, 1.75, 2.0, u), rel=1e-13)
+    assert appell_f1(0.5, 0.25, 1.5, 2.0, 0.4, 0.4) == pytest.approx(
+        gauss_2f1_oracle(0.5, 1.75, 2.0, 0.4), rel=1e-13)
+
+
+def test_appell_budget_message_is_the_same_on_both_paths():
+    ctl = SeriesControl(max_terms=40, abs_tol=1e-16, rel_tol=1e-15)
+    x = np.array([0.05, 0.95, 0.0, 0.9])
+    with pytest.raises(NonConvergence) as sweep:
+        special._appell_f1_block(0.5, 1.0, 1.0, 2.0, x, x, ctl, np.empty(0))
+    with pytest.raises(NonConvergence) as diag:
+        appell_f1(0.5, 1.0, 1.0, 2.0, x, x, ctl)
+    assert str(diag.value) == str(sweep.value) == (
+        "appell_f1 did not converge within 40 diagonals at 2 point(s)")
+
+
+def test_appell_overflow_is_nonconvergence_on_both_paths():
+    x = np.array([0.1, 0.99])
+    with np.errstate(over="ignore"):
+        for y in (x, np.array([0.1, 0.98])):  # the diagonal path, then the sweep
+            with pytest.raises(NonConvergence, match="overflowed"):
+                appell_f1(300.0, 300.0, 300.0, 0.5, x, y)
+
+
+def test_appell_empty_arrays():
+    out = appell_f1(0.5, 0.25, 1.5, 2.0, np.empty((0, 3)), np.empty((0, 3)))
+    assert out.shape == (0, 3)
 
 
 def _appell_grid(n):

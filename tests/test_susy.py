@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import trapezoid
+from scipy.integrate import quad, trapezoid
 
 from toruspt import special, susy
 from toruspt.errors import (
@@ -191,6 +191,33 @@ def test_appell_g_functional_vanishes():
          + (4.0 * spec.lam - 2.0 * a) * np.sin(xs))
     cal_g = 2.0 * gv ** 2 + gv * q - 2.0 * p * gp
     assert np.max(np.abs(cal_g)) < 1e-6
+
+
+# Appell sets from the benchmark catalogue's range (a in [0.5, 1.5],
+# lambda/a in [1.05, 3], C1 in [-3, -0.25]) and beta sets from its beta range
+# (B in [-1, 1], A >= B - 0.45, c in [1.2, 3], C1 in [0.5, 2]), with w = 1/2+A+B
+# on both sides of 0
+_M_TAILS = [
+    *((solve_parameter_conditions("appell", a=a, lam=a * r, branch="+", C1=c1),
+       susy._appell_integrand, 2.0)
+      for a, r, c1 in ((0.5, 1.05, -0.25), (1.0, 2.0, -1.0), (1.5, 3.0, -3.0),
+                       (0.8, 1.6, -1.7))),
+    *((BetaTail(A, B, c1, TorusGeometry(1.0, c)), susy._beta_integrand,
+       math.pi - 0.05)
+      for A, B, c, c1 in ((1.0, 0.25, 1.5, 1.0), (-0.3, 0.1, 2.0, 0.5),
+                          (-1.4, -1.0, 1.2, 2.0), (2.0, 1.0, 3.0, 1.3))),
+]
+
+
+@pytest.mark.parametrize("spec,integrand,x_hi", _M_TAILS)
+def test_integral_tail_d_is_minus_the_integral_of_m(spec, integrand, x_hi):
+    # D' = -m: D from the special function (F1 or incomplete beta) against
+    # adaptive quadrature of the elementary integrand m alone
+    x_lo = 0.05
+    d_lo, d_hi = integrand(spec, np.array([x_lo, x_hi]))[2]
+    area = quad(lambda t: float(integrand(spec, t)[0]), x_lo, x_hi,
+                epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    assert abs((d_hi - d_lo) + area) <= 1e-10 * abs(area)
 
 
 def test_appell_tail_batched_matches_scalar_calls(monkeypatch):
