@@ -40,7 +40,7 @@ from .susy import (
     SpectrumFormula,
 )
 
-__version__ = "0.3.1"
+__version__ = "0.3.2"
 
 
 # oracle imports scipy.linalg, so its names are imported on first access and

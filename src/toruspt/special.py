@@ -11,6 +11,7 @@ All operations are pure and deterministic; there is no shared state.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,8 @@ class SeriesControl:
     rel_tol: float = 1e-13
 
     def __post_init__(self):
+        if not isinstance(self.max_terms, numbers.Integral):
+            raise DomainError("max_terms must be an integer")
         if self.max_terms < 1:
             raise DomainError("max_terms must be >= 1")
         if self.abs_tol < 0.0 or self.rel_tol < 0.0:
@@ -217,6 +220,8 @@ def incomplete_beta(z, s, w, ctl: SeriesControl = DEFAULT_CONTROL):
         raise DomainError("incomplete beta requires 0 < z < 1")
     if not (s > 0.0 and np.isfinite(w)):
         raise DomainError("incomplete beta requires s > 0 and a finite w")
+    if not z_arr.size:
+        return np.empty(z_arr.shape)
 
     flat = z_arr.ravel()
     upper = flat > _INCBETA_Z0
@@ -230,63 +235,46 @@ def incomplete_beta(z, s, w, ctl: SeriesControl = DEFAULT_CONTROL):
     return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
 
 
-# Points per block of the Appell sweep: a block's working diagonals hold at
-# most this many float64 values (about 20 MB) at any max_terms.
-_F1_BLOCK_VALUES = 2_500_000
-_F1_FIRST_WIDTH = 64
+# once a product overflows, inf - inf is nan: both are reported as overflow
+@np.errstate(invalid="ignore")
+def _appell_f1_recurrence(a, b1, b2, c, x, y, ctl):
+    """F1 at the 1-D points x, y, in O(1) work per diagonal and point.
 
-
-def _rows(work, n, width):
-    """(buffer, n x width view on its front); a new buffer if work is too small."""
-    if work.size < n * width:
-        work = np.empty(n * width)
-    return work, work[:n * width].reshape(n, width)
-
-
-def _appell_f1_block(a, b1, b2, c, x, y, ctl, work):
-    """F1 at the 1-D points x, y: one anti-diagonal sweep for all of them.
-
-    Row i of ``diag`` holds diagonal k of live point i, T(m, k-m) in column m.
-    A point leaves the sweep (its row is compacted away) once it converges.
-    The rows are widened by doubling, so memory follows the diagonals reached;
-    they live in ``work``, which is returned with the values for the next
-    block to reuse.
+    Diagonal k sums to s_k = (a)_k/(c)_k e_k, where e_k is the t^k coefficient
+    of (1 - xt)^(-b1) (1 - yt)^(-b2).  Its logarithmic derivative gives
+    k e_k = ((k-1)(x+y) + b1 x + b2 y) e_{k-1} - (k-2+b1+b2) x y e_{k-2},
+    so with g_k = (a+k-1)/(c+k-1)
+    s_k = g_k/k [((k-1)(x+y) + b1 x + b2 y) s_{k-1}
+                 - g_{k-1} (k-2+b1+b2) x y s_{k-2}].
+    A point leaves the loop (its entries are compacted away) once it
+    converges.
     """
     out = np.empty(x.size)
     live = np.arange(x.size)
-    width = min(_F1_FIRST_WIDTH, ctl.max_terms + 1)
-    work, diag = _rows(work, x.size, width)
-    diag[:, 0] = 1.0
+    xpy, bxy, xy = x + y, b1 * x + b2 * y, x * y
+    s_prev, s_prev2 = np.ones(x.size), np.zeros(x.size)
     partial = np.ones(x.size)
     prev_small = np.full(x.size, 1.0 <= ctl.abs_tol + ctl.rel_tol)
-    n = np.arange(1, ctl.max_terms + 1, dtype=float)
-    ratio_y = (b2 + n - 1.0) / n  # n-step ratio of T(m, n) without (a)/(c) and y
+    g_prev = 0.0
     for k in range(1, ctl.max_terms + 1):
-        if k == width:
-            width = min(2 * k, ctl.max_terms + 1)
-            work, wider = _rows(work, live.size, width)
-            wider[:, :k] = diag[:live.size]  # numpy buffers the copy if they overlap
-            diag = wider
         g = (a + k - 1.0) / (c + k - 1.0)
-        d = diag[:live.size, :k + 1]
-        d[:, k] = d[:, k - 1] * (g * (b1 + k - 1.0) / k * x)
-        d[:, :k] *= g * ratio_y[k - 1::-1]
-        d[:, :k] *= y[:, None]
-        s = d.sum(axis=1)
+        s = ((k - 1.0) * xpy + bxy) * s_prev
+        s -= (g_prev * (k - 2.0 + b1 + b2)) * xy * s_prev2
+        s *= g / k
         if not np.all(np.isfinite(s)):
             raise NonConvergence("appell_f1 series overflowed before converging")
         partial += s
         small = np.abs(s) <= ctl.abs_tol + ctl.rel_tol * np.abs(partial)
         done = small & prev_small
-        prev_small = small
+        prev_small, s_prev2, s_prev, g_prev = small, s_prev, s, g
         if done.any():
             out[live[done]] = partial[done]
             keep = ~done
             if not keep.any():
-                return out, work
-            diag[:np.count_nonzero(keep), :k + 1] = d[keep]
-            live, x, y, partial, prev_small = (
-                v[keep] for v in (live, x, y, partial, prev_small))
+                return out
+            live, xpy, bxy, xy, s_prev, s_prev2, partial, prev_small = (
+                v[keep] for v in
+                (live, xpy, bxy, xy, s_prev, s_prev2, partial, prev_small))
     raise _f1_unconverged(ctl, live.size)
 
 
@@ -300,7 +288,7 @@ def _appell_f1_diagonal(a, b, c, x, ctl):
     """F1 at the 1-D points x = y, with b = b1 + b2: diagonal k sums to
     (a)_k (b)_k / ((c)_k k!) x^k (Chu-Vandermonde), one term of 2F1(a, b; c; x),
     built from term k-1 for all points at once.  Same stop rule, compaction
-    and budget as the 2-D sweep."""
+    and budget as _appell_f1_recurrence."""
     out = np.empty(x.size)
     live = np.arange(x.size)
     term = np.ones(x.size)
@@ -328,21 +316,22 @@ def appell_f1(a, b1, b2, c, x, y, ctl: SeriesControl = DEFAULT_CONTROL):
     """Appell F1(a; b1, b2; c; x, y) by truncated double series.
 
     Terms T(m,n) = (a)_{m+n} (b1)_m (b2)_n / ((c)_{m+n} m! n!) x^m y^n are
-    summed along anti-diagonals m+n = k; diagonal k is built from diagonal
-    k-1 by the term ratios, for all points at once.  x and y are scalars or
-    arrays of one shape; the result has that shape, and a 0-d input gives a
-    float.  Each point converges on its own: once two consecutive diagonal
-    sums are both within abs_tol + rel_tol |partial sum|, it returns its
-    partial sum and leaves the sweep.  Requires |x| < 1, |y| < 1 at every
-    point and c not a non-positive integer.  Raises NonConvergence if any
-    point is still unconverged after max_terms diagonals, or if a diagonal
-    sum is not finite.
+    summed by anti-diagonals m+n = k, each diagonal sum built from the ones
+    before it for all points at once, in O(max_terms) work per point.  x and
+    y are scalars or arrays of one shape; the result has that shape, and a
+    0-d input gives a float.  Each point converges on its own: once two
+    consecutive diagonal sums are both within abs_tol + rel_tol |partial sum|,
+    it returns its partial sum and leaves the loop.  Requires |x| < 1,
+    |y| < 1 at every point and c not a non-positive integer.  Raises
+    NonConvergence if any point is still unconverged after max_terms
+    diagonals, or if a diagonal sum is not finite.
 
-    When x and y are equal element for element (the Appell tail's case),
-    diagonal k collapses to one term, (a)_k (b1+b2)_k / ((c)_k k!) x^k, by
-    Chu-Vandermonde: F1(a; b1, b2; c; x, x) = 2F1(a, b1+b2; c; x).  That
-    one-variable series is summed instead, O(max_terms) per point rather than
-    O(max_terms^2), with the same stop rule, budget and errors.
+    Where x and y differ, the diagonal sums follow a three-term recurrence
+    (see _appell_f1_recurrence).  When they are equal element for element
+    (the Appell tail's case), diagonal k collapses to one term,
+    (a)_k (b1+b2)_k / ((c)_k k!) x^k, by Chu-Vandermonde:
+    F1(a; b1, b2; c; x, x) = 2F1(a, b1+b2; c; x), and that one-variable
+    series, cheaper per term, is summed instead.
     """
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
@@ -354,15 +343,12 @@ def appell_f1(a, b1, b2, c, x, y, ctl: SeriesControl = DEFAULT_CONTROL):
         raise DomainError("appell_f1 requires c not a non-positive integer")
 
     xf, yf = x_arr.ravel(), y_arr.ravel()
-    if xf.size and np.array_equal(xf, yf):
+    if not xf.size:
+        out = np.empty(0)
+    elif np.array_equal(xf, yf):
         out = _appell_f1_diagonal(a, b1 + b2, c, xf, ctl)
     else:
-        out = np.empty(xf.size)
-        step = max(1, _F1_BLOCK_VALUES // (ctl.max_terms + 1))
-        work = np.empty(0)
-        for lo in range(0, xf.size, step):
-            out[lo:lo + step], work = _appell_f1_block(
-                a, b1, b2, c, xf[lo:lo + step], yf[lo:lo + step], ctl, work)
+        out = _appell_f1_recurrence(a, b1, b2, c, xf, yf, ctl)
     if x_arr.ndim == 0:
         return float(out[0])
     return out.reshape(x_arr.shape)

@@ -11,7 +11,6 @@ from scipy.integrate import quad
 from toruspt import special
 from toruspt.errors import DomainError, NonConvergence
 from toruspt.special import (
-    DEFAULT_CONTROL,
     JacobiParams,
     SeriesControl,
     appell_f1,
@@ -367,22 +366,23 @@ _TIGHT = SeriesControl(max_terms=2048, abs_tol=1e-18, rel_tol=1e-16)
 @hypothesis.given(**{**_F1_PARAMS, "x": st.floats(-0.85, 0.85)})
 @hypothesis.example(a=0.5, b1=0.25, b2=1.5, c=2.0, x=0.3)
 @hypothesis.example(a=1.98, b1=1.49, b2=1.41, c=1.24, x=-0.844)  # F1 = 0.0148
-def test_appell_sweep_agrees_with_diagonal_series(a, b1, b2, c, x):
-    # appell_f1 sums x = y as the one-variable series; the 2-D anti-diagonal
-    # sweep must give the same value.  A tight budget makes both stop past
-    # rounding, so what is left is the rounding of the two summations, within
-    # 1e-13 of the sum of |terms| (|F1| itself when no term is negative).
+def test_appell_recurrence_agrees_with_diagonal_series(a, b1, b2, c, x):
+    # appell_f1 sums x = y as the one-variable series; the three-term
+    # recurrence for x != y must give the same value there.  A tight budget
+    # makes both stop past rounding, so what is left is the rounding of the
+    # two summations, within 1e-13 of the sum of |terms| (|F1| itself when no
+    # term is negative).
     pts = np.array([x])
-    sweep, _ = special._appell_f1_block(a, b1, b2, c, pts, pts, _TIGHT, np.empty(0))
+    rec = special._appell_f1_recurrence(a, b1, b2, c, pts, pts, _TIGHT)
     diag = appell_f1(a, b1, b2, c, x, x, _TIGHT)
-    assert abs(sweep[0] - diag) <= 1e-13 * _gauss_abs_sum(a, b1 + b2, c, x)
+    assert abs(rec[0] - diag) <= 1e-13 * _gauss_abs_sum(a, b1 + b2, c, x)
 
 
-def test_appell_diagonal_skips_the_sweep(monkeypatch):
-    def no_sweep(*args):
-        raise AssertionError("the 2-D sweep ran on x = y")
+def test_appell_diagonal_skips_the_recurrence(monkeypatch):
+    def no_recurrence(*args):
+        raise AssertionError("the two-variable recurrence ran on x = y")
 
-    monkeypatch.setattr(special, "_appell_f1_block", no_sweep)
+    monkeypatch.setattr(special, "_appell_f1_recurrence", no_recurrence)
     x = np.linspace(-0.8, 0.8, 9).reshape(3, 3)
     got = appell_f1(0.5, 0.25, 1.5, 2.0, x, x.copy())
     assert got.shape == (3, 3)
@@ -395,18 +395,18 @@ def test_appell_diagonal_skips_the_sweep(monkeypatch):
 def test_appell_budget_message_is_the_same_on_both_paths():
     ctl = SeriesControl(max_terms=40, abs_tol=1e-16, rel_tol=1e-15)
     x = np.array([0.05, 0.95, 0.0, 0.9])
-    with pytest.raises(NonConvergence) as sweep:
-        special._appell_f1_block(0.5, 1.0, 1.0, 2.0, x, x, ctl, np.empty(0))
+    with pytest.raises(NonConvergence) as rec:
+        special._appell_f1_recurrence(0.5, 1.0, 1.0, 2.0, x, x, ctl)
     with pytest.raises(NonConvergence) as diag:
         appell_f1(0.5, 1.0, 1.0, 2.0, x, x, ctl)
-    assert str(diag.value) == str(sweep.value) == (
+    assert str(diag.value) == str(rec.value) == (
         "appell_f1 did not converge within 40 diagonals at 2 point(s)")
 
 
 def test_appell_overflow_is_nonconvergence_on_both_paths():
     x = np.array([0.1, 0.99])
     with np.errstate(over="ignore"):
-        for y in (x, np.array([0.1, 0.98])):  # the diagonal path, then the sweep
+        for y in (x, np.array([0.1, 0.98])):  # the diagonal, then the recurrence
             with pytest.raises(NonConvergence, match="overflowed"):
                 appell_f1(300.0, 300.0, 300.0, 0.5, x, y)
 
@@ -416,15 +416,20 @@ def test_appell_empty_arrays():
     assert out.shape == (0, 3)
 
 
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+def test_incbeta_empty_arrays(shape):
+    out = incomplete_beta(np.empty(shape), 0.5, 0.5)
+    assert out.shape == shape
+    with pytest.raises(DomainError):
+        incomplete_beta(np.empty(shape), -0.5, 0.5)
+
+
 def _appell_grid(n):
     rng = np.random.default_rng(29)
     return rng.uniform(-0.85, 0.85, n), rng.uniform(-0.85, 0.85, n)
 
 
-def test_appell_array_equals_scalar_calls_bitwise(monkeypatch):
-    # a small block size makes the 301 points span four blocks
-    monkeypatch.setattr(special, "_F1_BLOCK_VALUES",
-                        100 * (DEFAULT_CONTROL.max_terms + 1))
+def test_appell_array_equals_scalar_calls_bitwise():
     x, y = _appell_grid(301)
     got = appell_f1(0.7, -0.4, 1.3, 1.9, x, y)
     ref = np.array([appell_f1(0.7, -0.4, 1.3, 1.9, float(u), float(v))
@@ -491,6 +496,25 @@ def test_appell_matches_mpmath():
             assert g == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("b1", [0.0, -1.0, -2.0])
+def test_appell_recurrence_matches_mpmath_where_it_is_weakest(b1):
+    # For b1 in {0, -1, -2} F1 is a polynomial in x, so its diagonal sums
+    # decay like y^k while the recurrence also carries a solution growing like
+    # x^k: with |x| >> |y| rounding feeds that solution at every step.  Mixed
+    # signs make the diagonal sums cancel.
+    import mpmath
+
+    points = [(0.85, 0.05), (0.9, -0.01), (0.6, 1e-4), (-0.8, 0.3),
+              (0.7, -0.6), (-0.5, 0.45)]
+    x, y = (np.array(v) for v in zip(*points))
+    for a, b2, c in ((0.5, 1.5, 2.0), (1.7, -0.6, 0.8), (1.2, 2.0, 3.1)):
+        got = appell_f1(a, b1, b2, c, x, y)
+        for g, u, v in zip(got, x, y):
+            with mpmath.workdps(30):
+                ref = float(mpmath.appellf1(a, b1, b2, c, u, v))
+            assert g == pytest.approx(ref, rel=1e-12, abs=0.0), (a, b1, b2, c, u, v)
+
+
 # --- numeric derivative --------------------------------------------------------
 
 def test_derivative_identity():
@@ -554,5 +578,9 @@ def test_grid_second_derivative_exact_on_quintic():
 def test_series_control_invariants():
     with pytest.raises(DomainError):
         SeriesControl(max_terms=0)
+    for bad in (10.5, 10.0, "10"):
+        with pytest.raises(DomainError, match="integer"):
+            SeriesControl(max_terms=bad)
+    assert SeriesControl(max_terms=np.int64(40)).max_terms == 40
     with pytest.raises(DomainError):
         SeriesControl(abs_tol=0.0, rel_tol=0.0)
