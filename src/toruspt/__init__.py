@@ -22,7 +22,6 @@ from .errors import (
     InvalidVelocity,
     NonConvergence,
     NonFinitePotential,
-    NonNormalizableWarning,
     NormalizationFailure,
     OutOfRange,
     SingularGeometry,
@@ -37,10 +36,9 @@ from .susy import (
     PTCoefficients,
     PureTrigPT,
     RationalSin,
-    SpectrumFormula,
 )
 
-__version__ = "0.3.2"
+__version__ = "0.4.0"
 
 
 # oracle imports scipy.linalg, so its names are imported on first access and

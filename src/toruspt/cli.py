@@ -470,7 +470,7 @@ def _params_dict(args):
 
 
 def _warn_regime(spec):
-    if hasattr(spec, "normalizable") and not spec.normalizable:
+    if not spec.normalizable:
         print("warning: non-normalizable regime (A >= -|B|); values are formal",
               file=sys.stderr)
 
@@ -483,14 +483,14 @@ def cmd_potential(args) -> int:
     else:
         spec = _family_from_args(args)
     _warn_regime(spec)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        vm, vp = susy.partner_potentials(spec, xs)
     header = ["x", "V_minus", "V_plus"]
-    cols = [xs, vm, vp]
-    if args.case == "iso21":
-        header.append("V_casimir")
-        cols.append(iso21.casimir_potential(p, xs))
+    # _check_finite reports a column that overflows, so numpy's warnings
+    # would only repeat it
+    with np.errstate(all="ignore"):
+        cols = [xs, *susy.partner_potentials(spec, xs)]
+        if args.case == "iso21":
+            header.append("V_casimir")
+            cols.append(iso21.casimir_potential(p, xs))
     _check_finite(header, cols, NonFinitePotential)
     table = _Table(header, cols)
     if args.format == "csv":
@@ -506,21 +506,22 @@ def _spectrum_inputs(args):
 
     grid = oracle.Grid1D(args.x_lo, args.x_hi, args.n_points)
     x = grid.points
+    # oracle.build_hamiltonian reports a potential that overflows, so
+    # numpy's warnings would only repeat it
     if args.case == "iso21":
         p = _algebra_from_args(args)
         _warn_regime(iso21.susy_family(p))
         eps = [iso21.algebra_spectrum(p, n)[0] for n in range(args.levels)]
-        v = iso21.casimir_potential(p, x) - iso21.casimir_shift(p)
+        with np.errstate(all="ignore"):
+            v = iso21.casimir_potential(p, x) - iso21.casimir_shift(p)
         return eps, v, grid, _params_dict(args)
     spec = _family_from_args(args)
     _warn_regime(spec)
-    formula = susy.spectrum_formula(spec)
-    eps = [formula.eps(n) for n in range(args.levels)]
+    eps = [susy.analytic_spectrum(spec, n) for n in range(args.levels)]
     if args.case == "component2":
         v = susy.pt_coefficients(spec, "minus")(x)
     else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with np.errstate(all="ignore"):
             v, _ = susy.partner_potentials(spec, x)
     params = _params_dict(args)
     params.update({"A_solved": spec.A, "B_solved": spec.B})
@@ -571,9 +572,9 @@ def cmd_wavefunction(args) -> int:
     else:
         spec = _family_from_args(args)
         _warn_regime(spec)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            fm = susy.eigenfunction_minus(spec.A, spec.B, args.n, xs, warn=False)
+        # _check_finite reports a column that overflows (NormalizationFailure)
+        with np.errstate(all="ignore"):
+            fm = susy.eigenfunction_minus(spec.A, spec.B, args.n, xs)
             geom = spec.geom if hasattr(spec, "geom") else TorusGeometry(1.0, 1.0)
             psi1 = prefactor_f(geom, xs) * fm
         header = ["x", "F_minus", "psi1"]
@@ -581,8 +582,7 @@ def cmd_wavefunction(args) -> int:
         if args.with_plus:
             if args.n < 1:
                 raise CLIError("--with-plus needs n >= 1")
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+            with np.errstate(all="ignore"):
                 fp = susy.eigenfunction_plus(spec, args.n, xs)
             header.append("F_plus")
             cols.append(_normalized(fp, xs))

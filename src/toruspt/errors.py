@@ -61,9 +61,5 @@ class NormalizationFailure(TorusPTError, RuntimeError):
     """An L2 normalization integral diverges."""
 
 
-class NonNormalizableWarning(UserWarning):
-    """Parameters outside the normalizable regime A < -|B|; values are formal."""
-
-
 class DegenerateJacobiWarning(UserWarning):
     """Jacobi parameter alpha = -1 makes the polynomial family degenerate."""

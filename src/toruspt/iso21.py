@@ -147,7 +147,7 @@ def casimir_potential(p: AlgebraParams, x):
     sx = np.sin(x)
     return (-0.25
             + 2.0 * p.B1 * p.mu * np.cos(x) / sx**2
-            + (p.mu**2 + p.B1**2 - 0.25) / sx**2
+            + (p.mu * p.mu + p.B1 * p.B1 - 0.25) / sx**2
             + 2.0 * p.K1 * (p.B1 + (p.mu + 1.0) * np.cos(x)) / r
             + p.K1 * (a + p.K1) * sx**2 / r**2)
 
@@ -161,7 +161,8 @@ def susy_family(p: AlgebraParams) -> RationalSin:
 def casimir_shift(p: AlgebraParams) -> float:
     """Constant (mu + 1/2)^2 - 1/4 by which the Casimir potential exceeds the
     minus partner of susy_family(p); subtracting it puts the ground level at 0."""
-    return (p.mu + 0.5) ** 2 - 0.25
+    half = p.mu + 0.5
+    return half * half - 0.25
 
 
 def _u_for_label(p: AlgebraParams, label: float):
@@ -239,16 +240,17 @@ def algebra_spectrum(p: AlgebraParams, n: int):
 
     eps is the 1D operator eigenvalue (the Casimir spectrum shifted so the
     ground level sits at zero); E is energy_scalings' E_eq89, the published
-    1/a scaling (0 where eps < 0).
+    1/a scaling (0 where eps < 0).  eps is computed as n (n + 2 mu + 1), so a
+    huge mu gives a huge value, not the OverflowError of a float ** 2.
     """
     if n < 0:
         raise DomainError("level index must be non-negative")
-    half = p.mu + 0.5
-    eps = (n + half) ** 2 - half**2
+    # + 0.0 turns the -0.0 of n = 0 at mu < -1/2 into 0.0
+    eps = n * (n + 2.0 * p.mu + 1.0) + 0.0
     return eps, energy_scalings(eps, p.geom.a)["E_eq89"]
 
 
 def energy_scalings(eps: float, a: float) -> dict:
     """Both published physical-energy scalings of the same eps, side by side."""
     root = math.sqrt(max(eps, 0.0))
-    return {"E_eq37": root / a**2, "E_eq89": root / a}
+    return {"E_eq37": root / (a * a), "E_eq89": root / a}

@@ -62,7 +62,7 @@ class JacobiParams:
     beta: float
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 0:
+        if not isinstance(self.n, numbers.Integral) or self.n < 0:
             raise DomainError("degree n must be a non-negative integer")
 
 
@@ -235,8 +235,10 @@ def incomplete_beta(z, s, w, ctl: SeriesControl = DEFAULT_CONTROL):
     return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
 
 
-# once a product overflows, inf - inf is nan: both are reported as overflow
-@np.errstate(invalid="ignore")
+# Both kernels report an overflowing series as NonConvergence, so numpy's
+# warnings would only repeat it; once a product overflows, inf - inf is nan,
+# which is reported as overflow too.
+@np.errstate(over="ignore", invalid="ignore")
 def _appell_f1_recurrence(a, b1, b2, c, x, y, ctl):
     """F1 at the 1-D points x, y, in O(1) work per diagonal and point.
 
@@ -284,6 +286,7 @@ def _f1_unconverged(ctl, points):
         f"at {points} point(s)")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _appell_f1_diagonal(a, b, c, x, ctl):
     """F1 at the 1-D points x = y, with b = b1 + b2: diagonal k sums to
     (a)_k (b)_k / ((c)_k k!) x^k (Chu-Vandermonde), one term of 2F1(a, b; c; x),

@@ -20,8 +20,10 @@ each family supplies only m, (ln m)' and D.  P = c + a cos x is
 TorusGeometry.radius.
 
 Parameters produced by the cancellation conditions violate the normalizable
-regime A < -|B|; such spectra are algebraically exact but formal, and the
-evaluators emit NonNormalizableWarning rather than refuse.
+regime A < -|B|; such spectra are algebraically exact but formal.  Each
+family's normalizable property is the one signal for this: the evaluators
+compute the formal values without a warning, and the CLI reports the regime
+on stderr.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .errors import (
     DegenerateJacobiWarning,
     GridTooCoarse,
     InconsistentConditions,
-    NonNormalizableWarning,
     NormalizationFailure,
     OutOfRange,
 )
@@ -59,7 +60,6 @@ __all__ = [
     "RationalSin",
     "BetaTail",
     "AppellTail",
-    "SpectrumFormula",
     "pt_coefficients",
     "superpotential_eval",
     "superpotential_deriv",
@@ -68,7 +68,6 @@ __all__ = [
     "susy_residual",
     "lambda_bracket",
     "solve_parameter_conditions",
-    "spectrum_formula",
     "analytic_spectrum",
     "eigenfunction_minus",
     "eigenfunction_plus",
@@ -339,48 +338,26 @@ def solve_parameter_conditions(case: str, *, a: float, B: float | None = None,
     raise DomainError("case must be 'equal_radii' or 'appell'")
 
 
-@dataclass(frozen=True)
-class SpectrumFormula:
-    """Closed-form 1D eigenvalues eps(n) = (n - A)^2 - A^2; the physical
-    energies are iso21.energy_scalings."""
-
-    A: float
-
-    def eps(self, n: int) -> float:
-        val = (n - self.A) ** 2 - self.A ** 2
-        if val < -1e-12:
-            raise OutOfRange(f"eps({n}) < 0: level outside the valid range")
-        return max(val, 0.0)
-
-
-def spectrum_formula(spec) -> SpectrumFormula:
-    return SpectrumFormula(A=spec.A)
-
-
 def analytic_spectrum(spec, n: int) -> float:
-    """eps(n) for the minus partner of the given family."""
-    formula = spectrum_formula(spec)
-    if not spec.normalizable:
-        warnings.warn("parameters outside A < -|B|: spectrum is formal",
-                      NonNormalizableWarning, stacklevel=2)
-    return formula.eps(n)
+    """Closed-form eps(n) = (n - A)^2 - A^2 of the minus partner of the given
+    family, computed as n (n - 2A) so that a huge A gives a huge value, not
+    the OverflowError of A ** 2; the physical energies are
+    iso21.energy_scalings.  The value is formal when spec.normalizable is
+    False."""
+    val = n * (n - 2.0 * spec.A)
+    if val < -1e-12:
+        raise OutOfRange(f"eps({n}) < 0: level outside the valid range")
+    # 0.0 first: max keeps it on a tie, so eps(0) is 0.0, never -0.0
+    return max(0.0, val)
 
 
-def _warn_if_formal(A, B):
-    if not (A < -abs(B)):
-        warnings.warn("parameters outside the normalizable regime A < -|B|",
-                      NonNormalizableWarning, stacklevel=3)
-
-
-def eigenfunction_minus(A: float, B: float, n: int, x, warn: bool = True):
+def eigenfunction_minus(A: float, B: float, n: int, x):
     """Unnormalized bound-state solution of the minus partner.
 
     F_n = (1-cos x)^((-A-B)/2) (1+cos x)^((-A+B)/2)
           * P_n^(-A-B-1/2, -A+B-1/2)(cos x).
     """
     arr = _check_open_interval(x)
-    if warn:
-        _warn_if_formal(A, B)
     cx = np.cos(arr)
     out = ((1.0 - cx) ** (0.5 * (-A - B)) * (1.0 + cx) ** (0.5 * (-A + B))
            * jacobi_poly(JacobiParams(n, -A - B - 0.5, -A + B - 0.5), cx))
@@ -477,16 +454,14 @@ def spinor_psi1(spec, n: int, x, normalized: bool = True):
 
     The normalization constant is fixed by unit L2 norm on (0, pi) computed
     with a fixed trapezoid rule; outside the normalizable regime the value
-    is formal and a NonNormalizableWarning is emitted.
+    is formal.
     """
     if not isinstance(spec, (RationalSin, PureTrigPT)):
         raise DomainError("spinor_psi1 is defined for the trigonometric families")
     geom = spec.geom if isinstance(spec, RationalSin) else TorusGeometry(1.0, 1.0)
-    A, B = spec.A, spec.B
-    _warn_if_formal(A, B)
 
     def bare(xs):
-        return prefactor_f(geom, xs) * eigenfunction_minus(A, B, n, xs, warn=False)
+        return prefactor_f(geom, xs) * eigenfunction_minus(spec.A, spec.B, n, xs)
 
     scale = _l2_normalize(bare) if normalized else 1.0
     out = scale * bare(_check_open_interval(x))
@@ -534,8 +509,9 @@ def psi2_substitution_residual(spec: RationalSin, n: int) -> float:
     Substitutes F = (1-cos x)^((a-2 lam)/(4a)) (1+cos x)^(-1/4)
     P_n^(-1, -lam/a)(cos x), the printed form without its e^{-a/2R} prefactor,
     into -F'' + (V2 - eps_n) F = 0, with V2 the minus partner of the mirrored
-    family (A, -B) and eps_n = (n - A)^2 - A^2.  F'' is the 5-point stencil on
-    2001 nodes of [0.3, pi - 0.3]; the result is max |residual| / max |F|.
+    family (A, -B) and eps_n = analytic_spectrum(spec, n).  F'' is the 5-point
+    stencil on 2001 nodes of [0.3, pi - 0.3]; the result is max |residual| /
+    max |F|.
     Small at n = 0, O(1) for n >= 1 (the printed Jacobi pair is transposed).
     """
     A, B, lam, a = spec.A, spec.B, spec.lam, spec.geom.a
@@ -545,6 +521,6 @@ def psi2_substitution_residual(spec: RationalSin, n: int) -> float:
     f = ((1.0 - cx) ** ((a - 2.0 * lam) / (4.0 * a)) * (1.0 + cx) ** -0.25
          * jacobi_poly(JacobiParams(n, -1.0, -lam / a), cx))
     fpp = grid_second_derivative(f, xs[1] - xs[0])
-    eps = (n - A) ** 2 - A ** 2
+    eps = analytic_spectrum(spec, n)
     return float(np.max(np.abs(-fpp + (v2(xs) - eps)[2:-2] * f[2:-2]))
                  / np.abs(f).max())

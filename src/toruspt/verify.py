@@ -567,9 +567,7 @@ def _partner_closed_form(ctx):
     xs = np.linspace(0.3, math.pi - 0.3, 3001)
     worst = 0.0
     for n in (1, 2):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            fm = susy.eigenfunction_minus(spec.A, spec.B, n, xs)
+        fm = susy.eigenfunction_minus(spec.A, spec.B, n, xs)
         img = susy.ladder_apply(spec, fm, xs, "lower")
         closed = susy.eigenfunction_plus(spec, n, xs)
         cos = abs(float(np.dot(img, closed))) / (
@@ -583,9 +581,7 @@ def _partner_closed_form(ctx):
 def _psi1_normalization(ctx):
     spec = susy.solve_parameter_conditions("equal_radii", a=1.0, B=0.25, branch="-")
     xs = np.linspace(0.0, math.pi, 20001)[1:-1]  # the normalization convention grid
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        psi = susy.spinor_psi1(spec, 0, xs)
+    psi = susy.spinor_psi1(spec, 0, xs)
     err = abs(float(np.trapezoid(psi * psi, xs)) - 1.0)
     return _result(err, 1e-8,
                    "unit L2 norm under the fixed quadrature convention")
@@ -596,6 +592,7 @@ def _psi2_integrability(ctx):
     spec = susy.solve_parameter_conditions("equal_radii", a=1.0, B=0.25, branch="-")
 
     def bare(xs):
+        # spinor_psi2 warns DegenerateJacobiWarning on every call
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             return susy.spinor_psi2(spec.geom, spec.lam, 0, xs, normalized=False)
@@ -718,9 +715,7 @@ def _eps_identity(ctx):
     worst = 0.0
     for n in range(6):
         eps_alg, _ = iso21.algebra_spectrum(p, n)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            eps_susy = susy.analytic_spectrum(mapped, n)
+        eps_susy = susy.analytic_spectrum(mapped, n)
         worst = max(worst, abs(eps_alg - eps_susy))
     return _result(worst, 1e-12,
                    "algebra and partner-tower eps agree under A = -mu - 1/2")

@@ -214,7 +214,7 @@ def test_criterion_8_casimir_susy_reconciliation():
                             geom=TorusGeometry(1.0, 1.0), mu1=2.5)
     mapped_pt = susy.PureTrigPT(A=-p.mu - 0.5, B=-p.B1)
     ident = max(abs(iso21.algebra_spectrum(p, n)[0]
-                    - susy.spectrum_formula(mapped_pt).eps(n)) for n in range(6))
+                    - susy.analytic_spectrum(mapped_pt, n)) for n in range(6))
     grid = oracle.Grid1D(0.002, math.pi - 0.002, 2000)
     evals = oracle.solve_potential(iso21.casimir_potential(p, grid.points), grid, 4)
     shift = (p.mu + 0.5) ** 2 - 0.25

@@ -438,6 +438,20 @@ def test_failed_normalization_exit_code_and_error_line():
         "error: NormalizationFailure: non-finite values in output column(s) psi1")
 
 
+@pytest.mark.parametrize("argv, error", [
+    # the eps formula, algebra_spectrum and casimir_potential square these
+    (["spectrum", "--case", "pt", "--A", "1e200", "--B", "0.5"], "OutOfRange"),
+    (["algebra", "--B1", "-0.5", "--mu", "1e200", "--a", "1"], "NonFinitePotential"),
+    (["potential", "--case", "iso21", "--B1", "-0.5", "--mu", "1e200", "--a", "1"],
+     "NonFinitePotential"),
+])
+def test_huge_finite_parameter_is_an_error_line(argv, error):
+    res = run_python("-W", "error", "-m", "toruspt", *argv)
+    assert res.returncode == 1
+    assert res.stderr.splitlines()[-1].startswith(f"error: {error}: ")
+    assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+
+
 def test_unwritable_output_exits_2(tmp_path, capsys):
     path = tmp_path / "absent" / "x.csv"
     argv = ["potential", "--case", "pt", "--A", "-2", "--B", "0.5", "--n-points", "65"]

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -115,11 +114,12 @@ def test_algebra_spectrum_matches_partner_tower():
     mapped = PureTrigPT(A=-p.mu - 0.5, B=-p.B1)
     for n in range(6):
         eps, e89 = algebra_spectrum(p, n)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert eps == analytic_spectrum(mapped, n)
+        assert eps == analytic_spectrum(mapped, n)
         assert e89 == pytest.approx(math.sqrt(eps) / p.geom.a)
     assert algebra_spectrum(p, 0)[0] == 0.0
+    # n (n + 2 mu + 1) is -0.0 at n = 0 when mu < -1/2; eps(0) stays +0.0
+    below = dataclasses.replace(p, mu=-3.0, mu1=-2.0)
+    assert math.copysign(1.0, algebra_spectrum(below, 0)[0]) == 1.0
 
 
 def test_algebra_spectrum_oracle():
@@ -138,6 +138,8 @@ def test_energy_scalings():
     s = energy_scalings(5.0, 2.0)
     assert s["E_eq37"] == pytest.approx(math.sqrt(5.0) / 4.0)
     assert s["E_eq89"] == pytest.approx(math.sqrt(5.0) / 2.0)
+    # a * a, not a ** 2: a huge radius gives 0, not an OverflowError
+    assert energy_scalings(5.0, 1e200)["E_eq37"] == 0.0
 
 
 # --- sector operators -----------------------------------------------------------

@@ -185,6 +185,14 @@ def test_jacobi_rejects_negative_degree():
         JacobiParams(-1, 0.0, 0.0)
 
 
+def test_jacobi_rejects_a_non_integral_degree():
+    for bad in (3.0, 2.5, "3"):
+        with pytest.raises(DomainError, match="integer"):
+            JacobiParams(bad, 0.5, 0.5)
+    assert jacobi_poly(JacobiParams(np.int64(3), 0.5, 0.5), 0.3) == \
+        jacobi_poly(JacobiParams(3, 0.5, 0.5), 0.3)
+
+
 # --- incomplete beta ----------------------------------------------------------
 
 def test_incbeta_unit_integrand():
@@ -405,10 +413,9 @@ def test_appell_budget_message_is_the_same_on_both_paths():
 
 def test_appell_overflow_is_nonconvergence_on_both_paths():
     x = np.array([0.1, 0.99])
-    with np.errstate(over="ignore"):
-        for y in (x, np.array([0.1, 0.98])):  # the diagonal, then the recurrence
-            with pytest.raises(NonConvergence, match="overflowed"):
-                appell_f1(300.0, 300.0, 300.0, 0.5, x, y)
+    for y in (x, np.array([0.1, 0.98])):  # the diagonal, then the recurrence
+        with pytest.raises(NonConvergence, match="overflowed"):
+            appell_f1(300.0, 300.0, 300.0, 0.5, x, y)
 
 
 def test_appell_empty_arrays():

@@ -13,7 +13,6 @@ from toruspt.errors import (
     DomainError,
     GridTooCoarse,
     InconsistentConditions,
-    NonNormalizableWarning,
     OutOfRange,
     SingularGeometry,
 )
@@ -34,7 +33,6 @@ from toruspt.susy import (
     partner_potentials,
     pt_coefficients,
     solve_parameter_conditions,
-    spectrum_formula,
     spinor_psi1,
     spinor_psi2,
     superpotential_deriv,
@@ -244,17 +242,13 @@ def test_appell_tail_batched_matches_scalar_calls(monkeypatch):
 
 # --- spectra --------------------------------------------------------------------
 
-def test_spectrum_formula_values():
-    f = spectrum_formula(PT)
-    assert f.eps(0) == 0.0
-    assert [f.eps(n) for n in range(5)] == [0.0, 5.0, 12.0, 21.0, 32.0]
+def test_analytic_spectrum_values():
+    assert [analytic_spectrum(PT, n) for n in range(5)] == [0.0, 5.0, 12.0, 21.0, 32.0]
 
 
 def test_spectrum_out_of_range():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(OutOfRange):
-            analytic_spectrum(PureTrigPT(2.0, 0.5), 1)  # (1-2)^2 - 4 < 0
+    with pytest.raises(OutOfRange):
+        analytic_spectrum(PureTrigPT(2.0, 0.5), 1)  # (1-2)^2 - 4 < 0
 
 
 def test_spectrum_vs_oracle():
@@ -275,9 +269,15 @@ def test_spectrum_b_independence():
             assert eps[n] == pytest.approx(n * (n + 4.0), rel=5e-3)
 
 
-def test_formal_spectrum_warns():
-    with pytest.warns(NonNormalizableWarning):
-        analytic_spectrum(PureTrigPT(2.0, 0.5), 5)
+def test_formal_spectrum_is_computed_without_a_warning():
+    # normalizable is the one signal of the formal regime
+    spec = PureTrigPT(2.0, 0.5)
+    assert not spec.normalizable
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert analytic_spectrum(spec, 5) == 5.0  # (5-2)^2 - 4
+        eps0 = analytic_spectrum(spec, 0)  # 0 (0 - 4) is -0.0
+    assert eps0 == 0.0 and math.copysign(1.0, eps0) == 1.0
 
 
 # --- eigenfunctions --------------------------------------------------------------
@@ -316,9 +316,17 @@ def test_eigenfunction_orthogonality():
             assert abs(trapezoid(fs[m] * fs[n], xs)) / (norms[m] * norms[n]) < 1e-6
 
 
-def test_eigenfunction_warns_outside_regime():
-    with pytest.warns(NonNormalizableWarning):
-        eigenfunction_minus(1.0, 0.5, 0, 1.0)
+def test_formal_eigenfunctions_are_computed_without_a_warning():
+    spec = solve_parameter_conditions("equal_radii", a=1.0, B=0.25, branch="-")
+    assert not PureTrigPT(1.0, 0.5).normalizable and not spec.normalizable
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # P_0 = 1 leaves the weight (1-cos x)^(-3/4) (1+cos x)^(-1/4)
+        f0 = eigenfunction_minus(1.0, 0.5, 0, 1.0)
+        psi = spinor_psi1(spec, 0, np.array([0.5, 1.5]))
+    assert f0 == pytest.approx((1.0 - math.cos(1.0)) ** -0.75
+                               * (1.0 + math.cos(1.0)) ** -0.25, rel=1e-14)
+    assert np.all(np.isfinite(psi)) and np.all(psi > 0.0)
 
 
 # --- ladder structure -------------------------------------------------------------
@@ -381,9 +389,7 @@ def test_partner_closed_form_vs_ladder():
     spec = solve_parameter_conditions("equal_radii", a=2.0, B=-1.5, branch="-")
     xs = np.linspace(0.3, math.pi - 0.3, 3001)
     for n in (1, 2):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            fm = eigenfunction_minus(spec.A, spec.B, n, xs)
+        fm = eigenfunction_minus(spec.A, spec.B, n, xs)
         img = ladder_apply(spec, fm, xs, "lower")
         closed = eigenfunction_plus(spec, n, xs)
         cos = abs(float(img @ closed)) / (np.linalg.norm(img)
@@ -413,22 +419,17 @@ def test_partner_endpoint_vanishing_in_normalizable_regime():
 def test_psi1_prefactor_and_normalization():
     spec = solve_parameter_conditions("equal_radii", a=1.0, B=0.25, branch="-")
     xs = np.linspace(0.0, math.pi, 20001)[1:-1]  # normalization convention grid
-    with pytest.warns(NonNormalizableWarning):
-        psi = spinor_psi1(spec, 0, xs)
+    psi = spinor_psi1(spec, 0, xs)
     assert trapezoid(psi * psi, xs) == pytest.approx(1.0, abs=1e-10)
     # prefactor at small x approaches e^{-1/4} for a = 1
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        bare = spinor_psi1(spec, 0, np.array([1e-6]), normalized=False)
-        f0 = eigenfunction_minus(spec.A, spec.B, 0, np.array([1e-6]))
+    bare = spinor_psi1(spec, 0, np.array([1e-6]), normalized=False)
+    f0 = eigenfunction_minus(spec.A, spec.B, 0, np.array([1e-6]))
     assert bare[0] / f0[0] == pytest.approx(math.exp(-0.25), rel=1e-5)
 
 
 def test_psi1_decays_at_horn_point():
     spec = solve_parameter_conditions("equal_radii", a=1.0, B=0.25, branch="-")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        vals = spinor_psi1(spec, 0, np.array([math.pi - 1e-3]), normalized=False)
+    vals = spinor_psi1(spec, 0, np.array([math.pi - 1e-3]), normalized=False)
     assert abs(vals[0]) < 1e-100
 
 
