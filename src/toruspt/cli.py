@@ -47,6 +47,7 @@ import functools
 import itertools
 import math
 import os
+import re
 import sys
 import warnings
 
@@ -618,10 +619,23 @@ def cmd_errata(args) -> int:
     return 0
 
 
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads a negative number in exponent form (-1e5,
+    -5E-1, -.5e3) as a value, not a flag; argparse's own pattern only knows
+    -5 and -0.5.  add_subparsers makes every subparser of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
     # allow_abbrev=False everywhere: a prefix such as --n must not be read as
     # --n-points (or --su as --suite)
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="toruspt", allow_abbrev=False,
         description="Solvable and rationally extended trigonometric "
                     "Poschl-Teller families on a torus surface, with an "

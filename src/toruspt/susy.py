@@ -39,6 +39,7 @@ from .errors import (
     DegenerateJacobiWarning,
     GridTooCoarse,
     InconsistentConditions,
+    NonFinitePotential,
     NormalizationFailure,
     OutOfRange,
 )
@@ -182,6 +183,16 @@ def _integral_tail(m, dlogm, d):
     return m / d, m * dlogm / d + m * m / (d * d)
 
 
+def _tail_power(base: float, exponent: float) -> float:
+    """base ** exponent for a tail prefactor; NonFinitePotential where the
+    Python float power overflows (every finite value is the plain power)."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise NonFinitePotential(
+            f"tail prefactor {base!r} ** {exponent!r} overflows a double") from None
+
+
 def _beta_integrand(spec: BetaTail, x):
     """(m, (ln m)', D) of the beta tail: m = sin^2A x tan^2B(x/2) and
     D = C1 + 4^A B(cos^2(x/2); 1/2+A-B, 1/2+A+B)."""
@@ -189,7 +200,8 @@ def _beta_integrand(spec: BetaTail, x):
     m = np.sin(x) ** (2.0 * A) * np.tan(0.5 * x) ** (2.0 * B)
     bz = incomplete_beta(np.cos(0.5 * x) ** 2, 0.5 + A - B, 0.5 + A + B,
                          _TAIL_CONTROL)
-    return m, 2.0 * (A * np.cos(x) + B) / np.sin(x), spec.C1 + 4.0 ** A * bz
+    d = spec.C1 + _tail_power(4.0, A) * bz
+    return m, 2.0 * (A * np.cos(x) + B) / np.sin(x), d
 
 
 def _appell_integrand(spec: AppellTail, x):
@@ -204,7 +216,7 @@ def _appell_integrand(spec: AppellTail, x):
     m = sx ** (2.0 * A) * np.tan(0.5 * x) ** (2.0 * B) * p ** (-2.0 * lam / a)
     s2 = np.sin(0.5 * x) ** 2
     pw = A + B + 0.5
-    pref = 4.0 ** A * (a + c) ** (-2.0 * lam / a) / pw
+    pref = _tail_power(4.0, A) * _tail_power(a + c, -2.0 * lam / a) / pw
     big_m = pref * s2 ** pw * appell_f1(pw, 0.5 - A + B, 2.0 * lam / a, pw + 1.0,
                                         s2, 2.0 * a / (a + c) * s2, _TAIL_CONTROL)
     return m, 2.0 * (A * cx + B) / sx + 2.0 * lam * sx / p, spec.C1 - big_m

@@ -6,6 +6,12 @@ value against a fixed tolerance.  Checks are pure and independent of one
 another; shared heavy artifacts (eigensolves) are computed once per run and
 cached on the context object.  Output rows are emitted in registration
 order, so two runs of the same suite produce identical reports.
+
+The Appell F1 reference of appell_brute is its own double sum, not the
+package's recurrence: one terms x terms numpy array per draw, products by
+cumprod along each row and the sum by cumsum in row-major order.  Both run
+in sequence, so the value is bit for bit the per-term loop the test suite
+keeps (tests/test_special.py, appell_brute_oracle).
 """
 
 from __future__ import annotations
@@ -174,18 +180,18 @@ def _beta_monotone(ctx):
 
 
 def _brute_f1(a, b1, b2, c, x, y, terms=160):
-    # row-major summation with ratio-built terms (independent of the
-    # diagonal-sweep order used by the implementation)
-    tot = 0.0
-    row_head = 1.0  # T(m, 0)
-    for m in range(terms):
-        t = row_head
-        tot += t
-        for n in range(1, terms - m):
-            t *= (a + m + n - 1.0) * (b2 + n - 1.0) * y / ((c + m + n - 1.0) * n)
-            tot += t
-        row_head *= (a + m) * (b1 + m) * x / ((c + m) * (m + 1.0))
-    return tot
+    # the loop's ratios in the loop's operation order: row heads T(m, 0) by
+    # the b1/x ratio, then along each row by the b2/y ratio; m + n < terms is
+    # summed row by row (see the module docstring)
+    k = np.arange(terms, dtype=float)
+    h, m, n = k[:-1], k[:, None], k[1:]
+    t = np.empty((terms, terms))
+    t[0, 0] = 1.0
+    t[1:, 0] = (a + h) * (b1 + h) * x / ((c + h) * (h + 1.0))
+    t[:, 1:] = (a + m + n - 1.0) * (b2 + n - 1.0) * y / ((c + m + n - 1.0) * n)
+    np.cumprod(t[:, 0], out=t[:, 0])
+    np.cumprod(t, axis=1, out=t)
+    return float(np.cumsum(t[m + k < terms])[-1])
 
 
 @_check("appell_brute", "special")

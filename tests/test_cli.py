@@ -107,6 +107,8 @@ def test_bad_arguments_exit_2():
     assert run_cli("potential", "--case", "bogus").returncode == 2
     assert run_cli("potential").returncode == 2
     assert run_cli("spectrum", "--case", "pt").returncode == 2  # missing A, B
+    # a word after a value flag is still a flag, not a value
+    assert run_cli("potential", "--case", "pt", "--A", "-x").returncode == 2
     # algebra is spectrum --case iso21 and has no --case flag of its own
     res = run_cli("algebra", "--case", "pt", "--B1", "-0.5", "--mu", "1.5", "--a", "1")
     assert res.returncode == 2
@@ -444,12 +446,33 @@ def test_failed_normalization_exit_code_and_error_line():
     (["algebra", "--B1", "-0.5", "--mu", "1e200", "--a", "1"], "NonFinitePotential"),
     (["potential", "--case", "iso21", "--B1", "-0.5", "--mu", "1e200", "--a", "1"],
      "NonFinitePotential"),
+    # a tail prefactor: 4.0 ** A in the next three, (a + c) ** (-2 lam / a)
+    # = 0.5 ** -1200 in the fourth
+    (["potential", "--case", "appell", "--a", "1", "--lambda", "1e200", "--branch", "+"],
+     "NonFinitePotential"),
+    (["potential", "--case", "appell", "--a", "0.25", "--lambda", "300", "--branch", "+",
+      "--x-hi", "2"], "NonFinitePotential"),
+    (["potential", "--case", "beta", "--A", "600", "--B", "0.25", "--a", "1",
+      "--c", "1.5", "--x-lo", "2.5", "--x-hi", "3.0"], "NonFinitePotential"),
+    (["potential", "--case", "appell", "--a", "0.25", "--lambda", "150", "--branch", "+",
+      "--x-hi", "2"], "NonFinitePotential"),
 ])
 def test_huge_finite_parameter_is_an_error_line(argv, error):
     res = run_python("-W", "error", "-m", "toruspt", *argv)
     assert res.returncode == 1
     assert res.stderr.splitlines()[-1].startswith(f"error: {error}: ")
     assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+
+
+@pytest.mark.parametrize("token, plain", [("-5e-1", "-0.5"), ("-5E-1", "-0.5"),
+                                          ("-.5e1", "-5"), ("-2e0", "-2")])
+def test_negative_number_in_exponent_form_is_a_value(capsys, token, plain):
+    base = ["potential", "--case", "pt", "--n-points", "65"]
+    for flags, equals in ((["--A", "-2", "--B", token], ["--A=-2", f"--B={plain}"]),
+                          (["--B", "0.5", "--A", token], ["--B=0.5", f"--A={plain}"])):
+        got = _in_process(base + flags, capsys)
+        assert got[0] == 0
+        assert got == _in_process(base + equals, capsys)
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):

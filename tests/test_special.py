@@ -1,6 +1,7 @@
 """Special-function evaluators against independent brute-force oracles."""
 
 import math
+import tracemalloc
 
 import hypothesis
 import hypothesis.strategies as st
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from toruspt import special
+from toruspt import special, verify
 from toruspt.errors import DomainError, NonConvergence
 from toruspt.special import (
     JacobiParams,
@@ -331,6 +332,39 @@ def test_appell_vs_brute_force():
         ref = appell_brute_oracle(a, b1, b2, c, x, y)
         assert appell_f1(a, b1, b2, c, x, y) == pytest.approx(ref, rel=1e-9,
                                                               abs=1e-9)
+
+
+def _appell_brute_draws():
+    """The 25 (a, b1, b2, c, x, y) of verify's appell_brute check, in its order."""
+    rng = np.random.default_rng(303)
+    bounds = ((0.2, 2.0), (-1.5, 2.0), (-1.5, 2.0), (0.5, 3.5), (-0.6, 0.6), (-0.6, 0.6))
+    return [tuple(rng.uniform(lo, hi) for lo, hi in bounds) for _ in range(25)]
+
+
+def test_verify_brute_f1_is_the_loop_bit_for_bit():
+    # verify's array reference sums the loop's terms in the loop's order
+    for draw in _appell_brute_draws():
+        assert verify._brute_f1(*draw, terms=170) == appell_brute_oracle(*draw)
+
+
+@_PROPERTY
+@hypothesis.given(y=st.floats(-0.6, 0.6), **_F1_PARAMS)
+def test_verify_brute_f1_is_the_loop_bit_for_bit_property(a, b1, b2, c, x, y):
+    assert (verify._brute_f1(a, b1, b2, c, x, y, terms=170)
+            == appell_brute_oracle(a, b1, b2, c, x, y))
+
+
+def test_appell_brute_check_builds_one_draw_at_a_time():
+    # one terms x terms array per draw (205 KB at 160 terms), never all 25
+    check = verify.CHECKS["appell_brute"][1]
+    check(verify.Context())   # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        check(verify.Context())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 @_PROPERTY
