@@ -38,7 +38,7 @@ from .susy import (
     RationalSin,
 )
 
-__version__ = "0.4.1"
+__version__ = "0.4.2"
 
 
 # oracle imports scipy.linalg, so its names are imported on first access and

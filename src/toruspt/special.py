@@ -64,6 +64,8 @@ class JacobiParams:
     def __post_init__(self):
         if not isinstance(self.n, numbers.Integral) or self.n < 0:
             raise DomainError("degree n must be a non-negative integer")
+        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
+            raise DomainError("exponents alpha and beta must be finite")
 
 
 def _as_negative_integer(x, bound):
@@ -153,20 +155,96 @@ def jacobi_poly(params: JacobiParams, z):
     return out
 
 
+def _per_point(p, shape, name):
+    """A series parameter as a Python float if it is a scalar (numpy is
+    slower with a numpy float operand), else broadcast to the points' shape
+    and flattened; DomainError unless every value is finite."""
+    arr = np.asarray(p, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} requires finite parameters")
+    if arr.ndim == 0:
+        return float(arr)
+    try:
+        return np.broadcast_to(arr, shape).ravel()
+    except ValueError:
+        raise DomainError(
+            f"{name} parameters must broadcast to the points' shape") from None
+
+
+def _pick(v, mask):
+    """v at the masked points if it is per point; a scalar serves them all."""
+    return v[mask] if isinstance(v, np.ndarray) else v
+
+
+def _any(b):
+    """any() of a mask, or the truth of a bool (a numpy bool's .any() is slow)."""
+    return b.any() if isinstance(b, np.ndarray) else bool(b)
+
+
+def _all(b):
+    return b.all() if isinstance(b, np.ndarray) else bool(b)
+
+
+def _leave(done, live, out, vals):
+    """Move the done points' vals to out; return the indices of the points
+    still live, and out.  The incomplete-beta kernels start with live = out =
+    None and make them here, when a point first leaves: with scalar s and w
+    every point stops together, and two unused arrays cost a few percent of
+    a call."""
+    if live is None:
+        live, out = np.arange(done.size), np.empty(done.size)
+    out[live[done]] = vals[done]
+    return live[~done], out
+
+
+def _finish(live, out, vals):
+    """The result once every live point is done: vals if no point has left."""
+    if live is None:
+        return vals
+    out[live] = vals
+    return out
+
+
+def _power(base, p):
+    """base ** p at 1-D points, p a scalar or one exponent per point.  Each
+    distinct exponent is one np.power call with a scalar exponent, as in a
+    scalar call: numpy takes shortcuts for some scalar exponents (0.5, 2, -1)
+    whose last bit can differ from its general power."""
+    if np.ndim(p) == 0:
+        return np.power(base, p)
+    out = np.empty_like(base)
+    for v in np.unique(p):
+        at = p == v
+        out[at] = np.power(base[at], v)
+    return out
+
+
 def _incbeta_series(z, s, w, ctl):
-    """sum form B(z;s,w) = z^s sum_k (1-w)_k z^k / (k! (s+k)), vectorized in z.
-    The largest z converges last (its terms are the largest and its sum, for
-    w >= 1, the smallest), so the stop test looks at that point only."""
+    """sum form B(z;s,w) = z^s sum_k (1-w)_k z^k / (k! (s+k)) at the 1-D points z.
+
+    Two stop rules.  With scalar s and w the largest z converges last (its
+    terms are the largest and its sum, for w >= 1, the smallest), so the stop
+    test looks at that point only and every point stops with it.  With s or w
+    per point, each point stops on its own test and leaves the loop, as in
+    its scalar call."""
+    live = sums = None
+    z_all, s_all = z, s
     acc = np.full_like(z, 1.0 / s)
     f = np.ones_like(z)
     term = np.empty_like(z)
-    top = int(np.argmax(z))
+    watch = int(np.argmax(z)) if np.ndim(s) == np.ndim(w) == 0 else slice(None)
     for k in range(1, ctl.max_terms + 1):
         np.multiply(f, (k - w) / k, out=f)
         f *= z
         acc += np.divide(f, s + k, out=term)
-        if abs(term[top]) <= ctl.abs_tol + ctl.rel_tol * abs(acc[top]):
-            return np.power(z, s) * acc
+        done = abs(term[watch]) <= ctl.abs_tol + ctl.rel_tol * abs(acc[watch])
+        if _any(done):
+            if _all(done):
+                return _power(z_all, s_all) * _finish(live, sums, acc)
+            live, sums = _leave(done, live, sums, acc)
+            keep = ~done
+            z, f, acc, term = (v[keep] for v in (z, f, acc, term))
+            s, w = _pick(s, keep), _pick(w, keep)
     raise NonConvergence(
         f"incomplete beta series did not converge in {ctl.max_terms} terms")
 
@@ -174,26 +252,51 @@ def _incbeta_series(z, s, w, ctl):
 _INCBETA_Z0 = 0.75  # the series in z serves z <= z0; past it, it crawls
 
 
+# With w per point, the term of a point at its pole (e = 0) is computed and
+# then replaced, and so is the stop bound of a point with e <= 1/2.  -T^e/e
+# overflows to inf for a subnormal e, silently, as Python's division does.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _incbeta_upper(t, s, w, floor, ctl):
     """int_t^T (1-v)^(s-1) v^(w-1) dv for T = 1 - z0 > t, summed over the
     binomial series of (1-v)^(s-1): sum_k (1-s)_k/k! (T^e - t^e)/e, e = w + k.
     For the one k with |e| <= 1/2 the difference is -T^e expm1(e ln(t/T))/e,
     or ln(T/t) at e = 0, so no term has a pole in w.  A term with e > 0 is at
     most |(1-s)_k/k!| T^e/e; the sum stops once that is within the tolerances
-    of floor = B(z0) > 0, to which the result is added."""
+    of floor = B(z0) > 0, to which the result is added.  The bound does not
+    depend on t, so points that share s and w stop together; with s or w per
+    point, each point stops on its own bound and leaves the loop."""
     big_t = 1.0 - _INCBETA_Z0
-    coef, big_te, t_e = 1.0, big_t ** w, np.power(t, w)
+    live = out = None
+    # T^w by Python's pow, the scalar call's: numpy's can differ in the last bit
+    big_te = (np.array([big_t ** v for v in w.tolist()])
+              if isinstance(w, np.ndarray) else big_t ** w)
+    coef, t_e = 1.0, _power(t, w)
+    pole = np.rint(-w)   # the k with |e| <= 1/2
+    poles = set(np.ravel(pole).tolist())
     acc = np.zeros_like(t)
     for k in range(ctl.max_terms):
         e = w + k
-        if k == round(-w):
+        if k in poles:
+            near = k == pole
             log_ratio = np.log(t / big_t)
-            acc += coef * (-log_ratio if e == 0.0
-                           else np.expm1(e * log_ratio) * (-big_te / e))
+            term = coef * np.where(e == 0.0, -log_ratio,
+                                   np.expm1(e * log_ratio) * np.divide(-big_te, e))
+            if not _all(near):
+                term = np.where(near, term, np.divide(coef, e) * (big_te - t_e))
         else:
-            acc += (coef / e) * (big_te - t_e)
-        if e > 0.5 and abs(coef) * big_te / e <= ctl.abs_tol + ctl.rel_tol * floor:
-            return acc
+            term = (coef / e) * (big_te - t_e)
+        acc += term
+        done = e > 0.5
+        if _any(done):
+            done &= abs(coef) * big_te / e <= ctl.abs_tol + ctl.rel_tol * floor
+            if _all(done):
+                return _finish(live, out, acc)
+            if _any(done):
+                live, out = _leave(done, live, out, acc)
+                keep = ~done
+                t, t_e, acc = (v[keep] for v in (t, t_e, acc))
+                s, w, coef, big_te, pole, floor = (
+                    _pick(v, keep) for v in (s, w, coef, big_te, pole, floor))
         coef *= (k + 1.0 - s) / (k + 1.0)
         big_te *= big_t
         t_e *= t
@@ -205,21 +308,30 @@ def incomplete_beta(z, s, w, ctl: SeriesControl = DEFAULT_CONTROL):
     """Incomplete beta function B(z; s, w) = int_0^z u^(s-1) (1-u)^(w-1) du.
 
     Requires 0 < z < 1 and s > 0 (integrability at the lower endpoint);
-    w may be any finite real.  z may be a scalar or an ndarray.  Monotone
-    non-decreasing in z, and for s, w > 0 it approaches the complete beta
-    function as z -> 1.  One algorithm for every w, in two regions (DLMF
-    8.17): the series in z up to z0 = 0.75; past z0, B(z0), one more point
-    of the same series call, plus the integral from z0, summed in powers of
-    1 - u with no pole at w = 0, -1, -2, ...
+    w may be any finite real.  z may be a scalar or an ndarray, the points;
+    s and w are each a scalar or an array that broadcasts to z's shape (one
+    value per point).  Monotone non-decreasing in z, and for s, w > 0 it
+    approaches the complete beta function as z -> 1.  One algorithm for
+    every w, in two regions (DLMF 8.17): the series in z up to z0 = 0.75;
+    past z0, B(z0), one more point of the same series call, plus the
+    integral from z0, summed in powers of 1 - u with no pole at
+    w = 0, -1, -2, ...
 
-    Raises DomainError outside the domain, NonConvergence if either series
-    exhausts the term budget.
+    Two stop rules.  With scalar s and w every point stops when the largest
+    z passes its test (the one that converges last) and the integral from z0
+    stops on its own t-free bound, so a call on many z costs one series.
+    With s or w per point, every point stops on its own test, so each value
+    is bit for bit that of the matching scalar call.
+
+    Raises DomainError outside the domain (at any point), NonConvergence if
+    either series exhausts the term budget.
     """
     z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr <= 0.0) or np.any(z_arr >= 1.0):
+    if not np.all((z_arr > 0.0) & (z_arr < 1.0)):
         raise DomainError("incomplete beta requires 0 < z < 1")
-    if not (s > 0.0 and np.isfinite(w)):
-        raise DomainError("incomplete beta requires s > 0 and a finite w")
+    s, w = (_per_point(p, z_arr.shape, "incomplete beta") for p in (s, w))
+    if not np.all(s > 0.0):
+        raise DomainError("incomplete beta requires s > 0")
     if not z_arr.size:
         return np.empty(z_arr.shape)
 
@@ -228,10 +340,19 @@ def incomplete_beta(z, s, w, ctl: SeriesControl = DEFAULT_CONTROL):
     if not upper.any():
         out = _incbeta_series(flat, s, w, ctl)
     else:
-        low = _incbeta_series(np.append(flat[~upper], _INCBETA_Z0), s, w, ctl)
+        # B(z0) is the series at z0: one more point for scalar s and w, else
+        # one per upper point, with that point's s and w
+        lower = ~upper
+        n0 = 1 if np.ndim(s) == np.ndim(w) == 0 else int(upper.sum())
+        low = _incbeta_series(
+            np.concatenate([flat[lower], np.full(n0, _INCBETA_Z0)]),
+            *(p if np.ndim(p) == 0 else np.concatenate([p[lower], p[upper]])
+              for p in (s, w)), ctl)
+        floor = float(low[-1]) if n0 == 1 else low[-n0:]
         out = np.empty_like(flat)
-        out[~upper] = low[:-1]
-        out[upper] = low[-1] + _incbeta_upper(1.0 - flat[upper], s, w, low[-1], ctl)
+        out[lower] = low[:-n0]
+        out[upper] = floor + _incbeta_upper(
+            1.0 - flat[upper], _pick(s, upper), _pick(w, upper), floor, ctl)
     return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
 
 
@@ -248,8 +369,8 @@ def _appell_f1_recurrence(a, b1, b2, c, x, y, ctl):
     so with g_k = (a+k-1)/(c+k-1)
     s_k = g_k/k [((k-1)(x+y) + b1 x + b2 y) s_{k-1}
                  - g_{k-1} (k-2+b1+b2) x y s_{k-2}].
-    A point leaves the loop (its entries are compacted away) once it
-    converges.
+    a, b1, b2 and c are scalars or one value per point.  A point leaves the
+    loop (its entries are compacted away) once it converges.
     """
     out = np.empty(x.size)
     live = np.arange(x.size)
@@ -277,6 +398,7 @@ def _appell_f1_recurrence(a, b1, b2, c, x, y, ctl):
             live, xpy, bxy, xy, s_prev, s_prev2, partial, prev_small = (
                 v[keep] for v in
                 (live, xpy, bxy, xy, s_prev, s_prev2, partial, prev_small))
+            a, b1, b2, c, g_prev = (_pick(v, keep) for v in (a, b1, b2, c, g_prev))
     raise _f1_unconverged(ctl, live.size)
 
 
@@ -290,8 +412,8 @@ def _f1_unconverged(ctl, points):
 def _appell_f1_diagonal(a, b, c, x, ctl):
     """F1 at the 1-D points x = y, with b = b1 + b2: diagonal k sums to
     (a)_k (b)_k / ((c)_k k!) x^k (Chu-Vandermonde), one term of 2F1(a, b; c; x),
-    built from term k-1 for all points at once.  Same stop rule, compaction
-    and budget as _appell_f1_recurrence."""
+    built from term k-1 for all points at once.  Same parameters, stop rule,
+    compaction and budget as _appell_f1_recurrence."""
     out = np.empty(x.size)
     live = np.arange(x.size)
     term = np.ones(x.size)
@@ -312,6 +434,7 @@ def _appell_f1_diagonal(a, b, c, x, ctl):
                 return out
             live, x, term, partial, prev_small = (
                 v[keep] for v in (live, x, term, partial, prev_small))
+            a, b, c = (_pick(v, keep) for v in (a, b, c))
     raise _f1_unconverged(ctl, live.size)
 
 
@@ -321,17 +444,21 @@ def appell_f1(a, b1, b2, c, x, y, ctl: SeriesControl = DEFAULT_CONTROL):
     Terms T(m,n) = (a)_{m+n} (b1)_m (b2)_n / ((c)_{m+n} m! n!) x^m y^n are
     summed by anti-diagonals m+n = k, each diagonal sum built from the ones
     before it for all points at once, in O(max_terms) work per point.  x and
-    y are scalars or arrays of one shape; the result has that shape, and a
-    0-d input gives a float.  Each point converges on its own: once two
-    consecutive diagonal sums are both within abs_tol + rel_tol |partial sum|,
-    it returns its partial sum and leaves the loop.  Requires |x| < 1,
-    |y| < 1 at every point and c not a non-positive integer.  Raises
-    NonConvergence if any point is still unconverged after max_terms
-    diagonals, or if a diagonal sum is not finite.
+    y are scalars or arrays of one shape, the points; the result has that
+    shape, and a 0-d input gives a float.  a, b1, b2 and c are each a scalar
+    or an array that broadcasts to the points' shape (one value per point).
+    Each point converges on its own: once two consecutive diagonal sums are
+    both within abs_tol + rel_tol |partial sum|, it returns its partial sum
+    and leaves the loop.  So whether the parameters are scalars or per
+    point, each value is bit for bit that of the matching scalar call.
+    Requires |x| < 1, |y| < 1, finite parameters and c not a non-positive
+    integer at every point.  Raises NonConvergence if any point is still
+    unconverged after max_terms diagonals, or if a diagonal sum is not
+    finite.
 
     Where x and y differ, the diagonal sums follow a three-term recurrence
-    (see _appell_f1_recurrence).  When they are equal element for element
-    (the Appell tail's case), diagonal k collapses to one term,
+    (see _appell_f1_recurrence).  At the points where they are equal (every
+    point of the Appell tail), diagonal k collapses to one term,
     (a)_k (b1+b2)_k / ((c)_k k!) x^k, by Chu-Vandermonde:
     F1(a; b1, b2; c; x, x) = 2F1(a, b1+b2; c; x), and that one-variable
     series, cheaper per term, is summed instead.
@@ -342,16 +469,22 @@ def appell_f1(a, b1, b2, c, x, y, ctl: SeriesControl = DEFAULT_CONTROL):
         raise DomainError("appell_f1 requires x and y of one shape")
     if not (np.all(np.abs(x_arr) < 1.0) and np.all(np.abs(y_arr) < 1.0)):
         raise DomainError("appell_f1 requires |x| < 1 and |y| < 1")
-    if c <= 0.0 and abs(c - round(c)) < 1e-12:
+    a, b1, b2, c = (_per_point(p, x_arr.shape, "appell_f1") for p in (a, b1, b2, c))
+    if _any((c <= 0.0) & (abs(c - np.rint(c)) < 1e-12)):
         raise DomainError("appell_f1 requires c not a non-positive integer")
 
     xf, yf = x_arr.ravel(), y_arr.ravel()
-    if not xf.size:
-        out = np.empty(0)
-    elif np.array_equal(xf, yf):
-        out = _appell_f1_diagonal(a, b1 + b2, c, xf, ctl)
+    diag = xf == yf   # the points that sum the one-variable series
+    if diag.all():    # the Appell tail: no mask and no copy
+        out = _appell_f1_diagonal(a, b1 + b2, c, xf, ctl) if xf.size else np.empty(0)
     else:
-        out = _appell_f1_recurrence(a, b1, b2, c, xf, yf, ctl)
+        off = ~diag
+        out = np.empty(xf.size)
+        out[off] = _appell_f1_recurrence(*(_pick(p, off) for p in (a, b1, b2, c)),
+                                         xf[off], yf[off], ctl)
+        if diag.any():
+            pa, pb1, pb2, pc = (_pick(p, diag) for p in (a, b1, b2, c))
+            out[diag] = _appell_f1_diagonal(pa, pb1 + pb2, pc, xf[diag], ctl)
     if x_arr.ndim == 0:
         return float(out[0])
     return out.reshape(x_arr.shape)

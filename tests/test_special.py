@@ -556,6 +556,225 @@ def test_appell_recurrence_matches_mpmath_where_it_is_weakest(b1):
             assert g == pytest.approx(ref, rel=1e-12, abs=0.0), (a, b1, b2, c, u, v)
 
 
+# --- per-point parameters -----------------------------------------------------
+#
+# appell_f1 and incomplete_beta take their parameters as scalars or one value
+# per point.  A call with per-point parameters gives each point the value of
+# its own scalar call, bit for bit: each point keeps that call's stop test.
+
+_F1_DRAW = st.tuples(st.floats(0.2, 2.0), st.floats(-1.5, 2.0), st.floats(-1.5, 2.0),
+                     st.floats(0.5, 3.5), st.floats(-0.85, 0.85), st.floats(-0.85, 0.85),
+                     st.booleans())
+
+
+@_PROPERTY
+@hypothesis.given(draws=st.lists(_F1_DRAW, min_size=1, max_size=12))
+@hypothesis.example(draws=[(0.5, 0.25, 1.5, 2.0, 0.4, 0.2, False),
+                           (1.2, -0.7, 0.3, 2.5, -0.5, 0.0, True),
+                           (0.8, 1.1, 2.2, 3.0, 0.84, 0.0, False),
+                           (0.8, 1.1, 2.2, 3.0, 0.0, 0.0, False)])
+@hypothesis.example(draws=[(0.5, 0.25, 1.5, 2.0, 0.4, 0.2, True),   # the Appell
+                           (1.2, -0.7, 0.3, 2.5, -0.5, 0.0, True)])  # tail's case
+def test_appell_per_point_parameters_are_the_scalar_calls(draws):
+    # both paths in one call: the last field puts a draw on x = y; a draw at
+    # x = 0.84 takes far more diagonals than one at x = 0
+    rows = [(a, b1, b2, c, x, x if on_diag else y)
+            for a, b1, b2, c, x, y, on_diag in draws]
+    got = appell_f1(*(np.array(col) for col in zip(*rows)))
+    assert np.array_equal(got, [appell_f1(*row) for row in rows])
+
+
+# s at numpy's shortcut exponents (0.5, 2 and -1 for t^w), w on 0 and on the
+# negative integers of _incbeta_upper's special term
+_INCBETA_DRAW = st.tuples(
+    st.floats(0.005, 0.995),
+    st.one_of(st.floats(0.15, 4.0), st.sampled_from([0.5, 1.0, 2.0])),
+    st.one_of(st.floats(-2.5, 4.0), st.sampled_from([0.0, -1.0, -2.0, 1.0, 2.0])))
+
+
+@_PROPERTY
+@hypothesis.given(draws=st.lists(_INCBETA_DRAW, min_size=1, max_size=12))
+@hypothesis.example(draws=[(0.3, 0.5, 0.0), (0.9, 2.0, -1.0), (0.99, 0.5, -2.0),
+                           (0.05, 1.3, 2.1), (0.8, 0.25, -0.75)])
+def test_incbeta_per_point_parameters_are_the_scalar_calls(draws):
+    z, s, w = (np.array(col) for col in zip(*draws))
+    want = [incomplete_beta(*draw) for draw in draws]
+    assert np.array_equal(incomplete_beta(z, s, w), want)
+    # one of s, w per point selects the per-point stop rule as well
+    assert np.array_equal(incomplete_beta(z, s, np.full(z.size, w[0])),
+                          [incomplete_beta(u, v, w[0]) for u, v in zip(z, s)])
+
+
+def test_per_point_parameters_broadcast():
+    z = np.linspace(0.1, 0.9, 12).reshape(3, 4)
+    s = np.array([0.5, 1.5, 2.5, 3.5])
+    got = incomplete_beta(z, s, 1.5)
+    assert got.shape == (3, 4)
+    assert got[2, 1] == incomplete_beta(z[2, 1], 1.5, 1.5)
+    x = z - 0.5
+    f1 = appell_f1(0.7, s, 0.3, 1.9, x, 0.5 * x)
+    assert f1.shape == (3, 4)
+    assert f1[1, 3] == appell_f1(0.7, 3.5, 0.3, 1.9, x[1, 3], 0.5 * x[1, 3])
+    with pytest.raises(DomainError, match="broadcast"):
+        incomplete_beta(z, np.ones(3), 1.0)
+    with pytest.raises(DomainError, match="broadcast"):
+        appell_f1(np.ones(5), 1.0, 1.0, 2.0, x, x)
+    with pytest.raises(DomainError, match="broadcast"):
+        incomplete_beta(0.5, np.ones(2), 1.0)   # a scalar z is one point
+
+
+@pytest.mark.parametrize("call", [
+    lambda: appell_f1(math.nan, 1.0, 1.0, 2.0, 0.3, 0.2),
+    lambda: appell_f1(0.5, math.inf, 1.0, 2.0, 0.3, 0.2),
+    lambda: appell_f1(0.5, 1.0, -math.inf, 2.0, 0.3, 0.3),
+    lambda: appell_f1(0.5, 1.0, 1.0, math.nan, 0.3, 0.2),
+    lambda: incomplete_beta(math.nan, 1.0, 1.0),
+    lambda: incomplete_beta(0.3, math.inf, 1.0),
+    lambda: incomplete_beta(0.3, 1.0, -math.inf),
+    lambda: jacobi_poly(JacobiParams(3, math.nan, 1.0), 0.3),
+    lambda: jacobi_poly(JacobiParams(3, 0.5, math.inf), 0.3),
+])
+def test_non_finite_parameters_are_domain_errors(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+@_PROPERTY
+@hypothesis.given(n=st.integers(1, 8), data=st.data())
+def test_per_point_domain_errors(n, data):
+    # one bad point in an array of good ones is a DomainError, not a value
+    at = data.draw(st.integers(0, n - 1))
+    x = np.linspace(-0.5, 0.5, n)
+    z = np.linspace(0.1, 0.9, n)
+
+    def spoil(good, bad):
+        v = np.full(n, good)
+        v[at] = bad
+        return v
+
+    bad_c = data.draw(st.sampled_from([0.0, -1.0, -3.0, math.nan, math.inf]))
+    with pytest.raises(DomainError):
+        appell_f1(0.5, 1.0, 1.0, spoil(2.0, bad_c), x, x[::-1])
+    with pytest.raises(DomainError):
+        appell_f1(spoil(0.5, math.nan), 1.0, 1.0, 2.0, x, x)
+    with pytest.raises(DomainError):
+        incomplete_beta(z, spoil(1.0, data.draw(st.sampled_from(
+            [0.0, -0.5, math.nan, math.inf]))), 1.0)
+    with pytest.raises(DomainError):
+        incomplete_beta(z, 1.0, spoil(1.0, data.draw(st.sampled_from(
+            [math.nan, math.inf, -math.inf]))))
+    with pytest.raises(DomainError):
+        incomplete_beta(spoil(0.5, data.draw(st.sampled_from(
+            [0.0, 1.0, math.nan]))), np.full(n, 1.0), 1.0)
+
+
+def _incbeta_stop_indices(z, s, w, ctl=special.DEFAULT_CONTROL):
+    """For scalar (s, w): the first k at which each z passes its own stop
+    test, taken up to the k at which the largest z passes (-1: not by then)."""
+    f, acc = np.ones_like(z), np.full_like(z, 1.0 / s)
+    first = np.full(z.size, -1)
+    for k in range(1, ctl.max_terms + 1):
+        f = f * ((k - w) / k) * z
+        term = f / (s + k)
+        acc = acc + term
+        passed = np.abs(term) <= ctl.abs_tol + ctl.rel_tol * np.abs(acc)
+        first[passed & (first < 0)] = k
+        if passed[np.argmax(z)]:
+            return first
+    raise AssertionError("the largest z did not converge")
+
+
+@_PROPERTY
+@hypothesis.given(s=st.floats(0.15, 4.0), w=st.floats(-2.5, 4.0),
+                  z=st.lists(st.floats(1e-3, 0.75), min_size=1, max_size=16))
+@hypothesis.example(s=0.5, w=0.5, z=[0.01, 0.3, 0.75])
+@hypothesis.example(s=4.0, w=-2.5, z=[0.001, 0.74, 0.75])
+def test_incbeta_largest_z_converges_last(s, w, z):
+    # With scalar (s, w) incomplete_beta stops every z when the largest z
+    # passes its stop test; that never stops a z before its own test has
+    # passed, because the largest z's test passes last.
+    first = _incbeta_stop_indices(np.array(z + [0.75]), s, w)
+    assert np.all(first > 0)
+
+
+# verify's batched checks: the draws, in the loop's order, and its value
+
+def _beta_quadrature_loop():
+    rng = np.random.default_rng(202)
+    worst, draws = 0.0, []
+    for _ in range(100):
+        z = rng.uniform(0.05, 0.95)
+        s = rng.uniform(0.15, 4.0)
+        w = rng.uniform(-2.5, 4.0)
+        draws.append((z, s, w))
+        mine = incomplete_beta(z, s, w)
+        ref = incbeta_quad_oracle(z, s, w)
+        worst = max(worst, abs(mine - ref) / max(1.0, abs(ref)))
+    return worst, draws
+
+
+def _appell_brute_loop():
+    worst, draws = 0.0, _appell_brute_draws()
+    for draw in draws:
+        mine = appell_f1(*draw)
+        ref = verify._brute_f1(*draw)
+        worst = max(worst, abs(mine - ref) / max(1.0, abs(ref)))
+    return worst, draws
+
+
+def _appell_symmetry_loop():
+    rng = np.random.default_rng(404)
+    worst, draws = 0.0, []
+    for _ in range(20):
+        a = rng.uniform(0.2, 2.0)
+        b1, b2 = rng.uniform(-1.0, 2.0, 2)
+        c = rng.uniform(0.5, 3.0)
+        x, y = rng.uniform(-0.6, 0.6, 2)
+        draws += [(a, b1, b2, c, x, y), (a, b2, b1, c, y, x)]
+        worst = max(worst, abs(appell_f1(a, b1, b2, c, x, y)
+                               - appell_f1(a, b2, b1, c, y, x)))
+    return worst, draws
+
+
+@pytest.mark.parametrize("name,loop,fn", [
+    ("beta_quadrature", _beta_quadrature_loop, "incomplete_beta"),
+    ("appell_brute", _appell_brute_loop, "appell_f1"),
+    ("appell_symmetry", _appell_symmetry_loop, "appell_f1"),
+])
+def test_batched_check_is_the_per_draw_loop(monkeypatch, name, loop, fn):
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return getattr(special, fn)(*args)
+
+    worst, draws = loop()
+    monkeypatch.setattr(verify, fn, record)
+    result = verify.CHECKS[name][1](verify.Context())
+    assert type(result.measured) is float
+    assert result.measured == worst
+    # every draw in one array call (two for the exchange), in the loop's order
+    assert len(calls) == (2 if name == "appell_symmetry" else 1)
+    batched = [tuple(map(float, row)) for args in calls for row in zip(*args)]
+    if name == "appell_symmetry":   # the loop alternates the two calls
+        batched = [d for pair in zip(batched[:20], batched[20:]) for d in pair]
+    assert batched == draws
+
+
+@pytest.mark.parametrize("name", ["beta_quadrature", "appell_symmetry"])
+def test_batched_check_peak_memory(name):
+    # one array per parameter: 100 or 20 draws, far from the 2 MB bound
+    check = verify.CHECKS[name][1]
+    check(verify.Context())   # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        check(verify.Context())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 # --- numeric derivative --------------------------------------------------------
 
 def test_derivative_identity():
