@@ -18,7 +18,6 @@ from .errors import (
     GridTooCoarse,
     IllPosedPotential,
     InconsistentConditions,
-    IndexOutOfRange,
     InvalidVelocity,
     NonConvergence,
     NonFinitePotential,
@@ -29,7 +28,7 @@ from .errors import (
 )
 from .geometry import ModeParams, TorusGeometry, TransformResult
 from .iso21 import AlgebraParams
-from .special import JacobiParams, SeriesControl
+from .special import JacobiParams
 from .susy import (
     AppellTail,
     BetaTail,
@@ -38,7 +37,7 @@ from .susy import (
     RationalSin,
 )
 
-__version__ = "0.4.2"
+__version__ = "0.5.0"
 
 
 # oracle imports scipy.linalg, so its names are imported on first access and

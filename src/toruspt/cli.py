@@ -54,7 +54,7 @@ import warnings
 import numpy as np
 
 from . import iso21, susy
-from .errors import NonFinitePotential, NormalizationFailure, TorusPTError
+from .errors import DomainError, NonFinitePotential, NormalizationFailure, TorusPTError
 from .geometry import TorusGeometry, prefactor_f
 
 CASES = ("pt", "rational", "beta", "appell", "component2", "iso21")
@@ -572,6 +572,11 @@ def cmd_wavefunction(args) -> int:
         cols = [xs, _normalized(psi2, xs)]
     else:
         spec = _family_from_args(args)
+        # the closed forms below solve a sin-tail V- only once it has no
+        # rational part
+        if isinstance(spec, susy.RationalSin) and not susy.rational_part_cancels(spec):
+            raise DomainError("V- keeps a rational part: the parameters fail the "
+                              "cancellation conditions")
         _warn_regime(spec)
         # _check_finite reports a column that overflows (NormalizationFailure)
         with np.errstate(all="ignore"):

@@ -28,10 +28,10 @@ class ErrataEntry:
     summary: str
     resolution: str
     check_refs: tuple
-    evidence_fn: object = None  # lazy: computed only when rendering
+    evidence_fn: object  # lazy: computed only when rendering
 
     def evidence(self) -> dict:
-        return self.evidence_fn() if self.evidence_fn is not None else {}
+        return self.evidence_fn()
 
 
 def _ev_eq36():
@@ -135,8 +135,8 @@ def _ev_eq77():
     r1, r2 = iso21.closure_riccati_residuals(p, xs)
     # verbatim reading: -U2' inside the bracket and coefficient mu1 (not mu1+1/2)
     s, t = iso21.st_functions(p.B1, xs)
-    u1, u1p = iso21.modification_U_and_deriv(p.K1, p.geom, xs, 1)
-    u2, u2p = iso21.modification_U_and_deriv(p.K2, p.geom, xs, 2)
+    u1, u1p = susy.sin_tail(-p.K1, p.geom, xs)
+    u2, u2p = susy.sin_tail(p.K2, p.geom, xs)
     verbatim = (u1 * u1 - u1p + 2.0 * u1 * ((p.mu + 0.5) * s - t)
                 - (u2 * u2 - u2p + 2.0 * u2 * (p.mu1 * s - t)))
     return {"riccati pair (corrected)": max(r1, r2),

@@ -33,10 +33,6 @@ class BlowUp(TorusPTError, RuntimeError):
     """The transform slope g' left (0, inf) inside the requested grid."""
 
 
-class IndexOutOfRange(TorusPTError, IndexError):
-    """Grid index outside the range where a stencil is defined."""
-
-
 class InconsistentConditions(TorusPTError, ValueError):
     """Solved parameter conditions violate their own consistency constraint."""
 

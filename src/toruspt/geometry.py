@@ -22,7 +22,6 @@ from .errors import (
     BlowUp,
     DegenerateMode,
     DomainError,
-    IndexOutOfRange,
     InvalidVelocity,
     SingularGeometry,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "spin_connection_coeff",
     "effective_coefficients",
     "solve_g_transform",
-    "reduced_potential",
     "reduced_potential_grid",
     "prefactor_f",
 ]
@@ -58,10 +56,6 @@ class TorusGeometry:
             raise DomainError("tube radius a must be positive")
         if self.c == 0.0:
             raise DomainError("inner radius c must be nonzero")
-
-    @property
-    def equal_radii(self) -> bool:
-        return self.a == self.c
 
     def radius(self, x):
         """Profile radius R(x) = c + a cos x, the only place it is computed."""
@@ -96,8 +90,6 @@ class TransformResult:
     g_prime: np.ndarray
     fermi_velocity: np.ndarray
     prefactor: np.ndarray
-    component: int = 1
-    h0: float = 1.0
 
     def __post_init__(self):
         if np.any(self.g_prime <= 0.0):
@@ -182,7 +174,7 @@ def solve_g_transform(geom, mode: ModeParams, target, grid, h0=1.0):
             raise DegenerateMode(
                 "k = 0 zeroes the reduced potential; nonzero targets unreachable")
         h = np.full_like(x, h0)
-        return _pack_transform(geom, x, h, mode.component, h0)
+        return _pack_transform(geom, x, h)
 
     sign = 1.0 if mode.component == 1 else -1.0
 
@@ -224,38 +216,26 @@ def solve_g_transform(geom, mode: ModeParams, target, grid, h0=1.0):
     if np.any(w <= _W_FLOOR) or np.any(w >= _W_CEIL) or not np.all(np.isfinite(w)):
         raise BlowUp("g' left (0, inf) inside the grid")
     h = 1.0 / np.sqrt(w)
-    return _pack_transform(geom, x, h, mode.component, h0)
+    return _pack_transform(geom, x, h)
 
 
-def _pack_transform(geom, x, h, component, h0):
+def _pack_transform(geom, x, h):
     from scipy.integrate import cumulative_trapezoid
 
     g = cumulative_trapezoid(h, x, initial=0.0)
-    return TransformResult(
-        x=x, g=g, g_prime=h, fermi_velocity=1.0 / h,
-        prefactor=prefactor_f(geom, x), component=component, h0=h0,
-    )
+    return TransformResult(x=x, g=g, g_prime=h, fermi_velocity=1.0 / h,
+                           prefactor=prefactor_f(geom, x))
 
 
-def reduced_potential(geom, mode: ModeParams, transform: TransformResult, i: int):
-    """Reduced potential at interior grid index i, with g'' by finite differences.
+def reduced_potential_grid(geom, mode: ModeParams, transform: TransformResult):
+    """Reduced potential on the interior nodes, g'' from special.grid_derivative.
 
     Component 1:  V = a^4 k^2/(R^4 g'^2) - 2 a^2 k R'/(R^3 g'^2) - a^2 k g''/(R^2 g'^3);
     component 2 flips the signs of the last two terms.
     """
-    if not 1 <= i <= transform.x.size - 2:
-        raise IndexOutOfRange("central stencil needs 1 <= i <= n-2")
-    return reduced_potential_grid(geom, mode, transform)[i - 1]
-
-
-def reduced_potential_grid(geom, mode: ModeParams, transform: TransformResult):
-    """Reduced potential on the interior nodes, g'' from special.grid_derivative."""
     x, h = transform.x, transform.g_prime
     gpp = grid_derivative(h, x[1] - x[0])[1:-1]
-    return _reduced_value(geom, mode, x[1:-1], h[1:-1], gpp)
-
-
-def _reduced_value(geom, mode, x, h, gpp):
+    x, h = x[1:-1], h[1:-1]
     a, k = geom.a, mode.k
     r = geom.checked_radius(x)
     rp = -a * np.sin(x)

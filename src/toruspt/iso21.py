@@ -7,7 +7,8 @@ operators
 
 with S = -cot x, T = B1 csc x and the rational modification functions
 U(x, mu+1/2) = U1 = -K1 sin x / (c + a cos x),
-U(x, mu-1/2) = U2 = +K2 sin x / (c + a cos x).
+U(x, mu-1/2) = U2 = +K2 sin x / (c + a cos x),
+which are susy.sin_tail at lambda = -K1 and lambda = +K2.
 
 Note the sign in front of ((nu +- 1/2) S - T): the printed form of the
 operators carries the opposite sign, which fails its own commutation
@@ -43,8 +44,6 @@ from .susy import RationalSin, sin_tail
 __all__ = [
     "AlgebraParams",
     "st_functions",
-    "modification_U",
-    "modification_U_and_deriv",
     "constraint_residual_77",
     "closure_riccati_residuals",
     "casimir_potential",
@@ -75,34 +74,11 @@ class AlgebraParams:
         return cls(B1=-(c + K1) / (2.0 * c), mu=mu, K1=K1, K2=-K1 - 2.0 * c,
                    geom=TorusGeometry(a=c, c=c), mu1=mu + 1.0)
 
-    def closure_residuals(self) -> dict:
-        """Deviation of each field from its closure value (machine-checkable)."""
-        c = self.geom.c
-        return {
-            "B1": abs(self.B1 + (c + self.K1) / (2.0 * c)),
-            "mu": abs(self.mu - (self.K1 / (2.0 * c) - 0.5)),
-            "a_eq_c": abs(self.geom.a - c),
-            "K2": abs(self.K2 + self.K1 + 2.0 * c),
-            "mu1": abs(self.mu1 - (self.mu + 1.0)),
-        }
-
 
 def st_functions(B1: float, x):
     """(S, T) = (-cot x, B1 csc x); S' - S^2 = 1 and T' - S T = 0 identically."""
     sx = np.sin(x)
     return -np.cos(x) / sx, B1 / sx
-
-
-def modification_U(K: float, geom: TorusGeometry, x, which: int):
-    """U1 = -K sin x / (c + a cos x) for which=1, U2 = +K sin x / (...) for which=2."""
-    return modification_U_and_deriv(K, geom, x, which)[0]
-
-
-def modification_U_and_deriv(K: float, geom: TorusGeometry, x, which: int):
-    """(U, U'): the sin tail of susy at lambda = -K (which=1) or +K (which=2)."""
-    if which not in (1, 2):
-        raise DomainError("which must be 1 or 2")
-    return sin_tail(-K if which == 1 else K, geom, x)
 
 
 def closure_riccati_residuals(p: AlgebraParams, grid):
@@ -128,8 +104,8 @@ def constraint_residual_77(p: AlgebraParams, grid) -> float:
 def _riccati_fields(p: AlgebraParams, grid):
     x = np.asarray(grid, dtype=float)
     s, t = st_functions(p.B1, x)
-    u1, u1p = modification_U_and_deriv(p.K1, p.geom, x, 1)
-    u2, u2p = modification_U_and_deriv(p.K2, p.geom, x, 2)
+    u1, u1p = sin_tail(-p.K1, p.geom, x)
+    u2, u2p = sin_tail(p.K2, p.geom, x)
     r1 = u1 * u1 - u1p + 2.0 * u1 * ((p.mu + 0.5) * s - t)
     r2 = u2 * u2 + u2p + 2.0 * u2 * ((p.mu1 + 0.5) * s - t)
     return r1, r2
@@ -166,11 +142,12 @@ def casimir_shift(p: AlgebraParams) -> float:
 
 
 def _u_for_label(p: AlgebraParams, label: float):
-    """Resolve U(x, q): q = mu + 1/2 names U1, q = mu - 1/2 names U2."""
+    """The sin-tail lambda of U(x, q): q = mu + 1/2 names U1 (lambda = -K1),
+    q = mu - 1/2 names U2 (lambda = +K2)."""
     if abs(label - (p.mu + 0.5)) < 1e-9:
-        return p.K1, 1
+        return -p.K1
     if abs(label - (p.mu - 0.5)) < 1e-9:
-        return p.K2, 2
+        return p.K2
     raise DomainError(
         "modification function is defined only for labels mu +- 1/2")
 
@@ -195,9 +172,8 @@ def sector_operator(p: AlgebraParams, mu_sector: float, direction: str, grid):
         sgn, label = -1.0, mu_sector - 0.5
     else:
         raise DomainError("direction must be 'raise' or 'lower'")
-    k, which = _u_for_label(p, label)
     s, t = st_functions(p.B1, x)
-    u = modification_U(k, p.geom, x, which)
+    u = sin_tail(_u_for_label(p, label), p.geom, x)[0]
 
     idx = np.arange(1, n - 1)
     rows = np.concatenate([idx, idx, [0, 0, 0, n - 1, n - 1, n - 1]])
@@ -231,7 +207,7 @@ def commutator_residual(p: AlgebraParams, n_points: int,
     resid = lhs + 2.0 * p.mu * psi
     if subtract_defect:
         s, _ = st_functions(p.B1, xg)
-        resid = resid - 4.0 * s * modification_U(p.K2, p.geom, xg, 2) * psi
+        resid = resid - 4.0 * s * sin_tail(p.K2, p.geom, xg)[0] * psi
     return float(np.linalg.norm(resid) / np.linalg.norm(psi))
 
 

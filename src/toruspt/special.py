@@ -19,9 +19,7 @@ import numpy as np
 from .errors import DomainError, NonConvergence
 
 __all__ = [
-    "SeriesControl",
     "JacobiParams",
-    "DEFAULT_CONTROL",
     "jacobi_poly",
     "incomplete_beta",
     "appell_f1",
@@ -31,26 +29,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation budget and tolerances for series summation."""
-
-    max_terms: int = 512
-    abs_tol: float = 1e-15
-    rel_tol: float = 1e-13
-
-    def __post_init__(self):
-        if not isinstance(self.max_terms, numbers.Integral):
-            raise DomainError("max_terms must be an integer")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be >= 1")
-        if self.abs_tol < 0.0 or self.rel_tol < 0.0:
-            raise DomainError("tolerances must be non-negative")
-        if self.abs_tol == 0.0 and self.rel_tol == 0.0:
-            raise DomainError("at least one of abs_tol, rel_tol must be positive")
-
-
-DEFAULT_CONTROL = SeriesControl()
+# The one truncation budget of both series, read by the kernels when they are
+# called: at most _MAX_TERMS terms (diagonals, for F1), and a term counts as
+# negligible once it is within _ABS_TOL + _REL_TOL |partial sum|.
+_MAX_TERMS = 2048
+_ABS_TOL = 1e-16
+_REL_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -219,7 +203,7 @@ def _power(base, p):
     return out
 
 
-def _incbeta_series(z, s, w, ctl):
+def _incbeta_series(z, s, w):
     """sum form B(z;s,w) = z^s sum_k (1-w)_k z^k / (k! (s+k)) at the 1-D points z.
 
     Two stop rules.  With scalar s and w the largest z converges last (its
@@ -233,11 +217,11 @@ def _incbeta_series(z, s, w, ctl):
     f = np.ones_like(z)
     term = np.empty_like(z)
     watch = int(np.argmax(z)) if np.ndim(s) == np.ndim(w) == 0 else slice(None)
-    for k in range(1, ctl.max_terms + 1):
+    for k in range(1, _MAX_TERMS + 1):
         np.multiply(f, (k - w) / k, out=f)
         f *= z
         acc += np.divide(f, s + k, out=term)
-        done = abs(term[watch]) <= ctl.abs_tol + ctl.rel_tol * abs(acc[watch])
+        done = abs(term[watch]) <= _ABS_TOL + _REL_TOL * abs(acc[watch])
         if _any(done):
             if _all(done):
                 return _power(z_all, s_all) * _finish(live, sums, acc)
@@ -246,25 +230,26 @@ def _incbeta_series(z, s, w, ctl):
             z, f, acc, term = (v[keep] for v in (z, f, acc, term))
             s, w = _pick(s, keep), _pick(w, keep)
     raise NonConvergence(
-        f"incomplete beta series did not converge in {ctl.max_terms} terms")
+        f"incomplete beta series did not converge in {_MAX_TERMS} terms")
 
 
 _INCBETA_Z0 = 0.75  # the series in z serves z <= z0; past it, it crawls
 
 
-# With w per point, the term of a point at its pole (e = 0) is computed and
-# then replaced, and so is the stop bound of a point with e <= 1/2.  -T^e/e
-# overflows to inf for a subnormal e, silently, as Python's division does.
+# expm1(x)/x is computed and then replaced where x = 0, and with w per point
+# so is the stop bound of a point with e <= 1/2.
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _incbeta_upper(t, s, w, floor, ctl):
+def _incbeta_upper(t, s, w, floor):
     """int_t^T (1-v)^(s-1) v^(w-1) dv for T = 1 - z0 > t, summed over the
     binomial series of (1-v)^(s-1): sum_k (1-s)_k/k! (T^e - t^e)/e, e = w + k.
-    For the one k with |e| <= 1/2 the difference is -T^e expm1(e ln(t/T))/e,
-    or ln(T/t) at e = 0, so no term has a pole in w.  A term with e > 0 is at
-    most |(1-s)_k/k!| T^e/e; the sum stops once that is within the tolerances
-    of floor = B(z0) > 0, to which the result is added.  The bound does not
-    depend on t, so points that share s and w stop together; with s or w per
-    point, each point stops on its own bound and leaves the loop."""
+    For the one k with |e| <= 1/2 the difference is -T^e ln(t/T) expm1(x)/x,
+    x = e ln(t/T), with expm1(x)/x = 1 at x = 0, so no term has a pole in w
+    and none divides by e: a subnormal e, whose x is 0 or subnormal, gives
+    the limit T^e ln(T/t).  A term with e > 0 is at most |(1-s)_k/k!| T^e/e;
+    the sum stops once that is within the tolerances of floor = B(z0) > 0,
+    to which the result is added.  The bound does not depend on t, so points
+    that share s and w stop together; with s or w per point, each point stops
+    on its own bound and leaves the loop."""
     big_t = 1.0 - _INCBETA_Z0
     live = out = None
     # T^w by Python's pow, the scalar call's: numpy's can differ in the last bit
@@ -274,13 +259,14 @@ def _incbeta_upper(t, s, w, floor, ctl):
     pole = np.rint(-w)   # the k with |e| <= 1/2
     poles = set(np.ravel(pole).tolist())
     acc = np.zeros_like(t)
-    for k in range(ctl.max_terms):
+    for k in range(_MAX_TERMS):
         e = w + k
         if k in poles:
             near = k == pole
             log_ratio = np.log(t / big_t)
-            term = coef * np.where(e == 0.0, -log_ratio,
-                                   np.expm1(e * log_ratio) * np.divide(-big_te, e))
+            x = e * log_ratio
+            exprel = np.where(x == 0.0, 1.0, np.expm1(x) / x)
+            term = coef * -big_te * log_ratio * exprel
             if not _all(near):
                 term = np.where(near, term, np.divide(coef, e) * (big_te - t_e))
         else:
@@ -288,7 +274,7 @@ def _incbeta_upper(t, s, w, floor, ctl):
         acc += term
         done = e > 0.5
         if _any(done):
-            done &= abs(coef) * big_te / e <= ctl.abs_tol + ctl.rel_tol * floor
+            done &= abs(coef) * big_te / e <= _ABS_TOL + _REL_TOL * floor
             if _all(done):
                 return _finish(live, out, acc)
             if _any(done):
@@ -301,10 +287,10 @@ def _incbeta_upper(t, s, w, floor, ctl):
         big_te *= big_t
         t_e *= t
     raise NonConvergence(
-        f"incomplete beta series did not converge in {ctl.max_terms} terms")
+        f"incomplete beta series did not converge in {_MAX_TERMS} terms")
 
 
-def incomplete_beta(z, s, w, ctl: SeriesControl = DEFAULT_CONTROL):
+def incomplete_beta(z, s, w):
     """Incomplete beta function B(z; s, w) = int_0^z u^(s-1) (1-u)^(w-1) du.
 
     Requires 0 < z < 1 and s > 0 (integrability at the lower endpoint);
@@ -338,7 +324,7 @@ def incomplete_beta(z, s, w, ctl: SeriesControl = DEFAULT_CONTROL):
     flat = z_arr.ravel()
     upper = flat > _INCBETA_Z0
     if not upper.any():
-        out = _incbeta_series(flat, s, w, ctl)
+        out = _incbeta_series(flat, s, w)
     else:
         # B(z0) is the series at z0: one more point for scalar s and w, else
         # one per upper point, with that point's s and w
@@ -347,12 +333,12 @@ def incomplete_beta(z, s, w, ctl: SeriesControl = DEFAULT_CONTROL):
         low = _incbeta_series(
             np.concatenate([flat[lower], np.full(n0, _INCBETA_Z0)]),
             *(p if np.ndim(p) == 0 else np.concatenate([p[lower], p[upper]])
-              for p in (s, w)), ctl)
+              for p in (s, w)))
         floor = float(low[-1]) if n0 == 1 else low[-n0:]
         out = np.empty_like(flat)
         out[lower] = low[:-n0]
         out[upper] = floor + _incbeta_upper(
-            1.0 - flat[upper], _pick(s, upper), _pick(w, upper), floor, ctl)
+            1.0 - flat[upper], _pick(s, upper), _pick(w, upper), floor)
     return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
 
 
@@ -360,7 +346,7 @@ def incomplete_beta(z, s, w, ctl: SeriesControl = DEFAULT_CONTROL):
 # warnings would only repeat it; once a product overflows, inf - inf is nan,
 # which is reported as overflow too.
 @np.errstate(over="ignore", invalid="ignore")
-def _appell_f1_recurrence(a, b1, b2, c, x, y, ctl):
+def _appell_f1_recurrence(a, b1, b2, c, x, y):
     """F1 at the 1-D points x, y, in O(1) work per diagonal and point.
 
     Diagonal k sums to s_k = (a)_k/(c)_k e_k, where e_k is the t^k coefficient
@@ -377,9 +363,9 @@ def _appell_f1_recurrence(a, b1, b2, c, x, y, ctl):
     xpy, bxy, xy = x + y, b1 * x + b2 * y, x * y
     s_prev, s_prev2 = np.ones(x.size), np.zeros(x.size)
     partial = np.ones(x.size)
-    prev_small = np.full(x.size, 1.0 <= ctl.abs_tol + ctl.rel_tol)
+    prev_small = np.full(x.size, 1.0 <= _ABS_TOL + _REL_TOL)
     g_prev = 0.0
-    for k in range(1, ctl.max_terms + 1):
+    for k in range(1, _MAX_TERMS + 1):
         g = (a + k - 1.0) / (c + k - 1.0)
         s = ((k - 1.0) * xpy + bxy) * s_prev
         s -= (g_prev * (k - 2.0 + b1 + b2)) * xy * s_prev2
@@ -387,7 +373,7 @@ def _appell_f1_recurrence(a, b1, b2, c, x, y, ctl):
         if not np.all(np.isfinite(s)):
             raise NonConvergence("appell_f1 series overflowed before converging")
         partial += s
-        small = np.abs(s) <= ctl.abs_tol + ctl.rel_tol * np.abs(partial)
+        small = np.abs(s) <= _ABS_TOL + _REL_TOL * np.abs(partial)
         done = small & prev_small
         prev_small, s_prev2, s_prev, g_prev = small, s_prev, s, g
         if done.any():
@@ -399,17 +385,17 @@ def _appell_f1_recurrence(a, b1, b2, c, x, y, ctl):
                 v[keep] for v in
                 (live, xpy, bxy, xy, s_prev, s_prev2, partial, prev_small))
             a, b1, b2, c, g_prev = (_pick(v, keep) for v in (a, b1, b2, c, g_prev))
-    raise _f1_unconverged(ctl, live.size)
+    raise _f1_unconverged(live.size)
 
 
-def _f1_unconverged(ctl, points):
+def _f1_unconverged(points):
     return NonConvergence(
-        f"appell_f1 did not converge within {ctl.max_terms} diagonals "
+        f"appell_f1 did not converge within {_MAX_TERMS} diagonals "
         f"at {points} point(s)")
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _appell_f1_diagonal(a, b, c, x, ctl):
+def _appell_f1_diagonal(a, b, c, x):
     """F1 at the 1-D points x = y, with b = b1 + b2: diagonal k sums to
     (a)_k (b)_k / ((c)_k k!) x^k (Chu-Vandermonde), one term of 2F1(a, b; c; x),
     built from term k-1 for all points at once.  Same parameters, stop rule,
@@ -418,13 +404,13 @@ def _appell_f1_diagonal(a, b, c, x, ctl):
     live = np.arange(x.size)
     term = np.ones(x.size)
     partial = np.ones(x.size)
-    prev_small = np.full(x.size, 1.0 <= ctl.abs_tol + ctl.rel_tol)
-    for k in range(1, ctl.max_terms + 1):
+    prev_small = np.full(x.size, 1.0 <= _ABS_TOL + _REL_TOL)
+    for k in range(1, _MAX_TERMS + 1):
         term *= (a + k - 1.0) * (b + k - 1.0) / ((c + k - 1.0) * k) * x
         if not np.all(np.isfinite(term)):
             raise NonConvergence("appell_f1 series overflowed before converging")
         partial += term
-        small = np.abs(term) <= ctl.abs_tol + ctl.rel_tol * np.abs(partial)
+        small = np.abs(term) <= _ABS_TOL + _REL_TOL * np.abs(partial)
         done = small & prev_small
         prev_small = small
         if done.any():
@@ -435,25 +421,25 @@ def _appell_f1_diagonal(a, b, c, x, ctl):
             live, x, term, partial, prev_small = (
                 v[keep] for v in (live, x, term, partial, prev_small))
             a, b, c = (_pick(v, keep) for v in (a, b, c))
-    raise _f1_unconverged(ctl, live.size)
+    raise _f1_unconverged(live.size)
 
 
-def appell_f1(a, b1, b2, c, x, y, ctl: SeriesControl = DEFAULT_CONTROL):
+def appell_f1(a, b1, b2, c, x, y):
     """Appell F1(a; b1, b2; c; x, y) by truncated double series.
 
     Terms T(m,n) = (a)_{m+n} (b1)_m (b2)_n / ((c)_{m+n} m! n!) x^m y^n are
     summed by anti-diagonals m+n = k, each diagonal sum built from the ones
-    before it for all points at once, in O(max_terms) work per point.  x and
+    before it for all points at once, in O(_MAX_TERMS) work per point.  x and
     y are scalars or arrays of one shape, the points; the result has that
     shape, and a 0-d input gives a float.  a, b1, b2 and c are each a scalar
     or an array that broadcasts to the points' shape (one value per point).
     Each point converges on its own: once two consecutive diagonal sums are
-    both within abs_tol + rel_tol |partial sum|, it returns its partial sum
+    both within _ABS_TOL + _REL_TOL |partial sum|, it returns its partial sum
     and leaves the loop.  So whether the parameters are scalars or per
     point, each value is bit for bit that of the matching scalar call.
     Requires |x| < 1, |y| < 1, finite parameters and c not a non-positive
     integer at every point.  Raises NonConvergence if any point is still
-    unconverged after max_terms diagonals, or if a diagonal sum is not
+    unconverged after _MAX_TERMS diagonals, or if a diagonal sum is not
     finite.
 
     Where x and y differ, the diagonal sums follow a three-term recurrence
@@ -476,32 +462,25 @@ def appell_f1(a, b1, b2, c, x, y, ctl: SeriesControl = DEFAULT_CONTROL):
     xf, yf = x_arr.ravel(), y_arr.ravel()
     diag = xf == yf   # the points that sum the one-variable series
     if diag.all():    # the Appell tail: no mask and no copy
-        out = _appell_f1_diagonal(a, b1 + b2, c, xf, ctl) if xf.size else np.empty(0)
+        out = _appell_f1_diagonal(a, b1 + b2, c, xf) if xf.size else np.empty(0)
     else:
         off = ~diag
         out = np.empty(xf.size)
         out[off] = _appell_f1_recurrence(*(_pick(p, off) for p in (a, b1, b2, c)),
-                                         xf[off], yf[off], ctl)
+                                         xf[off], yf[off])
         if diag.any():
             pa, pb1, pb2, pc = (_pick(p, diag) for p in (a, b1, b2, c))
-            out[diag] = _appell_f1_diagonal(pa, pb1 + pb2, pc, xf[diag], ctl)
+            out[diag] = _appell_f1_diagonal(pa, pb1 + pb2, pc, xf[diag])
     if x_arr.ndim == 0:
         return float(out[0])
     return out.reshape(x_arr.shape)
 
 
-def numeric_derivative(f, x, order=1, h=1e-5):
-    """Central finite-difference derivative of a callable, error O(h^2).
-
-    order 1: (f(x+h) - f(x-h)) / 2h;  order 2: standard second difference.
-    """
+def numeric_derivative(f, x, h=1e-5):
+    """Central difference (f(x+h) - f(x-h)) / 2h of a callable, error O(h^2)."""
     if h <= 0.0:
         raise DomainError("step h must be positive")
-    if order == 1:
-        return (f(x + h) - f(x - h)) / (2.0 * h)
-    if order == 2:
-        return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-    raise DomainError("order must be 1 or 2")
+    return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
 # 4th-order one-sided first-derivative row: f'(x0) h ~ sum_j w_j f(x0 + j h)

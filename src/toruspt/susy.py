@@ -46,7 +46,6 @@ from .errors import (
 from .geometry import TorusGeometry, prefactor_f
 from .special import (
     JacobiParams,
-    SeriesControl,
     appell_f1,
     grid_derivative,
     grid_second_derivative,
@@ -69,6 +68,7 @@ __all__ = [
     "susy_residual",
     "lambda_bracket",
     "solve_parameter_conditions",
+    "rational_part_cancels",
     "analytic_spectrum",
     "eigenfunction_minus",
     "eigenfunction_plus",
@@ -78,9 +78,6 @@ __all__ = [
     "psi2_substitution_residual",
     "integrability_probe",
 ]
-
-_TAIL_CONTROL = SeriesControl(max_terms=2048, abs_tol=1e-16, rel_tol=1e-14)
-
 
 class _SuperpotentialBase:
     @property
@@ -198,8 +195,7 @@ def _beta_integrand(spec: BetaTail, x):
     D = C1 + 4^A B(cos^2(x/2); 1/2+A-B, 1/2+A+B)."""
     A, B = spec.A, spec.B
     m = np.sin(x) ** (2.0 * A) * np.tan(0.5 * x) ** (2.0 * B)
-    bz = incomplete_beta(np.cos(0.5 * x) ** 2, 0.5 + A - B, 0.5 + A + B,
-                         _TAIL_CONTROL)
+    bz = incomplete_beta(np.cos(0.5 * x) ** 2, 0.5 + A - B, 0.5 + A + B)
     d = spec.C1 + _tail_power(4.0, A) * bz
     return m, 2.0 * (A * np.cos(x) + B) / np.sin(x), d
 
@@ -218,7 +214,7 @@ def _appell_integrand(spec: AppellTail, x):
     pw = A + B + 0.5
     pref = _tail_power(4.0, A) * _tail_power(a + c, -2.0 * lam / a) / pw
     big_m = pref * s2 ** pw * appell_f1(pw, 0.5 - A + B, 2.0 * lam / a, pw + 1.0,
-                                        s2, 2.0 * a / (a + c) * s2, _TAIL_CONTROL)
+                                        s2, 2.0 * a / (a + c) * s2)
     return m, 2.0 * (A * cx + B) / sx + 2.0 * lam * sx / p, spec.C1 - big_m
 
 
@@ -350,6 +346,24 @@ def solve_parameter_conditions(case: str, *, a: float, B: float | None = None,
     raise DomainError("case must be 'equal_radii' or 'appell'")
 
 
+def rational_part_cancels(spec: RationalSin) -> bool:
+    """True if the V- of a sin-tail family is its trigonometric part alone, so
+    that the Poschl-Teller eigenfunctions solve it.
+
+    The rational part of V-, times P^2, is
+    lambda [(lambda - a) sin^2 x + (2B + (2A - 1) cos x) P]; it vanishes for
+    every x iff lambda = 0 or its cos^2 x, cos x and constant coefficients
+    do: lambda = 2aA, 2aB = (1 - 2A) c and (given the first) 2Bc = (1 - 2A) a.
+    Each is compared with math.isclose at the 1e-12 of
+    solve_parameter_conditions, which returns families that pass.
+    """
+    A, B, lam, a, c = spec.A, spec.B, spec.lam, spec.geom.a, spec.geom.c
+    return lam == 0.0 or all(
+        math.isclose(u, v, rel_tol=1e-12)
+        for u, v in ((lam, 2.0 * a * A), (2.0 * a * B, (1.0 - 2.0 * A) * c),
+                     (2.0 * B * c, (1.0 - 2.0 * A) * a)))
+
+
 def analytic_spectrum(spec, n: int) -> float:
     """Closed-form eps(n) = (n - A)^2 - A^2 of the minus partner of the given
     family, computed as n (n - 2A) so that a huge A gives a huge value, not
@@ -387,6 +401,9 @@ def eigenfunction_plus(spec, n: int, x):
         raise OutOfRange("partner levels are indexed from n = 1")
     if not isinstance(spec, (PureTrigPT, RationalSin)):
         raise DomainError("closed form available for the trigonometric families")
+    if isinstance(spec, RationalSin) and not rational_part_cancels(spec):
+        raise DomainError("V- keeps a rational part: the parameters fail the "
+                          "cancellation conditions")
     arr = _check_open_interval(x)
     A, B = spec.A, spec.B
     lam = spec.lam if isinstance(spec, RationalSin) else 0.0
@@ -401,12 +418,10 @@ def eigenfunction_plus(spec, n: int, x):
     return float(out) if np.asarray(x).ndim == 0 else np.asarray(out)
 
 
-def ladder_apply(spec, f_vals, grid, direction: str = "lower"):
-    """Apply the first-order ladder operator to a sampled function.
-
-    'lower' gives F' + W F (annihilates the minus ground state); 'raise'
-    gives -F' + W F.  The derivative is taken by central differences on the
-    uniform grid; at least 64 points are required.
+def ladder_apply(spec, f_vals, grid):
+    """Apply the lowering operator F -> F' + W F to a sampled function; it
+    annihilates the minus ground state.  The derivative is grid_derivative's
+    on the uniform grid; at least 64 points are required.
     """
     x = np.asarray(grid, dtype=float)
     f = np.asarray(f_vals, dtype=float)
@@ -415,12 +430,7 @@ def ladder_apply(spec, f_vals, grid, direction: str = "lower"):
     if f.shape != x.shape:
         raise DomainError("function samples must match the grid")
     w = superpotential_eval(spec, x)
-    fp = grid_derivative(f, x[1] - x[0])
-    if direction == "lower":
-        return fp + w * f
-    if direction == "raise":
-        return -fp + w * f
-    raise DomainError("direction must be 'lower' or 'raise'")
+    return grid_derivative(f, x[1] - x[0]) + w * f
 
 
 _NORM_GRID_SIZE = 20001

@@ -262,8 +262,8 @@ def _derivative_h2(ctx):
     ratios = []
     for (f, df, x0) in ((np.cos, lambda u: -math.sin(u), math.pi / 3),
                         (np.tanh, lambda u: 1.0 - math.tanh(u) ** 2, 0.4)):
-        e1 = abs(numeric_derivative(f, x0, 1, 1e-3) - df(x0))
-        e2 = abs(numeric_derivative(f, x0, 1, 5e-4) - df(x0))
+        e1 = abs(numeric_derivative(f, x0, h=1e-3) - df(x0))
+        e2 = abs(numeric_derivative(f, x0, h=5e-4) - df(x0))
         ratios.append(e1 / e2)
     worst = min(ratios)
     detail = "halving h: error ratios " + ", ".join(f"{r:.2f}" for r in ratios)
@@ -519,7 +519,7 @@ def _eigenfunction_orth(ctx):
 def _ladder_annihilation(ctx):
     x, _ = ctx.ladder
     f0 = susy.eigenfunction_minus(PT_A, PT_B, 0, x)
-    out = susy.ladder_apply(PT_SPEC, f0, x, "lower")
+    out = susy.ladder_apply(PT_SPEC, f0, x)
     worst = float(np.max(np.abs(out)) / np.max(np.abs(f0)))
     return _result(worst, 1e-6,
                    "lowering operator kills the ground state")
@@ -531,8 +531,8 @@ def _ladder_cosine(ctx):
     worst = 0.0
     deficits = []
     for n in range(3):
-        img = susy.ladder_apply(PT_SPEC, susy.eigenfunction_minus(PT_A, PT_B, n + 1, x),
-                                x, "lower")
+        fm = susy.eigenfunction_minus(PT_A, PT_B, n + 1, x)
+        img = susy.ladder_apply(PT_SPEC, fm, x)
         v = vecs[:, n]
         cos = abs(float(np.dot(img, v))) / (np.linalg.norm(img) * np.linalg.norm(v))
         deficits.append(1.0 - cos)
@@ -544,8 +544,7 @@ def _ladder_cosine(ctx):
 @_check("ladder_partner_cosine_ground", "susy")
 def _ladder_cosine_ground(ctx):
     x, vecs = ctx.ladder
-    img = susy.ladder_apply(PT_SPEC, susy.eigenfunction_minus(PT_A, PT_B, 1, x), x,
-                            "lower")
+    img = susy.ladder_apply(PT_SPEC, susy.eigenfunction_minus(PT_A, PT_B, 1, x), x)
     v = vecs[:, 0]
     cos = abs(float(np.dot(img, v))) / (np.linalg.norm(img) * np.linalg.norm(v))
     return _result(1.0 - cos, 1e-8,
@@ -558,7 +557,7 @@ def _ladder_norm_ratio(ctx):
     worst = 0.0
     for n in range(3):
         f = susy.eigenfunction_minus(PT_A, PT_B, n + 1, x)
-        img = susy.ladder_apply(PT_SPEC, f, x, "lower")
+        img = susy.ladder_apply(PT_SPEC, f, x)
         ratio = np.trapezoid(img * img, x) / np.trapezoid(f * f, x)
         eps = susy.analytic_spectrum(PT_SPEC, n + 1)
         worst = max(worst, abs(ratio / eps - 1.0))
@@ -573,7 +572,7 @@ def _partner_closed_form(ctx):
     worst = 0.0
     for n in (1, 2):
         fm = susy.eigenfunction_minus(spec.A, spec.B, n, xs)
-        img = susy.ladder_apply(spec, fm, xs, "lower")
+        img = susy.ladder_apply(spec, fm, xs)
         closed = susy.eigenfunction_plus(spec, n, xs)
         cos = abs(float(np.dot(img, closed))) / (
             np.linalg.norm(img) * np.linalg.norm(closed))

@@ -143,12 +143,12 @@ def test_criterion_6_ladder_structure():
     vp = susy.pt_coefficients(PT, "plus")(x)
     _, vecs = oracle.eigenpairs(oracle.build_hamiltonian(vp, grid), 3, grid)
     f0 = susy.eigenfunction_minus(A0, B0, 0, x)
-    annihilation = float(np.max(np.abs(susy.ladder_apply(PT, f0, x, "lower")))
+    annihilation = float(np.max(np.abs(susy.ladder_apply(PT, f0, x)))
                          / np.max(np.abs(f0)))
     worst_cos, worst_ratio = 0.0, 0.0
     for n in range(3):
         f = susy.eigenfunction_minus(A0, B0, n + 1, x)
-        img = susy.ladder_apply(PT, f, x, "lower")
+        img = susy.ladder_apply(PT, f, x)
         v = vecs[:, n]
         cos = abs(float(img @ v)) / (np.linalg.norm(img) * np.linalg.norm(v))
         worst_cos = max(worst_cos, 1.0 - cos)

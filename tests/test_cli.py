@@ -440,6 +440,53 @@ def test_failed_normalization_exit_code_and_error_line():
         "error: NormalizationFailure: non-finite values in output column(s) psi1")
 
 
+# A sin-tail set that fails the cancellation conditions: its V- keeps a
+# rational part, which the Poschl-Teller functions do not solve.
+_UNSOLVED_RATIONAL = ["wavefunction", "--case", "rational", "--A", "-2", "--B", "0.5",
+                      "--lambda", "0.3", "--a", "1", "--c", "2", "--n", "1"]
+
+
+@pytest.mark.parametrize("extra", [[], ["--with-plus"]], ids=["minus", "with-plus"])
+def test_unsolved_rational_wavefunction_is_a_domain_error(capsys, extra):
+    assert cli.main(_UNSOLVED_RATIONAL + extra) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: DomainError: ")
+
+
+def test_explicit_solved_rational_is_the_solved_spelling(capsys):
+    tail = ["--n", "2", "--with-plus", "--n-points", "257"]
+    assert cli.main(["wavefunction", "--case", "rational", "--A", "0.25", "--B", "0.25",
+                     "--lambda", "0.5", "--a", "1", "--c", "1"] + tail) == 0
+    explicit = capsys.readouterr()
+    assert cli.main(["wavefunction", "--case", "rational", "--a", "1", "--B", "0.25",
+                     "--branch", "-"] + tail) == 0
+    assert capsys.readouterr() == explicit
+
+
+def test_benchmark_rational_wavefunctions_pass_the_cancellation_check(capsys):
+    # every rational wavefunction the benchmark serves is a solved set, so the
+    # check rejects none: branch - exits 0, and branch + (c = -a) keeps the
+    # NormalizationFailure of its psi1 column, which overflows where P -> 0
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "reference",
+                        "tails.json")
+    with open(path) as fh:
+        entries = json.load(fh)["catalogue"]["rational_wavefunction"]
+    assert entries
+    for e in entries:
+        p = e["params"]
+        argv = ["wavefunction", "--case", "rational", "--a", repr(p["a"]),
+                "--B", repr(p["B"]), "--branch", p["branch"], "--n", str(e["level"]),
+                "--n-points", "501"] + (["--with-plus"] if e["with_plus"] else [])
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        if p["branch"] == "-":
+            assert code == 0, e["key"]
+        else:
+            assert code == 1 and "error: NormalizationFailure: " in err, e["key"]
+
+
 @pytest.mark.parametrize("argv, error", [
     # the eps formula, algebra_spectrum and casimir_potential square these
     (["spectrum", "--case", "pt", "--A", "1e200", "--B", "0.5"], "OutOfRange"),

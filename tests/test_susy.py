@@ -32,6 +32,7 @@ from toruspt.susy import (
     ladder_apply,
     partner_potentials,
     pt_coefficients,
+    rational_part_cancels,
     solve_parameter_conditions,
     spinor_psi1,
     spinor_psi2,
@@ -230,8 +231,7 @@ def test_appell_tail_batched_matches_scalar_calls(monkeypatch):
     line = (pw, 0.5 - spec.A + spec.B, 2.0 * spec.lam / a, pw + 1.0)
 
     def per_point(*args):
-        ctl = args[-1]
-        return np.array([special.appell_f1(*line, u, 2.0 * a / (a + c) * u, ctl)
+        return np.array([special.appell_f1(*line, u, 2.0 * a / (a + c) * u)
                          for u in s2])
 
     monkeypatch.setattr(susy, "appell_f1", per_point)
@@ -343,19 +343,19 @@ def ladder_grid():
 def test_ladder_annihilates_ground_state(ladder_grid):
     x, _, _ = ladder_grid
     f0 = eigenfunction_minus(-2.0, 0.5, 0, x)
-    out = ladder_apply(PT, f0, x, "lower")
+    out = ladder_apply(PT, f0, x)
     assert np.max(np.abs(out)) / np.max(np.abs(f0)) < 1e-6
 
 
 def test_ladder_maps_to_partner_eigenvectors(ladder_grid):
     x, _, vecs = ladder_grid
     for n in range(3):
-        img = ladder_apply(PT, eigenfunction_minus(-2.0, 0.5, n + 1, x), x, "lower")
+        img = ladder_apply(PT, eigenfunction_minus(-2.0, 0.5, n + 1, x), x)
         v = vecs[:, n]
         cos = abs(float(img @ v)) / (np.linalg.norm(img) * np.linalg.norm(v))
         assert 1.0 - cos < 1e-6
     # the lowest level meets the tighter oracle-eigenvector bound
-    img = ladder_apply(PT, eigenfunction_minus(-2.0, 0.5, 1, x), x, "lower")
+    img = ladder_apply(PT, eigenfunction_minus(-2.0, 0.5, 1, x), x)
     cos = abs(float(img @ vecs[:, 0])) / (np.linalg.norm(img)
                                           * np.linalg.norm(vecs[:, 0]))
     assert 1.0 - cos < 1e-8
@@ -365,24 +365,24 @@ def test_ladder_norm_ratio(ladder_grid):
     x, _, _ = ladder_grid
     for n in range(3):
         f = eigenfunction_minus(-2.0, 0.5, n + 1, x)
-        img = ladder_apply(PT, f, x, "lower")
+        img = ladder_apply(PT, f, x)
         ratio = trapezoid(img * img, x) / trapezoid(f * f, x)
         assert ratio == pytest.approx(analytic_spectrum(PT, n + 1), rel=1e-4)
 
 
-def test_ladder_raise_direction(ladder_grid):
+def test_ladder_is_derivative_plus_w(ladder_grid):
+    # F' + W F against the analytic derivative of F = sin^3 x, to the O(h^4)
+    # error of the grid stencil
     x, _, _ = ladder_grid
-    f = eigenfunction_minus(-2.0, 0.5, 1, x)
-    low = ladder_apply(PT, f, x, "lower")
-    high = ladder_apply(PT, f, x, "raise")
-    w = superpotential_eval(PT, x)
-    np.testing.assert_allclose(low + high, 2.0 * w * f, atol=1e-10)
+    f = np.sin(x) ** 3
+    want = 3.0 * np.sin(x) ** 2 * np.cos(x) + superpotential_eval(PT, x) * f
+    np.testing.assert_allclose(ladder_apply(PT, f, x), want, atol=1e-10)
 
 
 def test_ladder_grid_too_coarse():
     x = np.linspace(0.5, 2.5, 32)
     with pytest.raises(GridTooCoarse):
-        ladder_apply(PT, np.sin(x), x, "lower")
+        ladder_apply(PT, np.sin(x), x)
 
 
 def test_partner_closed_form_vs_ladder():
@@ -390,11 +390,36 @@ def test_partner_closed_form_vs_ladder():
     xs = np.linspace(0.3, math.pi - 0.3, 3001)
     for n in (1, 2):
         fm = eigenfunction_minus(spec.A, spec.B, n, xs)
-        img = ladder_apply(spec, fm, xs, "lower")
+        img = ladder_apply(spec, fm, xs)
         closed = eigenfunction_plus(spec, n, xs)
         cos = abs(float(img @ closed)) / (np.linalg.norm(img)
                                           * np.linalg.norm(closed))
         assert 1.0 - cos < 1e-6
+
+
+def test_rational_part_cancels_iff_v_minus_is_its_pt_part():
+    xs = np.linspace(0.25, math.pi - 0.25, 401)
+
+    def rational_part(spec):
+        return float(np.max(np.abs(partner_potentials(spec, xs)[0]
+                                   - pt_coefficients(spec, "minus")(xs))))
+
+    solved = [solve_parameter_conditions("equal_radii", a=a, B=b, branch=br)
+              for a, b, br in ((2.0, -1.5, "-"), (1.0, 0.5, "+"), (1.0, 0.25, "-"),
+                               (0.7, 40.0, "+"), (1.3, -0.5 + 1e-9, "+"))]
+    # the second spinor component's mirrored family, and lambda = 0
+    mirrored = [RationalSin(s.A, -s.B, s.lam, TorusGeometry(s.geom.a, -s.geom.c))
+                for s in solved]
+    for spec in solved + mirrored + [RationalSin(-2.0, 0.5, 0.0, TorusGeometry(1.0, 2.0))]:
+        assert rational_part_cancels(spec)
+        assert rational_part(spec) < 1e-8 * (1.0 + abs(spec.lam)) ** 2
+    unsolved = [RationalSin(-2.0, 0.5, 0.3, TorusGeometry(1.0, 2.0)),
+                RationalSin(0.25, 0.25, 0.5, TorusGeometry(1.0, 1.0 + 1e-9))]
+    for spec in unsolved:
+        assert not rational_part_cancels(spec)
+        assert rational_part(spec) > 1e-10
+        with pytest.raises(DomainError):
+            eigenfunction_plus(spec, 1, 1.0)
 
 
 def test_partner_closed_form_lambda_zero_reduction():
