@@ -28,10 +28,11 @@ failure.
 The only environment variable consulted is TORUSPT_OUTDIR, an optional
 prefix for relative output paths.
 
-Only spectrum (and algebra), verify and errata load scipy, inside the command
-that needs it: importing this module and building the parser loads none, so
-a potential or wavefunction process spends about 0.25 s on imports, where
-scipy would add about 0.75 s (2 vCPU Xeon, Python 3.11).  verify writes the
+Only spectrum (and algebra) and verify load scipy, inside the command that
+needs it: importing this module and building the parser loads none, and
+neither do potential, wavefunction and errata, so a potential or
+wavefunction process spends about 0.25 s on imports, where scipy would add
+about 0.75 s (2 vCPU Xeon, Python 3.11).  verify writes the
 suite's elapsed time as one line to stderr, never to its report.
 
 main builds the parser once per process and reuses it; build_parser() itself

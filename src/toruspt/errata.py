@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import iso21, susy
 from .geometry import TorusGeometry
@@ -114,13 +113,15 @@ def _commutator_residual_sign(sign):
     s, t = iso21.st_functions(p.B1, xg)
 
     def op(nu, direction):
-        label = nu + 0.5 if direction == "raise" else nu - 0.5
         used = iso21.sector_operator(p, nu, direction, xg)
-        return used if sign > 0 else used - 2j * sparse.diags(label * s - t)
+        if sign > 0:
+            return used
+        bracket = (nu + 0.5 if direction == "raise" else nu - 0.5) * s - t
+        return lambda f: used(f) - 2j * bracket * f
 
     psi = np.sin(np.pi * (xg - lo) / (hi - lo)) ** 2
-    lhs = op(p.mu - 1.0, "raise") @ (op(p.mu, "lower") @ psi) \
-        - op(p.mu + 1.0, "lower") @ (op(p.mu, "raise") @ psi)
+    lhs = op(p.mu - 1.0, "raise")(op(p.mu, "lower")(psi)) \
+        - op(p.mu + 1.0, "lower")(op(p.mu, "raise")(psi))
     return float(np.linalg.norm(lhs + 2.0 * p.mu * psi) / np.linalg.norm(psi))
 
 

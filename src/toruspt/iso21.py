@@ -153,14 +153,19 @@ def _u_for_label(p: AlgebraParams, label: float):
 
 
 def sector_operator(p: AlgebraParams, mu_sector: float, direction: str, grid):
-    """Sparse CSR matrix of J+ or J- restricted to the e^{i mu_sector phi} sector.
+    """J+ or J- restricted to the e^{i mu_sector phi} sector, as a function of psi.
 
     The derivative is a central difference (one-sided second order at the
-    two boundary rows); at least 256 points are required.  J3 is the scalar
-    mu_sector on the sector, so [J3, J+-] = +-J+- holds by bookkeeping.
+    two boundary rows); at least 256 points are required.  The returned
+    function applies i (+-D + diag(label S - T + U)) to psi by numpy slices
+    and builds no matrix, so importing or calling it loads no scipy.  Each
+    row sums its three products in column order (i-1, i, i+1), the end rows
+    with the diagonal stencil weight and multiplication term added first,
+    as a CSR matvec of the same matrix does, so the two agree bit for bit.
+    A 2-D psi is applied column by column: op(np.eye(n)) is the dense matrix.
+    J3 is the scalar mu_sector on the sector, so [J3, J+-] = +-J+- holds by
+    bookkeeping.
     """
-    from scipy import sparse  # here, so that importing iso21 loads no scipy
-
     x = np.asarray(grid, dtype=float)
     n = x.size
     if n < 256:
@@ -173,17 +178,21 @@ def sector_operator(p: AlgebraParams, mu_sector: float, direction: str, grid):
     else:
         raise DomainError("direction must be 'raise' or 'lower'")
     s, t = st_functions(p.B1, x)
-    u = sin_tail(_u_for_label(p, label), p.geom, x)[0]
+    diag = label * s - t + sin_tail(_u_for_label(p, label), p.geom, x)[0]
+    lo, hi = sgn * (-0.5 / step), sgn * (0.5 / step)
+    first = (sgn * (-1.5 / step) + diag[0], sgn * (2.0 / step), sgn * (-0.5 / step))
+    last = (sgn * (0.5 / step), sgn * (-2.0 / step), sgn * (1.5 / step) + diag[-1])
 
-    idx = np.arange(1, n - 1)
-    rows = np.concatenate([idx, idx, [0, 0, 0, n - 1, n - 1, n - 1]])
-    cols = np.concatenate([idx + 1, idx - 1, [0, 1, 2, n - 3, n - 2, n - 1]])
-    vals = np.concatenate([np.full(n - 2, 0.5), np.full(n - 2, -0.5),
-                           [-1.5, 2.0, -0.5, 0.5, -2.0, 1.5]]) / step
-    d = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    def apply(psi):
+        psi = np.asarray(psi)
+        mid = diag[1:-1] if psi.ndim == 1 else diag[1:-1, None]
+        out = np.empty(psi.shape, dtype=np.result_type(psi, 1.0))
+        out[1:-1] = lo * psi[:-2] + mid * psi[1:-1] + hi * psi[2:]
+        out[0] = first[0] * psi[0] + first[1] * psi[1] + first[2] * psi[2]
+        out[-1] = last[0] * psi[-3] + last[1] * psi[-2] + last[2] * psi[-1]
+        return 1j * out
 
-    diag = label * s - t + u
-    return (1j * (sgn * d + sparse.diags(diag))).tocsr()
+    return apply
 
 
 def commutator_residual(p: AlgebraParams, n_points: int,
@@ -203,7 +212,7 @@ def commutator_residual(p: AlgebraParams, n_points: int,
     jp_mu = sector_operator(p, p.mu, "raise", xg)
     psi = np.sin(np.pi * (xg - lo) / (hi - lo)) ** 2 \
         * (0.7 + 0.3 * np.sin(3.0 * (xg - lo) + 1.0))
-    lhs = jp_m1 @ (jm_mu @ psi) - jm_p1 @ (jp_mu @ psi)
+    lhs = jp_m1(jm_mu(psi)) - jm_p1(jp_mu(psi))
     resid = lhs + 2.0 * p.mu * psi
     if subtract_defect:
         s, _ = st_functions(p.B1, xg)

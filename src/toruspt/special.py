@@ -69,15 +69,19 @@ def _recurrence_degenerate(n, a, b):
 
 
 def _jacobi_recurrence(n, a, b, z):
-    p_prev = np.ones_like(z)
-    if n == 0:
-        return p_prev
+    """P_n^(a,b)(z), n >= 1, at an array z or a Python float z.  The steps use
+    only + - * /, which round a float as they round each array entry, so a
+    float z (the 0-d case) gives the array's bits at a fraction of the cost
+    of 0-d array steps."""
+    p_prev = 1.0 if isinstance(z, float) else np.ones_like(z)
     p = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * z
     for k in range(2, n + 1):
         c1 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
         c2 = (2.0 * k + a + b - 1.0) * (a * a - b * b)
         c3 = (2.0 * k + a + b - 2.0) * (2.0 * k + a + b - 1.0) * (2.0 * k + a + b)
         c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
+        if c1 == 0.0:   # divide as numpy does (inf or nan), not ZeroDivisionError
+            c1 = np.float64(c1)
         p, p_prev = ((c2 + c3 * z) * p - c4 * p_prev) / c1, p
     return p
 
@@ -105,18 +109,26 @@ def jacobi_poly(params: JacobiParams, z):
     """Evaluate the Jacobi polynomial P_n^(alpha,beta)(z).
 
     Forward three-term recurrence; z may be a scalar or an ndarray and may
-    lie outside [-1, 1].  Negative-integer alpha (or beta) and the
-    recurrence-degenerate manifold alpha+beta in {-2, -3, ...} are routed
-    through the parameter-limit identity / a sum over binomial coefficients,
-    so the function is total.
+    lie outside [-1, 1], and a scalar z gives the bits of a 1-point array.
+    Negative-integer alpha (or beta) and the recurrence-degenerate manifold
+    alpha+beta in {-2, -3, ...} are routed through the parameter-limit
+    identity / a sum over binomial coefficients, so the function is total.
     """
-    n, a, b = params.n, params.alpha, params.beta
+    n, a, b = params.n, float(params.alpha), float(params.beta)
     z_arr = np.asarray(z, dtype=float)
+    scalar = z_arr.ndim == 0
     if n == 0:
-        out = np.ones_like(z_arr)
-        return float(out) if np.isscalar(z) or z_arr.ndim == 0 else out
+        return 1.0 if scalar else np.ones_like(z_arr)
 
     m = _as_negative_integer(a, n)
+    if m is None and _as_negative_integer(b, n) is None \
+            and not _recurrence_degenerate(n, a, b):
+        out = _jacobi_recurrence(n, a, b, float(z_arr) if scalar else z_arr)
+        return float(out) if scalar else out
+    # The branches below take powers, and numpy's power of a scalar can
+    # differ in the last bit from its power of an array, so a scalar z runs
+    # as a 1-point array: every scalar value is the array's entry.
+    zs = z_arr.reshape(1) if scalar else z_arr
     if m is not None:
         # limit identity for alpha = -m, n >= m:
         # P_n^(-m,b) = [(n+b-m+1)_m / (n-m+1)_m] * ((z-1)/2)^m * P_{n-m}^(m,b)
@@ -125,18 +137,14 @@ def jacobi_poly(params: JacobiParams, z):
         for j in range(m):
             num *= n + b - m + 1.0 + j
             den *= n - m + 1.0 + j
-        inner = jacobi_poly(JacobiParams(n - m, float(m), b), z_arr)
-        out = (num / den) * (0.5 * (z_arr - 1.0)) ** m * np.asarray(inner)
+        inner = jacobi_poly(JacobiParams(n - m, float(m), b), zs)
+        out = (num / den) * (0.5 * (zs - 1.0)) ** m * inner
     elif _as_negative_integer(b, n) is not None:
         # mirror symmetry P_n^(a,b)(z) = (-1)^n P_n^(b,a)(-z)
-        out = (-1.0) ** n * np.asarray(jacobi_poly(JacobiParams(n, b, a), -z_arr))
-    elif _recurrence_degenerate(n, a, b):
-        out = _jacobi_binomial_sum(n, a, b, z_arr)
+        out = (-1.0) ** n * jacobi_poly(JacobiParams(n, b, a), -zs)
     else:
-        out = _jacobi_recurrence(n, a, b, z_arr)
-    if np.isscalar(z) or np.asarray(z).ndim == 0:
-        return float(out)
-    return out
+        out = _jacobi_binomial_sum(n, a, b, zs)
+    return float(out[0]) if scalar else out
 
 
 def _per_point(p, shape, name):

@@ -364,12 +364,22 @@ def rational_part_cancels(spec: RationalSin) -> bool:
                      (2.0 * B * c, (1.0 - 2.0 * A) * a)))
 
 
+def _require_cancellation(spec):
+    """DomainError for a sin-tail family whose V- keeps a rational part: the
+    Poschl-Teller closed forms do not solve it."""
+    if isinstance(spec, RationalSin) and not rational_part_cancels(spec):
+        raise DomainError("V- keeps a rational part: the parameters fail the "
+                          "cancellation conditions")
+
+
 def analytic_spectrum(spec, n: int) -> float:
     """Closed-form eps(n) = (n - A)^2 - A^2 of the minus partner of the given
     family, computed as n (n - 2A) so that a huge A gives a huge value, not
     the OverflowError of A ** 2; the physical energies are
     iso21.energy_scalings.  The value is formal when spec.normalizable is
-    False."""
+    False.  A sin-tail family must pass rational_part_cancels (DomainError
+    otherwise): its V- is not the Poschl-Teller potential of this spectrum."""
+    _require_cancellation(spec)
     val = n * (n - 2.0 * spec.A)
     if val < -1e-12:
         raise OutOfRange(f"eps({n}) < 0: level outside the valid range")
@@ -401,9 +411,7 @@ def eigenfunction_plus(spec, n: int, x):
         raise OutOfRange("partner levels are indexed from n = 1")
     if not isinstance(spec, (PureTrigPT, RationalSin)):
         raise DomainError("closed form available for the trigonometric families")
-    if isinstance(spec, RationalSin) and not rational_part_cancels(spec):
-        raise DomainError("V- keeps a rational part: the parameters fail the "
-                          "cancellation conditions")
+    _require_cancellation(spec)
     arr = _check_open_interval(x)
     A, B = spec.A, spec.B
     lam = spec.lam if isinstance(spec, RationalSin) else 0.0

@@ -3,16 +3,18 @@
 Each check measures one invariant (special-function oracle agreement, SUSY
 identities, oracle spectra, algebra closure, ...) and reports a measured
 value against a fixed tolerance.  Checks are pure and independent of one
-another; shared heavy artifacts (eigensolves) are computed once per run and
-cached on the context object.  Output rows are emitted in registration
-order, so two runs of the same suite produce identical reports.
+another; shared heavy artifacts (an eigensolve, the reference eigenfunctions)
+are computed once per run and cached on the context object.  Output rows are
+emitted in registration order, so two runs of the same suite produce
+identical reports.
 
 The random-draw checks beta_quadrature, appell_brute and appell_symmetry
 draw their parameters as a loop over draws would, then evaluate every draw in
 one call with per-point parameters (two calls for the exchange).  A per-point
 call gives each draw the value of its own scalar call, bit for bit, so the
 measured values are the per-draw loop's.  Their references stay per draw: one
-quad per triple, and one brute-force array per draw.
+QAWS quad per triple (the weight u^(s-1) integrated exactly), and one
+brute-force array per draw.
 
 The Appell F1 reference of appell_brute is its own double sum, not the
 package's recurrence: one terms x terms numpy array per draw, products by
@@ -107,6 +109,13 @@ class Context:
         _, vecs = oracle.eigenpairs(oracle.build_hamiltonian(vp, grid), 3, grid)
         return grid.points, vecs
 
+    @functools.cached_property
+    def pt_levels(self):
+        """(x, [F_0, ..., F_4]): 20001 points of [0.002, pi - 0.002] and the
+        reference family's eigenfunctions there."""
+        xs = np.linspace(0.002, math.pi - 0.002, 20001)
+        return xs, [susy.eigenfunction_minus(PT_A, PT_B, n, xs) for n in range(5)]
+
 
 _REGISTRY: list = []
 
@@ -159,6 +168,13 @@ def _jacobi_recurrence(ctx):
                    "three-term recurrence on 200 random draws")
 
 
+def _beta_reference(z, s, w):
+    # QUADPACK QAWS: the algebraic weight u^(s-1) is integrated exactly, so
+    # the endpoint singularity at u = 0 costs the quadrature nothing
+    return quad(lambda u: (1.0 - u) ** (w - 1.0), 0.0, z, weight="alg",
+                wvar=(s - 1.0, 0.0), epsabs=1e-14, epsrel=1e-13, limit=400)[0]
+
+
 @_check("beta_quadrature", "special")
 def _beta_quadrature(ctx):
     rng = np.random.default_rng(202)
@@ -167,8 +183,7 @@ def _beta_quadrature(ctx):
     mine = incomplete_beta(*np.array(draws).T)
     worst = 0.0
     for (z, s, w), val in zip(draws, mine.tolist()):
-        ref = quad(lambda u: u ** (s - 1.0) * (1.0 - u) ** (w - 1.0), 0.0, z,
-                   epsabs=1e-14, epsrel=1e-13, limit=400)[0]
+        ref = _beta_reference(z, s, w)
         worst = max(worst, abs(val - ref) / max(1.0, abs(ref)))
     return _result(worst, 1e-10,
                    "100 random triples vs adaptive quadrature")
@@ -489,11 +504,9 @@ def _eigenfunction_residual(ctx):
 
 @_check("eigenfunction_nodes", "susy")
 def _eigenfunction_nodes(ctx):
-    xs = np.linspace(0.002, math.pi - 0.002, 20001)
     bad = 0
     counts = []
-    for n in range(5):
-        f = susy.eigenfunction_minus(PT_A, PT_B, n, xs)
+    for n, f in enumerate(ctx.pt_levels[1]):
         k = int(np.sum(np.sign(f[1:]) * np.sign(f[:-1]) < 0))
         counts.append(k)
         bad += k != n
@@ -503,8 +516,7 @@ def _eigenfunction_nodes(ctx):
 
 @_check("eigenfunction_orthogonality", "susy")
 def _eigenfunction_orth(ctx):
-    xs = np.linspace(0.002, math.pi - 0.002, 20001)
-    fs = [susy.eigenfunction_minus(PT_A, PT_B, n, xs) for n in range(5)]
+    xs, fs = ctx.pt_levels
     norms = [math.sqrt(np.trapezoid(f * f, xs)) for f in fs]
     worst = 0.0
     for m in range(5):

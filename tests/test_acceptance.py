@@ -188,7 +188,7 @@ def test_criterion_7_algebra_closure():
         jp_mu = iso21.sector_operator(backbone, backbone.mu, "raise", xg)
         psi = np.sin(np.pi * (xg - lo) / (hi - lo)) ** 2 \
             * (0.7 + 0.3 * np.sin(3.0 * (xg - lo) + 1.0))
-        lhs = jp_m1 @ (jm_mu @ psi) - jm_p1 @ (jp_mu @ psi)
+        lhs = jp_m1(jm_mu(psi)) - jm_p1(jp_mu(psi))
         return float(np.linalg.norm(lhs + 2.0 * backbone.mu * psi)
                      / np.linalg.norm(psi))
 

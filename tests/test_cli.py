@@ -465,6 +465,30 @@ def test_explicit_solved_rational_is_the_solved_spelling(capsys):
     assert capsys.readouterr() == explicit
 
 
+def test_unsolved_rational_spectrum_is_a_domain_error(capsys):
+    # no closed-form spectrum to compare: not a tolerance failure of the
+    # Poschl-Teller values against the oracle
+    argv = ["spectrum", "--case", "rational", "--A", "-2", "--B", "0.5",
+            "--lambda", "0.3", "--a", "1", "--c", "2", "--levels", "3"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: DomainError: ")
+
+
+def test_explicit_solved_rational_spectrum_is_the_solved_spelling(capsys):
+    explicit = cli.main(["spectrum", "--case", "rational", "--A", "0.25", "--B", "0.25",
+                         "--lambda", "0.5", "--a", "1", "--c", "1"])
+    explicit_levels = json.loads(capsys.readouterr().out)["levels"]
+    solved = cli.main(["spectrum", "--case", "rational", "--a", "1", "--B", "0.25",
+                       "--branch", "-"])
+    solved_levels = json.loads(capsys.readouterr().out)["levels"]
+    assert explicit == solved
+    assert [lv["eps_analytic"] for lv in explicit_levels] == \
+        [lv["eps_analytic"] for lv in solved_levels]
+
+
 def test_benchmark_rational_wavefunctions_pass_the_cancellation_check(capsys):
     # every rational wavefunction the benchmark serves is a solved set, so the
     # check rejects none: branch - exits 0, and branch + (c = -a) keeps the
@@ -649,7 +673,7 @@ def test_verify_stdout_does_not_depend_on_the_clock(monkeypatch, capsys, fmt):
         assert line.startswith("verify: suite=susy took ") and line.endswith(" s")
 
 
-# -- cold start: only spectrum, verify and errata load scipy ---------------
+# -- cold start: only spectrum and verify load scipy ------------------------
 
 _LIGHT_CASES = {
     "pt": ["--A", "-2", "--B", "0.5"],
@@ -691,6 +715,20 @@ def test_potential_and_wavefunction_load_no_scipy():
     expected = {" ".join(a[:3]): 0 for a in argvs}
     expected["wavefunction --case iso21"] = 2  # no wavefunction family for iso21
     assert obj["codes"] == expected
+
+
+def test_errata_and_iso21_load_no_scipy():
+    # the sector operators are numpy stencils, so errata (eq73 applies them)
+    # runs without scipy
+    code = ("import contextlib, io, sys\n"
+            "import toruspt.errata, toruspt.iso21\n"
+            "from toruspt import cli\n"
+            "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['errata']) == 0\n"
+            "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)\n")
+    res = run_python("-c", code)
+    assert res.returncode == 0, res.stderr
 
 
 def test_package_names_resolve_without_loading_scipy_first():

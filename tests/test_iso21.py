@@ -148,7 +148,7 @@ def _commutator_residual(p, n, lo=0.2, hi=math.pi - 0.2):
     jp_mu = sector_operator(p, p.mu, "raise", xg)
     psi = np.sin(np.pi * (xg - lo) / (hi - lo)) ** 2 \
         * (0.7 + 0.3 * np.sin(3.0 * (xg - lo) + 1.0))
-    lhs = jp_m1 @ (jm_mu @ psi) - jm_p1 @ (jp_mu @ psi)
+    lhs = jp_m1(jm_mu(psi)) - jm_p1(jp_mu(psi))
     return lhs, psi, xg
 
 
@@ -193,8 +193,9 @@ def test_sector_bookkeeping_j3():
     # J3 is the scalar mu on a sector; [J3, J+-] = +-J+- is index bookkeeping:
     # raising from mu acts with label mu + 1/2 and lands on sector mu + 1
     xg = np.linspace(0.2, math.pi - 0.2, 300)
-    op_up = sector_operator(CLOSED, CLOSED.mu, "raise", xg)
-    op_same = sector_operator(CLOSED, CLOSED.mu + 1.0, "lower", xg)
+    eye = np.eye(xg.size)
+    op_up = sector_operator(CLOSED, CLOSED.mu, "raise", xg)(eye)
+    op_same = sector_operator(CLOSED, CLOSED.mu + 1.0, "lower", xg)(eye)
     # the two share the modification label mu + 1/2, hence the same
     # multiplication part (interior rows; boundary rows carry stencil terms)
     d_up = op_up.diagonal()[1:-1]
@@ -219,7 +220,45 @@ def test_sector_operator_matches_dense_stencil(direction):
     s, t = st_functions(CLOSED.B1, xg)
     u = sin_tail(lam, CLOSED.geom, xg)[0]
     dense = 1j * (sgn * d + np.diag(label * s - t + u))
-    op = sector_operator(CLOSED, CLOSED.mu, direction, xg)
-    assert op.format == "csr"
-    assert op.nnz == 3 * n
-    np.testing.assert_array_equal(op.toarray(), dense)
+    op = sector_operator(CLOSED, CLOSED.mu, direction, xg)(np.eye(n))
+    assert np.count_nonzero(op) == 3 * n
+    np.testing.assert_array_equal(op, dense)
+
+
+def _csr_reference(p, mu_sector, direction, xg):
+    # the operator as the scipy.sparse matrix it once was:
+    # 1j (sgn D + diags(label S - T + U)), D in CSR
+    from scipy import sparse
+
+    n, step = xg.size, xg[1] - xg[0]
+    sgn, label = (1.0, mu_sector + 0.5) if direction == "raise" \
+        else (-1.0, mu_sector - 0.5)
+    lam = -p.K1 if direction == "raise" else p.K2
+    s, t = st_functions(p.B1, xg)
+    idx = np.arange(1, n - 1)
+    rows = np.concatenate([idx, idx, [0, 0, 0, n - 1, n - 1, n - 1]])
+    cols = np.concatenate([idx + 1, idx - 1, [0, 1, 2, n - 3, n - 2, n - 1]])
+    vals = np.concatenate([np.full(n - 2, 0.5), np.full(n - 2, -0.5),
+                           [-1.5, 2.0, -0.5, 0.5, -2.0, 1.5]]) / step
+    d = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    diag = label * s - t + sin_tail(lam, p.geom, xg)[0]
+    return (1j * (sgn * d + sparse.diags(diag))).tocsr()
+
+
+@pytest.mark.parametrize("direction", ["raise", "lower"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_sector_operator_equals_the_csr_matvec(direction, kind):
+    # the apply sums each row in CSR's column order, so the commutator
+    # values are those of the sparse-matrix form
+    xg = np.linspace(0.2, math.pi - 0.2, 2048)
+    rng = np.random.default_rng(7)
+    psi = rng.standard_normal(xg.size)
+    if kind == "complex":
+        psi = psi + 1j * rng.standard_normal(xg.size)
+    for p in (CLOSED, AlgebraParams(B1=-0.8, mu=0.3, K1=0.0, K2=0.0,
+                                    geom=TorusGeometry(1.0, 1.0), mu1=1.3)):
+        got = sector_operator(p, p.mu, direction, xg)(psi)
+        want = _csr_reference(p, p.mu, direction, xg) @ psi
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got.real, want.real)
+        np.testing.assert_array_equal(got.imag, want.imag)

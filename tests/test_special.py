@@ -61,6 +61,12 @@ def incbeta_quad_oracle(z, s, w):
                 epsabs=1e-14, epsrel=1e-13, limit=400)[0]
 
 
+def incbeta_qaws_oracle(z, s, w):
+    """QUADPACK QAWS: the weight u^(s-1) is integrated exactly."""
+    return quad(lambda u: (1.0 - u) ** (w - 1.0), 0.0, z, weight="alg",
+                wvar=(s - 1.0, 0.0), epsabs=1e-14, epsrel=1e-13, limit=400)[0]
+
+
 def gauss_2f1_oracle(a, b, c, z):
     t, tot = 1.0, 1.0
     for k in range(1, 800):
@@ -168,6 +174,30 @@ def test_jacobi_matches_mpmath(alpha, beta):
         assert np.max(np.abs(got - ref)) <= 1e-12 * scale, (n, alpha, beta)
 
 
+# an exponent drawn from [-3, 3] or a negative integer (the limit identity)
+_JACOBI_EXPONENT = st.one_of(st.floats(-3.0, 3.0), st.integers(-12, -1).map(float))
+
+
+@_PROPERTY
+@hypothesis.given(n=st.integers(0, 12), a=_JACOBI_EXPONENT, b=_JACOBI_EXPONENT,
+                  degenerate=st.integers(-22, -2) | st.none(),
+                  z=st.floats(-1.0, 1.0))
+@hypothesis.example(n=4, a=-2.0, b=0.5, degenerate=None, z=0.3)     # alpha = -2
+@hypothesis.example(n=5, a=0.7, b=-3.0, degenerate=None, z=-0.6)    # beta = -3
+@hypothesis.example(n=6, a=0.25, b=0.0, degenerate=-3, z=0.45)      # a + b = -3
+@hypothesis.example(n=12, a=1.3, b=-0.4, degenerate=None, z=0.9)    # recurrence
+def test_jacobi_scalar_is_the_array_entry(n, a, b, degenerate, z):
+    # a 0-d z runs the recurrence on Python floats; every branch (recurrence,
+    # limit identity, mirror, binomial sum) gives the bits of a 1-point array
+    if degenerate is not None:   # a + b on the manifold {-2, -3, ...}
+        b = degenerate - a
+    params = JacobiParams(n, a, b)
+    got = jacobi_poly(params, z)
+    assert type(got) is float
+    want = jacobi_poly(params, np.array([z]))[0]
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
 def test_jacobi_negative_integer_alpha_matches_parameter_limit():
     # alpha = -1 is the degenerate family used by the second spinor component
     for n in (1, 2, 3):
@@ -232,6 +262,22 @@ def test_incbeta_complete_limit():
 def test_incbeta_vs_quadrature(z, s, w):
     assert incomplete_beta(z, s, w) == pytest.approx(incbeta_quad_oracle(z, s, w),
                                                      rel=1e-11, abs=1e-12)
+
+
+def test_beta_quadrature_reference_matches_mpmath():
+    # verify's QAWS reference on the check's 100 draws against 40-digit
+    # mpmath in the 2F1 form B(z; s, w) = z^s/s 2F1(s, 1 - w; s + 1; z)
+    import mpmath
+
+    rng = np.random.default_rng(202)
+    worst = 0.0
+    for _ in range(100):
+        z, s, w = rng.uniform(0.05, 0.95), rng.uniform(0.15, 4.0), rng.uniform(-2.5, 4.0)
+        with mpmath.workdps(40):
+            zm, sm, wm = (mpmath.mpf(float(v)) for v in (z, s, w))
+            ref = zm ** sm / sm * mpmath.hyp2f1(sm, 1 - wm, sm + 1, zm)
+            worst = max(worst, float(abs((verify._beta_reference(z, s, w) - ref) / ref)))
+    assert worst < 1e-14
 
 
 def test_incbeta_random_triples_vs_quadrature():
@@ -727,7 +773,7 @@ def _beta_quadrature_loop():
         w = rng.uniform(-2.5, 4.0)
         draws.append((z, s, w))
         mine = incomplete_beta(z, s, w)
-        ref = incbeta_quad_oracle(z, s, w)
+        ref = incbeta_qaws_oracle(z, s, w)
         worst = max(worst, abs(mine - ref) / max(1.0, abs(ref)))
     return worst, draws
 

@@ -413,6 +413,7 @@ def test_rational_part_cancels_iff_v_minus_is_its_pt_part():
     for spec in solved + mirrored + [RationalSin(-2.0, 0.5, 0.0, TorusGeometry(1.0, 2.0))]:
         assert rational_part_cancels(spec)
         assert rational_part(spec) < 1e-8 * (1.0 + abs(spec.lam)) ** 2
+        assert analytic_spectrum(spec, 0) == 0.0   # no DomainError
     unsolved = [RationalSin(-2.0, 0.5, 0.3, TorusGeometry(1.0, 2.0)),
                 RationalSin(0.25, 0.25, 0.5, TorusGeometry(1.0, 1.0 + 1e-9))]
     for spec in unsolved:
@@ -420,6 +421,8 @@ def test_rational_part_cancels_iff_v_minus_is_its_pt_part():
         assert rational_part(spec) > 1e-10
         with pytest.raises(DomainError):
             eigenfunction_plus(spec, 1, 1.0)
+        with pytest.raises(DomainError):
+            analytic_spectrum(spec, 1)
 
 
 def test_partner_closed_form_lambda_zero_reduction():
