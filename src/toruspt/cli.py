@@ -55,7 +55,7 @@ import warnings
 import numpy as np
 
 from . import iso21, susy
-from .errors import DomainError, NonFinitePotential, NormalizationFailure, TorusPTError
+from .errors import NonFinitePotential, NormalizationFailure, TorusPTError
 from .geometry import TorusGeometry, prefactor_f
 
 CASES = ("pt", "rational", "beta", "appell", "component2", "iso21")
@@ -542,14 +542,6 @@ def cmd_spectrum(args) -> int:
     return 0 if report.passed else 1
 
 
-def _normalized(vals, xs):
-    # A column that overflows leaves a non-finite norm; _check_finite reports
-    # it as NormalizationFailure, so numpy's own warnings would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = math.sqrt(np.trapezoid(vals * vals, xs))
-        return vals / norm if norm > 0.0 else vals
-
-
 def cmd_wavefunction(args) -> int:
     if args.n < 0:
         raise CLIError("level n must be non-negative")
@@ -562,37 +554,32 @@ def cmd_wavefunction(args) -> int:
         spec = _family_from_args(args)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            bare = lambda x: susy.spinor_psi2(spec.geom, spec.lam, args.n, x,
-                                              normalized=False)
+            bare = lambda x: susy.spinor_psi2(spec.geom, spec.lam, args.n, x)
             psi2 = bare(xs)
             normalizable = susy.integrability_probe(bare, "left") and \
                 susy.integrability_probe(bare, "right")
         notes["normalizable"] = normalizable
         notes["warnings"] = sorted({type(w.message).__name__ for w in caught})
         header = ["x", "psi2"]
-        cols = [xs, _normalized(psi2, xs)]
+        cols = [xs, susy.normalize(psi2, xs)]
     else:
         spec = _family_from_args(args)
-        # the closed forms below solve a sin-tail V- only once it has no
-        # rational part
-        if isinstance(spec, susy.RationalSin) and not susy.rational_part_cancels(spec):
-            raise DomainError("V- keeps a rational part: the parameters fail the "
-                              "cancellation conditions")
+        susy.require_cancellation(spec)
         _warn_regime(spec)
         # _check_finite reports a column that overflows (NormalizationFailure)
         with np.errstate(all="ignore"):
             fm = susy.eigenfunction_minus(spec.A, spec.B, args.n, xs)
-            geom = spec.geom if hasattr(spec, "geom") else TorusGeometry(1.0, 1.0)
-            psi1 = prefactor_f(geom, xs) * fm
+            # susy.spinor_psi1's expression, on the F_n computed once
+            psi1 = prefactor_f(spec.geom, xs) * fm
         header = ["x", "F_minus", "psi1"]
-        cols = [xs, _normalized(fm, xs), _normalized(psi1, xs)]
+        cols = [xs, susy.normalize(fm, xs), susy.normalize(psi1, xs)]
         if args.with_plus:
             if args.n < 1:
                 raise CLIError("--with-plus needs n >= 1")
             with np.errstate(all="ignore"):
                 fp = susy.eigenfunction_plus(spec, args.n, xs)
             header.append("F_plus")
-            cols.append(_normalized(fp, xs))
+            cols.append(susy.normalize(fp, xs))
     _check_finite(header, cols, NormalizationFailure)
     table = _Table(header, cols)
     if args.format == "csv":

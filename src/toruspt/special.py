@@ -72,7 +72,8 @@ def _jacobi_recurrence(n, a, b, z):
     """P_n^(a,b)(z), n >= 1, at an array z or a Python float z.  The steps use
     only + - * /, which round a float as they round each array entry, so a
     float z (the 0-d case) gives the array's bits at a fraction of the cost
-    of 0-d array steps."""
+    of 0-d array steps.  None where a leading coefficient rounds to 0 off
+    _recurrence_degenerate's test (huge exponents of opposite sign)."""
     p_prev = 1.0 if isinstance(z, float) else np.ones_like(z)
     p = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * z
     for k in range(2, n + 1):
@@ -80,8 +81,8 @@ def _jacobi_recurrence(n, a, b, z):
         c2 = (2.0 * k + a + b - 1.0) * (a * a - b * b)
         c3 = (2.0 * k + a + b - 2.0) * (2.0 * k + a + b - 1.0) * (2.0 * k + a + b)
         c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
-        if c1 == 0.0:   # divide as numpy does (inf or nan), not ZeroDivisionError
-            c1 = np.float64(c1)
+        if c1 == 0.0:
+            return None
         p, p_prev = ((c2 + c3 * z) * p - c4 * p_prev) / c1, p
     return p
 
@@ -112,7 +113,9 @@ def jacobi_poly(params: JacobiParams, z):
     lie outside [-1, 1], and a scalar z gives the bits of a 1-point array.
     Negative-integer alpha (or beta) and the recurrence-degenerate manifold
     alpha+beta in {-2, -3, ...} are routed through the parameter-limit
-    identity / a sum over binomial coefficients, so the function is total.
+    identity / a sum over binomial coefficients, and so is a recurrence
+    whose leading coefficient rounds to 0 off that manifold, so the function
+    is total.
     """
     n, a, b = params.n, float(params.alpha), float(params.beta)
     z_arr = np.asarray(z, dtype=float)
@@ -124,7 +127,8 @@ def jacobi_poly(params: JacobiParams, z):
     if m is None and _as_negative_integer(b, n) is None \
             and not _recurrence_degenerate(n, a, b):
         out = _jacobi_recurrence(n, a, b, float(z_arr) if scalar else z_arr)
-        return float(out) if scalar else out
+        if out is not None:
+            return float(out) if scalar else out
     # The branches below take powers, and numpy's power of a scalar can
     # differ in the last bit from its power of an array, so a scalar z runs
     # as a 1-point array: every scalar value is the array's entry.

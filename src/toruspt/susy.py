@@ -40,7 +40,6 @@ from .errors import (
     GridTooCoarse,
     InconsistentConditions,
     NonFinitePotential,
-    NormalizationFailure,
     OutOfRange,
 )
 from .geometry import TorusGeometry, prefactor_f
@@ -69,10 +68,12 @@ __all__ = [
     "lambda_bracket",
     "solve_parameter_conditions",
     "rational_part_cancels",
+    "require_cancellation",
     "analytic_spectrum",
     "eigenfunction_minus",
     "eigenfunction_plus",
     "ladder_apply",
+    "normalize",
     "spinor_psi1",
     "spinor_psi2",
     "psi2_substitution_residual",
@@ -90,6 +91,11 @@ class _SuperpotentialBase:
 class PureTrigPT(_SuperpotentialBase):
     A: float
     B: float
+
+    @property
+    def geom(self) -> TorusGeometry:
+        """The printed torus a = c = 1, on which the spinor prefactor lives."""
+        return TorusGeometry(1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -346,16 +352,17 @@ def solve_parameter_conditions(case: str, *, a: float, B: float | None = None,
     raise DomainError("case must be 'equal_radii' or 'appell'")
 
 
-def rational_part_cancels(spec: RationalSin) -> bool:
-    """True if the V- of a sin-tail family is its trigonometric part alone, so
-    that the Poschl-Teller eigenfunctions solve it.
+def rational_part_cancels(spec) -> bool:
+    """True if the V- of a sin-tail family (RationalSin or AppellTail) is its
+    trigonometric part alone, so that the Poschl-Teller eigenfunctions solve it.
 
     The rational part of V-, times P^2, is
     lambda [(lambda - a) sin^2 x + (2B + (2A - 1) cos x) P]; it vanishes for
     every x iff lambda = 0 or its cos^2 x, cos x and constant coefficients
     do: lambda = 2aA, 2aB = (1 - 2A) c and (given the first) 2Bc = (1 - 2A) a.
-    Each is compared with math.isclose at the 1e-12 of
-    solve_parameter_conditions, which returns families that pass.
+    The Appell tail's remainder, lambda_bracket, vanishes under the same
+    three conditions (or lambda = 0).  Each is compared with math.isclose at
+    the 1e-12 of solve_parameter_conditions, which returns families that pass.
     """
     A, B, lam, a, c = spec.A, spec.B, spec.lam, spec.geom.a, spec.geom.c
     return lam == 0.0 or all(
@@ -364,10 +371,10 @@ def rational_part_cancels(spec: RationalSin) -> bool:
                      (2.0 * B * c, (1.0 - 2.0 * A) * a)))
 
 
-def _require_cancellation(spec):
-    """DomainError for a sin-tail family whose V- keeps a rational part: the
-    Poschl-Teller closed forms do not solve it."""
-    if isinstance(spec, RationalSin) and not rational_part_cancels(spec):
+def require_cancellation(spec):
+    """DomainError for a sin-tail family (RationalSin or AppellTail) that fails
+    rational_part_cancels: the Poschl-Teller closed forms do not solve its V-."""
+    if isinstance(spec, (RationalSin, AppellTail)) and not rational_part_cancels(spec):
         raise DomainError("V- keeps a rational part: the parameters fail the "
                           "cancellation conditions")
 
@@ -377,9 +384,9 @@ def analytic_spectrum(spec, n: int) -> float:
     family, computed as n (n - 2A) so that a huge A gives a huge value, not
     the OverflowError of A ** 2; the physical energies are
     iso21.energy_scalings.  The value is formal when spec.normalizable is
-    False.  A sin-tail family must pass rational_part_cancels (DomainError
-    otherwise): its V- is not the Poschl-Teller potential of this spectrum."""
-    _require_cancellation(spec)
+    False.  A sin-tail family must pass require_cancellation: its V- is
+    otherwise not the Poschl-Teller potential of this spectrum."""
+    require_cancellation(spec)
     val = n * (n - 2.0 * spec.A)
     if val < -1e-12:
         raise OutOfRange(f"eps({n}) < 0: level outside the valid range")
@@ -411,11 +418,10 @@ def eigenfunction_plus(spec, n: int, x):
         raise OutOfRange("partner levels are indexed from n = 1")
     if not isinstance(spec, (PureTrigPT, RationalSin)):
         raise DomainError("closed form available for the trigonometric families")
-    _require_cancellation(spec)
+    require_cancellation(spec)
     arr = _check_open_interval(x)
-    A, B = spec.A, spec.B
+    A, B, a = spec.A, spec.B, spec.geom.a
     lam = spec.lam if isinstance(spec, RationalSin) else 0.0
-    a = spec.geom.a if isinstance(spec, RationalSin) else 1.0
     cx = np.cos(arr)
     weight = (1.0 - cx) ** (0.5 * (-A - B)) * (1.0 + cx) ** (0.5 * (B - A))
     term1 = (0.5 * a * (2.0 * A - n) * np.sin(arr)
@@ -441,16 +447,19 @@ def ladder_apply(spec, f_vals, grid):
     return grid_derivative(f, x[1] - x[0]) + w * f
 
 
-_NORM_GRID_SIZE = 20001
-
-
-def _l2_normalize(fn, a_lo=0.0, a_hi=math.pi):
-    xs = np.linspace(a_lo, a_hi, _NORM_GRID_SIZE)[1:-1]
-    vals = fn(xs)
-    norm2 = np.trapezoid(vals * vals, xs)
-    if not np.isfinite(norm2) or norm2 <= 0.0:
-        raise NormalizationFailure("L2 normalization integral is not finite")
-    return 1.0 / math.sqrt(norm2)
+def normalize(vals, xs):
+    """vals over its trapezoid L2 norm on the grid xs.  A column whose squares
+    overflow (or underflow to a zero norm) is first divided by its largest
+    |value|; a column holding NaN or inf stays non-finite, and an all-zero
+    column is returned as it is."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = math.sqrt(np.trapezoid(vals * vals, xs))
+        if not 0.0 < norm < math.inf:
+            peak = float(np.max(np.abs(vals)))
+            if 0.0 < peak < math.inf:
+                vals = vals / peak
+                norm = math.sqrt(np.trapezoid(vals * vals, xs))
+        return vals / norm if norm > 0.0 else vals
 
 
 def integrability_probe(fn, endpoint: str = "left") -> bool:
@@ -479,30 +488,23 @@ def integrability_probe(fn, endpoint: str = "left") -> bool:
     return bool(np.all(ratios < 0.6))
 
 
-def spinor_psi1(spec, n: int, x, normalized: bool = True):
-    """First spinor component: e^{-a/(2 R)} times the minus eigenfunction.
-
-    The normalization constant is fixed by unit L2 norm on (0, pi) computed
-    with a fixed trapezoid rule; outside the normalizable regime the value
-    is formal.
+def spinor_psi1(spec, n: int, x):
+    """First spinor component e^{-a/(2 R)} F_n, unnormalized (see normalize):
+    prefactor_f on spec.geom (the printed torus a = c = 1 for PureTrigPT)
+    times eigenfunction_minus.  A sin-tail family must pass
+    require_cancellation; outside the normalizable regime the value is formal.
     """
-    if not isinstance(spec, (RationalSin, PureTrigPT)):
-        raise DomainError("spinor_psi1 is defined for the trigonometric families")
-    geom = spec.geom if isinstance(spec, RationalSin) else TorusGeometry(1.0, 1.0)
-
-    def bare(xs):
-        return prefactor_f(geom, xs) * eigenfunction_minus(spec.A, spec.B, n, xs)
-
-    scale = _l2_normalize(bare) if normalized else 1.0
-    out = scale * bare(_check_open_interval(x))
+    require_cancellation(spec)
+    arr = _check_open_interval(x)
+    out = prefactor_f(spec.geom, arr) * eigenfunction_minus(spec.A, spec.B, n, arr)
     return float(out) if np.asarray(x).ndim == 0 else np.asarray(out)
 
 
-def spinor_psi2(geom: TorusGeometry, lam: float, n: int, x,
-                normalized: bool = True):
-    """Second spinor component, evaluated verbatim from its printed form:
+def spinor_psi2(geom: TorusGeometry, lam: float, n: int, x):
+    """Second spinor component, unnormalized, evaluated verbatim from its
+    printed form without N2:
 
-        N2 e^{-a/(2(a + a cos x))} (1-cos x)^((a-2 lam)/(4a))
+        e^{-a/(2(a + a cos x))} (1-cos x)^((a-2 lam)/(4a))
            (1+cos x)^(-1/4) P_n^(-1, -lam/a)(cos x).
 
     The Jacobi parameter alpha = -1 is degenerate (DegenerateJacobiWarning);
@@ -510,26 +512,17 @@ def spinor_psi2(geom: TorusGeometry, lam: float, n: int, x,
     claimed form fails the Schroedinger substitution test for n >= 1, which
     the verification suite reports rather than hides.  The exponential is
     prefactor_f on the printed torus c = a, whatever the sign of geom.c.
+    Whether it is square-integrable is integrability_probe's question.
     """
     warnings.warn("Jacobi parameter alpha = -1 is degenerate in psi2",
                   DegenerateJacobiWarning, stacklevel=2)
     a = geom.a
-    printed = TorusGeometry(a, a)
-
-    def bare(xs):
-        cx = np.cos(xs)
-        return (prefactor_f(printed, xs)
-                * (1.0 - cx) ** ((a - 2.0 * lam) / (4.0 * a))
-                * (1.0 + cx) ** (-0.25)
-                * jacobi_poly(JacobiParams(n, -1.0, -lam / a), cx))
-
-    if normalized:
-        if not integrability_probe(bare, "left"):
-            raise NormalizationFailure("psi2 L2 integral diverges at x -> 0")
-        scale = _l2_normalize(bare)
-    else:
-        scale = 1.0
-    out = scale * bare(_check_open_interval(x))
+    arr = _check_open_interval(x)
+    cx = np.cos(arr)
+    out = (prefactor_f(TorusGeometry(a, a), arr)
+           * (1.0 - cx) ** ((a - 2.0 * lam) / (4.0 * a))
+           * (1.0 + cx) ** (-0.25)
+           * jacobi_poly(JacobiParams(n, -1.0, -lam / a), cx))
     return float(out) if np.asarray(x).ndim == 0 else np.asarray(out)
 
 

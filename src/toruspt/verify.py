@@ -596,8 +596,8 @@ def _partner_closed_form(ctx):
 @_check("psi1_normalization", "susy")
 def _psi1_normalization(ctx):
     spec = susy.solve_parameter_conditions("equal_radii", a=1.0, B=0.25, branch="-")
-    xs = np.linspace(0.0, math.pi, 20001)[1:-1]  # the normalization convention grid
-    psi = susy.spinor_psi1(spec, 0, xs)
+    xs = np.linspace(0.0, math.pi, 20001)[1:-1]
+    psi = susy.normalize(susy.spinor_psi1(spec, 0, xs), xs)
     err = abs(float(np.trapezoid(psi * psi, xs)) - 1.0)
     return _result(err, 1e-8,
                    "unit L2 norm under the fixed quadrature convention")
@@ -611,7 +611,7 @@ def _psi2_integrability(ctx):
         # spinor_psi2 warns DegenerateJacobiWarning on every call
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return susy.spinor_psi2(spec.geom, spec.lam, 0, xs, normalized=False)
+            return susy.spinor_psi2(spec.geom, spec.lam, 0, xs)
 
     left = susy.integrability_probe(bare, "left")
     right = susy.integrability_probe(bare, "right")

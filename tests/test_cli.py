@@ -14,7 +14,9 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from toruspt import cli
+from toruspt import cli, susy
+from toruspt.errors import DegenerateJacobiWarning
+from toruspt.geometry import TorusGeometry
 
 PKG_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -509,6 +511,79 @@ def test_benchmark_rational_wavefunctions_pass_the_cancellation_check(capsys):
             assert code == 0, e["key"]
         else:
             assert code == 1 and "error: NormalizationFailure: " in err, e["key"]
+
+
+def _csv_columns(text):
+    """The columns of a CSV table, each float read back exactly."""
+    lines = text.splitlines()
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    return lines[0].split(","), np.array(rows).T
+
+
+_GRID = ["--x-lo", "0.2", "--x-hi", "2.0", "--n-points", "201"]
+
+
+@pytest.mark.parametrize("flags, spec", [
+    (["--case", "pt", "--A", "-2", "--B", "0.5", "--n", "2"],
+     susy.PureTrigPT(-2.0, 0.5)),
+    (["--case", "rational", "--a", "1", "--B", "0.25", "--branch", "-", "--n", "1"],
+     susy.solve_parameter_conditions("equal_radii", a=1.0, B=0.25, branch="-")),
+    (["--case", "beta", "--A", "-0.25", "--B", "-0.25", "--a", "1", "--c", "1.5",
+      "--n", "1"],
+     susy.BetaTail(-0.25, -0.25, 1.0, TorusGeometry(1.0, 1.5))),
+    (["--case", "appell", "--a", "1", "--lambda", "2", "--branch", "+", "--n", "1"],
+     susy.solve_parameter_conditions("appell", a=1.0, lam=2.0, branch="+")),
+], ids=["pt", "rational", "beta", "appell"])
+def test_psi1_column_is_the_library_spinor(capsys, flags, spec):
+    assert cli.main(["wavefunction", *flags, *_GRID]) == 0
+    header, cols = _csv_columns(capsys.readouterr().out)
+    assert header == ["x", "F_minus", "psi1"]
+    xs = np.linspace(0.2, 2.0, 201)
+    n = int(flags[-1])
+    assert np.array_equal(cols[0], xs)
+    assert np.array_equal(cols[1], susy.normalize(
+        susy.eigenfunction_minus(spec.A, spec.B, n, xs), xs))
+    assert np.array_equal(cols[2], susy.normalize(susy.spinor_psi1(spec, n, xs), xs))
+
+
+def test_psi2_column_is_the_library_spinor(capsys):
+    assert cli.main(["wavefunction", "--case", "component2", "--a", "1", "--B", "0.25",
+                     "--branch", "-", "--n", "1", *_GRID]) == 0
+    header, cols = _csv_columns(capsys.readouterr().out)
+    assert header == ["x", "psi2"]
+    solved = susy.solve_parameter_conditions("equal_radii", a=1.0, B=0.25, branch="-")
+    xs = np.linspace(0.2, 2.0, 201)
+    with pytest.warns(DegenerateJacobiWarning):
+        psi2 = susy.spinor_psi2(solved.geom, solved.lam, 1, xs)
+    assert np.array_equal(cols[1], susy.normalize(psi2, xs))
+
+
+def test_benchmark_appell_sets_pass_the_cancellation_gate():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "reference",
+                        "tails.json")
+    with open(path) as fh:
+        entries = json.load(fh)["catalogue"]["appell_potential"]
+    assert len(entries) == 16
+    for e in entries:
+        p = e["params"]
+        spec = susy.solve_parameter_conditions("appell", a=p["a"], lam=p["lambda"],
+                                               branch=p["branch"], C1=p["C1"])
+        assert susy.rational_part_cancels(spec), e["key"]
+
+
+def test_columns_whose_squares_overflow_are_normalized(capsys):
+    # F_minus ~ (1 - cos x)^-30 near x = 0: its squares overflow a double, and
+    # the columns were once written as all zeros
+    xs = np.linspace(0.002, math.pi - 0.002, 65)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.trapezoid(
+            susy.eigenfunction_minus(60.0, 0.5, 0, xs) ** 2, xs))
+    assert cli.main(["wavefunction", "--case", "pt", "--A", "60", "--B", "0.5",
+                     "--n", "0", "--n-points", "65"]) == 0
+    header, cols = _csv_columns(capsys.readouterr().out)
+    assert header == ["x", "F_minus", "psi1"]
+    for col in cols[1:]:
+        assert abs(np.trapezoid(col * col, cols[0]) - 1.0) < 1e-9
 
 
 @pytest.mark.parametrize("argv, error", [

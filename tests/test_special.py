@@ -3,6 +3,7 @@
 import contextlib
 import math
 import tracemalloc
+import warnings
 
 import hypothesis
 import hypothesis.strategies as st
@@ -212,6 +213,24 @@ def test_jacobi_degenerate_recurrence_manifold():
     val = jacobi_poly(JacobiParams(2, -1.25, -0.75), 0.4)
     assert val == pytest.approx(lim, abs=1e-4)
     assert val == pytest.approx(-0.22875, abs=1e-12)
+
+
+def test_jacobi_leading_coefficient_rounding_to_zero():
+    # k + a + b rounds to 0 at k = 2 although a + b is not near an integer
+    # of the degenerate manifold: the binomial sum, not a 0/0 recurrence step
+    import mpmath
+
+    params = JacobiParams(3, -1e17, 1e17)
+    zs = np.array([0.3, -0.5, 0.9])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = jacobi_poly(params, 0.3)
+        arr = jacobi_poly(params, zs)
+    assert type(scalar) is float and scalar == arr[0]
+    with mpmath.workdps(60):
+        ref = [float(mpmath.jacobi(3, mpmath.mpf(-1e17), mpmath.mpf(1e17),
+                                   mpmath.mpf(float(z)))) for z in zs]
+    np.testing.assert_allclose(arr, ref, rtol=1e-14, atol=0.0)
 
 
 def test_jacobi_vectorized_matches_scalar():

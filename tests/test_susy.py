@@ -16,7 +16,7 @@ from toruspt.errors import (
     OutOfRange,
     SingularGeometry,
 )
-from toruspt.geometry import TorusGeometry
+from toruspt.geometry import TorusGeometry, prefactor_f
 from toruspt.oracle import Grid1D, build_hamiltonian, eigenpairs, solve_potential
 from toruspt.special import JacobiParams, jacobi_poly
 from toruspt.susy import (
@@ -29,10 +29,13 @@ from toruspt.susy import (
     eigenfunction_minus,
     eigenfunction_plus,
     integrability_probe,
+    lambda_bracket,
     ladder_apply,
+    normalize,
     partner_potentials,
     pt_coefficients,
     rational_part_cancels,
+    require_cancellation,
     solve_parameter_conditions,
     spinor_psi1,
     spinor_psi2,
@@ -446,18 +449,18 @@ def test_partner_endpoint_vanishing_in_normalizable_regime():
 
 def test_psi1_prefactor_and_normalization():
     spec = solve_parameter_conditions("equal_radii", a=1.0, B=0.25, branch="-")
-    xs = np.linspace(0.0, math.pi, 20001)[1:-1]  # normalization convention grid
-    psi = spinor_psi1(spec, 0, xs)
+    xs = np.linspace(0.0, math.pi, 20001)[1:-1]
+    psi = normalize(spinor_psi1(spec, 0, xs), xs)
     assert trapezoid(psi * psi, xs) == pytest.approx(1.0, abs=1e-10)
     # prefactor at small x approaches e^{-1/4} for a = 1
-    bare = spinor_psi1(spec, 0, np.array([1e-6]), normalized=False)
+    bare = spinor_psi1(spec, 0, np.array([1e-6]))
     f0 = eigenfunction_minus(spec.A, spec.B, 0, np.array([1e-6]))
     assert bare[0] / f0[0] == pytest.approx(math.exp(-0.25), rel=1e-5)
 
 
 def test_psi1_decays_at_horn_point():
     spec = solve_parameter_conditions("equal_radii", a=1.0, B=0.25, branch="-")
-    vals = spinor_psi1(spec, 0, np.array([math.pi - 1e-3]), normalized=False)
+    vals = spinor_psi1(spec, 0, np.array([math.pi - 1e-3]))
     assert abs(vals[0]) < 1e-100
 
 
@@ -465,7 +468,7 @@ def test_psi2_normalization_and_warning():
     spec = solve_parameter_conditions("equal_radii", a=1.0, B=0.25, branch="-")
     xs = np.linspace(0.0, math.pi, 20001)[1:-1]
     with pytest.warns(DegenerateJacobiWarning):
-        psi = spinor_psi2(spec.geom, spec.lam, 0, xs)
+        psi = normalize(spinor_psi2(spec.geom, spec.lam, 0, xs), xs)
     assert trapezoid(psi * psi, xs) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -475,12 +478,68 @@ def test_psi2_integrability_probe():
     def bare(x):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return spinor_psi2(spec.geom, spec.lam, 0, x, normalized=False)
+            return spinor_psi2(spec.geom, spec.lam, 0, x)
 
     assert integrability_probe(bare, "left")
     assert integrability_probe(bare, "right")
     # negative control: 1/sqrt(x) is marginally divergent on the left
     assert not integrability_probe(lambda x: 1.0 / np.sqrt(x), "left")
+
+
+def test_pt_spinor_lives_on_the_printed_torus():
+    spec = PureTrigPT(-2.0, 0.5)
+    assert spec.geom == TorusGeometry(1.0, 1.0)
+    # a property, not a field: repr and equality are the two parameters'
+    assert repr(spec) == "PureTrigPT(A=-2.0, B=0.5)"
+    assert spec == PureTrigPT(-2.0, 0.5)
+    xs = np.array([0.5, 1.0, 2.5])
+    assert np.array_equal(spinor_psi1(spec, 2, xs),
+                          prefactor_f(TorusGeometry(1.0, 1.0), xs)
+                          * eigenfunction_minus(-2.0, 0.5, 2, xs))
+
+
+def test_unsolved_rational_psi1_is_a_domain_error():
+    # the Poschl-Teller functions do not solve this V-: no psi1 to serve
+    spec = RationalSin(-2.0, 0.5, 0.3, TorusGeometry(1.0, 2.0))
+    with pytest.raises(DomainError):
+        spinor_psi1(spec, 1, np.array([0.5, 1.0]))
+
+
+def test_beta_tail_psi1_is_served():
+    spec = BetaTail(-0.25, -0.25, 1.0, TorusGeometry(1.0, 1.5))
+    xs = np.array([0.3, 1.2, 2.8])
+    got = spinor_psi1(spec, 1, xs)
+    assert np.array_equal(got, prefactor_f(spec.geom, xs)
+                          * eigenfunction_minus(-0.25, -0.25, 1, xs))
+    assert spinor_psi1(spec, 1, 1.2) == got[1]
+
+
+def test_unsolved_appell_spectrum_is_a_domain_error():
+    spec = AppellTail(0.2, 0.1, 1.3, -1.0, TorusGeometry(1.0, 1.7))
+    xs = np.linspace(0.2, 2.0, 401)
+    # the remainder lambda_bracket / (2 P^2) of its V- does not vanish
+    assert np.max(np.abs(lambda_bracket(0.2, 0.1, 1.3, 1.0, 1.7, xs)
+                         / (2.0 * spec.geom.radius(xs) ** 2))) > 0.6
+    assert not rational_part_cancels(spec)
+    with pytest.raises(DomainError):
+        analytic_spectrum(spec, 1)
+    with pytest.raises(DomainError):
+        spinor_psi1(spec, 1, xs)
+
+
+def test_solved_appell_sets_pass_the_cancellation_gate():
+    rng = np.random.default_rng(19)
+    xs = np.linspace(0.2, 2.0, 101)
+    # the branch '+' sets, the root A = 1/2, B = 0 (lambda = a) and lambda = 0
+    solved = [solve_parameter_conditions("appell", a=a, lam=a * t, branch="+")
+              for a, t in zip(rng.uniform(0.1, 5.0, 200), rng.uniform(1.0, 6.0, 200))]
+    solved.append(AppellTail(0.5, 0.0, 1.3, -1.0, TorusGeometry(1.3, 1.3)))
+    solved.append(AppellTail(0.2, 0.1, 0.0, -1.0, TorusGeometry(1.0, 1.7)))
+    for spec in solved:
+        require_cancellation(spec)   # no DomainError
+        a, c = spec.geom.a, spec.geom.c
+        bracket = lambda_bracket(spec.A, spec.B, spec.lam, a, c, xs)
+        assert np.max(np.abs(bracket)) < 1e-12 * (1.0 + spec.lam) ** 2 * (a + abs(c))
 
 
 def test_psi2_substitution_exposes_parameter_swap():
