@@ -6,13 +6,17 @@ first-derivative term is removed by the substitution psi = f(x) F(g(x)); the
 slope g' doubles as the inverse Fermi-velocity profile, V_F = 1/g'.
 
 The transform solver works in w = 1/g'^2, where the defining condition
-"reduced potential == target" becomes a linear first-order ODE.  Its output
-is validated downstream by the round-trip residual, which re-derives the
-reduced potential from the sampled slope with finite differences.
+"reduced potential == target" becomes a linear first-order ODE.  It is solved
+exactly across each grid interval by its integrating factor, with the two
+integrals of that propagator taken by 8-point Gauss-Legendre, so the only
+error is the quadrature's (order 16 in the interval length) and rounding.  Its
+output is validated downstream by the round-trip residual, which re-derives
+the reduced potential from the sampled slope with finite differences.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +46,7 @@ __all__ = [
 
 _W_FLOOR = 1e-280
 _W_CEIL = 1e280
+_GL_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -150,25 +155,30 @@ def solve_g_transform(geom, mode: ModeParams, target, grid, h0=1.0):
     In w = 1/g'^2 the defining condition is linear:
         component 1:  w' = -2 p(x) w + 2 V R^2 / (a^2 k),  p = a^2 k/R^2 - 2R'/R
         component 2:  w' = +2 q(x) w - 2 V R^2 / (a^2 k),  q = a^2 k/R^2 + 2R'/R
-    integrated from the grid midpoint with w = 1/h0^2 there.  k = 0 makes
-    every term of the reduced potential vanish, so only a zero target is
-    representable (DegenerateMode otherwise).  BlowUp is raised if w leaves
-    (0, inf) inside the grid.
+    that is w' = alpha w + beta, with w = 1/h0^2 at the grid midpoint.  It is
+    solved exactly across each grid interval by its integrating factor,
+        w(x1) = e^(int_x0^x1 alpha) w(x0) + int_x0^x1 e^(int_t^x1 alpha) beta(t) dt,
+    both integrals by 8-point Gauss-Legendre (see _interval_maps), and the
+    interval maps are chained outward from the midpoint.  target must accept
+    an array of points; it is called once.  k = 0 makes every term of the
+    reduced potential vanish, so only a zero target is representable
+    (DegenerateMode otherwise).  BlowUp is raised as soon as w leaves
+    (1e-280, 1e280).  The grid must be finite, strictly increasing and
+    interior to (0, pi), and h0 finite and positive (DomainError otherwise).
     """
-    # scipy is imported where it is called: importing it costs most of a
-    # CLI call that samples potentials and never solves the ODE
-    from scipy.integrate import solve_ivp
-
     x = np.asarray(grid, dtype=float)
     if x.ndim != 1 or x.size < 3:
         raise DomainError("grid must be a 1D array with at least 3 points")
+    if not np.all(np.isfinite(x)):
+        raise DomainError("grid points must be finite")
     if np.any(x <= 0.0) or np.any(x >= math.pi):
         raise DomainError("grid must be interior to (0, pi)")
-    if h0 <= 0.0:
-        raise DomainError("initial slope h0 must be positive")
-    a, k = geom.a, mode.k
+    if np.any(np.diff(x) <= 0.0):
+        raise DomainError("grid must be strictly increasing")
+    if not (0.0 < h0 < math.inf):
+        raise DomainError("initial slope h0 must be finite and positive")
 
-    if k == 0.0:
+    if mode.k == 0.0:
         if (target.coeff_csc2 != 0.0 or target.coeff_cotcsc != 0.0
                 or target.eps_const != 0.0):
             raise DegenerateMode(
@@ -176,47 +186,96 @@ def solve_g_transform(geom, mode: ModeParams, target, grid, h0=1.0):
         h = np.full_like(x, h0)
         return _pack_transform(geom, x, h)
 
-    sign = 1.0 if mode.component == 1 else -1.0
+    nodes, weights, left = _gauss_legendre()
+    half = 0.5 * np.diff(x)
+    alpha, beta = _ode_coefficients(
+        geom, mode, target, 0.5 * (x[:-1] + x[1:])[:, None] + half[:, None] * nodes)
 
-    def rhs(t, w):
-        # scalar R and R' here: this runs once per solver step
-        r = geom.c + a * math.cos(t)
-        rp = -a * math.sin(t)
-        p = a * a * k / (r * r) - sign * 2.0 * rp / r
-        v = target(t)
-        return sign * (-2.0 * p * w[0] + 2.0 * v * r * r / (a * a * k))
-
-    def hit_floor(t, w):
-        return w[0] - _W_FLOOR
-
-    def hit_ceil(t, w):
-        return w[0] - _W_CEIL
-
-    hit_floor.terminal = True
-    hit_ceil.terminal = True
-
+    # rightward from the midpoint each interval is left by its right end;
+    # leftward it is left by its left end, with the step taken negative
     i_mid = x.size // 2
+    up, down = slice(i_mid, None), slice(None, i_mid)
+    gain_up, force_up = _interval_maps(alpha[up], beta[up], half[up],
+                                       weights - left, weights)
+    gain_down, force_down = _interval_maps(alpha[down], beta[down],
+                                           -half[down], left, weights)
+
     w_mid = 1.0 / (h0 * h0)
-    w = np.empty_like(x)
-    w[i_mid] = w_mid
-    for sl, x0, x1 in (
-        (slice(i_mid, x.size), x[i_mid], x[-1]),
-        (slice(i_mid, None, -1), x[i_mid], x[0]),
-    ):
-        pts = x[sl]
-        if pts.size < 2:
-            continue
-        sol = solve_ivp(rhs, (x0, x1), [w_mid], t_eval=pts, method="DOP853",
-                        rtol=1e-12, atol=1e-14, events=(hit_floor, hit_ceil))
-        if not sol.success:
-            raise BlowUp(f"transform ODE integration failed: {sol.message}")
-        if sol.status == 1 or sol.y.shape[1] < pts.size:
-            raise BlowUp("g' left (0, inf) inside the grid")
-        w[sl] = sol.y[0]
-    if np.any(w <= _W_FLOOR) or np.any(w >= _W_CEIL) or not np.all(np.isfinite(w)):
-        raise BlowUp("g' left (0, inf) inside the grid")
+    w = np.array(_chain(w_mid, gain_down[::-1], force_down[::-1])[::-1]
+                 + [w_mid] + _chain(w_mid, gain_up, force_up))
     h = 1.0 / np.sqrt(w)
     return _pack_transform(geom, x, h)
+
+
+def _ode_coefficients(geom, mode, target, t):
+    """alpha and beta of w' = alpha w + beta at the points t."""
+    a, k = geom.a, mode.k
+    sign = 1.0 if mode.component == 1 else -1.0
+    beta = sign * 2.0 * target(t)
+    r = geom.checked_radius(t)
+    # in place, a full-size array at a time; each step is the rounding of
+    # -sign 2 (a^2 k / R^2 - sign 2 R'/R) and sign 2 V R^2 / (a^2 k)
+    term = np.sin(t)
+    term *= -a
+    term *= sign * 2.0
+    term /= r
+    beta *= r
+    beta *= r
+    beta /= a * a * k
+    alpha = r * r
+    np.divide(a * a * k, alpha, out=alpha)
+    alpha -= term
+    alpha *= -sign * 2.0
+    return alpha, beta
+
+
+@functools.cache
+def _gauss_legendre():
+    """8-point Gauss-Legendre nodes and weights on [-1, 1], and left[i, m],
+    the integral from -1 to node i of the Lagrange basis polynomial of node m.
+
+    Built on first use, so importing the package does not load
+    numpy.polynomial.  Each Lagrange polynomial is expanded in Legendre
+    polynomials by the rule itself, which is exact for their degree.
+    """
+    from numpy.polynomial import legendre
+
+    nodes, weights = legendre.leggauss(_GL_POINTS)
+    vander = legendre.legvander(nodes, _GL_POINTS - 1)
+    coef = vander.T * weights * (np.arange(_GL_POINTS) + 0.5)[:, None]
+    left = legendre.legvander(nodes, _GL_POINTS) @ legendre.legint(coef, lbnd=-1)
+    return nodes, weights, left
+
+
+def _interval_maps(alpha, beta, half, part, weights):
+    """Gain e^(int alpha) and forcing int e^(int_t^end alpha) beta dt of
+    w' = alpha w + beta across each interval, from the values at its nodes.
+
+    half is half of each interval's length, negative for a map that runs
+    leftward, and part[i, m] the integral of the Lagrange polynomial of node
+    m over the stretch of [-1, 1] between node i and the end the map leaves
+    by.  Overflow gives inf or nan, which _chain reports as BlowUp.
+    """
+    inner = alpha @ part.T
+    inner *= half[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain = np.exp(half * (alpha @ weights))
+        np.exp(inner, out=inner)
+        inner *= beta
+        forcing = half * (inner @ weights)
+    return gain.tolist(), forcing.tolist()
+
+
+def _chain(w, gains, forces):
+    """w carried through the interval maps in turn, one value per map;
+    BlowUp as soon as it leaves (1e-280, 1e280)."""
+    out = []
+    for gain, force in zip(gains, forces):
+        w = gain * w + force
+        if not _W_FLOOR < w < _W_CEIL:
+            raise BlowUp("g' left (0, inf) inside the grid")
+        out.append(w)
+    return out
 
 
 def _pack_transform(geom, x, h):

@@ -116,6 +116,14 @@ class Context:
         xs = np.linspace(0.002, math.pi - 0.002, 20001)
         return xs, [susy.eigenfunction_minus(PT_A, PT_B, n, xs) for n in range(5)]
 
+    @functools.cached_property
+    def pt_spectrum(self):
+        """(grid, eps): 2000 points of [0.002, pi - 0.002] and the oracle's five
+        lowest levels of the reference V- there."""
+        grid = oracle.Grid1D(0.002, math.pi - 0.002, 2000)
+        vm = susy.pt_coefficients(PT_SPEC, "minus")(grid.points)
+        return grid, oracle.solve_potential(vm, grid, 5)
+
 
 _REGISTRY: list = []
 
@@ -464,23 +472,23 @@ def _spectrum_pt(ctx):
 
 @_check("isospectral_pt", "susy")
 def _isospectral_pt(ctx):
-    grid = oracle.Grid1D(0.002, math.pi - 0.002, 2000)
-    x = grid.points
-    rep = oracle.isospectral_check(susy.pt_coefficients(PT_SPEC, "minus")(x),
-                                   susy.pt_coefficients(PT_SPEC, "plus")(x),
-                                   grid, 4)
+    # oracle.isospectral_check with the V- levels the context shares
+    grid, eps_minus = ctx.pt_spectrum
+    rep = oracle.spectrum_report(
+        "isospectral", {"levels": 4}, eps_minus[1:],
+        susy.pt_coefficients(PT_SPEC, "plus")(grid.points), grid, 5e-3, 5e-3)
     return CheckResult(rep.passed, rep.max_rel_err,
                        5e-3, "spec(V+) vs spec(V-) shifted by one level")
 
 
 @_check("spectrum_b_independence", "susy")
 def _b_independence(ctx):
-    grid = oracle.Grid1D(0.002, math.pi - 0.002, 2000)
-    x = grid.points
+    grid, eps_ref = ctx.pt_spectrum
     worst = 0.0
-    for b in (0.0, 0.25, 0.5):
+    for b in (0.0, 0.25, PT_B):
         spec = susy.PureTrigPT(PT_A, b)
-        eps = oracle.solve_potential(susy.pt_coefficients(spec, "minus")(x), grid, 5)
+        eps = eps_ref if b == PT_B else oracle.solve_potential(
+            susy.pt_coefficients(spec, "minus")(grid.points), grid, 5)
         for n in range(1, 5):
             worst = max(worst, abs(eps[n] / (n * (n + 4.0)) - 1.0))
     return _result(worst, 5e-3,

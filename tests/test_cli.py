@@ -763,11 +763,17 @@ _SCIPY_PROBE = """
 import contextlib, io, json, sys
 from toruspt import cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def modules(*packages):
+    return sorted(m for m in sys.modules for p in packages
+                  if m == p or m.startswith(p + "."))
 
+def scipy_modules():
+    return modules("scipy")
+
+# the parser also leaves numpy.polynomial (the g-transform's Gauss-Legendre
+# tables) to the first solve
 cli.build_parser()
-loaded = {"parser": scipy_modules()}
+loaded = {"parser": modules("scipy", "numpy.polynomial")}
 codes = {}
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), \\

@@ -1,9 +1,11 @@
 """Torus geometry, reduction coefficients, and the transform round trip."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from toruspt.errors import (
     BlowUp,
@@ -15,6 +17,7 @@ from toruspt.errors import (
 from toruspt.geometry import (
     ModeParams,
     TorusGeometry,
+    _gauss_legendre,
     christoffel,
     effective_coefficients,
     prefactor_f,
@@ -165,8 +168,20 @@ def test_blowup_detected():
     # default slope drives 1/g'^2 through zero for this target
     g = TorusGeometry(1.0, 1.0)
     xs = np.linspace(0.3, 2.4, 1001)
-    with pytest.raises(BlowUp):
-        solve_g_transform(g, ModeParams(1.0, 1), PT_TARGET, xs, h0=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUp):
+            solve_g_transform(g, ModeParams(1.0, 1), PT_TARGET, xs, h0=1.0)
+
+
+def test_nan_target_is_blowup():
+    g = TorusGeometry(1.0, 1.0)
+    xs = np.linspace(0.3, 2.4, 1001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUp):
+            solve_g_transform(g, ModeParams(1.0, 1),
+                              PTCoefficients(math.nan, -1.5, -4.0), xs, h0=0.1)
 
 
 def test_grid_validation():
@@ -174,6 +189,80 @@ def test_grid_validation():
     with pytest.raises(DomainError):
         solve_g_transform(g, ModeParams(1.0, 1), PT_TARGET,
                           np.linspace(-0.1, 2.0, 101))
+
+
+def _bad_grid(case):
+    xs = np.linspace(0.3, 2.4, 101)
+    if case == "nan":
+        xs[40] = math.nan
+    elif case == "inf":
+        xs[-1] = math.inf
+    elif case == "unsorted":
+        xs[[40, 41]] = xs[[41, 40]]
+    elif case == "repeated":
+        xs[41] = xs[40]
+    else:
+        xs = xs[::-1].copy()
+    return xs
+
+
+@pytest.mark.parametrize("case", ["nan", "inf", "unsorted", "repeated",
+                                  "decreasing"])
+def test_grid_must_be_finite_and_strictly_increasing(case):
+    with pytest.raises(DomainError):
+        solve_g_transform(TorusGeometry(1.0, 1.0), ModeParams(1.0, 1),
+                          PT_TARGET, _bad_grid(case), h0=0.1)
+
+
+@pytest.mark.parametrize("h0", [math.nan, math.inf, 0.0, -0.1])
+def test_initial_slope_must_be_finite_and_positive(h0):
+    with pytest.raises(DomainError):
+        solve_g_transform(TorusGeometry(1.0, 1.0), ModeParams(1.0, 1),
+                          PT_TARGET, np.linspace(0.3, 2.4, 101), h0=h0)
+
+
+def test_gauss_legendre_partial_integrals_are_exact_to_degree_7():
+    nodes, weights, left = _gauss_legendre()
+    for deg in range(8):
+        got = left @ nodes ** deg
+        want = (nodes ** (deg + 1) - (-1.0) ** (deg + 1)) / (deg + 1)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(weights.sum(), 2.0, rtol=1e-15)
+
+
+def _reference_w(geom, component, target, xs, h0):
+    """1/g'^2 from DOP853 at rtol 3e-14, outward from the midpoint."""
+    a, sign = geom.a, (1.0 if component == 1 else -1.0)
+
+    def rhs(t, w):
+        r = geom.c + a * math.cos(t)
+        p = a * a / (r * r) + sign * 2.0 * a * math.sin(t) / r
+        return sign * (-2.0 * p * w[0] + 2.0 * target(t) * r * r / (a * a))
+
+    i_mid = xs.size // 2
+    w = np.empty_like(xs)
+    w[i_mid] = 1.0 / (h0 * h0)
+    for sl in (slice(i_mid, None), slice(i_mid, None, -1)):
+        pts = xs[sl]
+        sol = solve_ivp(rhs, (pts[0], pts[-1]), [w[i_mid]], t_eval=pts,
+                        method="DOP853", rtol=3e-14, atol=0.0)
+        assert sol.success
+        w[sl] = sol.y[0]
+    return w
+
+
+@pytest.mark.parametrize("a,c,component,n_points,h0", [
+    (1.0, 1.0, 1, 4001, 0.1),
+    (1.0, 1.0, 2, 6001, 0.3),
+    (1.0, 2.0, 1, 2001, 0.1),
+])
+def test_transform_matches_tight_reference(a, c, component, n_points, h0):
+    geom = TorusGeometry(a, c)
+    xs = np.linspace(0.3, 2.4, n_points)
+    tr = solve_g_transform(geom, ModeParams(1.0, component), PT_TARGET, xs,
+                           h0=h0)
+    want = _reference_w(geom, component, PT_TARGET, xs, h0)
+    np.testing.assert_allclose(1.0 / tr.g_prime ** 2, want, rtol=1e-10, atol=0.0)
 
 
 def test_prefactor_values_and_identity():
