@@ -520,10 +520,10 @@ def _spectrum_inputs(args):
     spec = _family_from_args(args)
     _warn_regime(spec)
     eps = [susy.analytic_spectrum(spec, n) for n in range(args.levels)]
-    if args.case == "component2":
-        v = susy.pt_coefficients(spec, "minus")(x)
-    else:
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        if args.case == "component2":
+            v = susy.pt_coefficients(spec, "minus")(x)
+        else:
             v, _ = susy.partner_potentials(spec, x)
     params = _params_dict(args)
     params.update({"A_solved": spec.A, "B_solved": spec.B})

@@ -9,9 +9,12 @@ The transform solver works in w = 1/g'^2, where the defining condition
 "reduced potential == target" becomes a linear first-order ODE.  It is solved
 exactly across each grid interval by its integrating factor, with the two
 integrals of that propagator taken by 8-point Gauss-Legendre, so the only
-error is the quadrature's (order 16 in the interval length) and rounding.  Its
-output is validated downstream by the round-trip residual, which re-derives
-the reduced potential from the sampled slope with finite differences.
+error is the quadrature's (order 16 in the interval length) and rounding, on
+any strictly increasing grid.  Its output is validated by the round-trip
+residual, which re-derives the reduced potential from the sampled slope with
+finite differences on a uniform grid, and in the tests by a manufactured
+solution: the closed-form reduced potential of a chosen g' is solved back to
+that g'.
 """
 
 from __future__ import annotations
@@ -88,10 +91,9 @@ class ModeParams:
 
 @dataclass(frozen=True)
 class TransformResult:
-    """Sampled point-canonical transform: g, g', V_F = 1/g' and the prefactor f."""
+    """Sampled point-canonical transform: g', V_F = 1/g' and the prefactor f."""
 
     x: np.ndarray
-    g: np.ndarray
     g_prime: np.ndarray
     fermi_velocity: np.ndarray
     prefactor: np.ndarray
@@ -159,12 +161,13 @@ def solve_g_transform(geom, mode: ModeParams, target, grid, h0=1.0):
     solved exactly across each grid interval by its integrating factor,
         w(x1) = e^(int_x0^x1 alpha) w(x0) + int_x0^x1 e^(int_t^x1 alpha) beta(t) dt,
     both integrals by 8-point Gauss-Legendre (see _interval_maps), and the
-    interval maps are chained outward from the midpoint.  target must accept
-    an array of points; it is called once.  k = 0 makes every term of the
-    reduced potential vanish, so only a zero target is representable
-    (DegenerateMode otherwise).  BlowUp is raised as soon as w leaves
-    (1e-280, 1e280).  The grid must be finite, strictly increasing and
-    interior to (0, pi), and h0 finite and positive (DomainError otherwise).
+    interval maps are chained outward from the midpoint.  target is any
+    callable of an array of points; it is called once.  k = 0 makes every
+    term of the reduced potential vanish, so only a target that is 0 at every
+    grid point is representable (DegenerateMode otherwise), and g' = h0.
+    BlowUp is raised as soon as w leaves (1e-280, 1e280).  The grid must be
+    finite, strictly increasing and interior to (0, pi), and h0 finite and
+    positive (DomainError otherwise); it need not be uniform.
     """
     x = np.asarray(grid, dtype=float)
     if x.ndim != 1 or x.size < 3:
@@ -179,32 +182,31 @@ def solve_g_transform(geom, mode: ModeParams, target, grid, h0=1.0):
         raise DomainError("initial slope h0 must be finite and positive")
 
     if mode.k == 0.0:
-        if (target.coeff_csc2 != 0.0 or target.coeff_cotcsc != 0.0
-                or target.eps_const != 0.0):
+        if not np.all(target(x) == 0.0):
             raise DegenerateMode(
                 "k = 0 zeroes the reduced potential; nonzero targets unreachable")
         h = np.full_like(x, h0)
-        return _pack_transform(geom, x, h)
+    else:
+        nodes, weights, left = _gauss_legendre()
+        half = 0.5 * np.diff(x)
+        alpha, beta = _ode_coefficients(
+            geom, mode, target, 0.5 * (x[:-1] + x[1:])[:, None] + half[:, None] * nodes)
 
-    nodes, weights, left = _gauss_legendre()
-    half = 0.5 * np.diff(x)
-    alpha, beta = _ode_coefficients(
-        geom, mode, target, 0.5 * (x[:-1] + x[1:])[:, None] + half[:, None] * nodes)
+        # rightward from the midpoint each interval is left by its right end;
+        # leftward it is left by its left end, with the step taken negative
+        i_mid = x.size // 2
+        up, down = slice(i_mid, None), slice(None, i_mid)
+        gain_up, force_up = _interval_maps(alpha[up], beta[up], half[up],
+                                           weights - left, weights)
+        gain_down, force_down = _interval_maps(alpha[down], beta[down],
+                                               -half[down], left, weights)
 
-    # rightward from the midpoint each interval is left by its right end;
-    # leftward it is left by its left end, with the step taken negative
-    i_mid = x.size // 2
-    up, down = slice(i_mid, None), slice(None, i_mid)
-    gain_up, force_up = _interval_maps(alpha[up], beta[up], half[up],
-                                       weights - left, weights)
-    gain_down, force_down = _interval_maps(alpha[down], beta[down],
-                                           -half[down], left, weights)
-
-    w_mid = 1.0 / (h0 * h0)
-    w = np.array(_chain(w_mid, gain_down[::-1], force_down[::-1])[::-1]
-                 + [w_mid] + _chain(w_mid, gain_up, force_up))
-    h = 1.0 / np.sqrt(w)
-    return _pack_transform(geom, x, h)
+        w_mid = 1.0 / (h0 * h0)
+        w = np.array(_chain(w_mid, gain_down[::-1], force_down[::-1])[::-1]
+                     + [w_mid] + _chain(w_mid, gain_up, force_up))
+        h = 1.0 / np.sqrt(w)
+    return TransformResult(x=x, g_prime=h, fermi_velocity=1.0 / h,
+                           prefactor=prefactor_f(geom, x))
 
 
 def _ode_coefficients(geom, mode, target, t):
@@ -278,22 +280,15 @@ def _chain(w, gains, forces):
     return out
 
 
-def _pack_transform(geom, x, h):
-    from scipy.integrate import cumulative_trapezoid
-
-    g = cumulative_trapezoid(h, x, initial=0.0)
-    return TransformResult(x=x, g=g, g_prime=h, fermi_velocity=1.0 / h,
-                           prefactor=prefactor_f(geom, x))
-
-
 def reduced_potential_grid(geom, mode: ModeParams, transform: TransformResult):
-    """Reduced potential on the interior nodes, g'' from special.grid_derivative.
+    """Reduced potential on the interior nodes, g'' from special.grid_derivative,
+    so the transform's grid must be uniform (DomainError otherwise).
 
     Component 1:  V = a^4 k^2/(R^4 g'^2) - 2 a^2 k R'/(R^3 g'^2) - a^2 k g''/(R^2 g'^3);
     component 2 flips the signs of the last two terms.
     """
     x, h = transform.x, transform.g_prime
-    gpp = grid_derivative(h, x[1] - x[0])[1:-1]
+    gpp = grid_derivative(h, x)[1:-1]
     x, h = x[1:-1], h[1:-1]
     a, k = geom.a, mode.k
     r = geom.checked_radius(x)

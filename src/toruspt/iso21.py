@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import DomainError, GridTooCoarse
 from .geometry import TorusGeometry
+from .special import uniform_step
 from .susy import RationalSin, sin_tail
 
 __all__ = [
@@ -156,9 +157,11 @@ def sector_operator(p: AlgebraParams, mu_sector: float, direction: str, grid):
     """J+ or J- restricted to the e^{i mu_sector phi} sector, as a function of psi.
 
     The derivative is a central difference (one-sided second order at the
-    two boundary rows); at least 256 points are required.  The returned
-    function applies i (+-D + diag(label S - T + U)) to psi by numpy slices
-    and builds no matrix, so importing or calling it loads no scipy.  Each
+    two boundary rows) with the step special.uniform_step(grid), so the grid
+    must be uniform (DomainError otherwise); at least 256 points are
+    required.  The returned function applies i (+-D + diag(label S - T + U))
+    to psi by numpy slices and builds no matrix, so importing or calling it
+    loads no scipy.  Each
     row sums its three products in column order (i-1, i, i+1), the end rows
     with the diagonal stencil weight and multiplication term added first,
     as a CSR matvec of the same matrix does, so the two agree bit for bit.
@@ -170,7 +173,7 @@ def sector_operator(p: AlgebraParams, mu_sector: float, direction: str, grid):
     n = x.size
     if n < 256:
         raise GridTooCoarse("sector operators need at least 256 grid points")
-    step = x[1] - x[0]
+    step = uniform_step(x)
     if direction == "raise":
         sgn, label = 1.0, mu_sector + 0.5
     elif direction == "lower":
@@ -236,6 +239,12 @@ def algebra_spectrum(p: AlgebraParams, n: int):
 
 
 def energy_scalings(eps: float, a: float) -> dict:
-    """Both published physical-energy scalings of the same eps, side by side."""
+    """Both published physical-energy scalings of the same eps, side by side.
+
+    DomainError where a * a underflows to 0 (|a| below about 1.6e-162):
+    E_eq37 = sqrt(eps)/a^2 then has no double value."""
+    if a * a == 0.0:
+        raise DomainError(f"a = {a!r}: a * a underflows, so sqrt(eps)/a^2 is "
+                          "not a double")
     root = math.sqrt(max(eps, 0.0))
     return {"E_eq37": root / (a * a), "E_eq89": root / a}

@@ -5,6 +5,8 @@ evaluator can be checked against an independent brute-force oracle: the test
 suite compares the Jacobi recurrence against a term-by-term hypergeometric
 sum, the incomplete beta against adaptive quadrature and mpmath, and the
 double-variable hypergeometric series against its single-variable reductions.
+The two grid stencils take the sample points and read their step from
+uniform_step, which rejects a grid that is not uniform.
 
 All operations are pure and deterministic; there is no shared state.
 """
@@ -24,6 +26,7 @@ __all__ = [
     "incomplete_beta",
     "appell_f1",
     "numeric_derivative",
+    "uniform_step",
     "grid_derivative",
     "grid_second_derivative",
 ]
@@ -265,8 +268,13 @@ def _incbeta_upper(t, s, w, floor):
     big_t = 1.0 - _INCBETA_Z0
     live = out = None
     # T^w by Python's pow, the scalar call's: numpy's can differ in the last bit
-    big_te = (np.array([big_t ** v for v in w.tolist()])
-              if isinstance(w, np.ndarray) else big_t ** w)
+    try:
+        big_te = (np.array([big_t ** v for v in w.tolist()])
+                  if isinstance(w, np.ndarray) else big_t ** w)
+    except OverflowError:
+        raise NonConvergence(
+            f"incomplete beta series overflowed: {big_t} ** w is out of range "
+            "of a double") from None
     coef, t_e = 1.0, _power(t, w)
     pole = np.rint(-w)   # the k with |e| <= 1/2
     poles = set(np.ravel(pole).tolist())
@@ -322,7 +330,7 @@ def incomplete_beta(z, s, w):
     is bit for bit that of the matching scalar call.
 
     Raises DomainError outside the domain (at any point), NonConvergence if
-    either series exhausts the term budget.
+    either series exhausts the term budget or (1 - z0)^w overflows a double.
     """
     z_arr = np.asarray(z, dtype=float)
     if not np.all((z_arr > 0.0) & (z_arr < 1.0)):
@@ -495,19 +503,37 @@ def numeric_derivative(f, x, h=1e-5):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
+# Spacings of a uniform grid differ only by rounding, about ulp(x)/step
+# relative (np.linspace: 1.6e-10 for a million points of [0.3, 2.4]), so a
+# grid whose spacings differ by more than this is not uniform.
+_UNIFORM_RTOL = 1e-6
+
+
+def uniform_step(x):
+    """The step x[1] - x[0] of the uniform grid x, the one place a grid step
+    is taken; DomainError where a spacing differs from it by more than 1e-6
+    relative, since every stencil that reads the step assumes it."""
+    step = x[1] - x[0]
+    if not np.max(np.abs(np.diff(x) - step)) <= _UNIFORM_RTOL * abs(step):
+        raise DomainError("grid must be uniform: its spacings differ by more "
+                          "than 1e-6 relative")
+    return step
+
+
 # 4th-order one-sided first-derivative row: f'(x0) h ~ sum_j w_j f(x0 + j h)
 _ONE_SIDED_D1 = np.array([-25.0 / 12.0, 4.0, -3.0, 4.0 / 3.0, -0.25])
 
 
-def grid_derivative(f, step):
-    """First derivative of samples on a uniform grid, error O(step^4).
+def grid_derivative(f, x):
+    """First derivative of samples f on the uniform grid x, error O(step^4).
 
     The 4th-order central stencil (-f[i+2] + 8f[i+1] - 8f[i-1] + f[i-2]) / 12h
     inside, the 4th-order one-sided stencil at the two nodes on each edge.
-    Needs at least 5 samples.
+    Needs at least 5 samples; the step is uniform_step(x).
     """
     if f.size < 5:
         raise DomainError("grid_derivative needs at least 5 samples")
+    step = uniform_step(x)
     out = np.empty_like(f)
     out[2:-2] = (-f[4:] + 8.0 * f[3:-1] - 8.0 * f[1:-3] + f[:-4]) / (12.0 * step)
     for i in (0, 1):
@@ -516,11 +542,14 @@ def grid_derivative(f, step):
     return out
 
 
-def grid_second_derivative(f, step):
-    """Second derivative at the interior nodes 2..n-3 of a uniform grid.
+def grid_second_derivative(f, x):
+    """Second derivative of samples f at the interior nodes 2..n-3 of the
+    uniform grid x.
 
     The 5-point stencil (-f[i+2] + 16f[i+1] - 30f[i] + 16f[i-1] - f[i-2]) / 12h^2,
-    error O(step^4); the result has n - 4 entries, aligned with f[2:-2].
+    error O(step^4), with the step uniform_step(x); the result has n - 4
+    entries, aligned with f[2:-2].
     """
+    step = uniform_step(x)
     return (-f[4:] + 16.0 * f[3:-1] - 30.0 * f[2:-2] + 16.0 * f[1:-3] - f[:-4]) \
         / (12.0 * step * step)

@@ -335,7 +335,9 @@ def solve_parameter_conditions(case: str, *, a: float, B: float | None = None,
             raise InconsistentConditions("B = 0 leaves c undetermined (0/0)")
         A = 0.5 * (1.0 + sign * 2.0 * B)
         lam_out = 2.0 * a * A
-        c = 2.0 * a * B / (1.0 - 2.0 * A)
+        # 1 - 2A is -sign 2B; where A rounds to 1/2 it is 0 and c its limit
+        denom = 1.0 - 2.0 * A
+        c = 2.0 * a * B / denom if denom != 0.0 else -sign * a
         if not math.isclose(abs(c), a, rel_tol=1e-12):
             raise InconsistentConditions(f"solved c = {c} violates a = |c|")
         return RationalSin(A=A, B=B, lam=lam_out, geom=TorusGeometry(a=a, c=c))
@@ -434,8 +436,9 @@ def eigenfunction_plus(spec, n: int, x):
 
 def ladder_apply(spec, f_vals, grid):
     """Apply the lowering operator F -> F' + W F to a sampled function; it
-    annihilates the minus ground state.  The derivative is grid_derivative's
-    on the uniform grid; at least 64 points are required.
+    annihilates the minus ground state.  The derivative is grid_derivative's,
+    so the grid must be uniform (DomainError otherwise); at least 64 points
+    are required.
     """
     x = np.asarray(grid, dtype=float)
     f = np.asarray(f_vals, dtype=float)
@@ -444,7 +447,7 @@ def ladder_apply(spec, f_vals, grid):
     if f.shape != x.shape:
         raise DomainError("function samples must match the grid")
     w = superpotential_eval(spec, x)
-    return grid_derivative(f, x[1] - x[0]) + w * f
+    return grid_derivative(f, x) + w * f
 
 
 def normalize(vals, xs):
@@ -543,7 +546,7 @@ def psi2_substitution_residual(spec: RationalSin, n: int) -> float:
     cx = np.cos(xs)
     f = ((1.0 - cx) ** ((a - 2.0 * lam) / (4.0 * a)) * (1.0 + cx) ** -0.25
          * jacobi_poly(JacobiParams(n, -1.0, -lam / a), cx))
-    fpp = grid_second_derivative(f, xs[1] - xs[0])
+    fpp = grid_second_derivative(f, xs)
     eps = analytic_spectrum(spec, n)
     return float(np.max(np.abs(-fpp + (v2(xs) - eps)[2:-2] * f[2:-2]))
                  / np.abs(f).max())

@@ -502,7 +502,7 @@ def _eigenfunction_residual(ctx):
     worst = 0.0
     for n in range(5):
         f = susy.eigenfunction_minus(PT_A, PT_B, n, xs)
-        fpp = grid_second_derivative(f, xs[1] - xs[0])
+        fpp = grid_second_derivative(f, xs)
         eps = susy.analytic_spectrum(PT_SPEC, n)
         resid = np.abs(-fpp + (v[2:-2] - eps) * f[2:-2])
         worst = max(worst, float(resid.max() / np.abs(f).max()))

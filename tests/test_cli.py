@@ -602,12 +602,46 @@ def test_columns_whose_squares_overflow_are_normalized(capsys):
       "--c", "1.5", "--x-lo", "2.5", "--x-hi", "3.0"], "NonFinitePotential"),
     (["potential", "--case", "appell", "--a", "0.25", "--lambda", "150", "--branch", "+",
       "--x-hi", "2"], "NonFinitePotential"),
+    # once tracebacks: a * a underflows in iso21.energy_scalings
+    (["algebra", "--B1", "1", "--mu", "1", "--a", "1e-300"], "DomainError"),
+    # 0.25 ** w overflows in the incomplete beta's upper region, w = -100000.5
+    (["potential", "--case", "beta", "--A", "-1", "--B", "-1e5", "--a", "1", "--c", "2"],
+     "NonConvergence"),
+    # 1 - 2A rounds to 0 in solve_parameter_conditions: c = +a, and at
+    # a = 1e-300 the potential overflows
+    (["potential", "--case", "rational", "--a", "1e-300", "--B", "-1e-300", "--branch", "-"],
+     "NonFinitePotential"),
+    # once a numpy RuntimeWarning from evaluating the component2 V-
+    (["spectrum", "--case", "component2", "--a", "1", "--B", "1e300", "--branch", "+",
+      "--levels", "1"], "NonFinitePotential"),
 ])
 def test_huge_finite_parameter_is_an_error_line(argv, error):
     res = run_python("-W", "error", "-m", "toruspt", *argv)
     assert res.returncode == 1
     assert res.stderr.splitlines()[-1].startswith(f"error: {error}: ")
     assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+
+
+def test_component2_overflow_leaks_no_numpy_warning():
+    # build_hamiltonian reports the non-finite V-; numpy's warning would
+    # only repeat it, so stderr is the regime line and the error line alone
+    res = run_cli("spectrum", "--case", "component2", "--a", "1", "--B", "1e300",
+                  "--branch", "+", "--levels", "1")
+    assert res.returncode == 1
+    assert res.stderr == (
+        "warning: non-normalizable regime (A >= -|B|); values are formal\n"
+        "error: NonFinitePotential: potential has non-finite samples on the grid\n")
+
+
+def test_equal_radii_conditions_at_a_b_below_rounding():
+    # A rounds to 1/2, so 1 - 2A is 0: c is its limit -sign a, and the
+    # potential is finite
+    for branch, c in (("-", 1.0), ("+", -1.0)):
+        spec = susy.solve_parameter_conditions("equal_radii", a=1.0, B=-1e-300,
+                                               branch=branch)
+        assert (spec.A, spec.geom.c) == (0.5, c)
+    assert cli.main(["potential", "--case", "rational", "--a", "1", "--B", "-1e-300",
+                     "--branch", "-", "--n-points", "64"]) == 0
 
 
 @pytest.mark.parametrize("token, plain", [("-5e-1", "-0.5"), ("-5E-1", "-0.5"),
@@ -802,11 +836,19 @@ def test_errata_and_iso21_load_no_scipy():
     # the sector operators are numpy stencils, so errata (eq73 applies them)
     # runs without scipy
     code = ("import contextlib, io, sys\n"
+            "import numpy as np\n"
             "import toruspt.errata, toruspt.iso21\n"
-            "from toruspt import cli\n"
+            "from toruspt import cli, geometry, susy\n"
             "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(['errata']) == 0\n"
+            "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+            # the g-transform and its round trip, with no scipy either
+            "g, mode = geometry.TorusGeometry(1.0, 1.0), geometry.ModeParams(1.0, 2)\n"
+            "target = susy.pt_coefficients(susy.PureTrigPT(-2.0, 0.5), 'minus')\n"
+            "xs = np.linspace(0.3, 2.4, 101)\n"
+            "tr = geometry.solve_g_transform(g, mode, target, xs, h0=0.3)\n"
+            "geometry.reduced_potential_grid(g, mode, tr)\n"
             "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)\n")
     res = run_python("-c", code)
     assert res.returncode == 0, res.stderr

@@ -136,6 +136,9 @@ def test_energy_scalings():
     assert s["E_eq89"] == pytest.approx(math.sqrt(5.0) / 2.0)
     # a * a, not a ** 2: a huge radius gives 0, not an OverflowError
     assert energy_scalings(5.0, 1e200)["E_eq37"] == 0.0
+    # a tiny radius whose a * a underflows is a DomainError, not a division by 0
+    with pytest.raises(DomainError, match="underflows"):
+        energy_scalings(0.0, 1e-300)
 
 
 # --- sector operators -----------------------------------------------------------

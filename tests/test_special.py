@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from toruspt import special, verify
+from toruspt import geometry, iso21, special, susy, verify
 from toruspt.errors import DomainError, NonConvergence
 from toruspt.special import (
     JacobiParams,
@@ -381,6 +381,14 @@ def test_incbeta_subnormal_w_is_the_w0_value(z, s):
 def test_incbeta_nonconvergence_budget():
     with _budget(4, 1e-16, 1e-15), pytest.raises(NonConvergence):
         incomplete_beta(0.9, 0.5, -1.5)
+
+
+def test_incbeta_overflowing_upper_power_is_nonconvergence():
+    # (1 - z0) ** w = 0.25 ** -100000.5 overflows a Python float; under the
+    # errstate the CLI evaluates tails in (the series at z0 overflows first)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonConvergence, match="overflowed"):
+        incomplete_beta(0.9, 99999.5, -100000.5)
 
 
 # --- two-variable hypergeometric series ---------------------------------------
@@ -887,7 +895,7 @@ def test_grid_derivative_exact_on_quartic():
     step = x[1] - x[0]
     f = 0.3 - 1.2 * x + 0.7 * x**2 + 0.4 * x**3 - 0.25 * x**4
     want = -1.2 + 1.4 * x + 1.2 * x**2 - x**3
-    err = np.abs(grid_derivative(f, step) - want)
+    err = np.abs(grid_derivative(f, x) - want)
     tol = 1e-14 * np.abs(f).max() / step
     for rows in (slice(2, -2), slice(0, 2), slice(-2, None)):
         assert err[rows].max() < tol
@@ -895,13 +903,13 @@ def test_grid_derivative_exact_on_quartic():
 
 def test_grid_derivative_is_not_exact_on_quintic():
     x = np.linspace(-1.0, 2.0, 31)
-    err = np.abs(grid_derivative(x**5, x[1] - x[0]) - 5.0 * x**4)
+    err = np.abs(grid_derivative(x**5, x) - 5.0 * x**4)
     assert err[:2].min() > 1e-4 and err[2:-2].min() > 1e-4
 
 
 def test_grid_derivative_needs_five_samples():
     with pytest.raises(DomainError):
-        grid_derivative(np.ones(4), 0.1)
+        grid_derivative(np.ones(4), np.linspace(0.0, 0.3, 4))
 
 
 def test_grid_second_derivative_exact_on_quintic():
@@ -909,7 +917,69 @@ def test_grid_second_derivative_exact_on_quintic():
     step = x[1] - x[0]
     f = 0.3 - 1.2 * x + 0.7 * x**2 + 0.4 * x**3 - 0.25 * x**4 + 0.1 * x**5
     want = 1.4 + 2.4 * x - 3.0 * x**2 + 2.0 * x**3
-    got = grid_second_derivative(f, step)
+    got = grid_second_derivative(f, x)
     assert got.shape == (x.size - 4,)
     assert np.abs(got - want[2:-2]).max() < 1e-14 * np.abs(f).max() / step**2
+
+
+def _stretched(lo, hi, n):
+    """n points of [lo, hi] whose spacings grow linearly, 1 : 3 end to end."""
+    t = np.linspace(0.0, 1.0, n)
+    return lo + (hi - lo) * t * (1.0 + t) / 2.0
+
+
+def _derivative_error(x):
+    return np.abs(grid_derivative(np.sin(x), x) - np.cos(x)).max()
+
+
+def _second_derivative_error(x):
+    return np.abs(grid_second_derivative(np.sin(x), x) + np.sin(x[2:-2])).max()
+
+
+def _roundtrip_error(x):
+    g, mode = geometry.TorusGeometry(1.0, 1.0), geometry.ModeParams(1.0, 1)
+    target = susy.pt_coefficients(susy.PureTrigPT(-2.0, 0.5), "minus")
+    tr = geometry.solve_g_transform(g, mode, target, x, h0=0.1)
+    return np.abs(geometry.reduced_potential_grid(g, mode, tr) - target(x[1:-1])).max()
+
+
+def _annihilation(x):
+    f0 = susy.eigenfunction_minus(-2.0, 0.5, 0, x)
+    return np.abs(susy.ladder_apply(susy.PureTrigPT(-2.0, 0.5), f0, x)).max() \
+        / np.abs(f0).max()
+
+
+def _raise_error(x):
+    # K1 = 0: J+ on the mu = 0.3 sector is i (psi' - (0.8 cot x + B1 csc x) psi),
+    # which maps psi = sin^2 x to i (0.6 sin 2x + 0.8 sin x) at B1 = -0.8
+    p = iso21.AlgebraParams(B1=-0.8, mu=0.3, K1=0.0, K2=0.0,
+                            geom=geometry.TorusGeometry(1.0, 1.0), mu1=1.3)
+    got = iso21.sector_operator(p, 0.3, "raise", x)(np.sin(x) ** 2)
+    return np.abs(got - 1j * (0.6 * np.sin(2.0 * x) + 0.8 * np.sin(x))).max()
+
+
+@pytest.mark.parametrize("measure, lo, hi, n, bound", [
+    (_derivative_error, 0.3, 2.4, 401, 1e-8),
+    (_second_derivative_error, 0.3, 2.4, 401, 1e-8),
+    (_roundtrip_error, 0.3, 2.4, 4001, 1e-8),
+    (_annihilation, 0.05, math.pi - 0.05, 6001, 1e-8),
+    (_raise_error, 0.2, math.pi - 0.2, 2048, 1e-4),
+], ids=["grid_derivative", "grid_second_derivative", "reduced_potential_grid",
+        "ladder_apply", "sector_operator"])
+def test_grid_consumers_need_a_uniform_grid(measure, lo, hi, n, bound):
+    # each reads its step from uniform_step: small on np.linspace, and a
+    # DomainError on a stretched grid, where a step read as x[1] - x[0]
+    # gave a silently wrong value
+    assert measure(np.linspace(lo, hi, n)) < bound
+    with pytest.raises(DomainError, match="uniform"):
+        measure(_stretched(lo, hi, n))
+
+
+def test_uniform_step_is_the_first_spacing():
+    x = np.linspace(0.3, 2.4, 1_000_001)
+    assert special.uniform_step(x) == x[1] - x[0]
+    y = x.copy()
+    y[500_000] += 2e-6 * (x[1] - x[0])
+    with pytest.raises(DomainError):
+        special.uniform_step(y)
 
