@@ -198,14 +198,14 @@ def sector_operator(p: AlgebraParams, mu_sector: float, direction: str, grid):
     return apply
 
 
-def commutator_residual(p: AlgebraParams, n_points: int,
-                        subtract_defect=False) -> float:
-    """Relative residual ||([J+, J-] + 2 J3) psi|| / ||psi|| on the mu sector.
+def commutator_residual(p: AlgebraParams, n_points: int):
+    """(raw, after_defect): relative residuals ||r|| / ||psi|| of the sector
+    commutator, r = ([J+, J-] + 2 J3) psi on the mu sector, before and after
+    removing the 4 S U2 psi multiplication defect the modification terms
+    leave.  On the backbone (K2 = 0) the defect is 0 and the two are equal.
 
     The sector operators act on a fixed smooth bump psi that vanishes at both
-    ends of [lo, hi] = [0.2, pi - 0.2] (n_points nodes).  With subtract_defect
-    the 4 S U2 psi multiplication defect left by the modification terms is
-    removed first.
+    ends of [lo, hi] = [0.2, pi - 0.2] (n_points nodes).
     """
     lo, hi = 0.2, math.pi - 0.2
     xg = np.linspace(lo, hi, n_points)
@@ -217,10 +217,11 @@ def commutator_residual(p: AlgebraParams, n_points: int,
         * (0.7 + 0.3 * np.sin(3.0 * (xg - lo) + 1.0))
     lhs = jp_m1(jm_mu(psi)) - jm_p1(jp_mu(psi))
     resid = lhs + 2.0 * p.mu * psi
-    if subtract_defect:
-        s, _ = st_functions(p.B1, xg)
-        resid = resid - 4.0 * s * sin_tail(p.K2, p.geom, xg)[0] * psi
-    return float(np.linalg.norm(resid) / np.linalg.norm(psi))
+    s, _ = st_functions(p.B1, xg)
+    defect = 4.0 * s * sin_tail(p.K2, p.geom, xg)[0] * psi
+    norm = np.linalg.norm(psi)
+    return (float(np.linalg.norm(resid) / norm),
+            float(np.linalg.norm(resid - defect) / norm))
 
 
 def algebra_spectrum(p: AlgebraParams, n: int):
@@ -241,10 +242,15 @@ def algebra_spectrum(p: AlgebraParams, n: int):
 def energy_scalings(eps: float, a: float) -> dict:
     """Both published physical-energy scalings of the same eps, side by side.
 
-    DomainError where a * a underflows to 0 (|a| below about 1.6e-162):
-    E_eq37 = sqrt(eps)/a^2 then has no double value."""
+    DomainError where E_eq37 = sqrt(eps)/a^2 has no double value: a * a
+    underflows to 0 (|a| below about 1.6e-162), or a finite sqrt(eps) over
+    a * a overflows (a tiny a, such as 1e-160, at eps > 0)."""
     if a * a == 0.0:
         raise DomainError(f"a = {a!r}: a * a underflows, so sqrt(eps)/a^2 is "
                           "not a double")
     root = math.sqrt(max(eps, 0.0))
-    return {"E_eq37": root / (a * a), "E_eq89": root / a}
+    e37 = root / (a * a)
+    if e37 == math.inf and root < math.inf:
+        raise DomainError(f"a = {a!r}: sqrt(eps)/a^2 overflows, so it is not "
+                          "a double")
+    return {"E_eq37": e37, "E_eq89": root / a}

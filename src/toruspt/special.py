@@ -218,6 +218,10 @@ def _power(base, p):
     return out
 
 
+# A series whose terms overflow is reported as NonConvergence: an inf sum
+# passes the stop test (inf <= inf), so the stop path checks that the sums it
+# looks at are finite, and numpy's warnings would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def _incbeta_series(z, s, w):
     """sum form B(z;s,w) = z^s sum_k (1-w)_k z^k / (k! (s+k)) at the 1-D points z.
 
@@ -238,6 +242,9 @@ def _incbeta_series(z, s, w):
         acc += np.divide(f, s + k, out=term)
         done = abs(term[watch]) <= _ABS_TOL + _REL_TOL * abs(acc[watch])
         if _any(done):
+            if not _all(np.isfinite(acc[watch])):
+                raise NonConvergence("incomplete beta series overflowed before "
+                                     "converging")
             if _all(done):
                 return _power(z_all, s_all) * _finish(live, sums, acc)
             live, sums = _leave(done, live, sums, acc)

@@ -77,6 +77,7 @@ __all__ = [
     "spinor_psi1",
     "spinor_psi2",
     "psi2_substitution_residual",
+    "substitution_residual",
     "integrability_probe",
 ]
 
@@ -529,15 +530,26 @@ def spinor_psi2(geom: TorusGeometry, lam: float, n: int, x):
     return float(out) if np.asarray(x).ndim == 0 else np.asarray(out)
 
 
+def substitution_residual(f, v, eps: float, x) -> float:
+    """Relative residual of the samples f in -f'' + (v - eps) f = 0.
+
+    f and v are samples on the uniform grid x; f'' is grid_second_derivative's
+    5-point stencil, so the residual runs over the interior nodes 2..n-3.
+    The result is max |residual| / max |f|.
+    """
+    fpp = grid_second_derivative(f, x)
+    return float(np.max(np.abs(-fpp + (v[2:-2] - eps) * f[2:-2]))
+                 / np.abs(f).max())
+
+
 def psi2_substitution_residual(spec: RationalSin, n: int) -> float:
     """Relative residual of the printed second-component solution, level n.
 
     Substitutes F = (1-cos x)^((a-2 lam)/(4a)) (1+cos x)^(-1/4)
     P_n^(-1, -lam/a)(cos x), the printed form without its e^{-a/2R} prefactor,
     into -F'' + (V2 - eps_n) F = 0, with V2 the minus partner of the mirrored
-    family (A, -B) and eps_n = analytic_spectrum(spec, n).  F'' is the 5-point
-    stencil on 2001 nodes of [0.3, pi - 0.3]; the result is max |residual| /
-    max |F|.
+    family (A, -B) and eps_n = analytic_spectrum(spec, n): the
+    substitution_residual of F on 2001 nodes of [0.3, pi - 0.3].
     Small at n = 0, O(1) for n >= 1 (the printed Jacobi pair is transposed).
     """
     A, B, lam, a = spec.A, spec.B, spec.lam, spec.geom.a
@@ -546,7 +558,4 @@ def psi2_substitution_residual(spec: RationalSin, n: int) -> float:
     cx = np.cos(xs)
     f = ((1.0 - cx) ** ((a - 2.0 * lam) / (4.0 * a)) * (1.0 + cx) ** -0.25
          * jacobi_poly(JacobiParams(n, -1.0, -lam / a), cx))
-    fpp = grid_second_derivative(f, xs)
-    eps = analytic_spectrum(spec, n)
-    return float(np.max(np.abs(-fpp + (v2(xs) - eps)[2:-2] * f[2:-2]))
-                 / np.abs(f).max())
+    return substitution_residual(f, v2(xs), analytic_spectrum(spec, n), xs)

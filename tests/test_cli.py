@@ -604,7 +604,8 @@ def test_columns_whose_squares_overflow_are_normalized(capsys):
       "--x-hi", "2"], "NonFinitePotential"),
     # once tracebacks: a * a underflows in iso21.energy_scalings
     (["algebra", "--B1", "1", "--mu", "1", "--a", "1e-300"], "DomainError"),
-    # 0.25 ** w overflows in the incomplete beta's upper region, w = -100000.5
+    # the incomplete beta overflows at w = -100000.5: the series at z0 does,
+    # before the upper region's 0.25 ** w
     (["potential", "--case", "beta", "--A", "-1", "--B", "-1e5", "--a", "1", "--c", "2"],
      "NonConvergence"),
     # 1 - 2A rounds to 0 in solve_parameter_conditions: c = +a, and at
@@ -614,6 +615,8 @@ def test_columns_whose_squares_overflow_are_normalized(capsys):
     # once a numpy RuntimeWarning from evaluating the component2 V-
     (["spectrum", "--case", "component2", "--a", "1", "--B", "1e300", "--branch", "+",
       "--levels", "1"], "NonFinitePotential"),
+    # a * a is a double but sqrt(eps)/a^2 overflows (once NonFinitePotential)
+    (["algebra", "--B1", "1", "--mu", "1", "--a", "1e-160"], "DomainError"),
 ])
 def test_huge_finite_parameter_is_an_error_line(argv, error):
     res = run_python("-W", "error", "-m", "toruspt", *argv)

@@ -13,6 +13,7 @@ from toruspt.iso21 import (
     algebra_spectrum,
     casimir_potential,
     closure_riccati_residuals,
+    commutator_residual,
     constraint_residual_77,
     energy_scalings,
     sector_operator,
@@ -139,6 +140,10 @@ def test_energy_scalings():
     # a tiny radius whose a * a underflows is a DomainError, not a division by 0
     with pytest.raises(DomainError, match="underflows"):
         energy_scalings(0.0, 1e-300)
+    # its overflow twin: a * a is a double, sqrt(eps)/a^2 is not
+    with pytest.raises(DomainError, match="overflows"):
+        energy_scalings(5.0, 1e-160)
+    assert energy_scalings(0.0, 1e-160) == {"E_eq37": 0.0, "E_eq89": 0.0}
 
 
 # --- sector operators -----------------------------------------------------------
@@ -182,6 +187,25 @@ def test_commutator_modified_defect_is_4su2():
         / np.linalg.norm(psi)
     assert raw > 1.0
     assert clean < 1e-3
+
+
+BACKBONE = AlgebraParams(B1=-0.8, mu=0.3, K1=0.0, K2=0.0,
+                         geom=TorusGeometry(1.0, 1.0), mu1=1.3)
+
+
+@pytest.mark.parametrize("p", [BACKBONE, CLOSED], ids=["backbone", "closed"])
+def test_commutator_residual_is_the_assembled_pair(p):
+    # (raw, after subtracting 4 S U2 psi), bit for bit the assembly above
+    lhs, psi, xg = _commutator_residual(p, 2048)
+    s, _ = st_functions(p.B1, xg)
+    resid = lhs + 2.0 * p.mu * psi
+    defect = 4.0 * s * sin_tail(p.K2, p.geom, xg)[0] * psi
+    norm = np.linalg.norm(psi)
+    want = (float(np.linalg.norm(resid) / norm),
+            float(np.linalg.norm(resid - defect) / norm))
+    assert commutator_residual(p, 2048) == want
+    if p is BACKBONE:   # K2 = 0: no defect to remove
+        assert want[0] == want[1]
 
 
 def test_sector_operator_guards():

@@ -383,9 +383,20 @@ def test_incbeta_nonconvergence_budget():
         incomplete_beta(0.9, 0.5, -1.5)
 
 
+def test_incbeta_overflowing_series_is_nonconvergence():
+    # (1 - w)_k z^k / k! overflows at w = -600; an inf sum once passed the
+    # stop test (inf <= inf) and came out as inf, with a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (0.7, np.array([0.3, 0.7])):
+            with pytest.raises(NonConvergence, match="overflowed"):
+                incomplete_beta(z, 0.5, -600.0)
+
+
 def test_incbeta_overflowing_upper_power_is_nonconvergence():
-    # (1 - z0) ** w = 0.25 ** -100000.5 overflows a Python float; under the
-    # errstate the CLI evaluates tails in (the series at z0 overflows first)
+    # (1 - z0) ** w = 0.25 ** -100000.5 overflows a Python float, but the
+    # series at z0 overflows first; it raises the same under the errstate
+    # the CLI evaluates tails in
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NonConvergence, match="overflowed"):
         incomplete_beta(0.9, 99999.5, -100000.5)

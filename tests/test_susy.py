@@ -301,6 +301,9 @@ def test_eigenfunction_schrodinger_residual():
         eps = analytic_spectrum(PT, n)
         resid = np.max(np.abs(-fpp + (v[2:-2] - eps) * f[2:-2]))
         assert resid / np.abs(f).max() < 1e-6
+        # susy.substitution_residual is this assembly; at a shifted eps it is O(1)
+        assert susy.substitution_residual(f, v, eps, xs) == resid / np.abs(f).max()
+        assert susy.substitution_residual(f, v, eps + 1.0, xs) > 0.5
 
 
 def test_eigenfunction_node_counts():

@@ -1,0 +1,52 @@
+"""verify and errata compute each shared quantity once, by one call."""
+
+import collections
+
+import pytest
+
+from toruspt import errata, iso21, susy, verify
+
+
+def _count_calls(monkeypatch, targets, run):
+    counts = collections.Counter()
+    for module, name in targets:
+        fn = getattr(module, name)
+
+        def counting(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    run()
+    return counts
+
+
+def test_run_suite_all_shares_ladder_images_and_backbone_residuals(monkeypatch):
+    # ladder_apply: the ground state, F_1..F_3 once (ctx.ladder_images) and
+    # the two partner_closed_form levels; commutator_residual: the backbone
+    # at N = 1024 and 2048 (ctx.backbone_residuals) and one closure call
+    counts = _count_calls(monkeypatch, [(susy, "ladder_apply"),
+                                        (susy, "eigenfunction_minus"),
+                                        (iso21, "commutator_residual")],
+                          lambda: verify.run_suite("all"))
+    assert counts == {"ladder_apply": 6, "eigenfunction_minus": 17,
+                      "commutator_residual": 3}
+
+
+def test_errata_takes_both_defect_residuals_from_one_call(monkeypatch):
+    counts = _count_calls(monkeypatch, [(iso21, "commutator_residual")],
+                          errata.render_text)
+    assert counts == {"commutator_residual": 1}
+
+
+@pytest.mark.parametrize("names", [
+    ("ladder_partner_cosine", "ladder_partner_cosine_ground", "ladder_norm_ratio"),
+    ("commutator_backbone", "commutator_h2_decay"),
+])
+def test_a_shared_artifact_gives_each_check_its_own_value(names):
+    # one Context shared by the checks measures what a fresh one per check does
+    ctx = verify.Context()
+    shared = [verify.CHECKS[n][1](ctx) for n in names]
+    alone = [verify.CHECKS[n][1](verify.Context()) for n in names]
+    assert [(r.measured, r.detail) for r in shared] \
+        == [(r.measured, r.detail) for r in alone]
