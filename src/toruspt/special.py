@@ -8,11 +8,19 @@ double-variable hypergeometric series against its single-variable reductions.
 The two grid stencils take the sample points and read their step from
 uniform_step, which rejects a grid that is not uniform.
 
+The two series are summed a block of terms per numpy call, not a term per
+Python iteration: a block's terms are a cumprod of their ratios (or, for
+the F1 recurrence, its coefficient rows), its partial sums a cumsum, and
+both accumulate in sequence, in the term-by-term loop's order, so every
+value is that loop's bit for bit.  Each point still stops at its own term,
+under the same budget and with the same errors.
+
 All operations are pure and deterministic; there is no shared state.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -49,10 +57,17 @@ class JacobiParams:
     beta: float
 
     def __post_init__(self):
-        if not isinstance(self.n, numbers.Integral) or self.n < 0:
+        # exact-type fast paths (an ABC check or a numpy call costs more than
+        # the rest of the validation); other types take the general test
+        n = self.n
+        if not (type(n) is int or isinstance(n, numbers.Integral)) or n < 0:
             raise DomainError("degree n must be a non-negative integer")
-        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
+        if not (_isfinite(self.alpha) and _isfinite(self.beta)):
             raise DomainError("exponents alpha and beta must be finite")
+
+
+def _isfinite(v):
+    return math.isfinite(v) if type(v) is float else np.isfinite(v)
 
 
 def _as_negative_integer(x, bound):
@@ -180,30 +195,6 @@ def _any(b):
     return b.any() if isinstance(b, np.ndarray) else bool(b)
 
 
-def _all(b):
-    return b.all() if isinstance(b, np.ndarray) else bool(b)
-
-
-def _leave(done, live, out, vals):
-    """Move the done points' vals to out; return the indices of the points
-    still live, and out.  The incomplete-beta kernels start with live = out =
-    None and make them here, when a point first leaves: with scalar s and w
-    every point stops together, and two unused arrays cost a few percent of
-    a call."""
-    if live is None:
-        live, out = np.arange(done.size), np.empty(done.size)
-    out[live[done]] = vals[done]
-    return live[~done], out
-
-
-def _finish(live, out, vals):
-    """The result once every live point is done: vals if no point has left."""
-    if live is None:
-        return vals
-    out[live] = vals
-    return out
-
-
 def _power(base, p):
     """base ** p at 1-D points, p a scalar or one exponent per point.  Each
     distinct exponent is one np.power call with a scalar exponent, as in a
@@ -218,6 +209,91 @@ def _power(base, p):
     return out
 
 
+# Block summation.  The series kernels advance a block of terms per numpy
+# call: row j of a (rows, points) array is term k0 + j at every live point.
+# The term recursions are products and the partial sums are sums taken in
+# the loop's order, and running them down the rows is sequential (out[j] =
+# out[j-1] op in[j]), so every row holds the bits the term-by-term loop
+# would hold at that term.  Each point then stops at its first row that
+# passes the stop test, exactly where the loop would have stopped it; the
+# rows a block computes past a point's stop are discarded (under errstate,
+# since they may overflow).  A block is at most _BLOCK_TERMS terms and at
+# most _BLOCK term x point entries (64 KB of doubles, under glibc's default
+# 128 KB mmap threshold); from 8192 points on it is one term, and the kernel
+# steps as the loop did.  A row is taken before a mask selects from it
+# (v[-1][keep]): numpy's mixed index v[-1, keep] takes a slow path, about
+# 10x on 100001 points.
+_BLOCK_TERMS = 64
+_BLOCK = 8192
+# numpy's accumulate takes about 4 ns an entry in one call; a call per row
+# takes about 1 us plus 0.3 ns an entry, which is less from this many points
+_WIDE = 256
+
+
+def _block_rows(left, points, per_term=1):
+    """Terms in the next block: at most _BLOCK_TERMS and the left terms of
+    the budget, at most _BLOCK entries (per_term per term and point), at
+    least 1."""
+    return min(_BLOCK_TERMS, left, max(1, _BLOCK // (per_term * points)))
+
+
+def _block_k(k, rows):
+    """The term indices k .. k + rows - 1 as a float column."""
+    return np.arange(k, k + rows, dtype=float)[:, None]
+
+
+def _run(ufunc, carry, rows, out=None):
+    """The running ufunc (np.multiply or np.add) down rows from carry, in
+    sequence: out[0] = carry op rows[0], out[j] = out[j-1] op rows[j].  out
+    is rows (in place) unless given."""
+    out = rows if out is None else out
+    ufunc(carry, rows[0], out=out[0])
+    if rows.shape[1] < _WIDE:
+        if out is not rows:
+            out[1:] = rows[1:]
+        return ufunc.accumulate(out, axis=0, out=out)
+    for j in range(1, len(rows)):
+        ufunc(out[j - 1], rows[j], out=out[j])
+    return out
+
+
+def _first_rows(done):
+    """For a (rows, points) stop mask: the columns with a row set, their
+    first set rows, and what selects the other columns (all of them, as a
+    slice and without a copy, if none is set)."""
+    cols = np.flatnonzero(done.any(axis=0))
+    if not cols.size:
+        return cols, cols, slice(None)
+    keep = np.ones(done.shape[1], dtype=bool)
+    keep[cols] = False
+    return cols, done.take(cols, axis=1).argmax(axis=0), keep
+
+
+def _incbeta_unconverged():
+    return NonConvergence(
+        f"incomplete beta series did not converge in {_MAX_TERMS} terms")
+
+
+def _incbeta_overflowed():
+    return NonConvergence("incomplete beta series overflowed before converging")
+
+
+def _incbeta_series_terms(z, s, w):
+    """The number of terms after which the series at the one point z stops,
+    by the loop's own + - * / on Python floats (the same bits as the array
+    loop's entry for z)."""
+    f, acc = 1.0, 1.0 / s
+    for k in range(1, _MAX_TERMS + 1):
+        f = f * ((k - w) / k) * z
+        term = f / (s + k)
+        acc += term
+        if abs(term) <= _ABS_TOL + _REL_TOL * abs(acc):
+            if not math.isfinite(acc):
+                raise _incbeta_overflowed()
+            return k
+    raise _incbeta_unconverged()
+
+
 # A series whose terms overflow is reported as NonConvergence: an inf sum
 # passes the stop test (inf <= inf), so the stop path checks that the sums it
 # looks at are finite, and numpy's warnings would only repeat it.
@@ -226,40 +302,64 @@ def _incbeta_series(z, s, w):
     """sum form B(z;s,w) = z^s sum_k (1-w)_k z^k / (k! (s+k)) at the 1-D points z.
 
     Two stop rules.  With scalar s and w the largest z converges last (its
-    terms are the largest and its sum, for w >= 1, the smallest), so the stop
-    test looks at that point only and every point stops with it.  With s or w
-    per point, each point stops on its own test and leaves the loop, as in
-    its scalar call."""
-    live = sums = None
-    z_all, s_all = z, s
-    acc = np.full_like(z, 1.0 / s)
-    f = np.ones_like(z)
-    term = np.empty_like(z)
-    watch = int(np.argmax(z)) if np.ndim(s) == np.ndim(w) == 0 else slice(None)
-    for k in range(1, _MAX_TERMS + 1):
-        np.multiply(f, (k - w) / k, out=f)
-        f *= z
-        acc += np.divide(f, s + k, out=term)
-        done = abs(term[watch]) <= _ABS_TOL + _REL_TOL * abs(acc[watch])
-        if _any(done):
-            if not _all(np.isfinite(acc[watch])):
-                raise NonConvergence("incomplete beta series overflowed before "
-                                     "converging")
-            if _all(done):
-                return _power(z_all, s_all) * _finish(live, sums, acc)
-            live, sums = _leave(done, live, sums, acc)
-            keep = ~done
-            z, f, acc, term = (v[keep] for v in (z, f, acc, term))
-            s, w = _pick(s, keep), _pick(w, keep)
-    raise NonConvergence(
-        f"incomplete beta series did not converge in {_MAX_TERMS} terms")
+    terms are the largest and its sum, for w >= 1, the smallest), so every
+    point stops with it: its loop, run first on Python floats, gives the
+    number of terms, and the array loop runs exactly that many with no stop
+    test (it is compute-bound, and blocks of terms would only add work).
+    With s or w per point, each point stops on its own test, so blocks of
+    terms are summed (_incbeta_series_blocks)."""
+    if np.ndim(s) == np.ndim(w) == 0:
+        acc = np.full_like(z, 1.0 / s)
+        f = np.ones_like(z)
+        term = np.empty_like(z)
+        for k in range(1, _incbeta_series_terms(float(z.max()), s, w) + 1):
+            np.multiply(f, (k - w) / k, out=f)
+            f *= z
+            acc += np.divide(f, s + k, out=term)
+    else:
+        acc = _incbeta_series_blocks(z, s, w)
+    return _power(z, s) * acc
+
+
+def _incbeta_series_blocks(z, s, w):
+    """The sums of _incbeta_series with s or w per point, a block of terms
+    at a time.  The ratios (k - w)/k and z alternate down one running
+    product, so f is multiplied in the loop's order.  The loop raises when a
+    point stops while a live point's sum is not finite; a point's first
+    non-finite sum passes its own stop test (|term| <= tol(inf)), so that is
+    a point whose sum at its stop is not finite."""
+    out = np.empty(z.size)
+    live = np.arange(z.size)
+    f = np.ones(z.size)
+    acc = np.full(z.size, 1.0 / s)
+    k = 1
+    while k <= _MAX_TERMS:
+        rows = _block_rows(_MAX_TERMS + 1 - k, live.size, 2)
+        kk = _block_k(k, rows)
+        fz = np.empty((2 * rows, live.size))
+        fz[0::2] = (kk - w) / kk
+        fz[1::2] = z
+        terms = _run(np.multiply, f, fz)[1::2] / (s + kk)
+        sums = _run(np.add, acc, terms, np.empty_like(terms))
+        cols, first, keep = _first_rows(
+            np.abs(terms) <= _ABS_TOL + _REL_TOL * np.abs(sums))
+        vals = sums[first, cols]
+        if not np.isfinite(vals).all():
+            raise _incbeta_overflowed()
+        out[live[cols]] = vals
+        if cols.size == live.size:
+            return out
+        live, z, f, acc = live[keep], z[keep], fz[-1][keep], sums[-1][keep]
+        s, w = _pick(s, keep), _pick(w, keep)
+        k += rows
+    raise _incbeta_unconverged()
 
 
 _INCBETA_Z0 = 0.75  # the series in z serves z <= z0; past it, it crawls
 
 
-# expm1(x)/x is computed and then replaced where x = 0, and with w per point
-# so is the stop bound of a point with e <= 1/2.
+# expm1(x)/x is computed and then replaced where x = 0, and so is the non-pole
+# form of a term and the stop bound at a point's e <= 1/2.
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _incbeta_upper(t, s, w, floor):
     """int_t^T (1-v)^(s-1) v^(w-1) dv for T = 1 - z0 > t, summed over the
@@ -269,52 +369,92 @@ def _incbeta_upper(t, s, w, floor):
     and none divides by e: a subnormal e, whose x is 0 or subnormal, gives
     the limit T^e ln(T/t).  A term with e > 0 is at most |(1-s)_k/k!| T^e/e;
     the sum stops once that is within the tolerances of floor = B(z0) > 0,
-    to which the result is added.  The bound does not depend on t, so points
-    that share s and w stop together; with s or w per point, each point stops
-    on its own bound and leaves the loop."""
+    to which the result is added.
+
+    The bound does not depend on t, so with scalar s and w it is run first
+    on Python floats (the loop's own operations), and the array loop then
+    runs exactly that many terms with no stop test.  With s or w per point,
+    each point stops on its own bound, and blocks of terms are summed
+    (_incbeta_upper_blocks).  T^w is Python's pow, the scalar call's: numpy's
+    can differ in the last bit.  It cannot overflow here: where it would
+    (w <= -512), the series for B(z0) has raised NonConvergence first."""
+    if np.ndim(s) or np.ndim(w):
+        return _incbeta_upper_blocks(t, s, w, floor)
     big_t = 1.0 - _INCBETA_Z0
-    live = out = None
-    # T^w by Python's pow, the scalar call's: numpy's can differ in the last bit
-    try:
-        big_te = (np.array([big_t ** v for v in w.tolist()])
-                  if isinstance(w, np.ndarray) else big_t ** w)
-    except OverflowError:
-        raise NonConvergence(
-            f"incomplete beta series overflowed: {big_t} ** w is out of range "
-            "of a double") from None
-    coef, t_e = 1.0, _power(t, w)
-    pole = np.rint(-w)   # the k with |e| <= 1/2
-    poles = set(np.ravel(pole).tolist())
-    acc = np.zeros_like(t)
+    steps = []   # (coef, T^e) of each term, up to the one that stops
+    coef, big_te = 1.0, big_t ** w
     for k in range(_MAX_TERMS):
+        steps.append((coef, big_te))
         e = w + k
-        if k in poles:
-            near = k == pole
+        if e > 0.5 and abs(coef) * big_te / e <= _ABS_TOL + _REL_TOL * floor:
+            break
+        coef *= (k + 1.0 - s) / (k + 1.0)
+        big_te *= big_t
+    else:
+        raise _incbeta_unconverged()
+    pole = round(-w)   # the k with |e| <= 1/2
+    t_e = _power(t, w)
+    acc = np.zeros_like(t)
+    for k, (coef, big_te) in enumerate(steps):
+        e = w + k
+        if k == pole:
             log_ratio = np.log(t / big_t)
             x = e * log_ratio
             exprel = np.where(x == 0.0, 1.0, np.expm1(x) / x)
-            term = coef * -big_te * log_ratio * exprel
-            if not _all(near):
-                term = np.where(near, term, np.divide(coef, e) * (big_te - t_e))
+            acc += coef * -big_te * log_ratio * exprel
         else:
-            term = (coef / e) * (big_te - t_e)
-        acc += term
-        done = e > 0.5
-        if _any(done):
-            done &= abs(coef) * big_te / e <= _ABS_TOL + _REL_TOL * floor
-            if _all(done):
-                return _finish(live, out, acc)
-            if _any(done):
-                live, out = _leave(done, live, out, acc)
-                keep = ~done
-                t, t_e, acc = (v[keep] for v in (t, t_e, acc))
-                s, w, coef, big_te, pole, floor = (
-                    _pick(v, keep) for v in (s, w, coef, big_te, pole, floor))
-        coef *= (k + 1.0 - s) / (k + 1.0)
-        big_te *= big_t
+            acc += (coef / e) * (big_te - t_e)
         t_e *= t
-    raise NonConvergence(
-        f"incomplete beta series did not converge in {_MAX_TERMS} terms")
+    return acc
+
+
+def _incbeta_upper_blocks(t, s, w, floor):
+    """_incbeta_upper with s or w per point, a block of terms at a time:
+    (1-s)_k/k!, T^e and t^e are each a running product down the block, and
+    the pole terms are replaced in place."""
+    big_t = 1.0 - _INCBETA_Z0
+    n = t.size
+    out = np.empty(n)
+    live = np.arange(n)
+    t_e = _power(t, w)   # before w is broadcast: a scalar w is one np.power
+    big_te = (np.array([big_t ** v for v in w.tolist()])
+              if isinstance(w, np.ndarray) else np.full(n, big_t ** w))
+    coef = np.ones(n)
+    s, w, floor = (np.broadcast_to(v, n) for v in (s, w, floor))
+    pole = np.rint(-w)
+    acc = np.zeros(n)
+    k = 0
+    while k < _MAX_TERMS:
+        rows = _block_rows(_MAX_TERMS - k, live.size, 3)
+        kk = _block_k(k, rows)
+        # row j of each is term k + j; the last row is the next block's carry
+        run = np.empty((3, rows + 1, live.size))
+        run[:, 0] = coef, big_te, t_e
+        run[0, 1:] = (kk + 1.0 - s) / (kk + 1.0)
+        run[1, 1:] = big_t
+        run[2, 1:] = t
+        for part in run:
+            _run(np.multiply, part[0], part[1:])
+        coefs, big_tes, t_es = run[:, :-1]
+        e = w + kk
+        terms = (coefs / e) * (big_tes - t_es)
+        r, c = np.nonzero(kk == pole)
+        if r.size:
+            log_ratio = np.log(t[c] / big_t)
+            x = e[r, c] * log_ratio
+            exprel = np.where(x == 0.0, 1.0, np.expm1(x) / x)
+            terms[r, c] = coefs[r, c] * -big_tes[r, c] * log_ratio * exprel
+        sums = _run(np.add, acc, terms)
+        cols, first, keep = _first_rows(
+            (e > 0.5) & (np.abs(coefs) * big_tes / e <= _ABS_TOL + _REL_TOL * floor))
+        out[live[cols]] = sums[first, cols]
+        if cols.size == live.size:
+            return out
+        live, t, s, w, pole, floor = (v[keep] for v in (live, t, s, w, pole, floor))
+        coef, big_te, t_e = (v[keep] for v in run[:, -1])
+        acc = sums[-1][keep]
+        k += rows
+    raise _incbeta_unconverged()
 
 
 def incomplete_beta(z, s, w):
@@ -337,7 +477,7 @@ def incomplete_beta(z, s, w):
     is bit for bit that of the matching scalar call.
 
     Raises DomainError outside the domain (at any point), NonConvergence if
-    either series exhausts the term budget or (1 - z0)^w overflows a double.
+    either series exhausts the term budget or the series in z overflows.
     """
     z_arr = np.asarray(z, dtype=float)
     if not np.all((z_arr > 0.0) & (z_arr < 1.0)):
@@ -369,6 +509,36 @@ def incomplete_beta(z, s, w):
     return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
 
 
+def _f1_unconverged(points):
+    return NonConvergence(
+        f"appell_f1 did not converge within {_MAX_TERMS} diagonals "
+        f"at {points} point(s)")
+
+
+def _f1_settle(terms, sums, prev_small, live, out):
+    """The stop rule of both F1 kernels on one block of diagonal sums terms
+    and partial sums sums, (rows, points) over the live points: a point
+    stops at the first row where this diagonal sum and the one before it are
+    both small, and its partial sum there goes to out.  NonConvergence if a
+    point has a non-finite diagonal sum at or before its stop row, where the
+    loop would have raised; a non-finite term leaves every later partial sum
+    non-finite, so finite last sums rule that out.  Returns the number of
+    points that stopped, what selects the others (_first_rows) and the last
+    row's small flags."""
+    small = np.abs(terms) <= _ABS_TOL + _REL_TOL * np.abs(sums)
+    done = np.empty_like(small)
+    np.logical_and(small[0], prev_small, out=done[0])
+    np.logical_and(small[1:], small[:-1], out=done[1:])
+    cols, first, keep = _first_rows(done)
+    if not np.isfinite(sums[-1]).all():
+        stop = np.full(live.size, len(terms) - 1)
+        stop[cols] = first
+        if (~np.isfinite(terms) & (np.arange(len(terms))[:, None] <= stop)).any():
+            raise NonConvergence("appell_f1 series overflowed before converging")
+    out[live[cols]] = sums[first, cols]
+    return cols.size, keep, small[-1]
+
+
 # Both kernels report an overflowing series as NonConvergence, so numpy's
 # warnings would only repeat it; once a product overflows, inf - inf is nan,
 # which is reported as overflow too.
@@ -382,8 +552,12 @@ def _appell_f1_recurrence(a, b1, b2, c, x, y):
     so with g_k = (a+k-1)/(c+k-1)
     s_k = g_k/k [((k-1)(x+y) + b1 x + b2 y) s_{k-1}
                  - g_{k-1} (k-2+b1+b2) x y s_{k-2}].
-    a, b1, b2 and c are scalars or one value per point.  A point leaves the
-    loop (its entries are compacted away) once it converges.
+    a, b1, b2 and c are scalars or one value per point.  A three-term
+    recurrence is not a running product, so each block takes its three
+    coefficient rows in one numpy call each and then runs the recurrence's
+    in-place row operations term by term; the partial sums, the stop rule
+    (_f1_settle) and the compaction of the points that stopped run once per
+    block.
     """
     out = np.empty(x.size)
     live = np.arange(x.size)
@@ -391,63 +565,66 @@ def _appell_f1_recurrence(a, b1, b2, c, x, y):
     s_prev, s_prev2 = np.ones(x.size), np.zeros(x.size)
     partial = np.ones(x.size)
     prev_small = np.full(x.size, 1.0 <= _ABS_TOL + _REL_TOL)
-    g_prev = 0.0
-    for k in range(1, _MAX_TERMS + 1):
-        g = (a + k - 1.0) / (c + k - 1.0)
-        s = ((k - 1.0) * xpy + bxy) * s_prev
-        s -= (g_prev * (k - 2.0 + b1 + b2)) * xy * s_prev2
-        s *= g / k
-        if not np.all(np.isfinite(s)):
-            raise NonConvergence("appell_f1 series overflowed before converging")
-        partial += s
-        small = np.abs(s) <= _ABS_TOL + _REL_TOL * np.abs(partial)
-        done = small & prev_small
-        prev_small, s_prev2, s_prev, g_prev = small, s_prev, s, g
-        if done.any():
-            out[live[done]] = partial[done]
-            keep = ~done
-            if not keep.any():
-                return out
-            live, xpy, bxy, xy, s_prev, s_prev2, partial, prev_small = (
-                v[keep] for v in
-                (live, xpy, bxy, xy, s_prev, s_prev2, partial, prev_small))
-            a, b1, b2, c, g_prev = (_pick(v, keep) for v in (a, b1, b2, c, g_prev))
+    g_prev = np.zeros(1)
+    k = 1
+    while k <= _MAX_TERMS:
+        rows = _block_rows(_MAX_TERMS + 1 - k, live.size)
+        kk = _block_k(k, rows)
+        # g_{k-1} and g_k: one column if a and c are scalars
+        g = np.empty((rows + 1, np.broadcast(a, c).size))
+        g[0] = g_prev
+        g[1:] = (a + kk - 1.0) / (c + kk - 1.0)
+        lead = (kk - 1.0) * xpy + bxy
+        back = (g[:-1] * (kk - 2.0 + b1 + b2)) * xy
+        scale = g[1:] / kk
+        s = np.empty((rows + 2, live.size))
+        s[0], s[1] = s_prev2, s_prev
+        for j in range(rows):
+            row = s[j + 2]
+            np.multiply(lead[j], s[j + 1], out=row)
+            row -= np.multiply(back[j], s[j], out=back[j])
+            row *= scale[j]
+        terms = s[2:]
+        sums = _run(np.add, partial, terms, np.empty_like(terms))
+        stopped, keep, prev_small = _f1_settle(terms, sums, prev_small, live, out)
+        if stopped == live.size:
+            return out
+        live, xpy, bxy, xy, prev_small = (
+            v[keep] for v in (live, xpy, bxy, xy, prev_small))
+        s_prev2, s_prev, partial = s[-2][keep], s[-1][keep], sums[-1][keep]
+        g_prev = g[-1] if g.shape[1] == 1 else g[-1][keep]
+        a, b1, b2, c = (_pick(v, keep) for v in (a, b1, b2, c))
+        k += rows
     raise _f1_unconverged(live.size)
-
-
-def _f1_unconverged(points):
-    return NonConvergence(
-        f"appell_f1 did not converge within {_MAX_TERMS} diagonals "
-        f"at {points} point(s)")
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _appell_f1_diagonal(a, b, c, x):
     """F1 at the 1-D points x = y, with b = b1 + b2: diagonal k sums to
-    (a)_k (b)_k / ((c)_k k!) x^k (Chu-Vandermonde), one term of 2F1(a, b; c; x),
-    built from term k-1 for all points at once.  Same parameters, stop rule,
-    compaction and budget as _appell_f1_recurrence."""
+    (a)_k (b)_k / ((c)_k k!) x^k (Chu-Vandermonde), one term of 2F1(a, b; c; x).
+    A block's terms are the running product of their ratios from the term
+    carried from the block before, and its partial sums their running sum.
+    Same parameters, stop rule, compaction and budget as
+    _appell_f1_recurrence."""
     out = np.empty(x.size)
     live = np.arange(x.size)
     term = np.ones(x.size)
     partial = np.ones(x.size)
     prev_small = np.full(x.size, 1.0 <= _ABS_TOL + _REL_TOL)
-    for k in range(1, _MAX_TERMS + 1):
-        term *= (a + k - 1.0) * (b + k - 1.0) / ((c + k - 1.0) * k) * x
-        if not np.all(np.isfinite(term)):
-            raise NonConvergence("appell_f1 series overflowed before converging")
-        partial += term
-        small = np.abs(term) <= _ABS_TOL + _REL_TOL * np.abs(partial)
-        done = small & prev_small
-        prev_small = small
-        if done.any():
-            out[live[done]] = partial[done]
-            keep = ~done
-            if not keep.any():
-                return out
-            live, x, term, partial, prev_small = (
-                v[keep] for v in (live, x, term, partial, prev_small))
-            a, b, c = (_pick(v, keep) for v in (a, b, c))
+    k = 1
+    while k <= _MAX_TERMS:
+        rows = _block_rows(_MAX_TERMS + 1 - k, live.size)
+        kk = _block_k(k, rows)
+        ratio = (a + kk - 1.0) * (b + kk - 1.0) / ((c + kk - 1.0) * kk)
+        terms = _run(np.multiply, term, np.multiply(ratio, x))
+        sums = _run(np.add, partial, terms, np.empty_like(terms))
+        stopped, keep, prev_small = _f1_settle(terms, sums, prev_small, live, out)
+        if stopped == live.size:
+            return out
+        live, x, prev_small = live[keep], x[keep], prev_small[keep]
+        term, partial = terms[-1][keep], sums[-1][keep]
+        a, b, c = (_pick(v, keep) for v in (a, b, c))
+        k += rows
     raise _f1_unconverged(live.size)
 
 

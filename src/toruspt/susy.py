@@ -347,6 +347,8 @@ def solve_parameter_conditions(case: str, *, a: float, B: float | None = None,
             raise DomainError("appell case needs lam")
         if not (-2.0 * a + 2.0 * lam > 0.0):
             raise DomainError("appell conditions need -2a + 2*lambda > 0")
+        if not a > 0.0:   # as TorusGeometry would, before A divides by a
+            raise DomainError("tube radius a must be positive")
         A = lam / (2.0 * a)
         B_out = sign * 0.5 * (1.0 - lam / a)
         c = sign * a

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 
 import hypothesis
 import hypothesis.strategies as st
@@ -623,6 +624,20 @@ def test_huge_finite_parameter_is_an_error_line(argv, error):
     assert res.returncode == 1
     assert res.stderr.splitlines()[-1].startswith(f"error: {error}: ")
     assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+
+
+@pytest.mark.parametrize("command", ["potential", "wavefunction", "spectrum"])
+def test_appell_zero_radius_is_a_domain_error(command, capsys):
+    # A = lambda / (2a) once divided by a = 0 first: a ZeroDivisionError
+    # traceback, where every other family's a <= 0 is this error line
+    argv = [command, "--case", "appell", "--a", "0", "--lambda", "2", "--branch", "+"]
+    res = run_python("-W", "error", "-m", "toruspt", *argv)
+    assert res.returncode == 1
+    assert res.stderr == "error: DomainError: tube radius a must be positive\n"
+    argv[4] = "-0.0"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _in_process(argv, capsys) == (1, "", res.stderr)
 
 
 def test_component2_overflow_leaks_no_numpy_warning():

@@ -1,7 +1,9 @@
 """Special-function evaluators against independent brute-force oracles."""
 
 import contextlib
+import itertools
 import math
+import numbers
 import tracemalloc
 import warnings
 
@@ -393,13 +395,30 @@ def test_incbeta_overflowing_series_is_nonconvergence():
                 incomplete_beta(z, 0.5, -600.0)
 
 
-def test_incbeta_overflowing_upper_power_is_nonconvergence():
-    # (1 - z0) ** w = 0.25 ** -100000.5 overflows a Python float, but the
-    # series at z0 overflows first; it raises the same under the errstate
-    # the CLI evaluates tails in
+def test_incbeta_overflowing_z0_series_is_nonconvergence():
+    # at an upper point the series for B(z0) overflows at w = -100000.5; it
+    # raises the same under the errstate the CLI evaluates tails in
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NonConvergence, match="overflowed"):
         incomplete_beta(0.9, 99999.5, -100000.5)
+
+
+@pytest.mark.parametrize("per_point", [False, True])
+def test_incbeta_upper_power_cannot_overflow(monkeypatch, per_point):
+    # (1 - z0) ** w = 0.25 ** w overflows a double for w <= -512, but at every
+    # such w the series for B(z0) exhausts its budget or overflows first, so
+    # the upper region never starts
+    def upper(*args):
+        raise AssertionError("the upper region ran")
+
+    monkeypatch.setattr(special, "_incbeta_upper", upper)
+    for w in np.linspace(-520.0, -511.0, 37):
+        for s in (0.05, 1.0, 7.5, 99999.5):
+            z, sp = (np.array([0.3, 0.9]), np.array([1.0, s])) if per_point \
+                else (0.9, s)
+            with pytest.raises(NonConvergence,
+                               match="did not converge in|overflowed before"):
+                incomplete_beta(z, sp, w)
 
 
 # --- two-variable hypergeometric series ---------------------------------------
@@ -876,6 +895,385 @@ def test_batched_check_peak_memory(name):
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+# --- block summation -----------------------------------------------------------
+#
+# The series kernels sum a block of terms per numpy call.  Their specification
+# is the term-by-term loops below (the kernels of version 0.9.0): each keeps
+# one array entry per live point, advances every entry one term per pass, and
+# drops a point from the arrays once it stops.  The kernels must give their
+# bits, and raise their exceptions with their messages.  The loops read the
+# module's budget when they are called, as the kernels do.
+
+def _ref_leave(done, live, out, vals):
+    if live is None:
+        live, out = np.arange(done.size), np.empty(done.size)
+    out[live[done]] = vals[done]
+    return live[~done], out
+
+
+def _ref_finish(live, out, vals):
+    if live is None:
+        return vals
+    out[live] = vals
+    return out
+
+
+def _ref_pick(v, mask):
+    return v[mask] if isinstance(v, np.ndarray) else v
+
+
+def _ref_any(b):
+    return b.any() if isinstance(b, np.ndarray) else bool(b)
+
+
+def _ref_all(b):
+    return b.all() if isinstance(b, np.ndarray) else bool(b)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def ref_incbeta_series(z, s, w):
+    live = sums = None
+    z_all, s_all = z, s
+    acc = np.full_like(z, 1.0 / s)
+    f = np.ones_like(z)
+    term = np.empty_like(z)
+    watch = int(np.argmax(z)) if np.ndim(s) == np.ndim(w) == 0 else slice(None)
+    for k in range(1, special._MAX_TERMS + 1):
+        np.multiply(f, (k - w) / k, out=f)
+        f *= z
+        acc += np.divide(f, s + k, out=term)
+        done = abs(term[watch]) <= special._ABS_TOL + special._REL_TOL * abs(acc[watch])
+        if _ref_any(done):
+            if not _ref_all(np.isfinite(acc[watch])):
+                raise NonConvergence("incomplete beta series overflowed before "
+                                     "converging")
+            if _ref_all(done):
+                return special._power(z_all, s_all) * _ref_finish(live, sums, acc)
+            live, sums = _ref_leave(done, live, sums, acc)
+            keep = ~done
+            z, f, acc, term = (v[keep] for v in (z, f, acc, term))
+            s, w = _ref_pick(s, keep), _ref_pick(w, keep)
+    raise NonConvergence(
+        f"incomplete beta series did not converge in {special._MAX_TERMS} terms")
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def ref_incbeta_upper(t, s, w, floor):
+    big_t = 1.0 - special._INCBETA_Z0
+    live = out = None
+    big_te = (np.array([big_t ** v for v in w.tolist()])
+              if isinstance(w, np.ndarray) else big_t ** w)
+    coef, t_e = 1.0, special._power(t, w)
+    pole = np.rint(-w)
+    poles = set(np.ravel(pole).tolist())
+    acc = np.zeros_like(t)
+    for k in range(special._MAX_TERMS):
+        e = w + k
+        if k in poles:
+            near = k == pole
+            log_ratio = np.log(t / big_t)
+            x = e * log_ratio
+            exprel = np.where(x == 0.0, 1.0, np.expm1(x) / x)
+            term = coef * -big_te * log_ratio * exprel
+            if not _ref_all(near):
+                term = np.where(near, term, np.divide(coef, e) * (big_te - t_e))
+        else:
+            term = (coef / e) * (big_te - t_e)
+        acc += term
+        done = e > 0.5
+        if _ref_any(done):
+            done &= abs(coef) * big_te / e <= (special._ABS_TOL
+                                               + special._REL_TOL * floor)
+            if _ref_all(done):
+                return _ref_finish(live, out, acc)
+            if _ref_any(done):
+                live, out = _ref_leave(done, live, out, acc)
+                keep = ~done
+                t, t_e, acc = (v[keep] for v in (t, t_e, acc))
+                s, w, coef, big_te, pole, floor = (
+                    _ref_pick(v, keep) for v in (s, w, coef, big_te, pole, floor))
+        coef *= (k + 1.0 - s) / (k + 1.0)
+        big_te *= big_t
+        t_e *= t
+    raise NonConvergence(
+        f"incomplete beta series did not converge in {special._MAX_TERMS} terms")
+
+
+def _ref_f1_unconverged(points):
+    return NonConvergence(
+        f"appell_f1 did not converge within {special._MAX_TERMS} diagonals "
+        f"at {points} point(s)")
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def ref_appell_f1_recurrence(a, b1, b2, c, x, y):
+    out = np.empty(x.size)
+    live = np.arange(x.size)
+    xpy, bxy, xy = x + y, b1 * x + b2 * y, x * y
+    s_prev, s_prev2 = np.ones(x.size), np.zeros(x.size)
+    partial = np.ones(x.size)
+    tol = special._ABS_TOL, special._REL_TOL
+    prev_small = np.full(x.size, 1.0 <= tol[0] + tol[1])
+    g_prev = 0.0
+    for k in range(1, special._MAX_TERMS + 1):
+        g = (a + k - 1.0) / (c + k - 1.0)
+        s = ((k - 1.0) * xpy + bxy) * s_prev
+        s -= (g_prev * (k - 2.0 + b1 + b2)) * xy * s_prev2
+        s *= g / k
+        if not np.all(np.isfinite(s)):
+            raise NonConvergence("appell_f1 series overflowed before converging")
+        partial += s
+        small = np.abs(s) <= tol[0] + tol[1] * np.abs(partial)
+        done = small & prev_small
+        prev_small, s_prev2, s_prev, g_prev = small, s_prev, s, g
+        if done.any():
+            out[live[done]] = partial[done]
+            keep = ~done
+            if not keep.any():
+                return out
+            live, xpy, bxy, xy, s_prev, s_prev2, partial, prev_small = (
+                v[keep] for v in
+                (live, xpy, bxy, xy, s_prev, s_prev2, partial, prev_small))
+            a, b1, b2, c, g_prev = (_ref_pick(v, keep) for v in (a, b1, b2, c, g_prev))
+    raise _ref_f1_unconverged(live.size)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def ref_appell_f1_diagonal(a, b, c, x):
+    out = np.empty(x.size)
+    live = np.arange(x.size)
+    term = np.ones(x.size)
+    partial = np.ones(x.size)
+    tol = special._ABS_TOL, special._REL_TOL
+    prev_small = np.full(x.size, 1.0 <= tol[0] + tol[1])
+    for k in range(1, special._MAX_TERMS + 1):
+        term *= (a + k - 1.0) * (b + k - 1.0) / ((c + k - 1.0) * k) * x
+        if not np.all(np.isfinite(term)):
+            raise NonConvergence("appell_f1 series overflowed before converging")
+        partial += term
+        small = np.abs(term) <= tol[0] + tol[1] * np.abs(partial)
+        done = small & prev_small
+        prev_small = small
+        if done.any():
+            out[live[done]] = partial[done]
+            keep = ~done
+            if not keep.any():
+                return out
+            live, x, term, partial, prev_small = (
+                v[keep] for v in (live, x, term, partial, prev_small))
+            a, b, c = (_ref_pick(v, keep) for v in (a, b, c))
+    raise _ref_f1_unconverged(live.size)
+
+
+_LOOPS = {"_appell_f1_diagonal": ref_appell_f1_diagonal,
+          "_appell_f1_recurrence": ref_appell_f1_recurrence,
+          "_incbeta_series": ref_incbeta_series,
+          "_incbeta_upper": ref_incbeta_upper}
+
+
+def _outcome(fn, *args):
+    """fn's value as int64 bits, or its exception's class and message."""
+    args = [v.copy() if isinstance(v, np.ndarray) else v for v in args]
+    try:
+        return np.asarray(fn(*args), dtype=float).view(np.int64).tolist()
+    except (NonConvergence, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _on_loops(fn, *args):
+    """_outcome of fn with the reference loops in place of the kernels."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, loop in _LOOPS.items():
+            mp.setattr(special, name, loop)
+        return _outcome(fn, *args)
+
+
+def _assert_same(fn, *args):
+    got = _outcome(fn, *args)
+    assert got == _on_loops(fn, *args)
+    return got
+
+
+# 1 to 300 points: a block's height is 64 rows down to 8192 // points.  The
+# layouts drawn below, (block terms, width from which a block runs its
+# products and sums row by row), put block ends at more terms and take both
+# ways of running them; budgets of 3 to 70 terms and a loose tolerance make
+# some points exhaust the budget
+_BLOCK_PROPERTY = hypothesis.settings(derandomize=True, max_examples=60, deadline=None)
+_POINTS = st.integers(1, 300)
+_LAYOUT = st.sampled_from([(64, 256)] * 2 + [(1, 256), (2, 1), (7, 10 ** 9), (64, 1)])
+_BUDGET = st.sampled_from([(2048, 1e-16, 1e-14)] * 3 + [(3, 1e-16, 1e-14),
+                                                         (70, 1e-16, 1e-10)])
+
+
+def _params(data, n, per_point, bounds):
+    """One scalar, or n values, for each (lo, hi)."""
+    return [np.array(data.draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+            if per_point and data.draw(st.booleans()) else data.draw(st.floats(lo, hi))
+            for lo, hi in bounds]
+
+
+@contextlib.contextmanager
+def _blocks(layout, budget):
+    with _budget(*budget), pytest.MonkeyPatch.context() as mp:
+        for name, value in zip(("_BLOCK_TERMS", "_WIDE"), layout):
+            mp.setattr(special, name, value)
+        yield
+
+
+@_BLOCK_PROPERTY
+@hypothesis.given(n=_POINTS, per_point=st.booleans(), layout=_LAYOUT,
+                  budget=_BUDGET, data=st.data())
+def test_appell_blocks_are_the_loop(n, per_point, layout, budget, data):
+    # both kernels, their values and their errors, x = y on some points
+    a, b1, b2, c = _params(data, n, per_point,
+                           ((0.2, 3.0), (-2.0, 3.0), (-2.0, 3.0), (0.3, 4.0)))
+    x = np.array(data.draw(st.lists(st.floats(-0.95, 0.95), min_size=n, max_size=n)))
+    y = np.where(np.arange(n) % 3 == 0, x, x[::-1])
+    with _blocks(layout, budget):
+        _assert_same(appell_f1, a, b1, b2, c, x, y)
+        _assert_same(special._appell_f1_diagonal, a, b1 + b2, c, x)
+
+
+@_BLOCK_PROPERTY
+@hypothesis.given(n=_POINTS, per_point=st.booleans(), layout=_LAYOUT,
+                  budget=_BUDGET, data=st.data())
+def test_incbeta_blocks_are_the_loop(n, per_point, layout, budget, data):
+    # both regions: w on the poles of the upper region's terms at times
+    s, w = _params(data, n, per_point, ((0.05, 5.0), (-3.0, 5.0)))
+    if data.draw(st.booleans()):
+        w = np.rint(w)
+    z = np.array(data.draw(st.lists(st.floats(0.001, 0.999), min_size=n, max_size=n)))
+    with _blocks(layout, budget):
+        _assert_same(incomplete_beta, z, s, w)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (2, 1)])
+def test_zero_d_and_small_inputs_are_the_loop(shape):
+    x = np.full(shape, 0.6)
+    z = np.full(shape, 0.9)
+    for call in ((appell_f1, 0.5, 0.25, 1.5, 2.0, x, x),
+                 (appell_f1, 0.5, 0.25, 1.5, 2.0, x, 0.5 * x),
+                 (incomplete_beta, z, 0.5, -1.0),
+                 (incomplete_beta, z, np.full(shape, 0.5), -1.0)):
+        _assert_same(*call)
+    assert type(appell_f1(0.5, 0.25, 1.5, 2.0, 0.6, 0.6)) is float
+    assert type(incomplete_beta(0.9, 0.5, -1.0)) is float
+
+
+def test_many_points_are_the_loop():
+    # 2500 points: blocks of 3 terms, run row by row.  The budget leaves
+    # three points unconverged; a point whose terms overflow raises first,
+    # as in the loop, which raises it before its budget runs out
+    x = np.linspace(-0.9, 0.9, 2500)
+    x[[5, 2200, 2400]] = 0.999
+    a = np.full(x.size, 0.5)
+    for kernel, args in ((special._appell_f1_diagonal, (a, 1.75, 2.0, x)),
+                         (special._appell_f1_recurrence, (a, 1.0, 0.75, 2.0, x, x))):
+        assert _assert_same(kernel, *args) == (
+            NonConvergence, "appell_f1 did not converge within 2048 diagonals "
+                            "at 3 point(s)")
+        a[2200] = 600.0
+        assert _assert_same(kernel, *args) == (
+            NonConvergence, "appell_f1 series overflowed before converging")
+        a[2200] = 0.5
+    z = np.linspace(0.01, 0.99, 2500)
+    _assert_same(incomplete_beta, z, np.linspace(0.2, 3.0, 2500), -1.5)
+    _assert_same(incomplete_beta, z, 0.7, np.linspace(-2.0, 2.0, 2500))
+
+
+def _diagonal_stop(a, b, c, x):
+    """The term at which the x = y series stops at the one point x, by the
+    loop's operations on Python floats."""
+    term = partial = 1.0
+    prev_small = False
+    for k in range(1, special._MAX_TERMS + 1):
+        term *= (a + k - 1.0) * (b + k - 1.0) / ((c + k - 1.0) * k) * x
+        partial += term
+        small = abs(term) <= special._ABS_TOL + special._REL_TOL * abs(partial)
+        if small and prev_small:
+            return k
+        prev_small = small
+    return None
+
+
+@pytest.mark.parametrize("stop", [64, 65, 66, 128])
+def test_appell_point_stopping_on_a_block_edge_is_the_loop(stop):
+    # one point: blocks of 64 rows, the first ending at term 64; x is the
+    # first grid point whose series stops at that term
+    xs = np.linspace(0.3, 0.95, 20001)
+    x = next(u for u in xs.tolist() if _diagonal_stop(0.5, 1.75, 2.0, u) == stop)
+    for pts in ([x], [x, 0.1], [0.1, x, -x]):
+        pts = np.array(pts)
+        _assert_same(special._appell_f1_diagonal, 0.5, 1.75, 2.0, pts)
+        _assert_same(special._appell_f1_recurrence, 0.5, 1.0, 0.75, 2.0, pts, pts)
+
+
+def test_overflow_after_a_point_stops_is_the_loop():
+    # a stop test loose enough (|term| <= 1e300) that a point stops at its
+    # first term, about 1e200; its next terms overflow inside the block,
+    # where the loop had already returned: a value, and no warning
+    x, z = np.array([0.99]), np.array([0.7])
+    with _budget(2048, 1e300, 1e-14), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kernel, args in ((special._appell_f1_diagonal, (1e100, 2e100, 0.5, x)),
+                             (special._appell_f1_recurrence,
+                              (1e100, 1e100, 1e100, 0.5, x, 0.99 * x)),
+                             (special._incbeta_series, (z, 0.5, -1e200)),
+                             (special._incbeta_series, (z, z, -1e200))):
+            assert isinstance(_assert_same(kernel, *args), list)
+
+
+def test_overflow_before_a_point_stops_is_the_loop():
+    # terms that overflow before the point stops: NonConvergence, on every
+    # path, where the loop raises it
+    x = np.array([0.5, 0.999])
+    for y in (x, x[::-1]):
+        assert _assert_same(appell_f1, 300.0, 300.0, 300.0, 0.5, x, y) == (
+            NonConvergence, "appell_f1 series overflowed before converging")
+    for s in (0.5, np.full(2, 0.5)):
+        assert _assert_same(incomplete_beta, np.array([0.3, 0.7]), s, -600.0) == (
+            NonConvergence, "incomplete beta series overflowed before converging")
+
+
+def test_budget_exhaustion_is_the_loop():
+    # the same count of unconverged points in the same message
+    x = np.array([0.05, 0.95, 0.0, 0.9, 0.99])
+    z = np.array([0.05, 0.7, 0.3])
+    with _budget(40, 1e-16, 1e-15):
+        assert _assert_same(appell_f1, 0.5, 1.0, 1.0, 2.0, x, x) == (
+            NonConvergence, "appell_f1 did not converge within 40 diagonals at 3 point(s)")
+        assert _assert_same(special._appell_f1_recurrence, 0.5, 1.0, 1.0, 2.0,
+                            x, x[::-1])[0] is NonConvergence
+        for s in (0.5, np.full(3, 0.5)):
+            assert _assert_same(incomplete_beta, z, s, -1.5) == (
+                NonConvergence, "incomplete beta series did not converge in 40 terms")
+
+
+def _jacobi_params_0_9_0(n, alpha, beta):
+    """JacobiParams' validation at 0.9.0: None, or the DomainError message."""
+    if not isinstance(n, numbers.Integral) or n < 0:
+        return "degree n must be a non-negative integer"
+    if not (np.isfinite(alpha) and np.isfinite(beta)):
+        return "exponents alpha and beta must be finite"
+    return None
+
+
+def test_jacobi_params_accepts_and_rejects_as_before():
+    for n, exponent in itertools.product(
+            [0, 3, True, False, np.int64(4), np.int32(-1), -1, 2.0, np.float64(2.0),
+             10 ** 30],
+            [0.5, -1, np.float64(1.5), np.float32(2.0), math.nan, math.inf, -math.inf,
+             True, np.int64(3), np.array(1.5)]):
+        for alpha, beta in ((exponent, 0.5), (0.5, exponent)):
+            want = _jacobi_params_0_9_0(n, alpha, beta)
+            if want is None:
+                JacobiParams(n, alpha, beta)
+            else:
+                with pytest.raises(DomainError, match=want):
+                    JacobiParams(n, alpha, beta)
 
 
 # --- numeric derivative --------------------------------------------------------

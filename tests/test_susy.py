@@ -162,6 +162,10 @@ def test_appell_conditions():
     assert spec.geom.c == pytest.approx(1.0)
     with pytest.raises(DomainError):
         solve_parameter_conditions("appell", a=1.0, lam=0.5, branch="+")
+    # A = lambda / (2a) is never divided by a = +-0 or a < 0
+    for a in (0.0, -0.0, -1.0):
+        with pytest.raises(DomainError, match="tube radius a must be positive"):
+            solve_parameter_conditions("appell", a=a, lam=2.0, branch="+")
 
 
 @pytest.mark.parametrize("a,b,br", [(2.0, -1.5, "-"), (1.0, 0.5, "+"),
