@@ -16,14 +16,13 @@ one call with per-point parameters (two calls for the exchange).  A per-point
 call gives each draw the value of its own scalar call, bit for bit, so the
 measured values are the per-draw loop's.  Their references stay per draw: one
 QAWS quad per triple (the weight u^(s-1) integrated exactly), and one
-brute-force sum per draw.
+brute-force array per draw.
 
 The Appell F1 reference of appell_brute is its own double sum, not the
-package's recurrence, built per draw in bands of 40 rows, each band as
-wide as its first row needs: products by cumprod along each row, and the
-sum of the row prefixes m + n < terms by one cumsum in row-major order.  Both
-run in sequence, so the value is bit for bit the per-term loop the test
-suite keeps (tests/test_special.py, appell_brute_oracle).
+package's recurrence: one terms x terms numpy array per draw, products by
+cumprod along each row and the sum by cumsum in row-major order.  Both run
+in sequence, so the value is bit for bit the per-term loop the test suite
+keeps (tests/test_special.py, appell_brute_oracle).
 
 The Gauss reference of appell_reduce_y0 and appell_reduce_xy is scipy's
 compiled hyp2f1, code independent of the package's x = y series kernel
@@ -230,28 +229,19 @@ def _beta_monotone(ctx):
                    "non-decreasing in z for s, w > 0")
 
 
-_BRUTE_BAND = 40   # rows of _brute_f1 built per array
-
-
 def _brute_f1(a, b1, b2, c, x, y, terms=160):
     # the loop's ratios in the loop's operation order: row heads T(m, 0) by
     # the b1/x ratio, then along each row by the b2/y ratio; m + n < terms is
     # summed row by row (see the module docstring)
     k = np.arange(terms, dtype=float)
-    h = k[:-1]
-    heads = np.empty(terms)
-    heads[0] = 1.0
-    heads[1:] = (a + h) * (b1 + h) * x / ((c + h) * (h + 1.0))
-    np.cumprod(heads, out=heads)
-    prefixes = []
-    for m0 in range(0, terms, _BRUTE_BAND):
-        m, n = k[m0:m0 + _BRUTE_BAND, None], k[1:terms - m0]
-        t = np.empty((len(m), terms - m0))
-        t[:, 0] = heads[m0:m0 + _BRUTE_BAND]
-        t[:, 1:] = (a + m + n - 1.0) * (b2 + n - 1.0) * y / ((c + m + n - 1.0) * n)
-        np.cumprod(t, axis=1, out=t)
-        prefixes.append(t[m + k[:terms - m0] < terms])
-    return float(np.cumsum(np.concatenate(prefixes))[-1])
+    h, m, n = k[:-1], k[:, None], k[1:]
+    t = np.empty((terms, terms))
+    t[0, 0] = 1.0
+    t[1:, 0] = (a + h) * (b1 + h) * x / ((c + h) * (h + 1.0))
+    t[:, 1:] = (a + m + n - 1.0) * (b2 + n - 1.0) * y / ((c + m + n - 1.0) * n)
+    np.cumprod(t[:, 0], out=t[:, 0])
+    np.cumprod(t, axis=1, out=t)
+    return float(np.cumsum(t[m + k < terms])[-1])
 
 
 @_check("appell_brute", "special")

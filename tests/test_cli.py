@@ -618,6 +618,11 @@ def test_columns_whose_squares_overflow_are_normalized(capsys):
       "--levels", "1"], "NonFinitePotential"),
     # a * a is a double but sqrt(eps)/a^2 overflows (once NonFinitePotential)
     (["algebra", "--B1", "1", "--mu", "1", "--a", "1e-160"], "DomainError"),
+    # at s = 1 + 2A = 1e19 the series at z0 stops after one term, and the
+    # upper region's 0.25 ** w overflows a double at w = -1024 (a Python
+    # OverflowError, once a traceback)
+    (["potential", "--case", "beta", "--A", "5e18", "--B", "-5.000000000000001024e18",
+      "--a", "1", "--c", "2"], "NonConvergence"),
 ])
 def test_huge_finite_parameter_is_an_error_line(argv, error):
     res = run_python("-W", "error", "-m", "toruspt", *argv)

@@ -89,6 +89,10 @@ def _finite_output(argv, out):
 # traceback, where every other family's a <= 0 is a DomainError line
 @hypothesis.example(argv=["potential", "--case", "appell", "--a", "0.0",
                           "--lambda", "2.0", "--branch", "+"])
+# s = 1e19 and w = -1024: the upper region's 0.25 ** w overflows a double,
+# which must be a NonConvergence line and not an OverflowError traceback
+@hypothesis.example(argv=["potential", "--case", "beta", "--A", "5e18",
+                          "--B", "-5.000000000000001024e18", "--a", "1.0", "--c", "2.0"])
 def test_tail_commands_keep_the_cli_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \

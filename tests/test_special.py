@@ -1,9 +1,7 @@
 """Special-function evaluators against independent brute-force oracles."""
 
 import contextlib
-import itertools
 import math
-import numbers
 import tracemalloc
 import warnings
 
@@ -403,22 +401,37 @@ def test_incbeta_overflowing_z0_series_is_nonconvergence():
         incomplete_beta(0.9, 99999.5, -100000.5)
 
 
-@pytest.mark.parametrize("per_point", [False, True])
-def test_incbeta_upper_power_cannot_overflow(monkeypatch, per_point):
-    # (1 - z0) ** w = 0.25 ** w overflows a double for w <= -512, but at every
-    # such w the series for B(z0) exhausts its budget or overflows first, so
-    # the upper region never starts
-    def upper(*args):
-        raise AssertionError("the upper region ran")
+_UPPER_POWER_OVERFLOW = "overflowed: 0.25 \\*\\* w is out of range of a double"
 
-    monkeypatch.setattr(special, "_incbeta_upper", upper)
-    for w in np.linspace(-520.0, -511.0, 37):
-        for s in (0.05, 1.0, 7.5, 99999.5):
+
+def test_incbeta_overflowing_upper_power_is_nonconvergence():
+    # (1 - z0) ** w = 0.25 ** w overflows a double for w <= -512.  At a huge
+    # s the series for B(z0) stops at its first term, (1 - w) z0 / s <= 1e-16,
+    # so the upper region starts and its power overflows: NonConvergence, not
+    # Python's OverflowError, on the scalar and the per-point paths
+    z = np.array([0.3, 0.9])
+    for s, w in ((1e19, -600.0), (1e19, -512.0), (1e300, -1e5)):
+        for args in ((0.9, s, w), (z, s, w), (z, np.full(2, s), w), (z, s, np.full(2, w))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonConvergence, match=_UPPER_POWER_OVERFLOW):
+                    incomplete_beta(*args)
+
+
+@pytest.mark.parametrize("per_point", [False, True])
+def test_incbeta_past_the_upper_power_range_is_nonconvergence(per_point):
+    # near w = -512 every s raises NonConvergence, as the 0.9.0 loops do: the
+    # series for B(z0) exhausts its budget or overflows up to s = 1e17, and
+    # at s = 1e19 the upper power overflows where w <= -512 (the upper
+    # series exhausts its budget above that)
+    for w in (-520.0, -513.0, -512.0, -511.5, -511.0):
+        for s in (0.05, 7.5, 99999.5, 1e17, 1e19):
             z, sp = (np.array([0.3, 0.9]), np.array([1.0, s])) if per_point \
                 else (0.9, s)
-            with pytest.raises(NonConvergence,
-                               match="did not converge in|overflowed before"):
+            with pytest.raises(NonConvergence) as info:
                 incomplete_beta(z, sp, w)
+            assert ("out of range" in str(info.value)) == (s == 1e19 and w <= -512.0)
+            assert _assert_same(incomplete_beta, z, sp, w)[0] is NonConvergence
 
 
 # --- two-variable hypergeometric series ---------------------------------------
@@ -963,8 +976,13 @@ def ref_incbeta_series(z, s, w):
 def ref_incbeta_upper(t, s, w, floor):
     big_t = 1.0 - special._INCBETA_Z0
     live = out = None
-    big_te = (np.array([big_t ** v for v in w.tolist()])
-              if isinstance(w, np.ndarray) else big_t ** w)
+    try:
+        big_te = (np.array([big_t ** v for v in w.tolist()])
+                  if isinstance(w, np.ndarray) else big_t ** w)
+    except OverflowError:
+        raise NonConvergence(
+            f"incomplete beta series overflowed: {big_t} ** w is out of range "
+            "of a double") from None
     coef, t_e = 1.0, special._power(t, w)
     pole = np.rint(-w)
     poles = set(np.ravel(pole).tolist())
@@ -1078,7 +1096,7 @@ def _outcome(fn, *args):
     args = [v.copy() if isinstance(v, np.ndarray) else v for v in args]
     try:
         return np.asarray(fn(*args), dtype=float).view(np.int64).tolist()
-    except (NonConvergence, OverflowError) as exc:
+    except NonConvergence as exc:
         return type(exc), str(exc)
 
 
@@ -1164,9 +1182,10 @@ def test_zero_d_and_small_inputs_are_the_loop(shape):
 
 
 def test_many_points_are_the_loop():
-    # 2500 points: blocks of 3 terms, run row by row.  The budget leaves
-    # three points unconverged; a point whose terms overflow raises first,
-    # as in the loop, which raises it before its budget runs out
+    # 2500 points: blocks of 4 terms, the fewest a block has (more entries
+    # than _BLOCK), run row by row.  The budget leaves three points
+    # unconverged; a point whose terms overflow raises first, as in the
+    # loop, which raises it before its budget runs out
     x = np.linspace(-0.9, 0.9, 2500)
     x[[5, 2200, 2400]] = 0.999
     a = np.full(x.size, 0.5)
@@ -1250,30 +1269,6 @@ def test_budget_exhaustion_is_the_loop():
         for s in (0.5, np.full(3, 0.5)):
             assert _assert_same(incomplete_beta, z, s, -1.5) == (
                 NonConvergence, "incomplete beta series did not converge in 40 terms")
-
-
-def _jacobi_params_0_9_0(n, alpha, beta):
-    """JacobiParams' validation at 0.9.0: None, or the DomainError message."""
-    if not isinstance(n, numbers.Integral) or n < 0:
-        return "degree n must be a non-negative integer"
-    if not (np.isfinite(alpha) and np.isfinite(beta)):
-        return "exponents alpha and beta must be finite"
-    return None
-
-
-def test_jacobi_params_accepts_and_rejects_as_before():
-    for n, exponent in itertools.product(
-            [0, 3, True, False, np.int64(4), np.int32(-1), -1, 2.0, np.float64(2.0),
-             10 ** 30],
-            [0.5, -1, np.float64(1.5), np.float32(2.0), math.nan, math.inf, -math.inf,
-             True, np.int64(3), np.array(1.5)]):
-        for alpha, beta in ((exponent, 0.5), (0.5, exponent)):
-            want = _jacobi_params_0_9_0(n, alpha, beta)
-            if want is None:
-                JacobiParams(n, alpha, beta)
-            else:
-                with pytest.raises(DomainError, match=want):
-                    JacobiParams(n, alpha, beta)
 
 
 # --- numeric derivative --------------------------------------------------------
