@@ -37,7 +37,7 @@ from .susy import (
     RationalSin,
 )
 
-__version__ = "0.9.1"
+__version__ = "0.9.2"
 
 
 # oracle imports scipy.linalg, so its names are imported on first access and

@@ -8,12 +8,13 @@ double-variable hypergeometric series against its single-variable reductions.
 The two grid stencils take the sample points and read their step from
 uniform_step, which rejects a grid that is not uniform.
 
-The two series are summed a block of terms per numpy call, not a term per
-Python iteration: a block's terms are a cumprod of their ratios (or, for
-the F1 recurrence, its coefficient rows), its partial sums a cumsum, and
-both accumulate in sequence, in the term-by-term loop's order, so every
-value is that loop's bit for bit.  Each point still stops at its own term,
-under the same budget and with the same errors.
+Each series is summed one way, and every value is the term-by-term loop's
+bit for bit, with its errors.  The incomplete beta's stop loops run on
+Python floats, whose + - * / round as numpy's do: with scalar s and w one
+loop gives the term count for an array loop over all points, and with s or
+w per point each point runs its own loop to its sum.  Both F1 kernels run in
+one block loop (_f1_blocks), a block of terms per numpy call, in the loop's
+order; each point stops at its own term.
 
 All operations are pure and deterministic; there is no shared state.
 """
@@ -202,74 +203,6 @@ def _power(base, p):
     return out
 
 
-# Block summation.  The series kernels advance a block of terms per numpy
-# call: row j of a (rows, points) array is term k0 + j at every live point.
-# The term recursions are products and the partial sums are sums taken in
-# the loop's order, and running them down the rows is sequential (out[j] =
-# out[j-1] op in[j]), so every row holds the bits the term-by-term loop
-# would hold at that term.  Each point then stops at its first row that
-# passes the stop test, exactly where the loop would have stopped it; the
-# rows a block computes past a point's stop are discarded (under errstate,
-# since they may overflow).  A block is at most _BLOCK_TERMS terms and at
-# most _BLOCK term x point entries (64 KB of doubles, under glibc's default
-# 128 KB mmap threshold), but at least _BLOCK_MIN_TERMS terms, which is more
-# entries from 2048 points on.  The stop test and the compaction of the
-# points that stopped, which cost the most at many points, then run once per
-# 4 terms, not once per term as in the loop: F1 on 100001 x = y points took
-# about 92 ms against 128 ms with one-term blocks and 110 ms for 0.9.0's
-# loop (2 vCPUs, best of 8).  A row is taken before a mask selects from it
-# (v[-1][keep]): numpy's mixed index v[-1, keep] takes a slow path, about
-# 10x on 100001 points.
-_BLOCK_TERMS = 64
-_BLOCK_MIN_TERMS = 4
-_BLOCK = 8192
-# numpy's accumulate takes about 4 ns an entry in one call; a call per row
-# takes about 1 us plus 0.3 ns an entry, which is less from this many points
-_WIDE = 256
-
-
-def _block_rows(left, points, per_term=1):
-    """Terms in the next block: at most _BLOCK_TERMS and the left terms of
-    the budget, at most _BLOCK entries (per_term per term and point), but at
-    least _BLOCK_MIN_TERMS."""
-    return min(_BLOCK_TERMS, left,
-               max(_BLOCK_MIN_TERMS, _BLOCK // (per_term * points)))
-
-
-def _block_k(k, rows):
-    """The term indices k .. k + rows - 1 as a float column."""
-    return np.arange(k, k + rows, dtype=float)[:, None]
-
-
-def _run(ufunc, carry, rows, out=None):
-    """The running ufunc (np.multiply or np.add) down rows from carry, in
-    sequence: out[0] = carry op rows[0], out[j] = out[j-1] op rows[j].  out
-    is rows (in place) unless given."""
-    out = rows if out is None else out
-    ufunc(carry, rows[0], out=out[0])
-    if rows.shape[1] < _WIDE:
-        if out is not rows:
-            out[1:] = rows[1:]
-        return ufunc.accumulate(out, axis=0, out=out)
-    for j in range(1, len(rows)):
-        ufunc(out[j - 1], rows[j], out=out[j])
-    return out
-
-
-_NONE = np.empty(0, dtype=np.intp)
-
-
-def _first_rows(done):
-    """For a (rows, points) stop mask: the columns with a row set, their
-    first set rows, and what selects the other columns (all of them, as a
-    slice and without a copy, if none is set)."""
-    hit = done.any(axis=0)
-    if not hit.any():
-        return _NONE, _NONE, slice(None)
-    cols = np.flatnonzero(hit)
-    return cols, done.take(cols, axis=1).argmax(axis=0), ~hit
-
-
 def _incbeta_unconverged():
     return NonConvergence(
         f"incomplete beta series did not converge in {_MAX_TERMS} terms")
@@ -280,9 +213,11 @@ def _incbeta_overflowed():
 
 
 def _incbeta_series_terms(z, s, w):
-    """The number of terms after which the series at the one point z stops,
-    by the loop's own + - * / on Python floats (the same bits as the array
-    loop's entry for z)."""
+    """The term after which the series at the one point z stops and its sum
+    there, or None if it has not stopped within the budget, by the array
+    loop's own + - * / on Python floats, which round as numpy's do: the sum
+    is the array loop's entry for z bit for bit.  NonConvergence if the sum
+    there is not finite (an inf sum passes the stop test, inf <= inf)."""
     f, acc = 1.0, 1.0 / s
     for k in range(1, _MAX_TERMS + 1):
         f = f * ((k - w) / k) * z
@@ -291,69 +226,45 @@ def _incbeta_series_terms(z, s, w):
         if abs(term) <= _ABS_TOL + _REL_TOL * abs(acc):
             if not math.isfinite(acc):
                 raise _incbeta_overflowed()
-            return k
-    raise _incbeta_unconverged()
+            return k, acc
+    return None
 
 
-# A series whose terms overflow is reported as NonConvergence: an inf sum
-# passes the stop test (inf <= inf), so the stop path checks that the sums it
-# looks at are finite, and numpy's warnings would only repeat it.
+def _each(*vs):
+    """One tuple of Python floats per point, scalars broadcast to the points."""
+    return zip(*(v.tolist() for v in np.broadcast_arrays(*vs)))
+
+
+# The Python floats' + - * / do not warn; numpy's would only repeat the
+# NonConvergence that an overflowing series raises.
 @np.errstate(over="ignore", invalid="ignore")
 def _incbeta_series(z, s, w):
-    """sum form B(z;s,w) = z^s sum_k (1-w)_k z^k / (k! (s+k)) at the 1-D points z.
+    """sum form B(z;s,w) = z^s sum_k (1-w)_k z^k / (k! (s+k)) at the 1-D points z,
+    each stopping on its own test (_incbeta_series_terms).
 
-    Two stop rules.  With scalar s and w the largest z converges last (its
-    terms are the largest and its sum, for w >= 1, the smallest), so every
-    point stops with it: its loop, run first on Python floats, gives the
-    number of terms, and the array loop runs exactly that many with no stop
-    test (it is compute-bound, and blocks of terms would only add work).
-    With s or w per point, each point stops on its own test, so blocks of
-    terms are summed (_incbeta_series_blocks)."""
+    With scalar s and w the largest z converges last (its terms are the
+    largest and its sum, for w >= 1, the smallest), so every point stops
+    with it: its loop gives the number of terms, and the array loop runs
+    exactly that many with no stop test.  With s or w per point, each
+    point's loop gives its sum; an overflow at any point raises before a
+    point that has not converged, as in the term-by-term loop."""
     if np.ndim(s) == np.ndim(w) == 0:
+        stop = _incbeta_series_terms(float(z.max()), s, w)
+        if stop is None:
+            raise _incbeta_unconverged()
         acc = np.full_like(z, 1.0 / s)
         f = np.ones_like(z)
         term = np.empty_like(z)
-        for k in range(1, _incbeta_series_terms(float(z.max()), s, w) + 1):
+        for k in range(1, stop[0] + 1):
             np.multiply(f, (k - w) / k, out=f)
             f *= z
             acc += np.divide(f, s + k, out=term)
     else:
-        acc = _incbeta_series_blocks(z, s, w)
+        stops = [_incbeta_series_terms(*p) for p in _each(z, s, w)]
+        if None in stops:
+            raise _incbeta_unconverged()
+        acc = np.array([stop[1] for stop in stops])
     return _power(z, s) * acc
-
-
-def _incbeta_series_blocks(z, s, w):
-    """The sums of _incbeta_series with s or w per point, a block of terms
-    at a time.  The ratios (k - w)/k and z alternate down one running
-    product, so f is multiplied in the loop's order.  The loop raises when a
-    point stops while a live point's sum is not finite; a point's first
-    non-finite sum passes its own stop test (|term| <= tol(inf)), so that is
-    a point whose sum at its stop is not finite."""
-    out = np.empty(z.size)
-    live = np.arange(z.size)
-    f = np.ones(z.size)
-    acc = np.full(z.size, 1.0 / s)
-    k = 1
-    while k <= _MAX_TERMS:
-        rows = _block_rows(_MAX_TERMS + 1 - k, live.size, 2)
-        kk = _block_k(k, rows)
-        fz = np.empty((2 * rows, live.size))
-        fz[0::2] = (kk - w) / kk
-        fz[1::2] = z
-        terms = _run(np.multiply, f, fz)[1::2] / (s + kk)
-        sums = _run(np.add, acc, terms, np.empty_like(terms))
-        cols, first, keep = _first_rows(
-            np.abs(terms) <= _ABS_TOL + _REL_TOL * np.abs(sums))
-        vals = sums[first, cols]
-        if not np.isfinite(vals).all():
-            raise _incbeta_overflowed()
-        out[live[cols]] = vals
-        if cols.size == live.size:
-            return out
-        live, z, f, acc = live[keep], z[keep], fz[-1][keep], sums[-1][keep]
-        s, w = _pick(s, keep), _pick(w, keep)
-        k += rows
-    raise _incbeta_unconverged()
 
 
 _INCBETA_Z0 = 0.75  # the series in z serves z <= z0; past it, it crawls
@@ -374,8 +285,49 @@ def _upper_power(w):
             "of a double") from None
 
 
-# expm1(x)/x is computed and then replaced where x = 0, and so is the non-pole
-# form of a term and the stop bound at a point's e <= 1/2.
+def _incbeta_upper_steps(s, w, floor, big_te):
+    """(coef, T^e) of each term of _incbeta_upper's sum at one (s, w, floor),
+    up to the one whose t-free bound stops it, on Python floats; big_te is
+    T^w.  NonConvergence if none does within the budget."""
+    big_t = 1.0 - _INCBETA_Z0
+    steps = []
+    coef = 1.0
+    for k in range(_MAX_TERMS):
+        steps.append((coef, big_te))
+        e = w + k
+        if e > 0.5 and abs(coef) * big_te / e <= _ABS_TOL + _REL_TOL * floor:
+            return steps
+        coef *= (k + 1.0 - s) / (k + 1.0)
+        big_te *= big_t
+    raise _incbeta_unconverged()
+
+
+def _pole_factors(t, e):
+    """ln(t/T) and expm1(x)/x at x = e ln(t/T), 1 where x = 0: the factors of
+    the term whose exponent e is within 1/2 of 0."""
+    log_ratio = np.log(t / (1.0 - _INCBETA_Z0))
+    x = e * log_ratio
+    return log_ratio, np.where(x == 0.0, 1.0, np.expm1(x) / x)
+
+
+def _incbeta_upper_sum(steps, w, t, t_e, pole, factors):
+    """The terms of steps summed at t, where t_e = t^w: t is an array of
+    points (scalar s and w) or one point's Python float, on which the same
+    + - * / round alike.  Term pole takes the pole form with factors, the
+    _pole_factors at that term."""
+    acc = 0.0
+    for k, (coef, big_te) in enumerate(steps):
+        if k == pole:
+            log_ratio, exprel = factors
+            acc += coef * -big_te * log_ratio * exprel
+        else:
+            acc += (coef / (w + k)) * (big_te - t_e)
+        t_e *= t
+    return acc
+
+
+# expm1(x)/x is computed and then replaced where x = 0, and per point the
+# pole factors are computed at every point, pole term or not.
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _incbeta_upper(t, s, w, floor):
     """int_t^T (1-v)^(s-1) v^(w-1) dv for T = 1 - z0 > t, summed over the
@@ -387,87 +339,26 @@ def _incbeta_upper(t, s, w, floor):
     the sum stops once that is within the tolerances of floor = B(z0) > 0,
     to which the result is added.
 
-    The bound does not depend on t, so with scalar s and w it is run first
-    on Python floats (the loop's own operations), and the array loop then
-    runs exactly that many terms with no stop test.  With s or w per point,
-    each point stops on its own bound, and blocks of terms are summed
-    (_incbeta_upper_blocks)."""
-    if np.ndim(s) or np.ndim(w):
-        return _incbeta_upper_blocks(t, s, w, floor)
-    big_t = 1.0 - _INCBETA_Z0
-    steps = []   # (coef, T^e) of each term, up to the one that stops
-    coef, big_te = 1.0, _upper_power(w)
-    for k in range(_MAX_TERMS):
-        steps.append((coef, big_te))
-        e = w + k
-        if e > 0.5 and abs(coef) * big_te / e <= _ABS_TOL + _REL_TOL * floor:
-            break
-        coef *= (k + 1.0 - s) / (k + 1.0)
-        big_te *= big_t
-    else:
-        raise _incbeta_unconverged()
-    pole = round(-w)   # the k with |e| <= 1/2
+    The bound does not depend on t, so with scalar s and w its loop
+    (_incbeta_upper_steps) runs once, and the sum runs exactly that many
+    terms on the array of points with no stop test; the pole term's log and
+    expm1 are taken only if it is among them.  With s or w per point, each
+    point runs its own loop and its own sum on Python floats."""
     t_e = _power(t, w)
-    acc = np.zeros_like(t)
-    for k, (coef, big_te) in enumerate(steps):
-        e = w + k
-        if k == pole:
-            log_ratio = np.log(t / big_t)
-            x = e * log_ratio
-            exprel = np.where(x == 0.0, 1.0, np.expm1(x) / x)
-            acc += coef * -big_te * log_ratio * exprel
-        else:
-            acc += (coef / e) * (big_te - t_e)
-        t_e *= t
-    return acc
-
-
-def _incbeta_upper_blocks(t, s, w, floor):
-    """_incbeta_upper with s or w per point, a block of terms at a time:
-    (1-s)_k/k!, T^e and t^e are each a running product down the block, and
-    the pole terms are replaced in place."""
-    big_t = 1.0 - _INCBETA_Z0
-    n = t.size
-    out = np.empty(n)
-    live = np.arange(n)
-    t_e = _power(t, w)   # before w is broadcast: a scalar w is one np.power
-    big_te = np.broadcast_to(_upper_power(w), n)
-    coef = np.ones(n)
-    s, w, floor = (np.broadcast_to(v, n) for v in (s, w, floor))
+    big_te = _upper_power(w)
+    if np.ndim(s) == np.ndim(w) == 0:
+        steps = _incbeta_upper_steps(s, w, floor, big_te)
+        pole = round(-w)   # the k with |e| <= 1/2
+        factors = _pole_factors(t, w + pole) if 0 <= pole < len(steps) else None
+        return _incbeta_upper_sum(steps, w, t, t_e, pole, factors)
     pole = np.rint(-w)
-    acc = np.zeros(n)
-    k = 0
-    while k < _MAX_TERMS:
-        rows = _block_rows(_MAX_TERMS - k, live.size, 3)
-        kk = _block_k(k, rows)
-        # row j of each is term k + j; the last row is the next block's carry
-        run = np.empty((3, rows + 1, live.size))
-        run[:, 0] = coef, big_te, t_e
-        run[0, 1:] = (kk + 1.0 - s) / (kk + 1.0)
-        run[1, 1:] = big_t
-        run[2, 1:] = t
-        for part in run:
-            _run(np.multiply, part[0], part[1:])
-        coefs, big_tes, t_es = run[:, :-1]
-        e = w + kk
-        terms = (coefs / e) * (big_tes - t_es)
-        r, c = np.nonzero(kk == pole)
-        if r.size:
-            log_ratio = np.log(t[c] / big_t)
-            x = e[r, c] * log_ratio
-            exprel = np.where(x == 0.0, 1.0, np.expm1(x) / x)
-            terms[r, c] = coefs[r, c] * -big_tes[r, c] * log_ratio * exprel
-        sums = _run(np.add, acc, terms)
-        cols, first, keep = _first_rows(
-            (e > 0.5) & (np.abs(coefs) * big_tes / e <= _ABS_TOL + _REL_TOL * floor))
-        out[live[cols]] = sums[first, cols]
-        if cols.size == live.size:
-            return out
-        live, t, s, w, pole, floor = (v[keep] for v in (live, t, s, w, pole, floor))
-        coef, big_te, t_e = (v[keep] for v in run[:, -1])
-        acc = sums[-1][keep]
-        k += rows
-    raise _incbeta_unconverged()
+    log_ratio, exprel = _pole_factors(t, w + pole)
+    out = []
+    for t1, s1, w1, floor1, big_te1, t_e1, pole1, *factors in _each(
+            t, s, w, floor, big_te, t_e, pole, log_ratio, exprel):
+        steps = _incbeta_upper_steps(s1, w1, floor1, big_te1)
+        out.append(_incbeta_upper_sum(steps, w1, t1, t_e1, pole1, factors))
+    return np.array(out)
 
 
 def incomplete_beta(z, s, w):
@@ -523,40 +414,143 @@ def incomplete_beta(z, s, w):
     return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
 
 
+# Block summation.  The F1 kernels advance a block of terms per numpy call:
+# row j of a (rows, points) array is term k0 + j at every live point.
+# The term recursions are products and the partial sums are sums taken in
+# the loop's order, and running them down the rows is sequential (out[j] =
+# out[j-1] op in[j]), so every row holds the bits the term-by-term loop
+# would hold at that term.  Each point then stops at its first row that
+# passes the stop test, exactly where the loop would have stopped it; the
+# rows a block computes past a point's stop are discarded (under errstate,
+# since they may overflow).  A block is at most _BLOCK_TERMS terms and at
+# most _BLOCK term x point entries (64 KB of doubles, under glibc's default
+# 128 KB mmap threshold), but at least _BLOCK_MIN_TERMS terms, which is more
+# entries from 2048 points on.  The stop test and the compaction of the
+# points that stopped, which cost the most at many points, then run once per
+# 4 terms, not once per term as in the loop: F1 on 100001 x = y points took
+# about 92 ms against 128 ms with one-term blocks and 110 ms for 0.9.0's
+# loop (2 vCPUs, best of 8).  A row is taken before a mask selects from it
+# (v[-1][keep]): numpy's mixed index v[-1, keep] takes a slow path, about
+# 10x on 100001 points.
+_BLOCK_TERMS = 64
+_BLOCK_MIN_TERMS = 4
+_BLOCK = 8192
+# numpy's accumulate takes about 4 ns an entry in one call; a call per row
+# takes about 1 us plus 0.3 ns an entry, which is less from this many points
+_WIDE = 256
+
+
+def _block_rows(left, points):
+    """Terms in the next block: at most _BLOCK_TERMS and the left terms of
+    the budget, at most _BLOCK entries, but at least _BLOCK_MIN_TERMS."""
+    return min(_BLOCK_TERMS, left, max(_BLOCK_MIN_TERMS, _BLOCK // points))
+
+
+def _run(ufunc, carry, rows, out=None):
+    """The running ufunc (np.multiply or np.add) down rows from carry, in
+    sequence: out[0] = carry op rows[0], out[j] = out[j-1] op rows[j].  out
+    is rows (in place) unless given."""
+    out = rows if out is None else out
+    ufunc(carry, rows[0], out=out[0])
+    if rows.shape[1] < _WIDE:
+        if out is not rows:
+            out[1:] = rows[1:]
+        return ufunc.accumulate(out, axis=0, out=out)
+    for j in range(1, len(rows)):
+        ufunc(out[j - 1], rows[j], out=out[j])
+    return out
+
+
+_NONE = np.empty(0, dtype=np.intp)
+
+
+def _first_rows(done):
+    """For a (rows, points) stop mask: the columns with a row set, their
+    first set rows, and what selects the other columns (all of them, as a
+    slice and without a copy, if none is set)."""
+    hit = done.any(axis=0)
+    if not hit.any():
+        return _NONE, _NONE, slice(None)
+    cols = np.flatnonzero(hit)
+    return cols, done.take(cols, axis=1).argmax(axis=0), ~hit
+
+
 def _f1_unconverged(points):
     return NonConvergence(
         f"appell_f1 did not converge within {_MAX_TERMS} diagonals "
         f"at {points} point(s)")
 
 
-def _f1_settle(terms, sums, prev_small, live, out):
-    """The stop rule of both F1 kernels on one block of diagonal sums terms
-    and partial sums sums, (rows, points) over the live points: a point
-    stops at the first row where this diagonal sum and the one before it are
-    both small, and its partial sum there goes to out.  NonConvergence if a
-    point has a non-finite diagonal sum at or before its stop row, where the
-    loop would have raised; a non-finite term leaves every later partial sum
-    non-finite, so finite last sums rule that out.  Returns the number of
-    points that stopped, what selects the others (_first_rows) and the last
-    row's small flags."""
-    small = np.abs(terms) <= _ABS_TOL + _REL_TOL * np.abs(sums)
-    done = np.empty_like(small)
-    np.logical_and(small[0], prev_small, out=done[0])
-    np.logical_and(small[1:], small[:-1], out=done[1:])
-    cols, first, keep = _first_rows(done)
-    if not np.isfinite(sums[-1]).all():
-        stop = np.full(live.size, len(terms) - 1)
-        stop[cols] = first
-        if (~np.isfinite(terms) & (np.arange(len(terms))[:, None] <= stop)).any():
-            raise NonConvergence("appell_f1 series overflowed before converging")
-    out[live[cols]] = sums[first, cols]
-    return cols.size, keep, small[-1]
+def _f1_overflowed():
+    return NonConvergence("appell_f1 series overflowed before converging")
 
 
 # Both kernels report an overflowing series as NonConvergence, so numpy's
 # warnings would only repeat it; once a product overflows, inf - inf is nan,
 # which is reported as overflow too.
 @np.errstate(over="ignore", invalid="ignore")
+def _f1_blocks(step, carry, n):
+    """The block loop of both F1 kernels at n points.  step(kk, *carry) gives
+    the diagonal sums at the term indices kk (a float column) and the live
+    points, as a (rows, points) array, and the carry of the next block:
+    arrays of one value per live point, or scalars that serve them all.  The
+    loop owns the partial sums, the stop rule, the compaction of the points
+    that stopped (and of the carry) and the budget.
+
+    A point stops at the first row where this diagonal sum and the one
+    before it are both small, with its partial sum there.  NonConvergence
+    if a point has a non-finite diagonal sum at or before its stop row,
+    where the term-by-term loop would have raised; a non-finite term leaves
+    every later partial sum non-finite, so finite last sums rule that out."""
+    out = np.empty(n)
+    live = np.arange(n)
+    partial = np.ones(n)
+    prev_small = np.full(n, 1.0 <= _ABS_TOL + _REL_TOL)
+    k = 1
+    while k <= _MAX_TERMS:
+        rows = _block_rows(_MAX_TERMS + 1 - k, live.size)
+        terms, carry = step(np.arange(k, k + rows, dtype=float)[:, None], *carry)
+        sums = _run(np.add, partial, terms, np.empty_like(terms))
+        small = np.abs(terms) <= _ABS_TOL + _REL_TOL * np.abs(sums)
+        done = np.empty_like(small)
+        np.logical_and(small[0], prev_small, out=done[0])
+        np.logical_and(small[1:], small[:-1], out=done[1:])
+        cols, first, keep = _first_rows(done)
+        if not np.isfinite(sums[-1]).all():
+            stop = np.full(live.size, len(terms) - 1)
+            stop[cols] = first
+            if (~np.isfinite(terms) & (np.arange(len(terms))[:, None] <= stop)).any():
+                raise _f1_overflowed()
+        out[live[cols]] = sums[first, cols]
+        if cols.size == live.size:
+            return out
+        live, partial, prev_small = live[keep], sums[-1][keep], small[-1][keep]
+        carry = [_pick(v, keep) for v in carry]
+        k += rows
+    raise _f1_unconverged(live.size)
+
+
+def _f1_recurrence_step(kk, s_prev2, s_prev, g_prev, xpy, bxy, xy, a, b1, b2, c):
+    # g_{k-1} and g_k: one column if a and c are scalars, whose last row
+    # is carried as a scalar
+    rows = len(kk)
+    g = np.empty((rows + 1, np.broadcast(a, c).size))
+    g[0] = g_prev
+    g[1:] = (a + kk - 1.0) / (c + kk - 1.0)
+    lead = (kk - 1.0) * xpy + bxy
+    back = (g[:-1] * (kk - 2.0 + b1 + b2)) * xy
+    scale = g[1:] / kk
+    s = np.empty((rows + 2, xpy.size))
+    s[0], s[1] = s_prev2, s_prev
+    for j in range(rows):
+        row = s[j + 2]
+        np.multiply(lead[j], s[j + 1], out=row)
+        row -= np.multiply(back[j], s[j], out=back[j])
+        row *= scale[j]
+    g_last = g[-1] if g.shape[1] > 1 else g[-1, 0]
+    return s[2:], (s[-2], s[-1], g_last, xpy, bxy, xy, a, b1, b2, c)
+
+
 def _appell_f1_recurrence(a, b1, b2, c, x, y):
     """F1 at the 1-D points x, y, in O(1) work per diagonal and point.
 
@@ -569,77 +563,26 @@ def _appell_f1_recurrence(a, b1, b2, c, x, y):
     a, b1, b2 and c are scalars or one value per point.  A three-term
     recurrence is not a running product, so each block takes its three
     coefficient rows in one numpy call each and then runs the recurrence's
-    in-place row operations term by term; the partial sums, the stop rule
-    (_f1_settle) and the compaction of the points that stopped run once per
-    block.
+    in-place row operations term by term, in _f1_blocks.
     """
-    out = np.empty(x.size)
-    live = np.arange(x.size)
-    xpy, bxy, xy = x + y, b1 * x + b2 * y, x * y
-    s_prev, s_prev2 = np.ones(x.size), np.zeros(x.size)
-    partial = np.ones(x.size)
-    prev_small = np.full(x.size, 1.0 <= _ABS_TOL + _REL_TOL)
-    g_prev = np.zeros(1)
-    k = 1
-    while k <= _MAX_TERMS:
-        rows = _block_rows(_MAX_TERMS + 1 - k, live.size)
-        kk = _block_k(k, rows)
-        # g_{k-1} and g_k: one column if a and c are scalars
-        g = np.empty((rows + 1, np.broadcast(a, c).size))
-        g[0] = g_prev
-        g[1:] = (a + kk - 1.0) / (c + kk - 1.0)
-        lead = (kk - 1.0) * xpy + bxy
-        back = (g[:-1] * (kk - 2.0 + b1 + b2)) * xy
-        scale = g[1:] / kk
-        s = np.empty((rows + 2, live.size))
-        s[0], s[1] = s_prev2, s_prev
-        for j in range(rows):
-            row = s[j + 2]
-            np.multiply(lead[j], s[j + 1], out=row)
-            row -= np.multiply(back[j], s[j], out=back[j])
-            row *= scale[j]
-        terms = s[2:]
-        sums = _run(np.add, partial, terms, np.empty_like(terms))
-        stopped, keep, prev_small = _f1_settle(terms, sums, prev_small, live, out)
-        if stopped == live.size:
-            return out
-        live, xpy, bxy, xy, prev_small = (
-            v[keep] for v in (live, xpy, bxy, xy, prev_small))
-        s_prev2, s_prev, partial = s[-2][keep], s[-1][keep], sums[-1][keep]
-        g_prev = g[-1] if g.shape[1] == 1 else g[-1][keep]
-        a, b1, b2, c = (_pick(v, keep) for v in (a, b1, b2, c))
-        k += rows
-    raise _f1_unconverged(live.size)
+    return _f1_blocks(_f1_recurrence_step, (
+        np.zeros(x.size), np.ones(x.size), 0.0, x + y, b1 * x + b2 * y, x * y,
+        a, b1, b2, c), x.size)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+def _f1_diagonal_step(kk, term, x, a, b, c):
+    ratio = (a + kk - 1.0) * (b + kk - 1.0) / ((c + kk - 1.0) * kk)
+    terms = _run(np.multiply, term, np.multiply(ratio, x))
+    return terms, (terms[-1], x, a, b, c)
+
+
 def _appell_f1_diagonal(a, b, c, x):
     """F1 at the 1-D points x = y, with b = b1 + b2: diagonal k sums to
     (a)_k (b)_k / ((c)_k k!) x^k (Chu-Vandermonde), one term of 2F1(a, b; c; x).
     A block's terms are the running product of their ratios from the term
-    carried from the block before, and its partial sums their running sum.
-    Same parameters, stop rule, compaction and budget as
-    _appell_f1_recurrence."""
-    out = np.empty(x.size)
-    live = np.arange(x.size)
-    term = np.ones(x.size)
-    partial = np.ones(x.size)
-    prev_small = np.full(x.size, 1.0 <= _ABS_TOL + _REL_TOL)
-    k = 1
-    while k <= _MAX_TERMS:
-        rows = _block_rows(_MAX_TERMS + 1 - k, live.size)
-        kk = _block_k(k, rows)
-        ratio = (a + kk - 1.0) * (b + kk - 1.0) / ((c + kk - 1.0) * kk)
-        terms = _run(np.multiply, term, np.multiply(ratio, x))
-        sums = _run(np.add, partial, terms, np.empty_like(terms))
-        stopped, keep, prev_small = _f1_settle(terms, sums, prev_small, live, out)
-        if stopped == live.size:
-            return out
-        live, x, prev_small = live[keep], x[keep], prev_small[keep]
-        term, partial = terms[-1][keep], sums[-1][keep]
-        a, b, c = (_pick(v, keep) for v in (a, b, c))
-        k += rows
-    raise _f1_unconverged(live.size)
+    carried from the block before, in _f1_blocks with the same parameters
+    as _appell_f1_recurrence."""
+    return _f1_blocks(_f1_diagonal_step, (np.ones(x.size), x, a, b, c), x.size)
 
 
 def appell_f1(a, b1, b2, c, x, y):
@@ -657,8 +600,8 @@ def appell_f1(a, b1, b2, c, x, y):
     point, each value is bit for bit that of the matching scalar call.
     Requires |x| < 1, |y| < 1, finite parameters and c not a non-positive
     integer at every point.  Raises NonConvergence if any point is still
-    unconverged after _MAX_TERMS diagonals, or if a diagonal sum is not
-    finite.
+    unconverged after _MAX_TERMS diagonals, or if a diagonal sum or a value
+    is not finite.
 
     Where x and y differ, the diagonal sums follow a three-term recurrence
     (see _appell_f1_recurrence).  At the points where they are equal (every
@@ -689,6 +632,9 @@ def appell_f1(a, b1, b2, c, x, y):
         if diag.any():
             pa, pb1, pb2, pc = (_pick(p, diag) for p in (a, b1, b2, c))
             out[diag] = _appell_f1_diagonal(pa, pb1 + pb2, pc, xf[diag])
+    # a partial sum can overflow from finite diagonal sums
+    if not np.isfinite(out).all():
+        raise _f1_overflowed()
     if x_arr.ndim == 0:
         return float(out[0])
     return out.reshape(x_arr.shape)

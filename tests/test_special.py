@@ -586,6 +586,17 @@ def test_appell_overflow_is_nonconvergence_on_both_paths():
             appell_f1(300.0, 300.0, 300.0, 0.5, x, y)
 
 
+def test_appell_overflowing_partial_sum_is_nonconvergence():
+    # every diagonal sum is finite and their partial sum overflows: the same
+    # NonConvergence on the x = y path (scalar and array) as for x != y
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, y in ((0.999, 0.999), (np.array([0.5, 0.999]),) * 2, (0.999, 0.998)):
+            with pytest.raises(NonConvergence) as info:
+                appell_f1(300.0, 1.0, 0.75, 2.0, x, y)
+            assert str(info.value) == "appell_f1 series overflowed before converging"
+
+
 def test_appell_empty_arrays():
     out = appell_f1(0.5, 0.25, 1.5, 2.0, np.empty((0, 3)), np.empty((0, 3)))
     assert out.shape == (0, 3)
@@ -1255,6 +1266,17 @@ def test_overflow_before_a_point_stops_is_the_loop():
     for s in (0.5, np.full(2, 0.5)):
         assert _assert_same(incomplete_beta, np.array([0.3, 0.7]), s, -600.0) == (
             NonConvergence, "incomplete beta series overflowed before converging")
+
+
+def test_incbeta_overflow_outranks_the_budget_at_any_point():
+    # one point exhausts the budget and the other overflows: the loop raises
+    # the overflow first whatever the points' order, and so must a per-point
+    # loop that would raise at the first point that fails
+    z = np.array([0.7, 0.7])
+    with _budget(40, 1e-16, 1e-15):
+        for w in (np.array([-1.5, -1e200]), np.array([-1e200, -1.5])):
+            assert _assert_same(incomplete_beta, z, 0.5, w) == (
+                NonConvergence, "incomplete beta series overflowed before converging")
 
 
 def test_budget_exhaustion_is_the_loop():
