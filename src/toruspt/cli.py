@@ -8,13 +8,17 @@ rerun with the same configuration produces byte-identical files.  Tables are
 rendered and written in blocks of rows, so memory does not grow with the
 output text.  Every float written, in CSV and JSON alike, is format(v, ".17g")
 with ".0" appended when that has no '.', 'e' or 'n' ("-0.0", not "-0"), so a
-JSON reader gets a float back.  A numpy kernel (_g17) produces a table's bytes:
-a double-double scaling to a 17-digit integer, 4-digit lookup tables and one
-precomputed %g layout per sign, exponent class and digit count.  format()
-itself renders the values the kernel cannot decide: |v| outside [1e-280,
-1e280] and values within 1e-6 of a rounding tie.
+JSON reader gets a float back.  A numpy kernel (_g17) writes a block column's
+values as NUL-padded 24-byte cells: a double-double scaling to a 17-digit
+integer, 4-digit lookup tables and one precomputed %g layout per sign,
+exponent class and digit count.  format() itself renders the values the
+kernel cannot decide: |v| outside [1e-280, 1e280] and values within 1e-6 of
+a rounding tie.  A block is one byte buffer of the rows' constant text and
+the cells, whose NULs are deleted in one pass.
 
-Exit codes: 0 success, 1 verification or domain failure, 2 argument error.
+Exit codes: 0 success, 1 verification or domain failure, 2 argument error,
+141 (128 + SIGPIPE) when stdout is closed before the output is written, as
+by `toruspt ... | head`; then nothing more is written and no traceback shows.
 An optional key=value config file (--config) holds the subcommand's flags
 ('_' for '-', lam for --lambda; --case and boolean flags are flag-only): each
 line becomes a --flag=value token ahead of the command line's own, so the
@@ -70,10 +74,12 @@ VERIFY_SUITES = ("special", "geometry", "susy", "algebra")
 def _json_scalar(v) -> str:
     if v is None:
         return "null"
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, str):
-        return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        import json     # only here: building the parser loads no json
+
+        return json.dumps(v, ensure_ascii=False)
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
@@ -87,7 +93,7 @@ def _f17(v: float) -> str:
     return text if "." in text or "e" in text or "n" in text else text + ".0"
 
 
-# Rows per % fill: bounds the Python objects and the text alive at once.
+# Rows per block: bounds the kernel's temporaries and the text alive at once.
 _BLOCK_ROWS = 8192
 
 # -- format(v, ".17g") for a float64 array -----------------------------------
@@ -97,7 +103,6 @@ _BLOCK_ROWS = 8192
 # unless frac(y) lies within _G17_TIE of 1/2.  Those values and every |v|
 # outside [_G17_MIN, _G17_MAX], where the table or the split would leave the
 # normal range, go through format() itself, the exact reference.
-_G17_CHUNK = 4096           # values per pass: bounds the kernel's temporaries
 _G17_MIN, _G17_MAX = 1e-280, 1e280
 _G17_TIE = 1e-6
 _G17_SPLIT = 134217729.0    # 2**27 + 1, Dekker's splitter
@@ -167,7 +172,7 @@ class _G17Tables:
         e = np.arange(-300, 301)
         cls = np.select([e <= -100, e < -4, e < 17, e < 100],
                         [21, 22, e + 4, 23], 24)
-        self.class_base = cls * 17 - 1    # indexed by e + 300
+        self.class_base = cls * 17 + 16   # key + zeros, indexed by e + 300
 
 
 @functools.cache
@@ -177,102 +182,143 @@ def _g17_tables():
 
 def _g17_scale(tab, a, e):
     """floor and fractional part of a * 10**(16 - e), to about 1e-14."""
-    i = 16 - e - _G17_K0
-    p_hi, p_hh, p_hl = tab.p_hi[i], tab.p_hh[i], tab.p_hl[i]
-    hi = a * p_hi
+    i = 16 - _G17_K0 - e
+    hi = tab.p_hi.take(i)
+    hi *= a
+    # Dekker's split of a, a_h = c - (c - a) and a_l = a - a_h
     c = a * _G17_SPLIT
-    a_h = c - (c - a)
-    a_l = a - a_h
-    err = ((a_h * p_hh - hi) + a_h * p_hl + a_l * p_hh) + a_l * p_hl
+    a_h = c - a
+    np.subtract(c, a_h, out=a_h)
+    a_l = np.subtract(a, a_h, out=c)
+    # err = ((a_h * p_hh - hi) + a_h * p_hl + a_l * p_hh) + a_l * p_hl
+    p_hh, p_hl = tab.p_hh.take(i), tab.p_hl.take(i)
+    err = a_h * p_hh
+    err -= hi
+    err += np.multiply(a_h, p_hl, out=a_h)
+    err += np.multiply(a_l, p_hh, out=p_hh)
+    err += np.multiply(a_l, p_hl, out=p_hl)
+    # rest = (hi - floor(hi)) + (err + a * p_lo)
     whole = np.floor(hi)
-    rest = (hi - whole) + (err + a * tab.p_lo[i])
-    down = np.floor(rest)
-    return whole.astype(np.int64) + down.astype(np.int64), rest - down
+    hi -= whole
+    err += np.multiply(a, tab.p_lo.take(i), out=p_hl)
+    hi += err
+    down = np.floor(hi)
+    hi -= down
+    n = whole.astype(np.int64)
+    n += down.astype(np.int64)
+    return n, hi
 
 
-def _g17_chunk(tab, v):
+def _g17(v):
+    """_f17(v) of each value of a 1-D float64 array, as the rows of an (m, 24)
+    uint8 array: the text's bytes, then NULs."""
+    tab = _g17_tables()
     a = np.abs(v)
     slow = ~((a >= _G17_MIN) & (a <= _G17_MAX))   # also 0, subnormals, nan
     a[slow] = 1.0
     e = np.floor(np.log10(a)).astype(np.int64)
     floor, frac = _g17_scale(tab, a, e)
     # log10 can miss by one next to a power of ten: rescale those values
-    off = (floor >= 10 ** 17).astype(np.int64) - (floor < 10 ** 16)
-    if off.any():
-        redo = off != 0
-        e[redo] += off[redo]
+    redo = np.flatnonzero((floor < 10 ** 16) | (floor >= 10 ** 17))
+    if len(redo):
+        e[redo] += np.where(floor[redo] < 10 ** 16, -1, 1)
         floor[redo], frac[redo] = _g17_scale(tab, a[redo], e[redo])
-    n = floor + (frac > 0.5)
-    carry = n == 10 ** 17       # y in [1e17 - 1/2, 1e17): one digit more
+    n = floor
+    n += frac > 0.5
+    carry = np.flatnonzero(n == 10 ** 17)   # y in [1e17 - 1/2, 1e17)
     n[carry] = 10 ** 16
-    e += carry
-    slow |= np.abs(frac - 0.5) < _G17_TIE
-    # the 17 digits and |e| as indices of 4-byte words
+    e[carry] += 1
+    frac -= 0.5
+    slow |= np.abs(frac) < _G17_TIE
+    # the 17 digits as a leading digit and four 4-digit groups, then |e|
     m = len(v)
-    q = np.empty((8, m), dtype=np.intp)
-    q[0] = n // 10 ** 16
-    rest = n - q[0] * 10 ** 16
-    high = rest // 10 ** 8
-    low = rest - high * 10 ** 8
-    q[1] = high // 10 ** 4
-    q[2] = high - q[1] * 10 ** 4
-    q[3] = low // 10 ** 4
-    q[4] = low - q[3] * 10 ** 4
-    np.abs(e, out=q[5])
-    q[6], q[7] = 10000, 10001   # the "-.e+" and the NUL word
-    src = tab.words.take(q.T).view(np.uint8)
-    t = tab.trailing
-    zeros = t[q[4]] + (q[4] == 0) * (t[q[3]] + (q[3] == 0) * (
-        t[q[2]] + (q[2] == 0) * t[q[1]]))
-    key = tab.class_base[e + 300] + np.signbit(v) * tab.minus + (17 - zeros)
-    idx = tab.layouts.take(key, axis=0)
-    idx += np.arange(0, 32 * m, 32)[:, None]
-    text = src.reshape(-1).take(idx).view("S24").ravel().tolist()
-    for i in np.flatnonzero(slow).tolist():
-        text[i] = _f17(v.item(i)).encode()
-    return text
-
-
-def _g17(values) -> list:
-    """_f17(v).encode() of every value of a 1-D float64 array."""
-    tab = _g17_tables()
-    out = []
-    for start in range(0, len(values), _G17_CHUNK):
-        out += _g17_chunk(tab, values[start:start + _G17_CHUNK])
-    return out
+    q = np.empty((6, m), dtype=np.intp)
+    q0, q1, q2, q3, q4, q5 = q
+    np.floor_divide(n, 10 ** 16, out=q0)
+    n -= q0 * 10 ** 16
+    high = n // 10 ** 8
+    n -= high * 10 ** 8
+    np.floor_divide(high, 10 ** 4, out=q1)
+    np.subtract(high, q1 * 10 ** 4, out=q2)
+    np.floor_divide(n, 10 ** 4, out=q3)
+    np.subtract(n, q3 * 10 ** 4, out=q4)
+    np.abs(e, out=q5)
+    # the source words of value r are column r of src: its six words, "-.e+"
+    # and NULs, so byte o of a value's 32-byte row is at
+    # 4 * (m * (o // 4) + r) + o % 4 of the flat array ("clip" writes straight
+    # into src, where the default mode would buffer it; q is in range)
+    src = np.empty((8, m), dtype=np.uint32)
+    tab.words.take(q, out=src[:6], mode="clip")
+    src[6], src[7] = tab.words[10000], 0
+    # trailing zeros of the 16 digits after the leading one
+    zeros = tab.trailing.take(q4)
+    z = np.flatnonzero(q4 == 0)
+    if len(z):
+        t = tab.trailing
+        r1, r2, r3 = q1[z], q2[z], q3[z]
+        zeros[z] += t[r3] + (r3 == 0) * (t[r2] + (r2 == 0) * t[r1])
+    key = tab.class_base.take(e + 300)
+    key += np.signbit(v) * tab.minus
+    key -= zeros
+    layouts = tab.layouts + (tab.layouts >> 2) * (4 * m - 4)
+    idx = layouts.take(key, axis=0)
+    idx += np.arange(0, 4 * m, 4)[:, None]
+    cells = src.view(np.uint8).reshape(-1).take(idx)
+    slow = np.flatnonzero(slow)
+    if len(slow):
+        text = b"".join(_f17(x).encode().ljust(24, b"\0")
+                        for x in v[slow].tolist())
+        cells[slow] = np.frombuffer(text, dtype=np.uint8).reshape(-1, 24)
+    return cells
 
 
 class _Table:
     """Named float columns, rendered a block of rows at a time.
 
-    Values are written as the bytes of _f17(v): _g17 computes
-    them with numpy, 4096 values at a time, and leaves to format() itself
-    only |v| outside [1e-280, 1e280] and values whose scaled remainder lies
-    within 1e-6 of a rounding tie.  Each row is one bytes %s-template, so a
-    block is filled by a single % over its values, and the text of the
-    table never exists as one string.
+    Values are written as the bytes of _f17(v).  A block of up to _BLOCK_ROWS
+    rows is one (rows, width) uint8 buffer holding the row's constant bytes
+    (separators, keys, newlines) and, at fixed offsets, a 24-byte cell per
+    column; _g17 fills a column's cells in one pass, with the text padded by
+    NULs, and format() itself writes only |v| outside [1e-280, 1e280] and
+    values whose scaled remainder lies within 1e-6 of a rounding tie.  The
+    block's text is the buffer's bytes with the NULs deleted, so no value
+    becomes a Python object and the table's text never exists as one string.
     """
 
     def __init__(self, header, columns):
         self.header = list(header)
-        self.data = np.column_stack(columns)
+        self.columns = [np.asarray(c, dtype=np.float64) for c in columns]
 
-    def _blocks(self, row, sep):
-        row, sep = row.encode(), sep.encode()
-        for start in range(0, len(self.data), _BLOCK_ROWS):
-            block = self.data[start:start + _BLOCK_ROWS]
-            text = sep.join([row] * len(block)) % tuple(_g17(block.ravel()))
-            yield (sep + text if start else text).decode("ascii")
+    def _blocks(self, parts, sep):
+        """Rows parts[0] value parts[1] ... value parts[-1], sep between."""
+        sep = sep.encode()
+        row, offsets = sep + parts[0].encode(), []
+        for part in parts[1:]:
+            offsets.append(len(row))
+            row += bytes(24) + part.encode()
+        n = len(self.columns[0])
+        buf = np.empty((min(n, _BLOCK_ROWS), len(row)), dtype=np.uint8)
+        buf[:] = np.frombuffer(row, dtype=np.uint8)
+        for start in range(0, n, _BLOCK_ROWS):
+            block = buf[:min(n - start, _BLOCK_ROWS)]
+            for col, at in zip(self.columns, offsets):
+                block[:, at:at + 24] = _g17(col[start:start + _BLOCK_ROWS])
+            # the first row of the table has no separator before it
+            text = block.reshape(-1)[len(sep) if start == 0 else 0:]
+            yield text.tobytes().translate(None, b"\0").decode("ascii")
 
     def csv_pieces(self):
         yield ",".join(self.header) + "\n"
-        yield from self._blocks(",".join(["%s"] * len(self.header)) + "\n", "")
+        yield from self._blocks([""] + [","] * (len(self.header) - 1) + ["\n"],
+                                "")
 
     def json_pieces(self, indent):
         pad = "  " * (indent + 1)
-        fields = ",\n".join(f'{pad}  "{h}": %s' for h in self.header)
+        keys = [f'{pad}  "{h}": ' for h in self.header]
         yield "[\n"
-        yield from self._blocks(f"{pad}{{\n{fields}\n{pad}}}", ",\n")
+        yield from self._blocks([f"{pad}{{\n" + keys[0]]
+                                + [",\n" + k for k in keys[1:]]
+                                + [f"\n{pad}}}"], ",\n")
         yield "\n" + "  " * indent + "]"
 
 
@@ -679,8 +725,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.config:
             # the config's flags go first, so the command line's own win
             at = argv.index(args.command) + 1
@@ -693,6 +739,13 @@ def main(argv=None) -> int:
     except TorusPTError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left, and the interpreter's
+        # flush at exit, to devnull (Python's documented recipe)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

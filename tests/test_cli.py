@@ -1048,12 +1048,21 @@ def test_table_renderer_extreme_values():
     _assert_round_trip(text, header, cols)
 
 
+def _g17_text(values):
+    """The text of each of _g17's cells, less its NUL padding."""
+    return [bytes(cell).rstrip(b"\0") for cell in cli._g17(np.asarray(values))]
+
+
 def _assert_g17(values):
+    # each cell is the text's bytes, then NULs to its 24 bytes
     values = np.asarray(values, dtype=np.float64)
-    want = [_ref_g17(v).encode() for v in values.tolist()]
+    want = np.frombuffer(b"".join(_ref_g17(v).encode().ljust(24, b"\0")
+                                  for v in values.tolist()), dtype=np.uint8)
     got = cli._g17(values)
-    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
-    assert len(got) == len(want) and not bad, bad[:5]
+    assert got.dtype == np.uint8 and got.shape == (len(values), 24)
+    bad = np.flatnonzero((got != want.reshape(-1, 24)).any(axis=1))
+    assert not len(bad), [(values[i], bytes(got[i]), _ref_g17(values[i]))
+                          for i in bad[:5]]
 
 
 def test_g17_kernel_random_bit_patterns():
@@ -1070,9 +1079,9 @@ def test_g17_kernel_edge_corpus():
         2.0 ** np.arange(-1074, 1024), [1.7976931348623157e308],
         np.arange(-2000, 2000) / 8.0])
     _assert_g17(np.concatenate([corpus, -corpus]))
-    assert cli._g17(np.array([99999999999999999.0])) == [b"1e+17"]
+    assert _g17_text([99999999999999999.0]) == [b"1e+17"]
     # integral values carry ".0" on the kernel's path and on format()'s
-    assert cli._g17(np.array([-0.0, 1.0, -300.0, 1e16, 9.5e15])) == [
+    assert _g17_text([-0.0, 1.0, -300.0, 1e16, 9.5e15]) == [
         b"-0.0", b"1.0", b"-300.0", b"10000000000000000.0", b"9500000000000000.0"]
     assert cli._json_scalar(-0.0) == "-0.0" and cli._json_scalar(2) == "2"
 
@@ -1097,3 +1106,53 @@ def test_table_is_written_a_block_at_a_time(monkeypatch):
     cli._write_output(cli._Table(["x"], [xs]).csv_pieces(), "-")
     assert len(writes) == 1 + 3  # the header, then one piece per block
     assert max(writes) < sum(writes[1:])
+
+
+@pytest.mark.parametrize("n_cols", [1, 3, 4])
+def test_table_values_left_to_format_at_block_and_column_edges(n_cols):
+    # format() writes these cells, not the kernel: the first and last cell of
+    # a block and of a row must still land at their offsets
+    n = cli._BLOCK_ROWS + 3
+    rng = np.random.default_rng(n_cols)
+    cols = [rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6, 6, n)
+            for _ in range(n_cols)]
+    fallback = itertools.cycle([0.0, -0.0, 5e-324, 1e300, 2.0 ** -25])
+    for row in (0, cli._BLOCK_ROWS - 1, cli._BLOCK_ROWS, n - 1):
+        for col in (cols[0], cols[-1]):
+            col[row] = next(fallback)
+    header = ["x", "V_minus", "V_plus", "V_casimir"][:n_cols]
+    table = cli._Table(header, cols)
+    _assert_same_text("".join(table.csv_pieces()), _ref_csv(header, cols))
+    text = "".join(cli._json_render({"case": "pt", "rows": table}))
+    _assert_same_text(text, _ref_json({"case": "pt",
+                                       "rows": _ref_rows(header, cols)}))
+    _assert_round_trip(text, header, cols)
+
+
+def test_json_scalar_writes_valid_json_for_numpy_bools_and_control_chars():
+    assert cli._json_scalar(np.True_) == "true"
+    assert cli._json_scalar(np.False_) == "false"
+    assert cli._json_scalar(True) == "true"
+    for text in ("pt", 'a "quoted" \\ path', "two\nlines", "tab\tand\x01", "é"):
+        assert cli._json_scalar(text) == json.dumps(text, ensure_ascii=False)
+        assert json.loads(cli._json_scalar(text)) == text
+    obj = {"passed": np.bool_(True), "note": "line\nbreak"}
+    assert json.loads("".join(cli._json_render(obj))) == {
+        "passed": True, "note": "line\nbreak"}
+
+
+def test_closed_stdout_pipe_exits_141_without_a_traceback():
+    # `toruspt potential ... | head -1`: the reader goes away after one line
+    env = dict(os.environ)
+    env["PYTHONPATH"] = PKG_ROOT + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "toruspt", "potential", *PT, "--n-points",
+         "100001"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert first == b"x,V_minus,V_plus\n"
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert err == ""
