@@ -316,9 +316,12 @@ def solve_parameter_conditions(case: str, *, a: float, B: float | None = None,
                                C1: float = 1.0):
     """Complete a parameter set that kills the rational part of V-.
 
-    case 'equal_radii' (inputs a, B, branch): A = (1 +- 2B)/2, lambda = 2aA,
-    c = 2aB/(1-2A); the result always satisfies a = |c| (branch '-' gives
-    c = +a, branch '+' gives c = -a).
+    case 'equal_radii' (inputs a, B, branch): A = (1 +- 2B)/2, lambda = 2aA
+    and c = 2aB/(1-2A), which is exactly -+a since 1 - 2A = -+2B: branch '-'
+    gives c = +a, branch '+' gives c = -a.  The family passes
+    rational_part_cancels, which alone decides the conditions.  B = 0 is
+    InconsistentConditions: there the conditions leave c free (A = 1/2,
+    lambda = a).  A lambda = 2aA that is not a double is a DomainError.
 
     case 'appell' (inputs a, lam, branch): A = lambda/(2a) and, resolving the
     stray constant in the printed conditions against the numeric
@@ -333,15 +336,16 @@ def solve_parameter_conditions(case: str, *, a: float, B: float | None = None,
         if B is None:
             raise DomainError("equal_radii case needs B")
         if B == 0.0:
-            raise InconsistentConditions("B = 0 leaves c undetermined (0/0)")
+            raise InconsistentConditions(
+                "at B = 0 the conditions leave c free (the root A = 1/2, "
+                "lambda = a); request it with --case rational --A 0.5 --B 0 "
+                "--lambda <a> --a <a> --c <c>")
+        geom = TorusGeometry(a=a, c=-sign * a)
         A = 0.5 * (1.0 + sign * 2.0 * B)
         lam_out = 2.0 * a * A
-        # 1 - 2A is -sign 2B; where A rounds to 1/2 it is 0 and c its limit
-        denom = 1.0 - 2.0 * A
-        c = 2.0 * a * B / denom if denom != 0.0 else -sign * a
-        if not math.isclose(abs(c), a, rel_tol=1e-12):
-            raise InconsistentConditions(f"solved c = {c} violates a = |c|")
-        return RationalSin(A=A, B=B, lam=lam_out, geom=TorusGeometry(a=a, c=c))
+        if not math.isfinite(lam_out):
+            raise DomainError(f"solved lambda = 2aA = {lam_out} is not a double")
+        return RationalSin(A=A, B=B, lam=lam_out, geom=geom)
     if case == "appell":
         if lam is None:
             raise DomainError("appell case needs lam")
@@ -363,17 +367,21 @@ def rational_part_cancels(spec) -> bool:
 
     The rational part of V-, times P^2, is
     lambda [(lambda - a) sin^2 x + (2B + (2A - 1) cos x) P]; it vanishes for
-    every x iff lambda = 0 or its cos^2 x, cos x and constant coefficients
-    do: lambda = 2aA, 2aB = (1 - 2A) c and (given the first) 2Bc = (1 - 2A) a.
-    The Appell tail's remainder, lambda_bracket, vanishes under the same
-    three conditions (or lambda = 0).  Each is compared with math.isclose at
-    the 1e-12 of solve_parameter_conditions, which returns families that pass.
+    every x iff lambda = 0 or the bracket's coefficients in sin^2 x, cos x
+    and 1 do: lambda - 2aA, 2aB - (1 - 2A) c and 2Bc - (1 - 2A) a.  The
+    Appell tail's remainder, lambda_bracket, is 2 lambda times the same
+    bracket.  Each coefficient must be at most 1e-12 S in size, with
+    S = |lambda| + (1 + 2|A| + 2|B|)(a + |c|) the size of the terms that make
+    it up; a family within rounding of the conditions passes, such as every
+    one solve_parameter_conditions returns, and an S that is not a double
+    certifies nothing.
     """
     A, B, lam, a, c = spec.A, spec.B, spec.lam, spec.geom.a, spec.geom.c
+    bound = 1e-12 * (abs(lam) + (1.0 + 2.0 * abs(A) + 2.0 * abs(B)) * (a + abs(c)))
     return lam == 0.0 or all(
-        math.isclose(u, v, rel_tol=1e-12)
-        for u, v in ((lam, 2.0 * a * A), (2.0 * a * B, (1.0 - 2.0 * A) * c),
-                     (2.0 * B * c, (1.0 - 2.0 * A) * a)))
+        abs(t) <= bound < math.inf
+        for t in (lam - 2.0 * a * A, 2.0 * a * B - (1.0 - 2.0 * A) * c,
+                  2.0 * B * c - (1.0 - 2.0 * A) * a))
 
 
 def require_cancellation(spec):

@@ -623,6 +623,11 @@ def test_columns_whose_squares_overflow_are_normalized(capsys):
     # OverflowError, once a traceback)
     (["potential", "--case", "beta", "--A", "5e18", "--B", "-5.000000000000001024e18",
       "--a", "1", "--c", "2"], "NonConvergence"),
+    # A = 1e300 is a double, the solved lambda = 2aA is not (once
+    # InconsistentConditions, "solved c = -inf violates a = |c|")
+    *(([*cmd, "--case", "rational", "--a", "1e10", "--B", "1e300", "--branch", "+"],
+       "DomainError")
+      for cmd in (["potential"], ["wavefunction", "--n", "0"], ["spectrum"])),
 ])
 def test_huge_finite_parameter_is_an_error_line(argv, error):
     res = run_python("-W", "error", "-m", "toruspt", *argv)
@@ -657,14 +662,51 @@ def test_component2_overflow_leaks_no_numpy_warning():
 
 
 def test_equal_radii_conditions_at_a_b_below_rounding():
-    # A rounds to 1/2, so 1 - 2A is 0: c is its limit -sign a, and the
-    # potential is finite
+    # A rounds to 1/2, so 1 - 2A is 0: c is -sign a, the potential is finite
+    # and the family passes the cancellation gate
     for branch, c in (("-", 1.0), ("+", -1.0)):
         spec = susy.solve_parameter_conditions("equal_radii", a=1.0, B=-1e-300,
                                                branch=branch)
         assert (spec.A, spec.geom.c) == (0.5, c)
-    assert cli.main(["potential", "--case", "rational", "--a", "1", "--B", "-1e-300",
-                     "--branch", "-", "--n-points", "64"]) == 0
+    base = ["--case", "rational", "--a", "1", "--B", "-1e-300", "--branch", "-",
+            "--n-points", "64"]
+    assert cli.main(["potential", *base]) == 0
+    assert cli.main(["wavefunction", "--n", "0", *base]) == 0
+
+
+@pytest.mark.parametrize("b", ["-1e-6", "1e-6", "-1e-10", "-3e-5"])
+def test_equal_radii_conditions_at_a_small_b(b, capsys):
+    # 1 - 2A carries a relative error of about 1e-16/|2B|: the solver once
+    # raised "solved c = ... violates a = |c|" here, or (at -3e-5) returned a
+    # family whose wavefunction and spectrum failed the cancellation gate
+    base = ["--case", "rational", "--a", "1", "--B", b, "--branch", "-",
+            "--n-points", "64"]
+    regime = "warning: non-normalizable regime (A >= -|B|); values are formal\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command in (["potential"], ["wavefunction", "--n", "0"]):
+            code, out, err = _in_process([*command, *base], capsys)
+            assert (code, err) == (0, regime)
+            assert len(out.splitlines()) == 65
+        # A is about 1/2, so the tower has a negative level or the oracle
+        # disagrees: that is the spectrum's exit 1, not the conditions'
+        code, _, err = _in_process(["spectrum", *base], capsys)
+    assert "rational part" not in err and "InconsistentConditions" not in err
+
+
+def test_b_zero_names_the_free_c_root(capsys):
+    # at B = 0 the equal-radii conditions hold for every c with A = 1/2 and
+    # lambda = a; the error names the argv that requests that root
+    code, out, err = _in_process(["potential", "--case", "rational", "--a", "1.3",
+                                  "--B", "0", "--branch", "-"], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: InconsistentConditions: at B = 0 the conditions leave c "
+                   "free (the root A = 1/2, lambda = a); request it with --case "
+                   "rational --A 0.5 --B 0 --lambda <a> --a <a> --c <c>\n")
+    root = ["--case", "rational", "--A", "0.5", "--B", "0", "--lambda", "1.3",
+            "--a", "1.3", "--c", "0.7", "--n-points", "64"]
+    for command in (["potential"], ["wavefunction", "--n", "1"]):
+        assert _in_process([*command, *root], capsys)[0] == 0
 
 
 @pytest.mark.parametrize("token, plain", [("-5e-1", "-0.5"), ("-5E-1", "-0.5"),

@@ -1,13 +1,16 @@
 """Superpotential families: identities, cancellation, spectra, eigenfunctions."""
 
+import dataclasses
 import math
 import warnings
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from scipy.integrate import quad, trapezoid
 
-from toruspt import special, susy
+from toruspt import iso21, special, susy
 from toruspt.errors import (
     DegenerateJacobiWarning,
     DomainError,
@@ -151,8 +154,71 @@ def test_equal_radii_conditions_branch_plus():
 
 
 def test_equal_radii_rejects_b_zero():
-    with pytest.raises(InconsistentConditions):
-        solve_parameter_conditions("equal_radii", a=1.0, B=0.0, branch="-")
+    # the conditions leave c free there: the root A = 1/2, lambda = a
+    for b in (0.0, -0.0):
+        with pytest.raises(InconsistentConditions, match="leave c free"):
+            solve_parameter_conditions("equal_radii", a=1.0, B=b, branch="-")
+
+
+def _mirrored(spec):
+    """The second spinor component's sin-tail family (the component2 case)."""
+    return RationalSin(spec.A, -spec.B, spec.lam,
+                       TorusGeometry(spec.geom.a, -spec.geom.c))
+
+
+@hypothesis.settings(derandomize=True, max_examples=300, deadline=None)
+@hypothesis.given(log_a=st.floats(-150.0, 150.0), log_b=st.floats(-300.0, 150.0),
+                  b_sign=st.sampled_from((1.0, -1.0)), branch=st.sampled_from("+-"))
+# 1 - 2A rounded to a relative error far above 1e-12: the solver once raised
+# InconsistentConditions here, or returned a family the gate rejected
+@hypothesis.example(log_a=0.0, log_b=-6.0, b_sign=-1.0, branch="-")
+@hypothesis.example(log_a=0.0, log_b=-10.0, b_sign=-1.0, branch="-")
+@hypothesis.example(log_a=0.0, log_b=math.log10(3e-5), b_sign=-1.0, branch="-")
+@hypothesis.example(log_a=0.0, log_b=-300.0, b_sign=-1.0, branch="+")
+# A = 1e300 is a double, 2aA is not (once "solved c = -inf violates a = |c|")
+@hypothesis.example(log_a=10.0, log_b=300.0, b_sign=1.0, branch="+")
+def test_equal_radii_solution_passes_the_cancellation_gate(log_a, log_b, b_sign, branch):
+    a, b = 10.0 ** log_a, b_sign * 10.0 ** log_b
+    try:
+        spec = solve_parameter_conditions("equal_radii", a=a, B=b, branch=branch)
+    except DomainError as exc:   # only where 2aA overflows a double
+        assert str(exc) == "solved lambda = 2aA = inf is not a double"
+        assert a * abs(b) > 1e307
+        return
+    assert spec.geom.c == (a if branch == "-" else -a)
+    assert rational_part_cancels(spec)
+    assert rational_part_cancels(_mirrored(spec))
+
+
+def test_equal_radii_rejects_a_nonpositive_radius():
+    # the geometry's error, whatever the size of 2aA (a = -1 was once
+    # InconsistentConditions)
+    for a in (0.0, -1.0):
+        with pytest.raises(DomainError, match="tube radius a must be positive"):
+            solve_parameter_conditions("equal_radii", a=a, B=1e308, branch="+")
+
+
+def test_cancellation_gate_needs_a_finite_scale():
+    # where the size S of the terms overflows, their differences are inf or
+    # nan, which would pass against the bound 1e-12 S = inf; such a family
+    # is refused, like a non-finite one (lambda = inf passed at 0.9.3)
+    for spec in (RationalSin(1e308, 1e308, 1.0, TorusGeometry(1.0, 1.0)),
+                 RationalSin(1e308, -1e308, math.inf, TorusGeometry(1.0, 1.0)),
+                 RationalSin(0.5, 0.5, math.nan, TorusGeometry(1.0, 1.0))):
+        assert not rational_part_cancels(spec)
+
+
+def test_closure_families_pass_the_cancellation_gate():
+    # susy_family of every closing parameter set solves the conditions; the
+    # rounded A, B and lambda must pass on the scale of their terms
+    families = [(c, s * k1) for c in np.logspace(-3.0, 3.0, 13)
+                for k1 in np.logspace(-12.0, 3.0, 16) for s in (1.0, -1.0)]
+    families += [(c, -c) for c in np.logspace(-3.0, 3.0, 13)]
+    # K1 = -c up to an ulp: B rounds to 5.8e-17 and 1 - 2A to 0
+    families.append((0.9615384615384616, -0.9615384615384615))
+    for c, k1 in families:
+        spec = iso21.susy_family(iso21.AlgebraParams.from_closure(float(c), float(k1)))
+        assert rational_part_cancels(spec), (c, k1)
 
 
 def test_appell_conditions():
@@ -416,16 +482,21 @@ def test_rational_part_cancels_iff_v_minus_is_its_pt_part():
 
     solved = [solve_parameter_conditions("equal_radii", a=a, B=b, branch=br)
               for a, b, br in ((2.0, -1.5, "-"), (1.0, 0.5, "+"), (1.0, 0.25, "-"),
-                               (0.7, 40.0, "+"), (1.3, -0.5 + 1e-9, "+"))]
+                               (0.7, 40.0, "+"), (1.3, -0.5 + 1e-9, "+"),
+                               (1.0, -1e-6, "-"), (1.0, -3e-5, "-"), (1.0, 1e-10, "+"))]
     # the second spinor component's mirrored family, and lambda = 0
-    mirrored = [RationalSin(s.A, -s.B, s.lam, TorusGeometry(s.geom.a, -s.geom.c))
-                for s in solved]
+    mirrored = [_mirrored(s) for s in solved]
     for spec in solved + mirrored + [RationalSin(-2.0, 0.5, 0.0, TorusGeometry(1.0, 2.0))]:
         assert rational_part_cancels(spec)
         assert rational_part(spec) < 1e-8 * (1.0 + abs(spec.lam)) ** 2
         assert analytic_spectrum(spec, 0) == 0.0   # no DomainError
     unsolved = [RationalSin(-2.0, 0.5, 0.3, TorusGeometry(1.0, 2.0)),
                 RationalSin(0.25, 0.25, 0.5, TorusGeometry(1.0, 1.0 + 1e-9))]
+    # solved families moved off the conditions by more than rounding
+    for s in solved[:3]:
+        unsolved += [dataclasses.replace(s, geom=TorusGeometry(s.geom.a, s.geom.c * (1 + 1e-9))),
+                     dataclasses.replace(s, lam=s.lam * (1 + 1e-10)),
+                     dataclasses.replace(s, B=s.B + 1e-10)]
     for spec in unsolved:
         assert not rational_part_cancels(spec)
         assert rational_part(spec) > 1e-10
