@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import iso21, susy
+from .errors import DomainError
 from .geometry import TorusGeometry
-from .special import incomplete_beta, numeric_derivative
+from .special import numeric_derivative
 
 __all__ = ["ErrataEntry", "ENTRIES", "render_text"]
 
@@ -52,34 +53,37 @@ def _ev_eq54():
             for n in (0, 1)}
 
 
-def _beta_identity_residual(coeff_power):
-    # residual of V- = W^2 - W' for the beta tail with denominator
-    # C1 + 4**coeff_power * B(cos^2(x/2); ...)
-    abt, bbt, c1 = 1.0, 0.25, 1.0
-    geom = TorusGeometry(1.0, 1.5)
-    xs = np.linspace(0.2, math.pi - 0.2, 401)
-
-    def w_of(x):
-        sx = np.sin(x)
-        m = sx ** (2.0 * abt) * np.tan(0.5 * x) ** (2.0 * bbt)
-        bz = incomplete_beta(np.cos(0.5 * x) ** 2, 0.5 + abt - bbt, 0.5 + abt + bbt)
-        return (abt * np.cos(x) + bbt) / sx + m / (c1 + 4.0 ** coeff_power * bz)
-
-    wp = numeric_derivative(w_of, xs)
-    vm = susy.pt_coefficients(susy.BetaTail(abt, bbt, c1, geom), "minus")(xs)
-    return float(np.max(np.abs(vm - (w_of(xs) ** 2 - wp))))
-
-
 def _ev_eq57_coeff():
-    return {"identity_residual_with_4^A": _beta_identity_residual(1.0),
-            "identity_residual_with_4^B (printed)": _beta_identity_residual(0.25)}
+    # V- = W^2 - W' of the served beta tail (denominator C1 + 4^A B) and of
+    # the printed C1 + 4^B B; since m/(C1 + 4^B B) = k m/(C1 k + 4^A B) with
+    # k = 4^(A-B), the printed W is the core plus k times the tail served
+    # for C1 k
+    A, B, C1, geom = 1.0, 0.25, 1.0, TorusGeometry(1.0, 1.5)
+    spec = susy.BetaTail(A, B, C1, geom)
+    xs = np.linspace(0.2, math.pi - 0.2, 401)
+    k = 4.0 ** (A - B)
+    scaled, core = susy.BetaTail(A, B, C1 * k, geom), susy.PureTrigPT(A, B)
+
+    def w_printed(x):
+        w_core = susy.superpotential_eval(core, x)
+        return w_core + k * (susy.superpotential_eval(scaled, x) - w_core)
+
+    vm = susy.pt_coefficients(spec, "minus")(xs)
+    printed = vm - (w_printed(xs) ** 2 - numeric_derivative(w_printed, xs))
+    return {"identity_residual_with_4^A": susy.susy_residual(spec, xs, "fd")[0],
+            "identity_residual_with_4^B (printed)": float(np.max(np.abs(printed)))}
 
 
 def _ev_eq57_domain():
     a_bad, b_bad = -2.0, 0.5
+    try:
+        susy.BetaTail(a_bad, b_bad, 1.0, TorusGeometry(1.0, 1.5))
+        accepted = True
+    except DomainError:
+        accepted = False
     return {"example (A, B)": (a_bad, b_bad),
             "first beta argument 1/2+A-B": 0.5 + a_bad - b_bad,
-            "accepted": False}
+            "accepted": accepted}
 
 
 def _ev_eq67_eq68():
@@ -102,32 +106,23 @@ def _ev_eq67_eq68():
     }
 
 
-def _commutator_residual_sign(sign):
-    # backbone commutator residual with bracket sign +((nu+-1/2)S - T) (used)
-    # versus the printed -((nu+-1/2)S - T); U = 0 on the backbone (K1 = K2 = 0),
-    # so the printed operator is the sector operator minus 2i ((nu+-1/2)S - T)
-    geom = TorusGeometry(1.0, 1.0)
-    p = iso21.AlgebraParams(B1=-0.8, mu=0.3, K1=0.0, K2=0.0, geom=geom, mu1=1.3)
-    lo, hi, n = 0.2, math.pi - 0.2, 1024
-    xg = np.linspace(lo, hi, n)
-    s, t = iso21.st_functions(p.B1, xg)
-
-    def op(nu, direction):
-        used = iso21.sector_operator(p, nu, direction, xg)
-        if sign > 0:
-            return used
-        bracket = (nu + 0.5 if direction == "raise" else nu - 0.5) * s - t
-        return lambda f: used(f) - 2j * bracket * f
-
-    psi = np.sin(np.pi * (xg - lo) / (hi - lo)) ** 2
-    lhs = op(p.mu - 1.0, "raise")(op(p.mu, "lower")(psi)) \
-        - op(p.mu + 1.0, "lower")(op(p.mu, "raise")(psi))
-    return float(np.linalg.norm(lhs + 2.0 * p.mu * psi) / np.linalg.norm(psi))
+def _printed_sign_operator(p, mu_sector, direction, grid):
+    # the printed bracket sign -((nu +- 1/2) S - T): U = 0 on the backbone
+    # (K1 = K2 = 0), so this is the sector operator minus 2i ((nu +- 1/2) S - T)
+    used = iso21.sector_operator(p, mu_sector, direction, grid)
+    s, t = iso21.st_functions(p.B1, grid)
+    bracket = (mu_sector + 0.5 if direction == "raise" else mu_sector - 0.5) * s - t
+    return lambda f: used(f) - 2j * bracket * f
 
 
 def _ev_eq73():
-    return {"commutator residual, corrected sign": _commutator_residual_sign(+1.0),
-            "commutator residual, printed sign": _commutator_residual_sign(-1.0)}
+    # the backbone at N = 1024, as in the algebra/commutator_backbone check
+    p = iso21.AlgebraParams(B1=-0.8, mu=0.3, K1=0.0, K2=0.0,
+                            geom=TorusGeometry(1.0, 1.0), mu1=1.3)
+    return {"commutator residual, corrected sign":
+            iso21.commutator_residual(p, 1024)[0],
+            "commutator residual, printed sign":
+            iso21.commutator_residual(p, 1024, _printed_sign_operator)[0]}
 
 
 def _ev_eq77():

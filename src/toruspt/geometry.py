@@ -215,20 +215,10 @@ def _ode_coefficients(geom, mode, target, t):
     sign = 1.0 if mode.component == 1 else -1.0
     beta = sign * 2.0 * target(t)
     r = geom.checked_radius(t)
-    # in place, a full-size array at a time; each step is the rounding of
     # -sign 2 (a^2 k / R^2 - sign 2 R'/R) and sign 2 V R^2 / (a^2 k)
-    term = np.sin(t)
-    term *= -a
-    term *= sign * 2.0
-    term /= r
-    beta *= r
-    beta *= r
-    beta /= a * a * k
-    alpha = r * r
-    np.divide(a * a * k, alpha, out=alpha)
-    alpha -= term
-    alpha *= -sign * 2.0
-    return alpha, beta
+    term = np.sin(t) * -a * (sign * 2.0) / r
+    alpha = (a * a * k / (r * r) - term) * (-sign * 2.0)
+    return alpha, beta * r * r / (a * a * k)
 
 
 @functools.cache
@@ -258,13 +248,10 @@ def _interval_maps(alpha, beta, half, part, weights):
     m over the stretch of [-1, 1] between node i and the end the map leaves
     by.  Overflow gives inf or nan, which _chain reports as BlowUp.
     """
-    inner = alpha @ part.T
-    inner *= half[:, None]
+    inner = (alpha @ part.T) * half[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         gain = np.exp(half * (alpha @ weights))
-        np.exp(inner, out=inner)
-        inner *= beta
-        forcing = half * (inner @ weights)
+        forcing = half * ((np.exp(inner) * beta) @ weights)
     return gain.tolist(), forcing.tolist()
 
 

@@ -198,21 +198,22 @@ def sector_operator(p: AlgebraParams, mu_sector: float, direction: str, grid):
     return apply
 
 
-def commutator_residual(p: AlgebraParams, n_points: int):
+def commutator_residual(p: AlgebraParams, n_points: int, build=sector_operator):
     """(raw, after_defect): relative residuals ||r|| / ||psi|| of the sector
     commutator, r = ([J+, J-] + 2 J3) psi on the mu sector, before and after
     removing the 4 S U2 psi multiplication defect the modification terms
     leave.  On the backbone (K2 = 0) the defect is 0 and the two are equal.
 
     The sector operators act on a fixed smooth bump psi that vanishes at both
-    ends of [lo, hi] = [0.2, pi - 0.2] (n_points nodes).
+    ends of [lo, hi] = [0.2, pi - 0.2] (n_points nodes).  build(p, mu_sector,
+    direction, grid) makes each of the four; sector_operator by default.
     """
     lo, hi = 0.2, math.pi - 0.2
     xg = np.linspace(lo, hi, n_points)
-    jp_m1 = sector_operator(p, p.mu - 1.0, "raise", xg)
-    jm_mu = sector_operator(p, p.mu, "lower", xg)
-    jm_p1 = sector_operator(p, p.mu + 1.0, "lower", xg)
-    jp_mu = sector_operator(p, p.mu, "raise", xg)
+    jp_m1 = build(p, p.mu - 1.0, "raise", xg)
+    jm_mu = build(p, p.mu, "lower", xg)
+    jm_p1 = build(p, p.mu + 1.0, "lower", xg)
+    jp_mu = build(p, p.mu, "raise", xg)
     psi = np.sin(np.pi * (xg - lo) / (hi - lo)) ** 2 \
         * (0.7 + 0.3 * np.sin(3.0 * (xg - lo) + 1.0))
     lhs = jp_m1(jm_mu(psi)) - jm_p1(jp_mu(psi))

@@ -370,18 +370,20 @@ def rational_part_cancels(spec) -> bool:
     every x iff lambda = 0 or the bracket's coefficients in sin^2 x, cos x
     and 1 do: lambda - 2aA, 2aB - (1 - 2A) c and 2Bc - (1 - 2A) a.  The
     Appell tail's remainder, lambda_bracket, is 2 lambda times the same
-    bracket.  Each coefficient must be at most 1e-12 S in size, with
-    S = |lambda| + (1 + 2|A| + 2|B|)(a + |c|) the size of the terms that make
-    it up; a family within rounding of the conditions passes, such as every
-    one solve_parameter_conditions returns, and an S that is not a double
-    certifies nothing.
+    bracket.  Each coefficient, divided by a > 0 (so that a family near the
+    top of the double range does not overflow), must be at most 1e-12 S in
+    size, with S = |lambda|/a + (1 + 2|A| + 2|B|)(1 + |c|/a) the size of the
+    terms that make it up; a family within rounding of the conditions
+    passes, such as every one solve_parameter_conditions returns, and an S
+    that is not a double certifies nothing.
     """
     A, B, lam, a, c = spec.A, spec.B, spec.lam, spec.geom.a, spec.geom.c
-    bound = 1e-12 * (abs(lam) + (1.0 + 2.0 * abs(A) + 2.0 * abs(B)) * (a + abs(c)))
+    bound = 1e-12 * (abs(lam) / a
+                     + (1.0 + 2.0 * abs(A) + 2.0 * abs(B)) * (1.0 + abs(c) / a))
     return lam == 0.0 or all(
         abs(t) <= bound < math.inf
-        for t in (lam - 2.0 * a * A, 2.0 * a * B - (1.0 - 2.0 * A) * c,
-                  2.0 * B * c - (1.0 - 2.0 * A) * a))
+        for t in (lam / a - 2.0 * A, 2.0 * B - (1.0 - 2.0 * A) * c / a,
+                  2.0 * B * c / a - (1.0 - 2.0 * A)))
 
 
 def require_cancellation(spec):

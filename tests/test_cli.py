@@ -628,12 +628,41 @@ def test_columns_whose_squares_overflow_are_normalized(capsys):
     *(([*cmd, "--case", "rational", "--a", "1e10", "--B", "1e300", "--branch", "+"],
        "DomainError")
       for cmd in (["potential"], ["wavefunction", "--n", "0"], ["spectrum"])),
+    # the equal-radii '+' branch has c = -a: the prefactor overflows
+    (["wavefunction", "--case", "rational", "--a", "1", "--B", "-0.5", "--branch", "+"],
+     "NormalizationFailure"),
+    # a sin-tail set that fails the cancellation conditions
+    (_UNSOLVED_RATIONAL + ["--with-plus"], "DomainError"),
+    (["spectrum", "--case", "rational", "--A", "-2", "--B", "0.5", "--lambda", "0.3",
+      "--a", "1", "--c", "2"], "DomainError"),
+    # past x = 2.9 the F1 series exhausts its term budget; its blocks of
+    # terms run past a point's stop, and their overflow must not leak
+    (["potential", "--case", "appell", "--a", "1", "--lambda", "2", "--branch", "+",
+      "--C1", "-1", "--x-hi", "3", "--n-points", "501"], "NonConvergence"),
 ])
 def test_huge_finite_parameter_is_an_error_line(argv, error):
     res = run_python("-W", "error", "-m", "toruspt", *argv)
     assert res.returncode == 1
     assert res.stderr.splitlines()[-1].startswith(f"error: {error}: ")
     assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+
+
+@pytest.mark.parametrize("geom", [
+    # the free-c root A = 1/2, B = 0, lambda = a at the top of the double
+    # range; on the default grid R < 0 overflows psi1's prefactor, as at a = 1
+    ["--lambda", "1e308", "--a", "1e308", "--c", "1e307", "--n-points", "64"],
+    ["--lambda", "1e307", "--a", "1e307", "--c", "1e308"],
+], ids=["c<a", "c>a"])
+def test_huge_free_c_root_passes_the_cancellation_gate(geom, capsys):
+    # 2aA and the size S of the gate's terms once overflowed: "V- keeps a
+    # rational part"
+    argv = ["wavefunction", "--case", "rational", "--A", "0.5", "--B", "0", "--n", "0",
+            *geom]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = _in_process(argv, capsys)
+    assert (code, err) == (0, "warning: non-normalizable regime (A >= -|B|); "
+                              "values are formal\n")
 
 
 @pytest.mark.parametrize("command", ["potential", "wavefunction", "spectrum"])

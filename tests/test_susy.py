@@ -208,6 +208,15 @@ def test_cancellation_gate_needs_a_finite_scale():
         assert not rational_part_cancels(spec)
 
 
+def test_cancellation_gate_divides_by_the_tube_radius():
+    # the free-c root A = 1/2, B = 0, lambda = a near the top of the double
+    # range: 2aA and S overflowed before anything was scaled
+    for a, c in ((1e308, 1e307), (1e307, 1e308), (1e308, -1e308)):
+        geom = TorusGeometry(a, c)
+        assert rational_part_cancels(RationalSin(0.5, 0.0, a, geom))
+        assert not rational_part_cancels(RationalSin(0.5, 0.0, 0.5 * a, geom))
+
+
 def test_closure_families_pass_the_cancellation_gate():
     # susy_family of every closing parameter set solves the conditions; the
     # rounded A, B and lambda must pass on the scale of their terms

@@ -34,8 +34,10 @@ def test_run_suite_all_shares_ladder_images_and_backbone_residuals(monkeypatch):
 
 
 def test_errata_takes_both_defect_residuals_from_one_call(monkeypatch):
+    # eq75's raw and after-defect residuals come from one call
+    entry = next(e for e in errata.ENTRIES if e.key == "eq75_modified")
     counts = _count_calls(monkeypatch, [(iso21, "commutator_residual")],
-                          errata.render_text)
+                          entry.evidence)
     assert counts == {"commutator_residual": 1}
 
 
