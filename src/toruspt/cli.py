@@ -27,8 +27,8 @@ win.  A missing config file, unknown config keys, non-numeric or non-finite
 numbers, values outside a flag's choices, abbreviated flags, grids of more
 than MAX_POINTS points, a wavefunction level --n above MAX_N, family
 parameters the case does not read and an output file that cannot be opened
-are argument errors.  An output column that would hold NaN or inf is a domain
-failure.
+are argument errors.  An output column that would hold NaN or inf, and a
+wavefunction column that vanishes everywhere, are domain failures.
 The only environment variable consulted is TORUSPT_OUTDIR, an optional
 prefix for relative output paths.
 
@@ -505,7 +505,7 @@ def _algebra_from_args(args):
     c = args.c if args.c is not None else args.a
     geom = TorusGeometry(args.a, c)
     return iso21.AlgebraParams(B1=args.B1, mu=args.mu, K1=k1,
-                               K2=-k1 - 2.0 * c, geom=geom, mu1=args.mu + 1.0)
+                               K2=-k1 - 2.0 * c, geom=geom)
 
 
 def _params_dict(args):
@@ -600,11 +600,9 @@ def cmd_wavefunction(args) -> int:
         spec = _family_from_args(args)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            bare = lambda x: susy.spinor_psi2(spec.geom, spec.lam, args.n, x)
-            psi2 = bare(xs)
-            normalizable = susy.integrability_probe(bare, "left") and \
-                susy.integrability_probe(bare, "right")
-        notes["normalizable"] = normalizable
+            psi2 = susy.spinor_psi2(spec.geom, spec.lam, args.n, xs)
+        notes["normalizable"] = all(
+            susy.psi2_integrable(spec.geom, spec.lam, args.n))
         notes["warnings"] = sorted({type(w.message).__name__ for w in caught})
         header = ["x", "psi2"]
         cols = [xs, susy.normalize(psi2, xs)]
@@ -627,6 +625,10 @@ def cmd_wavefunction(args) -> int:
             header.append("F_plus")
             cols.append(susy.normalize(fp, xs))
     _check_finite(header, cols, NormalizationFailure)
+    zero = [name for name, col in zip(header[1:], cols[1:]) if not np.any(col)]
+    if zero:
+        raise NormalizationFailure("output column(s) " + ", ".join(zero)
+                                   + " vanish everywhere: no unit-norm scaling")
     table = _Table(header, cols)
     if args.format == "csv":
         for key, val in notes.items():

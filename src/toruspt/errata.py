@@ -118,7 +118,7 @@ def _printed_sign_operator(p, mu_sector, direction, grid):
 def _ev_eq73():
     # the backbone at N = 1024, as in the algebra/commutator_backbone check
     p = iso21.AlgebraParams(B1=-0.8, mu=0.3, K1=0.0, K2=0.0,
-                            geom=TorusGeometry(1.0, 1.0), mu1=1.3)
+                            geom=TorusGeometry(1.0, 1.0))
     return {"commutator residual, corrected sign":
             iso21.commutator_residual(p, 1024)[0],
             "commutator residual, printed sign":

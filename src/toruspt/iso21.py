@@ -40,7 +40,7 @@ import numpy as np
 from .errors import DomainError, GridTooCoarse
 from .geometry import TorusGeometry
 from .special import uniform_step
-from .susy import RationalSin, sin_tail
+from .susy import RationalSin, analytic_spectrum, sin_tail
 
 __all__ = [
     "AlgebraParams",
@@ -59,21 +59,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AlgebraParams:
-    """Parameters (B1, mu, K1, K2, mu1) of the modified generators."""
+    """Parameters (B1, mu, K1, K2) of the modified generators on geom."""
 
     B1: float
     mu: float
     K1: float
     K2: float
     geom: TorusGeometry
-    mu1: float
+
+    @property
+    def mu1(self) -> float:
+        """mu + 1, the label in the second Riccati identity."""
+        return self.mu + 1.0
 
     @classmethod
     def from_closure(cls, c: float, K1: float) -> "AlgebraParams":
         """Build the unique closing parameter set for given c and K1."""
         mu = K1 / (2.0 * c) - 0.5
         return cls(B1=-(c + K1) / (2.0 * c), mu=mu, K1=K1, K2=-K1 - 2.0 * c,
-                   geom=TorusGeometry(a=c, c=c), mu1=mu + 1.0)
+                   geom=TorusGeometry(a=c, c=c))
 
 
 def st_functions(B1: float, x):
@@ -226,17 +230,17 @@ def commutator_residual(p: AlgebraParams, n_points: int, build=sector_operator):
 
 
 def algebra_spectrum(p: AlgebraParams, n: int):
-    """(eps, E) with eps(n) = (n + mu + 1/2)^2 - (mu + 1/2)^2 and E = sqrt(eps)/a.
+    """(eps, E): eps(n) = susy.analytic_spectrum(susy_family(p), n), which is
+    (n + mu + 1/2)^2 - (mu + 1/2)^2, and E = sqrt(eps)/a, energy_scalings'
+    E_eq89, the published 1/a scaling.
 
     eps is the 1D operator eigenvalue (the Casimir spectrum shifted so the
-    ground level sits at zero); E is energy_scalings' E_eq89, the published
-    1/a scaling (0 where eps < 0).  eps is computed as n (n + 2 mu + 1), so a
-    huge mu gives a huge value, not the OverflowError of a float ** 2.
+    ground level sits at zero).  The partner tower's rules hold: a level
+    n < 0 is a DomainError, a negative eps is OutOfRange, and for K1 != 0
+    susy_family(p) must pass the cancellation gate (DomainError otherwise),
+    as every closing set of from_closure does.
     """
-    if n < 0:
-        raise DomainError("level index must be non-negative")
-    # + 0.0 turns the -0.0 of n = 0 at mu < -1/2 into 0.0
-    eps = n * (n + 2.0 * p.mu + 1.0) + 0.0
+    eps = analytic_spectrum(susy_family(p), n)
     return eps, energy_scalings(eps, p.geom.a)["E_eq89"]
 
 

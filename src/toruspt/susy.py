@@ -78,7 +78,7 @@ __all__ = [
     "spinor_psi2",
     "psi2_substitution_residual",
     "substitution_residual",
-    "integrability_probe",
+    "psi2_integrable",
 ]
 
 class _SuperpotentialBase:
@@ -400,7 +400,10 @@ def analytic_spectrum(spec, n: int) -> float:
     the OverflowError of A ** 2; the physical energies are
     iso21.energy_scalings.  The value is formal when spec.normalizable is
     False.  A sin-tail family must pass require_cancellation: its V- is
-    otherwise not the Poschl-Teller potential of this spectrum."""
+    otherwise not the Poschl-Teller potential of this spectrum.  A level
+    n < 0 is a DomainError, and a negative eps OutOfRange."""
+    if n < 0:
+        raise DomainError("level index must be non-negative")
     require_cancellation(spec)
     val = n * (n - 2.0 * spec.A)
     if val < -1e-12:
@@ -478,30 +481,23 @@ def normalize(vals, xs):
         return vals / norm if norm > 0.0 else vals
 
 
-def integrability_probe(fn, endpoint: str = "left") -> bool:
-    """Decide square-integrability toward an endpoint by shrinking cutoffs.
+def psi2_integrable(geom: TorusGeometry, lam: float, n: int):
+    """(left, right): whether spinor_psi2(geom, lam, n, .)^2 is integrable
+    toward x = 0 and toward x = pi, read from its endpoint exponents.
 
-    Integrates fn^2 on nested windows approaching 0 (or pi) with cutoffs
-    1e-3, 1e-3/4, 1e-3/16 and 1e-3/64; convergent integrals show
-    geometrically decaying increments, divergent ones do not.
+    With r = lam/a: near 0, (1 - cos x)^((a - 2 lam)/(4a)) squares to
+    x^(1 - 2r), and P_n^(-1, -r)(cos x) = (n - r)/(2n) (cos x - 1)
+    P_{n-1}^(1, -r)(cos x) vanishes like x^2 for n >= 1 (P_{n-1}^(1, -r)(1)
+    = n), so psi2^2 ~ x^(1 - 2r + 4 [n >= 1]): integrable iff r < 1 (n = 0)
+    or r < 3 (n >= 1).  Near pi the printed-torus prefactor
+    e^(-1/(2 (1 + cos x))) vanishes faster than any power, so that end is
+    always integrable.  For n >= 1 and r = n the profile is identically 0,
+    which no scaling normalizes: (False, False).
     """
-    increments = []
-    prev = None
-    for k in range(4):
-        cut = 1e-3 / 4.0 ** k
-        if endpoint == "left":
-            xs = np.linspace(cut, 0.3, 4001)
-        else:
-            xs = np.linspace(math.pi - 0.3, math.pi - cut, 4001)
-        v = fn(xs)
-        total = np.trapezoid(v * v, xs)
-        if prev is not None:
-            increments.append(total - prev)
-        prev = total
-    increments = np.abs(np.asarray(increments)) + 1e-300
-    ratios = increments[1:] / increments[:-1]
-    # convergent: increments shrink by ~the cutoff ratio; divergent: flat or growing
-    return bool(np.all(ratios < 0.6))
+    r = lam / geom.a
+    if n >= 1 and r == n:
+        return False, False
+    return r < (3.0 if n >= 1 else 1.0), True
 
 
 def spinor_psi1(spec, n: int, x):
@@ -528,7 +524,7 @@ def spinor_psi2(geom: TorusGeometry, lam: float, n: int, x):
     claimed form fails the Schroedinger substitution test for n >= 1, which
     the verification suite reports rather than hides.  The exponential is
     prefactor_f on the printed torus c = a, whatever the sign of geom.c.
-    Whether it is square-integrable is integrability_probe's question.
+    Whether it is square-integrable is psi2_integrable's question.
     """
     warnings.warn("Jacobi parameter alpha = -1 is degenerate in psi2",
                   DegenerateJacobiWarning, stacklevel=2)

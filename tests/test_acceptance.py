@@ -177,7 +177,7 @@ def test_criterion_7_algebra_closure():
         for f in ("K2", "mu", "B1"))
 
     backbone = iso21.AlgebraParams(B1=-0.8, mu=0.3, K1=0.0, K2=0.0,
-                                   geom=TorusGeometry(1.0, 1.0), mu1=1.3)
+                                   geom=TorusGeometry(1.0, 1.0))
 
     def commutator(n_pts):
         lo, hi = 0.2, math.pi - 0.2
@@ -211,7 +211,7 @@ def test_criterion_8_casimir_susy_reconciliation():
     spread = float(np.std(diff))
 
     p = iso21.AlgebraParams(B1=-0.5, mu=1.5, K1=0.0, K2=0.0,
-                            geom=TorusGeometry(1.0, 1.0), mu1=2.5)
+                            geom=TorusGeometry(1.0, 1.0))
     mapped_pt = susy.PureTrigPT(A=-p.mu - 0.5, B=-p.B1)
     ident = max(abs(iso21.algebra_spectrum(p, n)[0]
                     - susy.analytic_spectrum(mapped_pt, n)) for n in range(6))

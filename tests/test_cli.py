@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -639,6 +640,15 @@ def test_columns_whose_squares_overflow_are_normalized(capsys):
     # terms run past a point's stop, and their overflow must not leak
     (["potential", "--case", "appell", "--a", "1", "--lambda", "2", "--branch", "+",
       "--C1", "-1", "--x-hi", "3", "--n-points", "501"], "NonConvergence"),
+    # P_2^(-1, -2) vanishes identically: once an all -0.0 psi2 column, exit 0
+    (["wavefunction", "--case", "component2", "--a", "1", "--B", "0.5", "--branch", "+",
+      "--n", "2"], "NormalizationFailure"),
+    # the closing set K1 = -2 has eps(1) = -1 (once E = 0 and a failing report)
+    (["spectrum", "--case", "iso21", "--B1", "0.5", "--mu", "-1.5", "--K1", "-2",
+      "--a", "1", "--c", "1", "--levels", "4"], "OutOfRange"),
+    # off the closure relations at K1 != 0 (once a failing report)
+    (["spectrum", "--case", "iso21", "--B1", "-0.5", "--mu", "1.5", "--K1", "0.3",
+      "--a", "1", "--c", "2"], "DomainError"),
 ])
 def test_huge_finite_parameter_is_an_error_line(argv, error):
     res = run_python("-W", "error", "-m", "toruspt", *argv)
@@ -734,8 +744,13 @@ def test_b_zero_names_the_free_c_root(capsys):
                    "rational --A 0.5 --B 0 --lambda <a> --a <a> --c <c>\n")
     root = ["--case", "rational", "--A", "0.5", "--B", "0", "--lambda", "1.3",
             "--a", "1.3", "--c", "0.7", "--n-points", "64"]
-    for command in (["potential"], ["wavefunction", "--n", "1"]):
+    for command in (["potential"], ["wavefunction", "--n", "2"]):
         assert _in_process([*command, *root], capsys)[0] == 0
+    # P_1^(-1, -1) vanishes identically (once two all -0.0 columns, exit 0)
+    code, _, err = _in_process(["wavefunction", "--n", "1", *root], capsys)
+    assert code == 1
+    assert err.endswith("error: NormalizationFailure: output column(s) F_minus, "
+                        "psi1 vanish everywhere: no unit-norm scaling\n")
 
 
 @pytest.mark.parametrize("token, plain", [("-5e-1", "-0.5"), ("-5E-1", "-0.5"),
@@ -792,6 +807,34 @@ def test_verify_single_suite_exits_zero():
     obj = json.loads(res_json.stdout)
     assert obj["pass"] is True
     assert all(c["status"] in ("PASS", "INFO") for c in obj["checks"])
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["verify", "--suite", "all", "--format", "json"],
+     r"verify: suite=all took \d+\.\d s\n"),
+    (["errata"], ""),
+], ids=["verify", "errata"])
+def test_no_warning_escapes_verify_or_errata(argv, err):
+    # warnings as errors: every check and errata entry runs without one
+    res = run_python("-W", "error", "-m", "toruspt", *argv)
+    assert res.returncode == 0
+    assert re.fullmatch(err, res.stderr), res.stderr
+
+
+@pytest.mark.parametrize("flags", [
+    # lambda/a = 0.9 at n = 0 and 2.9 at n = 1: psi2 is in L2, which the
+    # sampling probe once reported as false
+    ["--B", "0.05", "--branch", "-", "--n", "0"],
+    ["--B", "0.95", "--branch", "+", "--n", "1"],
+], ids=["n0", "n1"])
+def test_component2_normalizable_in_the_band_below_the_threshold(flags, capsys):
+    argv = ["wavefunction", "--case", "component2", "--a", "1", *flags,
+            "--format", "json", "--n-points", "64"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = _in_process(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["normalizable"] is True
 
 
 def test_verify_rejects_unknown_suite():

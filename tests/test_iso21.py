@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from toruspt.errors import DomainError, GridTooCoarse
+from toruspt.errors import DomainError, GridTooCoarse, OutOfRange
 from toruspt.geometry import TorusGeometry
 from toruspt.iso21 import (
     AlgebraParams,
@@ -68,7 +68,7 @@ def test_constraint77_closure_residual():
 
 def test_constraint77_vanishes_without_modification():
     p = AlgebraParams(B1=-0.8, mu=0.3, K1=0.0, K2=0.0,
-                      geom=TorusGeometry(1.0, 1.0), mu1=7.7)
+                      geom=TorusGeometry(1.0, 1.0))
     assert constraint_residual_77(p, GRID) == 0.0
 
 
@@ -80,13 +80,13 @@ def test_constraint77_negative_controls(fieldname):
 
 def test_casimir_point_value():
     p = AlgebraParams(B1=-2.5, mu=1.5, K1=0.0, K2=0.0,
-                      geom=TorusGeometry(1.0, 1.0), mu1=2.5)
+                      geom=TorusGeometry(1.0, 1.0))
     assert casimir_potential(p, math.pi / 2.0) == pytest.approx(8.0, abs=1e-13)
 
 
 def test_casimir_k1_zero_is_pure_pt():
     p = AlgebraParams(B1=-2.5, mu=1.5, K1=0.0, K2=0.0,
-                      geom=TorusGeometry(1.0, 1.0), mu1=2.5)
+                      geom=TorusGeometry(1.0, 1.0))
     xs = np.linspace(0.2, math.pi - 0.2, 301)
     v = casimir_potential(p, xs)
     expect = (-0.25 + 2.0 * p.B1 * p.mu * np.cos(xs) / np.sin(xs) ** 2
@@ -107,21 +107,47 @@ def test_casimir_minus_mapped_partner_is_constant():
 
 def test_algebra_spectrum_matches_partner_tower():
     p = AlgebraParams(B1=-0.5, mu=1.5, K1=0.0, K2=0.0,
-                      geom=TorusGeometry(1.0, 1.0), mu1=2.5)
+                      geom=TorusGeometry(1.0, 1.0))
     mapped = PureTrigPT(A=-p.mu - 0.5, B=-p.B1)
     for n in range(6):
         eps, e89 = algebra_spectrum(p, n)
         assert eps == analytic_spectrum(mapped, n)
         assert e89 == pytest.approx(math.sqrt(eps) / p.geom.a)
     assert algebra_spectrum(p, 0)[0] == 0.0
-    # n (n + 2 mu + 1) is -0.0 at n = 0 when mu < -1/2; eps(0) stays +0.0
-    below = dataclasses.replace(p, mu=-3.0, mu1=-2.0)
+    # n (n - 2A) is -0.0 at n = 0 when mu < -1/2; eps(0) stays +0.0
+    below = dataclasses.replace(p, mu=-3.0)
     assert math.copysign(1.0, algebra_spectrum(below, 0)[0]) == 1.0
+
+
+def test_algebra_spectrum_has_the_partner_tower_rules():
+    # one rule for a negative level and a negative eps: analytic_spectrum's
+    # (once eps(1) = -1.0 and E = 0.0 here)
+    neg = AlgebraParams.from_closure(c=1.0, K1=-2.0)
+    assert (neg.B1, neg.mu) == (0.5, -1.5)
+    assert algebra_spectrum(neg, 0) == (0.0, 0.0)
+    with pytest.raises(OutOfRange, match=r"eps\(1\) < 0"):
+        algebra_spectrum(neg, 1)
+    with pytest.raises(DomainError, match="non-negative"):
+        algebra_spectrum(CLOSED, -1)
+    # off the closure relations with K1 != 0 the cancellation gate fails
+    off = AlgebraParams(B1=-0.5, mu=1.5, K1=0.3, K2=-4.3,
+                        geom=TorusGeometry(1.0, 2.0))
+    with pytest.raises(DomainError, match="cancellation"):
+        algebra_spectrum(off, 0)
+    for k1 in (0.6, 2.0, -0.5):
+        p = AlgebraParams.from_closure(c=1.0, K1=k1)
+        assert algebra_spectrum(p, 3)[0] == pytest.approx(3.0 * (3.0 + k1))
+
+
+def test_mu1_is_derived_from_mu():
+    assert "mu1" not in {f.name for f in dataclasses.fields(AlgebraParams)}
+    moved = dataclasses.replace(CLOSED, mu=CLOSED.mu + 0.1)
+    assert moved.mu1 == moved.mu + 1.0
 
 
 def test_algebra_spectrum_oracle():
     p = AlgebraParams(B1=-0.5, mu=1.5, K1=0.0, K2=0.0,
-                      geom=TorusGeometry(1.0, 1.0), mu1=2.5)
+                      geom=TorusGeometry(1.0, 1.0))
     grid = Grid1D(0.002, math.pi - 0.002, 2000)
     evals = solve_potential(casimir_potential(p, grid.points), grid, 4)
     shift = (p.mu + 0.5) ** 2 - 0.25
@@ -162,14 +188,14 @@ def _commutator_residual(p, n, lo=0.2, hi=math.pi - 0.2):
 
 def test_commutator_closes_on_backbone():
     p = AlgebraParams(B1=-0.8, mu=0.3, K1=0.0, K2=0.0,
-                      geom=TorusGeometry(1.0, 1.0), mu1=1.3)
+                      geom=TorusGeometry(1.0, 1.0))
     lhs, psi, _ = _commutator_residual(p, 2048)
     assert np.linalg.norm(lhs + 2.0 * p.mu * psi) / np.linalg.norm(psi) < 1e-4
 
 
 def test_commutator_second_order_decay():
     p = AlgebraParams(B1=-0.8, mu=0.3, K1=0.0, K2=0.0,
-                      geom=TorusGeometry(1.0, 1.0), mu1=1.3)
+                      geom=TorusGeometry(1.0, 1.0))
     rs = []
     for n in (1024, 2048):
         lhs, psi, _ = _commutator_residual(p, n)
@@ -190,7 +216,7 @@ def test_commutator_modified_defect_is_4su2():
 
 
 BACKBONE = AlgebraParams(B1=-0.8, mu=0.3, K1=0.0, K2=0.0,
-                         geom=TorusGeometry(1.0, 1.0), mu1=1.3)
+                         geom=TorusGeometry(1.0, 1.0))
 
 
 @pytest.mark.parametrize("p", [BACKBONE, CLOSED], ids=["backbone", "closed"])
@@ -283,7 +309,7 @@ def test_sector_operator_equals_the_csr_matvec(direction, kind):
     if kind == "complex":
         psi = psi + 1j * rng.standard_normal(xg.size)
     for p in (CLOSED, AlgebraParams(B1=-0.8, mu=0.3, K1=0.0, K2=0.0,
-                                    geom=TorusGeometry(1.0, 1.0), mu1=1.3)):
+                                    geom=TorusGeometry(1.0, 1.0))):
         got = sector_operator(p, p.mu, direction, xg)(psi)
         want = _csr_reference(p, p.mu, direction, xg) @ psi
         assert got.dtype == want.dtype

@@ -1379,7 +1379,7 @@ def _raise_error(x):
     # K1 = 0: J+ on the mu = 0.3 sector is i (psi' - (0.8 cot x + B1 csc x) psi),
     # which maps psi = sin^2 x to i (0.6 sin 2x + 0.8 sin x) at B1 = -0.8
     p = iso21.AlgebraParams(B1=-0.8, mu=0.3, K1=0.0, K2=0.0,
-                            geom=geometry.TorusGeometry(1.0, 1.0), mu1=1.3)
+                            geom=geometry.TorusGeometry(1.0, 1.0))
     got = iso21.sector_operator(p, 0.3, "raise", x)(np.sin(x) ** 2)
     return np.abs(got - 1j * (0.6 * np.sin(2.0 * x) + 0.8 * np.sin(x))).max()
 

@@ -6,6 +6,7 @@ import warnings
 
 import hypothesis
 import hypothesis.strategies as st
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad, trapezoid
@@ -31,11 +32,11 @@ from toruspt.susy import (
     analytic_spectrum,
     eigenfunction_minus,
     eigenfunction_plus,
-    integrability_probe,
     lambda_bracket,
     ladder_apply,
     normalize,
     partner_potentials,
+    psi2_integrable,
     pt_coefficients,
     rational_part_cancels,
     require_cancellation,
@@ -331,6 +332,9 @@ def test_analytic_spectrum_values():
 def test_spectrum_out_of_range():
     with pytest.raises(OutOfRange):
         analytic_spectrum(PureTrigPT(2.0, 0.5), 1)  # (1-2)^2 - 4 < 0
+    # n (n - 2A) at n = -1, A = 1 is 3.0, a level of no tower
+    with pytest.raises(DomainError, match="non-negative"):
+        analytic_spectrum(PureTrigPT(1.0, 0.5), -1)
 
 
 def test_spectrum_vs_oracle():
@@ -559,18 +563,58 @@ def test_psi2_normalization_and_warning():
     assert trapezoid(psi * psi, xs) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_psi2_integrability_probe():
-    spec = solve_parameter_conditions("equal_radii", a=1.0, B=0.25, branch="-")
+def _psi2_mp(r, n, x):
+    """The printed psi2 in mpmath, which depends on a only through r = lam/a;
+    its Jacobi polynomial is the binomial sum (the package takes alpha = -1 through the limit identity):
+    P_n^(al, be)(z) = sum_s C(n+al, n-s) C(n+be, s) ((z-1)/2)^s ((z+1)/2)^(n-s).
+    1 - cos x is 2 sin^2(x/2), so that tiny x keeps its digits."""
+    s2, c2 = mpmath.sin(x / 2) ** 2, mpmath.cos(x / 2) ** 2
+    jac = mpmath.fsum(mpmath.binomial(n - 1, n - k) * mpmath.binomial(n - r, k)
+                      * (-s2) ** k * c2 ** (n - k) for k in range(n + 1))
+    return (mpmath.exp(-1 / (4 * c2)) * (2 * s2) ** (mpmath.mpf(1) / 4 - r / 2)
+            * (2 * c2) ** (-mpmath.mpf(1) / 4) * jac)
 
-    def bare(x):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return spinor_psi2(spec.geom, spec.lam, 0, x)
 
-    assert integrability_probe(bare, "left")
-    assert integrability_probe(bare, "right")
-    # negative control: 1/sqrt(x) is marginally divergent on the left
-    assert not integrability_probe(lambda x: 1.0 / np.sqrt(x), "left")
+@pytest.mark.parametrize("r, n", [(0.9, 0), (1.1, 0), (2.9, 1), (3.1, 1),
+                                  (2.9, 2), (3.1, 2)])
+def test_psi2_integrable_matches_mpmath_quadrature(r, n):
+    # psi2^2 = x^e h(x) near 0 with h smooth: split the singular part
+    # h(0) x^e off and integrate the rest, O(x^(e+2)), with mpmath.quad.  The
+    # integral on (0, 0.3] is finite iff e > -1; e is measured from psi2
+    # itself, at 40 digits, not taken from the rule
+    geom = TorusGeometry(2.0, 2.0)   # lam/a = r at a = 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateJacobiWarning)
+        served = spinor_psi2(geom, 2.0 * r, n, np.array([0.1, 1.0, 2.5]))
+    with mpmath.workdps(40):
+        r_mp = mpmath.mpf(r)
+        f2 = lambda x: _psi2_mp(r_mp, n, x) ** 2
+        ref = [_psi2_mp(r_mp, n, mpmath.mpf(x)) for x in (0.1, 1.0, 2.5)]
+        np.testing.assert_allclose(served, [float(v) for v in ref], rtol=1e-12)
+        x1, x2 = mpmath.mpf("1e-12"), mpmath.mpf("1e-13")
+        e = mpmath.log(f2(x1) / f2(x2)) / mpmath.log(x1 / x2)
+        h0 = f2(x1) / x1 ** e
+        rest = mpmath.quad(lambda x: f2(x) - h0 * x ** e, [0, 0.3])
+        assert mpmath.isfinite(rest) and h0 > 0
+        left = e > -1
+        if left:
+            total = rest + h0 * mpmath.mpf(0.3) ** (e + 1) / (e + 1)
+            assert total > 0 and mpmath.isfinite(total)
+        # toward pi the prefactor wins over (1 + cos x)^(-1/2)
+        right = mpmath.quad(f2, [mpmath.pi - 0.3, mpmath.pi])
+        assert mpmath.isfinite(right) and right > 0
+    assert psi2_integrable(geom, 2.0 * r, n) == (left, True)
+    assert float(e) == pytest.approx(1.0 - 2.0 * r + 4.0 * (n >= 1), abs=1e-9)
+
+
+def test_psi2_integrable_zero_profile():
+    # P_n^(-1, -n) vanishes identically: no end is normalizable
+    xs = np.linspace(0.1, 3.0, 64)
+    with pytest.warns(DegenerateJacobiWarning):
+        assert not np.any(spinor_psi2(TorusGeometry(1.0, 1.0), 2.0, 2, xs))
+    assert psi2_integrable(TorusGeometry(1.0, 1.0), 2.0, 2) == (False, False)
+    assert psi2_integrable(TorusGeometry(1.0, 1.0), 2.0, 0) == (False, True)
+    assert psi2_integrable(TorusGeometry(1.0, 1.0), 2.0, 1) == (True, True)
 
 
 def test_pt_spinor_lives_on_the_printed_torus():
