@@ -33,11 +33,12 @@ The only environment variable consulted is TORUSPT_OUTDIR, an optional
 prefix for relative output paths.
 
 Only spectrum (and algebra) and verify load scipy, inside the command that
-needs it: importing this module and building the parser loads none, and
-neither do potential, wavefunction and errata, so a potential or
-wavefunction process spends about 0.25 s on imports, where scipy would add
-about 0.75 s (2 vCPU Xeon, Python 3.11).  verify writes the
-suite's elapsed time as one line to stderr, never to its report.
+needs it, and only scipy.linalg and scipy.special: importing this module and
+building the parser loads none, and neither do potential, wavefunction and
+errata, so a potential or wavefunction process spends about 0.15 s on
+imports, where scipy.linalg and scipy.special would add about 0.25 s (2 vCPU
+Xeon, Python 3.11).  verify writes the suite's elapsed time as one line to
+stderr, never to its report.
 
 main builds the parser once per process and reuses it; build_parser() itself
 returns a new one on every call.  Building it takes about 2-3 ms against

@@ -40,7 +40,8 @@ import numpy as np
 from .errors import DomainError, GridTooCoarse
 from .geometry import TorusGeometry
 from .special import uniform_step
-from .susy import RationalSin, analytic_spectrum, sin_tail
+from .susy import RationalSin, analytic_spectrum, rational_part_cancels, \
+    sin_tail
 
 __all__ = [
     "AlgebraParams",
@@ -237,10 +238,19 @@ def algebra_spectrum(p: AlgebraParams, n: int):
     eps is the 1D operator eigenvalue (the Casimir spectrum shifted so the
     ground level sits at zero).  The partner tower's rules hold: a level
     n < 0 is a DomainError, a negative eps is OutOfRange, and for K1 != 0
-    susy_family(p) must pass the cancellation gate (DomainError otherwise),
-    as every closing set of from_closure does.
+    susy_family(p) must pass the cancellation gate, as every closing set of
+    from_closure does; the DomainError of a set that fails it names the
+    closing set of its K1 and c.
     """
-    eps = analytic_spectrum(susy_family(p), n)
+    spec = susy_family(p)
+    if not rational_part_cancels(spec):
+        q = AlgebraParams.from_closure(p.geom.c, p.K1)
+        raise DomainError(
+            f"V- keeps a rational part: the parameters fail the cancellation "
+            f"conditions; the closing set for K1 = {p.K1!r} and c = "
+            f"{p.geom.c!r} is mu = K1/(2c) - 1/2 = {q.mu!r}, "
+            f"B1 = -(c + K1)/(2c) = {q.B1!r}, a = c = {q.geom.a!r}")
+    eps = analytic_spectrum(spec, n)
     return eps, energy_scalings(eps, p.geom.a)["E_eq89"]
 
 

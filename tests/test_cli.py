@@ -657,6 +657,22 @@ def test_huge_finite_parameter_is_an_error_line(argv, error):
     assert "Traceback" not in res.stderr and "Warning" not in res.stderr
 
 
+def test_off_closure_iso21_names_the_closing_set(capsys):
+    argv = ["spectrum", "--case", "iso21", "--B1", "-0.5", "--mu", "1.5", "--K1", "0.3",
+            "--a", "1", "--c", "2"]
+    code, out, err = _in_process(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: DomainError: V- keeps a rational part: the parameters "
+                   "fail the cancellation conditions; the closing set for K1 = 0.3 "
+                   "and c = 2.0 is mu = K1/(2c) - 1/2 = -0.425, B1 = -(c + K1)/(2c) "
+                   "= -0.575, a = c = 2.0\n")
+    # the named set passes the gate: its report is written
+    closing = ["spectrum", "--case", "iso21", "--B1", "-0.575", "--mu", "-0.425",
+               "--K1", "0.3", "--a", "2", "--c", "2", "--levels", "2"]
+    code, out, _ = _in_process(closing, capsys)
+    assert json.loads(out)["levels"][1]["eps_analytic"] == pytest.approx(1.15)
+
+
 @pytest.mark.parametrize("geom", [
     # the free-c root A = 1/2, B = 0, lambda = a at the top of the double
     # range; on the default grid R < 0 overflows psi1's prefactor, as at a = 1
@@ -967,6 +983,22 @@ def test_potential_and_wavefunction_load_no_scipy():
     expected = {" ".join(a[:3]): 0 for a in argvs}
     expected["wavefunction --case iso21"] = 2  # no wavefunction family for iso21
     assert obj["codes"] == expected
+
+
+def test_verify_and_spectrum_load_no_scipy_integrate_sparse_or_optimize():
+    # the oracle needs scipy.linalg and the special-function references
+    # scipy.special; the incomplete beta's reference is scipy's compiled 2F1,
+    # not a quadrature that would load scipy.integrate and its dependencies
+    argvs = [["verify", "--suite", "all"],
+             ["spectrum", "--case", "pt", "--A", "-2", "--B", "0.5", "--levels", "3"]]
+    res = run_python("-c", _SCIPY_PROBE, json.dumps(argvs))
+    assert res.returncode == 0, res.stderr
+    obj = json.loads(res.stdout)
+    assert obj["codes"] == {"verify --suite all": 0, "spectrum --case pt": 0}
+    loaded = obj["loaded"]["requests"]
+    assert "scipy.linalg" in loaded and "scipy.special" in loaded
+    heavy = {"scipy.integrate", "scipy.sparse", "scipy.optimize"}
+    assert [m for m in loaded if ".".join(m.split(".")[:2]) in heavy] == []
 
 
 def test_errata_and_iso21_load_no_scipy():

@@ -284,8 +284,9 @@ def test_incbeta_vs_quadrature(z, s, w):
 
 
 def test_beta_quadrature_reference_matches_mpmath():
-    # verify's QAWS reference on the check's 100 draws against 40-digit
-    # mpmath in the 2F1 form B(z; s, w) = z^s/s 2F1(s, 1 - w; s + 1; z)
+    # verify's reference, scipy's compiled 2F1, on the check's 100 draws
+    # against the same DLMF 8.17.7 form, B(z; s, w) = z^s/s 2F1(s, 1 - w;
+    # s + 1; z), in 40-digit mpmath
     import mpmath
 
     rng = np.random.default_rng(202)
@@ -296,6 +297,18 @@ def test_beta_quadrature_reference_matches_mpmath():
             zm, sm, wm = (mpmath.mpf(float(v)) for v in (z, s, w))
             ref = zm ** sm / sm * mpmath.hyp2f1(sm, 1 - wm, sm + 1, zm)
             worst = max(worst, float(abs((verify._beta_reference(z, s, w) - ref) / ref)))
+    assert worst < 1e-14
+
+
+def test_beta_quadrature_reference_matches_qaws():
+    # QUADPACK QAWS, a quadrature independent of any 2F1 code, agrees with
+    # verify's 2F1 reference on the check's 100 draws
+    rng = np.random.default_rng(202)
+    worst = 0.0
+    for _ in range(100):
+        z, s, w = rng.uniform(0.05, 0.95), rng.uniform(0.15, 4.0), rng.uniform(-2.5, 4.0)
+        ref = verify._beta_reference(z, s, w)
+        worst = max(worst, abs(incbeta_qaws_oracle(z, s, w) - ref) / abs(ref))
     assert worst < 1e-14
 
 
@@ -854,7 +867,7 @@ def _beta_quadrature_loop():
         w = rng.uniform(-2.5, 4.0)
         draws.append((z, s, w))
         mine = incomplete_beta(z, s, w)
-        ref = incbeta_qaws_oracle(z, s, w)
+        ref = verify._beta_reference(z, s, w)
         worst = max(worst, abs(mine - ref) / max(1.0, abs(ref)))
     return worst, draws
 

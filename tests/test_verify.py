@@ -41,6 +41,15 @@ def test_errata_takes_both_defect_residuals_from_one_call(monkeypatch):
     assert counts == {"commutator_residual": 1}
 
 
+def test_errata_renders_the_shared_eq67_eq68_evidence_once(monkeypatch):
+    # eq67 and eq68 print one evidence function's values: one evaluation per
+    # render, one lambda_bracket call for each of the printed and corrected
+    # (B, c)
+    counts = _count_calls(monkeypatch, [(susy, "lambda_bracket")],
+                          errata.render_text)
+    assert counts == {"lambda_bracket": 2}
+
+
 @pytest.mark.parametrize("names", [
     ("ladder_partner_cosine", "ladder_partner_cosine_ground", "ladder_norm_ratio"),
     ("commutator_backbone", "commutator_h2_decay"),
