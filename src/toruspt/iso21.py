@@ -40,8 +40,7 @@ import numpy as np
 from .errors import DomainError, GridTooCoarse
 from .geometry import TorusGeometry
 from .special import uniform_step
-from .susy import RationalSin, analytic_spectrum, rational_part_cancels, \
-    sin_tail
+from .susy import RationalSin, analytic_spectrum, sin_tail
 
 __all__ = [
     "AlgebraParams",
@@ -237,21 +236,35 @@ def algebra_spectrum(p: AlgebraParams, n: int):
 
     eps is the 1D operator eigenvalue (the Casimir spectrum shifted so the
     ground level sits at zero).  The partner tower's rules hold: a level
-    n < 0 is a DomainError, a negative eps is OutOfRange, and for K1 != 0
-    susy_family(p) must pass the cancellation gate, as every closing set of
-    from_closure does; the DomainError of a set that fails it names the
-    closing set of its K1 and c.
+    n < 0 is a DomainError and a negative eps is OutOfRange.  For K1 != 0,
+    p must be the closing set from_closure(c, K1) within rounding (_closes),
+    and closure implies the tower's cancellation conditions.  Cancellation
+    alone is not enough: off closure at its free-c root (A = 1/2, B = 0)
+    the Casimir potential is not the tower's.  The DomainError of a set
+    that fails names the closing set of its K1 and c.  K1 = 0 leaves no
+    rational part, and no gate.
     """
-    spec = susy_family(p)
-    if not rational_part_cancels(spec):
+    if p.K1 != 0.0 and not _closes(p):
         q = AlgebraParams.from_closure(p.geom.c, p.K1)
         raise DomainError(
-            f"V- keeps a rational part: the parameters fail the cancellation "
-            f"conditions; the closing set for K1 = {p.K1!r} and c = "
-            f"{p.geom.c!r} is mu = K1/(2c) - 1/2 = {q.mu!r}, "
-            f"B1 = -(c + K1)/(2c) = {q.B1!r}, a = c = {q.geom.a!r}")
-    eps = analytic_spectrum(spec, n)
+            f"the parameters fail the closure conditions; the closing set for "
+            f"K1 = {p.K1!r} and c = {p.geom.c!r} is mu = K1/(2c) - 1/2 = "
+            f"{q.mu!r}, B1 = -(c + K1)/(2c) = {q.B1!r}, a = c = {q.geom.a!r}, "
+            f"K2 = -K1 - 2c = {q.K2!r}")
+    eps = analytic_spectrum(susy_family(p), n)
     return eps, energy_scalings(eps, p.geom.a)["E_eq89"]
+
+
+def _closes(p: AlgebraParams) -> bool:
+    """True if a, mu, B1 and K2 are those of from_closure(c, K1), each equal
+    or within 1e-12 of the size of the terms that make it up."""
+    q = AlgebraParams.from_closure(p.geom.c, p.K1)
+    c, half_r = abs(p.geom.c), abs(p.K1 / (2.0 * p.geom.c))
+    return all(mine == want or abs(mine - want) <= 1e-12 * size < math.inf
+               for mine, want, size in ((p.geom.a, q.geom.a, c),
+                                        (p.mu, q.mu, half_r + 0.5),
+                                        (p.B1, q.B1, half_r + 0.5),
+                                        (p.K2, q.K2, abs(p.K1) + 2.0 * c)))
 
 
 def energy_scalings(eps: float, a: float) -> dict:

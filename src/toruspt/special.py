@@ -9,12 +9,11 @@ The two grid stencils take the sample points and read their step from
 uniform_step, which rejects a grid that is not uniform.
 
 Each series is summed one way, and every value is the term-by-term loop's
-bit for bit, with its errors.  The incomplete beta's stop loops run on
-Python floats, whose + - * / round as numpy's do: with scalar s and w one
-loop gives the term count for an array loop over all points, and with s or
-w per point each point runs its own loop to its sum.  Both F1 kernels run in
-one block loop (_f1_blocks), a block of terms per numpy call, in the loop's
-order; each point stops at its own term.
+bit for bit, with its errors.  The incomplete beta takes scalar s and w; its
+stop loops run on Python floats, whose + - * / round as numpy's do, and give
+the term count for an array loop over all points (and, at one point, the
+sum itself).  Both F1 kernels run in one block loop (_f1_blocks), a block of
+terms per numpy call, in the loop's order; each point stops at its own term.
 
 All operations are pure and deterministic; there is no shared state.
 """
@@ -189,20 +188,6 @@ def _any(b):
     return b.any() if isinstance(b, np.ndarray) else bool(b)
 
 
-def _power(base, p):
-    """base ** p at 1-D points, p a scalar or one exponent per point.  Each
-    distinct exponent is one np.power call with a scalar exponent, as in a
-    scalar call: numpy takes shortcuts for some scalar exponents (0.5, 2, -1)
-    whose last bit can differ from its general power."""
-    if np.ndim(p) == 0:
-        return np.power(base, p)
-    out = np.empty_like(base)
-    for v in np.unique(p):
-        at = p == v
-        out[at] = np.power(base[at], v)
-    return out
-
-
 def _incbeta_unconverged():
     return NonConvergence(
         f"incomplete beta series did not converge in {_MAX_TERMS} terms")
@@ -230,55 +215,42 @@ def _incbeta_series_terms(z, s, w):
     return None
 
 
-def _each(*vs):
-    """One tuple of Python floats per point, scalars broadcast to the points."""
-    return zip(*(v.tolist() for v in np.broadcast_arrays(*vs)))
-
-
 # The Python floats' + - * / do not warn; numpy's would only repeat the
 # NonConvergence that an overflowing series raises.
 @np.errstate(over="ignore", invalid="ignore")
 def _incbeta_series(z, s, w):
-    """sum form B(z;s,w) = z^s sum_k (1-w)_k z^k / (k! (s+k)) at the 1-D points z,
-    each stopping on its own test (_incbeta_series_terms).
+    """sum form B(z;s,w) = z^s sum_k (1-w)_k z^k / (k! (s+k)) at the 1-D points z.
 
-    With scalar s and w the largest z converges last (its terms are the
-    largest and its sum, for w >= 1, the smallest), so every point stops
-    with it: its loop gives the number of terms, and the array loop runs
-    exactly that many with no stop test.  With s or w per point, each
-    point's loop gives its sum; an overflow at any point raises before a
-    point that has not converged, as in the term-by-term loop."""
-    if np.ndim(s) == np.ndim(w) == 0:
-        stop = _incbeta_series_terms(float(z.max()), s, w)
-        if stop is None:
-            raise _incbeta_unconverged()
-        acc = np.full_like(z, 1.0 / s)
-        f = np.ones_like(z)
-        term = np.empty_like(z)
-        for k in range(1, stop[0] + 1):
-            np.multiply(f, (k - w) / k, out=f)
-            f *= z
-            acc += np.divide(f, s + k, out=term)
-    else:
-        stops = [_incbeta_series_terms(*p) for p in _each(z, s, w)]
-        if None in stops:
-            raise _incbeta_unconverged()
-        acc = np.array([stop[1] for stop in stops])
-    return _power(z, s) * acc
+    The largest z converges last (its terms are the largest and its sum, for
+    w >= 1, the smallest), so every point stops with it: its loop
+    (_incbeta_series_terms) gives the number of terms, and the array loop
+    runs exactly that many with no stop test.  At one point that loop's sum
+    is the array loop's, so the array loop is not run."""
+    stop = _incbeta_series_terms(float(z.max()), s, w)
+    if stop is None:
+        raise _incbeta_unconverged()
+    if z.size == 1:
+        return np.power(z, s) * stop[1]
+    acc = np.full_like(z, 1.0 / s)
+    f = np.ones_like(z)
+    term = np.empty_like(z)
+    for k in range(1, stop[0] + 1):
+        np.multiply(f, (k - w) / k, out=f)
+        f *= z
+        acc += np.divide(f, s + k, out=term)
+    return np.power(z, s) * acc
 
 
 _INCBETA_Z0 = 0.75  # the series in z serves z <= z0; past it, it crawls
 
 
 def _upper_power(w):
-    """(1 - z0) ** w, one per point if w is per point, by Python's pow, the
-    scalar call's: numpy's can differ in the last bit.  NonConvergence where
-    it is out of range of a double (w <= -512): the series for B(z0) mostly
-    raises first, but at a huge s (1e19) it stops at its first term."""
+    """(1 - z0) ** w by Python's pow.  NonConvergence where it is out of
+    range of a double (w <= -512): the series for B(z0) mostly raises first,
+    but at a huge s (1e19) it stops at its first term."""
     big_t = 1.0 - _INCBETA_Z0
     try:
-        return (np.array([big_t ** v for v in w.tolist()])
-                if isinstance(w, np.ndarray) else big_t ** w)
+        return big_t ** w
     except OverflowError:
         raise NonConvergence(
             f"incomplete beta series overflowed: {big_t} ** w is out of range "
@@ -311,10 +283,8 @@ def _pole_factors(t, e):
 
 
 def _incbeta_upper_sum(steps, w, t, t_e, pole, factors):
-    """The terms of steps summed at t, where t_e = t^w: t is an array of
-    points (scalar s and w) or one point's Python float, on which the same
-    + - * / round alike.  Term pole takes the pole form with factors, the
-    _pole_factors at that term."""
+    """The terms of steps summed at the points t, where t_e = t^w.  Term pole
+    takes the pole form with factors, the _pole_factors at that term."""
     acc = 0.0
     for k, (coef, big_te) in enumerate(steps):
         if k == pole:
@@ -326,8 +296,7 @@ def _incbeta_upper_sum(steps, w, t, t_e, pole, factors):
     return acc
 
 
-# expm1(x)/x is computed and then replaced where x = 0, and per point the
-# pole factors are computed at every point, pole term or not.
+# expm1(x)/x is computed and then replaced where x = 0
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _incbeta_upper(t, s, w, floor):
     """int_t^T (1-v)^(s-1) v^(w-1) dv for T = 1 - z0 > t, summed over the
@@ -339,26 +308,15 @@ def _incbeta_upper(t, s, w, floor):
     the sum stops once that is within the tolerances of floor = B(z0) > 0,
     to which the result is added.
 
-    The bound does not depend on t, so with scalar s and w its loop
-    (_incbeta_upper_steps) runs once, and the sum runs exactly that many
-    terms on the array of points with no stop test; the pole term's log and
-    expm1 are taken only if it is among them.  With s or w per point, each
-    point runs its own loop and its own sum on Python floats."""
-    t_e = _power(t, w)
-    big_te = _upper_power(w)
-    if np.ndim(s) == np.ndim(w) == 0:
-        steps = _incbeta_upper_steps(s, w, floor, big_te)
-        pole = round(-w)   # the k with |e| <= 1/2
-        factors = _pole_factors(t, w + pole) if 0 <= pole < len(steps) else None
-        return _incbeta_upper_sum(steps, w, t, t_e, pole, factors)
-    pole = np.rint(-w)
-    log_ratio, exprel = _pole_factors(t, w + pole)
-    out = []
-    for t1, s1, w1, floor1, big_te1, t_e1, pole1, *factors in _each(
-            t, s, w, floor, big_te, t_e, pole, log_ratio, exprel):
-        steps = _incbeta_upper_steps(s1, w1, floor1, big_te1)
-        out.append(_incbeta_upper_sum(steps, w1, t1, t_e1, pole1, factors))
-    return np.array(out)
+    The bound does not depend on t, so its loop (_incbeta_upper_steps) runs
+    once, and the sum runs exactly that many terms on the array of points
+    with no stop test; the pole term's log and expm1 are taken only if it is
+    among them."""
+    t_e = np.power(t, w)
+    steps = _incbeta_upper_steps(s, w, floor, _upper_power(w))
+    pole = round(-w)   # the k with |e| <= 1/2
+    factors = _pole_factors(t, w + pole) if 0 <= pole < len(steps) else None
+    return _incbeta_upper_sum(steps, w, t, t_e, pole, factors)
 
 
 def incomplete_beta(z, s, w):
@@ -366,29 +324,28 @@ def incomplete_beta(z, s, w):
 
     Requires 0 < z < 1 and s > 0 (integrability at the lower endpoint);
     w may be any finite real.  z may be a scalar or an ndarray, the points;
-    s and w are each a scalar or an array that broadcasts to z's shape (one
-    value per point).  Monotone non-decreasing in z, and for s, w > 0 it
+    s and w are scalars.  Monotone non-decreasing in z, and for s, w > 0 it
     approaches the complete beta function as z -> 1.  One algorithm for
     every w, in two regions (DLMF 8.17): the series in z up to z0 = 0.75;
     past z0, B(z0), one more point of the same series call, plus the
     integral from z0, summed in powers of 1 - u with no pole at
-    w = 0, -1, -2, ...
+    w = 0, -1, -2, ...  Every point stops when the largest z passes its
+    test (the one that converges last) and the integral from z0 stops on
+    its own t-free bound, so a call on many z costs one series.
 
-    Two stop rules.  With scalar s and w every point stops when the largest
-    z passes its test (the one that converges last) and the integral from z0
-    stops on its own t-free bound, so a call on many z costs one series.
-    With s or w per point, every point stops on its own test, so each value
-    is bit for bit that of the matching scalar call.
-
-    Raises DomainError outside the domain (at any point), NonConvergence if
-    either series exhausts the term budget, the series in z overflows or
-    (1 - z0)^w overflows a double.
+    Raises DomainError outside the domain (at any point) or for an array or
+    non-finite s or w, NonConvergence if either series exhausts the term
+    budget, the series in z overflows or (1 - z0)^w overflows a double.
     """
     z_arr = np.asarray(z, dtype=float)
     if not np.all((z_arr > 0.0) & (z_arr < 1.0)):
         raise DomainError("incomplete beta requires 0 < z < 1")
-    s, w = (_per_point(p, z_arr.shape, "incomplete beta") for p in (s, w))
-    if not np.all(s > 0.0):
+    if np.ndim(s) or np.ndim(w):
+        raise DomainError("incomplete beta requires scalar s and w")
+    s, w = float(s), float(w)
+    if not (math.isfinite(s) and math.isfinite(w)):
+        raise DomainError("incomplete beta requires finite parameters")
+    if not s > 0.0:
         raise DomainError("incomplete beta requires s > 0")
     if not z_arr.size:
         return np.empty(z_arr.shape)
@@ -398,19 +355,13 @@ def incomplete_beta(z, s, w):
     if not upper.any():
         out = _incbeta_series(flat, s, w)
     else:
-        # B(z0) is the series at z0: one more point for scalar s and w, else
-        # one per upper point, with that point's s and w
+        # B(z0) is the series at z0, one more point of the same call
         lower = ~upper
-        n0 = 1 if np.ndim(s) == np.ndim(w) == 0 else int(upper.sum())
-        low = _incbeta_series(
-            np.concatenate([flat[lower], np.full(n0, _INCBETA_Z0)]),
-            *(p if np.ndim(p) == 0 else np.concatenate([p[lower], p[upper]])
-              for p in (s, w)))
-        floor = float(low[-1]) if n0 == 1 else low[-n0:]
+        low = _incbeta_series(np.append(flat[lower], _INCBETA_Z0), s, w)
+        floor = float(low[-1])
         out = np.empty_like(flat)
-        out[lower] = low[:-n0]
-        out[upper] = floor + _incbeta_upper(
-            1.0 - flat[upper], _pick(s, upper), _pick(w, upper), floor)
+        out[lower] = low[:-1]
+        out[upper] = floor + _incbeta_upper(1.0 - flat[upper], s, w, floor)
     return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
 
 

@@ -10,13 +10,14 @@ the backbone commutator residuals at N = 1024 and 2048.  Output rows are
 emitted in registration order, so two runs of the same suite produce
 identical reports.
 
-The random-draw checks beta_quadrature, appell_brute and appell_symmetry
-draw their parameters as a loop over draws would, then evaluate every draw in
-one call with per-point parameters (two calls for the exchange).  A per-point
-call gives each draw the value of its own scalar call, bit for bit, so the
-measured values are the per-draw loop's.  Their references stay per draw: one
-scipy hyp2f1 call per triple, B(z; s, w) = z^s/s 2F1(s, 1 - w; s + 1; z)
-(DLMF 8.17.7), and one brute-force array per draw.
+The random-draw check beta_quadrature evaluates one incomplete beta call
+per draw, against one scipy hyp2f1 call per triple, B(z; s, w) = z^s/s
+2F1(s, 1 - w; s + 1; z) (DLMF 8.17.7).  appell_brute and appell_symmetry
+draw their parameters as a loop over draws would, then evaluate every draw
+in one call with per-point parameters (two calls for the exchange).  A
+per-point call gives each draw the value of its own scalar call, bit for
+bit, so the measured values are the per-draw loop's.  appell_brute's
+reference stays per draw: one brute-force array per draw.
 
 The Appell F1 reference of appell_brute is its own double sum, not the
 package's recurrence: one terms x terms numpy array per draw, products by
@@ -205,13 +206,11 @@ def _beta_reference(z, s, w):
 @_check("beta_quadrature", "special")
 def _beta_quadrature(ctx):
     rng = np.random.default_rng(202)
-    draws = [(rng.uniform(0.05, 0.95), rng.uniform(0.15, 4.0), rng.uniform(-2.5, 4.0))
-             for _ in range(100)]
-    mine = incomplete_beta(*np.array(draws).T)
     worst = 0.0
-    for (z, s, w), val in zip(draws, mine.tolist()):
+    for _ in range(100):
+        z, s, w = rng.uniform(0.05, 0.95), rng.uniform(0.15, 4.0), rng.uniform(-2.5, 4.0)
         ref = _beta_reference(z, s, w)
-        worst = max(worst, abs(val - ref) / max(1.0, abs(ref)))
+        worst = max(worst, abs(incomplete_beta(z, s, w) - ref) / max(1.0, abs(ref)))
     return _result(worst, 1e-10,
                    "100 random triples vs scipy 2F1 (DLMF 8.17.7)")
 

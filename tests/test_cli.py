@@ -662,15 +662,29 @@ def test_off_closure_iso21_names_the_closing_set(capsys):
             "--a", "1", "--c", "2"]
     code, out, err = _in_process(argv, capsys)
     assert (code, out) == (1, "")
-    assert err == ("error: DomainError: V- keeps a rational part: the parameters "
-                   "fail the cancellation conditions; the closing set for K1 = 0.3 "
-                   "and c = 2.0 is mu = K1/(2c) - 1/2 = -0.425, B1 = -(c + K1)/(2c) "
-                   "= -0.575, a = c = 2.0\n")
+    assert err == ("error: DomainError: the parameters fail the closure conditions; "
+                   "the closing set for K1 = 0.3 and c = 2.0 is mu = K1/(2c) - 1/2 = "
+                   "-0.425, B1 = -(c + K1)/(2c) = -0.575, a = c = 2.0, "
+                   "K2 = -K1 - 2c = -4.3\n")
     # the named set passes the gate: its report is written
     closing = ["spectrum", "--case", "iso21", "--B1", "-0.575", "--mu", "-0.425",
                "--K1", "0.3", "--a", "2", "--c", "2", "--levels", "2"]
     code, out, _ = _in_process(closing, capsys)
     assert json.loads(out)["levels"][1]["eps_analytic"] == pytest.approx(1.15)
+
+
+@pytest.mark.parametrize("command", [["spectrum", "--case", "iso21"], ["algebra"]])
+def test_free_c_root_off_closure_iso21_names_the_closing_set(command, capsys):
+    # A = 1/2, B = 0, lambda = a passes the cancellation conditions, but off
+    # closure: once eps 0, 0, 2 against the oracle's 2, 6, 12 and a failing
+    # report
+    argv = command + ["--B1", "0", "--mu", "-1", "--K1", "-1", "--a", "1", "--c", "2"]
+    code, out, err = _in_process(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == (
+        "error: DomainError: the parameters fail the closure conditions; the "
+        "closing set for K1 = -1.0 and c = 2.0 is mu = K1/(2c) - 1/2 = -0.75, "
+        "B1 = -(c + K1)/(2c) = -0.25, a = c = 2.0, K2 = -K1 - 2c = -3.0")
 
 
 @pytest.mark.parametrize("geom", [

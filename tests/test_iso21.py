@@ -18,10 +18,11 @@ from toruspt.iso21 import (
     energy_scalings,
     sector_operator,
     st_functions,
+    susy_family,
 )
 from toruspt.oracle import Grid1D, solve_potential
 from toruspt.susy import PureTrigPT, RationalSin, analytic_spectrum, \
-    partner_potentials, sin_tail
+    partner_potentials, rational_part_cancels, sin_tail
 
 GRID = np.linspace(0.1, math.pi - 0.4, 2001)
 CLOSED = AlgebraParams.from_closure(c=1.0, K1=0.6)
@@ -129,14 +130,64 @@ def test_algebra_spectrum_has_the_partner_tower_rules():
         algebra_spectrum(neg, 1)
     with pytest.raises(DomainError, match="non-negative"):
         algebra_spectrum(CLOSED, -1)
-    # off the closure relations with K1 != 0 the cancellation gate fails
+    # off the closure relations with K1 != 0 the closure gate fails
     off = AlgebraParams(B1=-0.5, mu=1.5, K1=0.3, K2=-4.3,
                         geom=TorusGeometry(1.0, 2.0))
-    with pytest.raises(DomainError, match="cancellation"):
+    with pytest.raises(DomainError, match="closure conditions"):
         algebra_spectrum(off, 0)
     for k1 in (0.6, 2.0, -0.5):
         p = AlgebraParams.from_closure(c=1.0, K1=k1)
         assert algebra_spectrum(p, 3)[0] == pytest.approx(3.0 * (3.0 + k1))
+
+
+def test_free_c_root_off_closure_is_a_domain_error():
+    # A = 1/2, B = 0, lambda = a passes the cancellation conditions for every
+    # c, but off closure the Casimir potential is not the tower's: once
+    # eps 0, 0, 2 against the oracle's 2, 6, 12
+    root = AlgebraParams(B1=0.0, mu=-1.0, K1=-1.0, K2=-3.0, geom=TorusGeometry(1.0, 2.0))
+    assert rational_part_cancels(susy_family(root))
+    msg = ("the parameters fail the closure conditions; the closing set for "
+           "K1 = -1.0 and c = 2.0 is mu = K1/(2c) - 1/2 = -0.75, "
+           "B1 = -(c + K1)/(2c) = -0.25, a = c = 2.0, K2 = -K1 - 2c = -3.0")
+    with pytest.raises(DomainError) as info:
+        algebra_spectrum(root, 0)
+    assert str(info.value) == msg
+    # a closing set with another K2 does not close either
+    closed = AlgebraParams.from_closure(c=2.0, K1=-1.0)
+    with pytest.raises(DomainError, match="closure conditions"):
+        algebra_spectrum(dataclasses.replace(closed, K2=-2.5), 0)
+    # K1 = 0 has no gate: every B1, mu and c give the tower
+    bare = dataclasses.replace(root, K1=0.0)
+    assert algebra_spectrum(bare, 2)[0] == analytic_spectrum(susy_family(bare), 2)
+
+
+def _eps2(eps):
+    """eps(2), or OutOfRange where it is negative."""
+    try:
+        return eps(2)
+    except OutOfRange:
+        return OutOfRange
+
+
+@pytest.mark.parametrize("c", [0.5, 1.354528566983464, 2.0, 1e-3, 1e6])
+@pytest.mark.parametrize("k1", [0.3, -0.5, -2.0, 1e-8, 40.0])
+def test_closing_sets_pass_the_closure_gate(c, k1):
+    # from_closure's set, and the same set typed to 15 digits (-0.425 for
+    # K1/(2c) - 1/2 = -0.42499999999999999), are the tower's as before the
+    # closure gate; a set 1e-9 relative off in mu or B1 is a DomainError
+    q = AlgebraParams.from_closure(c=c, K1=k1)
+    typed = AlgebraParams(B1=float(f"{q.B1:.15g}"), mu=float(f"{q.mu:.15g}"), K1=k1,
+                          K2=-k1 - 2.0 * c, geom=TorusGeometry(c, c))
+    assert rational_part_cancels(susy_family(q))
+    want = _eps2(lambda n: analytic_spectrum(susy_family(q), n))
+    assert _eps2(lambda n: algebra_spectrum(q, n)[0]) == want
+    assert _eps2(lambda n: algebra_spectrum(typed, n)[0]) == (
+        want if want is OutOfRange else pytest.approx(want, rel=1e-12))
+    for field in ("mu", "B1"):
+        v = getattr(q, field)
+        off = dataclasses.replace(q, **{field: v + 1e-9 * (1.0 + abs(v))})
+        with pytest.raises(DomainError, match="closure conditions"):
+            algebra_spectrum(off, 0)
 
 
 def test_mu1_is_derived_from_mu():

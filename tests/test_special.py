@@ -387,8 +387,6 @@ def test_incbeta_subnormal_w_is_the_w0_value(z, s):
     for w in (2.2250738585e-313, 5e-324, -5e-324, np.nextafter(0.0, 1.0) * 3):
         got = incomplete_beta(z, s, w)
         assert abs(got - ref) <= special._ABS_TOL + special._REL_TOL * abs(ref)
-    got = incomplete_beta(np.full(3, z), s, np.array([0.0, 5e-324, 2.2250738585e-313]))
-    assert np.all(np.abs(got - ref) <= special._ABS_TOL + special._REL_TOL * abs(ref))
 
 
 def test_incbeta_nonconvergence_budget():
@@ -421,30 +419,29 @@ def test_incbeta_overflowing_upper_power_is_nonconvergence():
     # (1 - z0) ** w = 0.25 ** w overflows a double for w <= -512.  At a huge
     # s the series for B(z0) stops at its first term, (1 - w) z0 / s <= 1e-16,
     # so the upper region starts and its power overflows: NonConvergence, not
-    # Python's OverflowError, on the scalar and the per-point paths
+    # Python's OverflowError, at one point and at several
     z = np.array([0.3, 0.9])
     for s, w in ((1e19, -600.0), (1e19, -512.0), (1e300, -1e5)):
-        for args in ((0.9, s, w), (z, s, w), (z, np.full(2, s), w), (z, s, np.full(2, w))):
+        for args in ((0.9, s, w), (z, s, w)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(NonConvergence, match=_UPPER_POWER_OVERFLOW):
                     incomplete_beta(*args)
 
 
-@pytest.mark.parametrize("per_point", [False, True])
-def test_incbeta_past_the_upper_power_range_is_nonconvergence(per_point):
+@pytest.mark.parametrize("points", [False, True])
+def test_incbeta_past_the_upper_power_range_is_nonconvergence(points):
     # near w = -512 every s raises NonConvergence, as the 0.9.0 loops do: the
     # series for B(z0) exhausts its budget or overflows up to s = 1e17, and
     # at s = 1e19 the upper power overflows where w <= -512 (the upper
-    # series exhausts its budget above that)
+    # series exhausts its budget above that); at one point or at two
+    z = np.array([0.3, 0.9]) if points else 0.9
     for w in (-520.0, -513.0, -512.0, -511.5, -511.0):
         for s in (0.05, 7.5, 99999.5, 1e17, 1e19):
-            z, sp = (np.array([0.3, 0.9]), np.array([1.0, s])) if per_point \
-                else (0.9, s)
             with pytest.raises(NonConvergence) as info:
-                incomplete_beta(z, sp, w)
+                incomplete_beta(z, s, w)
             assert ("out of range" in str(info.value)) == (s == 1e19 and w <= -512.0)
-            assert _assert_same(incomplete_beta, z, sp, w)[0] is NonConvergence
+            assert _assert_same(incomplete_beta, z, s, w)[0] is NonConvergence
 
 
 # --- two-variable hypergeometric series ---------------------------------------
@@ -716,9 +713,10 @@ def test_appell_recurrence_matches_mpmath_where_it_is_weakest(b1):
 
 # --- per-point parameters -----------------------------------------------------
 #
-# appell_f1 and incomplete_beta take their parameters as scalars or one value
-# per point.  A call with per-point parameters gives each point the value of
-# its own scalar call, bit for bit: each point keeps that call's stop test.
+# appell_f1 takes its parameters as scalars or one value per point.  A call
+# with per-point parameters gives each point the value of its own scalar call,
+# bit for bit: each point keeps that call's stop test.  incomplete_beta takes
+# scalar s and w only.
 
 _F1_DRAW = st.tuples(st.floats(0.2, 2.0), st.floats(-1.5, 2.0), st.floats(-1.5, 2.0),
                      st.floats(0.5, 3.5), st.floats(-0.85, 0.85), st.floats(-0.85, 0.85),
@@ -742,43 +740,27 @@ def test_appell_per_point_parameters_are_the_scalar_calls(draws):
     assert np.array_equal(got, [appell_f1(*row) for row in rows])
 
 
-# s at numpy's shortcut exponents (0.5, 2 and -1 for t^w), w on 0 and on the
-# negative integers of _incbeta_upper's special term
-_INCBETA_DRAW = st.tuples(
-    st.floats(0.005, 0.995),
-    st.one_of(st.floats(0.15, 4.0), st.sampled_from([0.5, 1.0, 2.0])),
-    st.one_of(st.floats(-2.5, 4.0), st.sampled_from([0.0, -1.0, -2.0, 1.0, 2.0])))
-
-
-@_PROPERTY
-@hypothesis.given(draws=st.lists(_INCBETA_DRAW, min_size=1, max_size=12))
-@hypothesis.example(draws=[(0.3, 0.5, 0.0), (0.9, 2.0, -1.0), (0.99, 0.5, -2.0),
-                           (0.05, 1.3, 2.1), (0.8, 0.25, -0.75)])
-def test_incbeta_per_point_parameters_are_the_scalar_calls(draws):
-    z, s, w = (np.array(col) for col in zip(*draws))
-    want = [incomplete_beta(*draw) for draw in draws]
-    assert np.array_equal(incomplete_beta(z, s, w), want)
-    # one of s, w per point selects the per-point stop rule as well
-    assert np.array_equal(incomplete_beta(z, s, np.full(z.size, w[0])),
-                          [incomplete_beta(u, v, w[0]) for u, v in zip(z, s)])
+def test_incbeta_array_parameters_are_domain_errors():
+    z = np.linspace(0.1, 0.9, 3)
+    for s, w in ((np.ones(3), 1.0), (1.0, np.ones(3)), (np.ones(1), 1.0),
+                 (1.0, [1.0]), (np.ones((1, 1)), np.ones(3))):
+        for points in (z, 0.5):
+            with pytest.raises(DomainError, match="scalar s and w"):
+                incomplete_beta(points, s, w)
+    # a numpy scalar or a 0-d array is a scalar
+    assert incomplete_beta(z, np.float64(1.5), np.array(0.5)).tolist() == \
+        incomplete_beta(z, 1.5, 0.5).tolist()
 
 
 def test_per_point_parameters_broadcast():
     z = np.linspace(0.1, 0.9, 12).reshape(3, 4)
     s = np.array([0.5, 1.5, 2.5, 3.5])
-    got = incomplete_beta(z, s, 1.5)
-    assert got.shape == (3, 4)
-    assert got[2, 1] == incomplete_beta(z[2, 1], 1.5, 1.5)
     x = z - 0.5
     f1 = appell_f1(0.7, s, 0.3, 1.9, x, 0.5 * x)
     assert f1.shape == (3, 4)
     assert f1[1, 3] == appell_f1(0.7, 3.5, 0.3, 1.9, x[1, 3], 0.5 * x[1, 3])
     with pytest.raises(DomainError, match="broadcast"):
-        incomplete_beta(z, np.ones(3), 1.0)
-    with pytest.raises(DomainError, match="broadcast"):
         appell_f1(np.ones(5), 1.0, 1.0, 2.0, x, x)
-    with pytest.raises(DomainError, match="broadcast"):
-        incomplete_beta(0.5, np.ones(2), 1.0)   # a scalar z is one point
 
 
 @pytest.mark.parametrize("call", [
@@ -816,14 +798,14 @@ def test_per_point_domain_errors(n, data):
     with pytest.raises(DomainError):
         appell_f1(spoil(0.5, math.nan), 1.0, 1.0, 2.0, x, x)
     with pytest.raises(DomainError):
-        incomplete_beta(z, spoil(1.0, data.draw(st.sampled_from(
-            [0.0, -0.5, math.nan, math.inf]))), 1.0)
+        incomplete_beta(z, data.draw(st.sampled_from(
+            [0.0, -0.5, math.nan, math.inf])), 1.0)
     with pytest.raises(DomainError):
-        incomplete_beta(z, 1.0, spoil(1.0, data.draw(st.sampled_from(
-            [math.nan, math.inf, -math.inf]))))
+        incomplete_beta(z, 1.0, data.draw(st.sampled_from(
+            [math.nan, math.inf, -math.inf])))
     with pytest.raises(DomainError):
         incomplete_beta(spoil(0.5, data.draw(st.sampled_from(
-            [0.0, 1.0, math.nan]))), np.full(n, 1.0), 1.0)
+            [0.0, 1.0, math.nan]))), 1.0, 1.0)
 
 
 def _incbeta_stop_indices(z, s, w):
@@ -858,20 +840,6 @@ def test_incbeta_largest_z_converges_last(s, w, z):
 
 # verify's batched checks: the draws, in the loop's order, and its value
 
-def _beta_quadrature_loop():
-    rng = np.random.default_rng(202)
-    worst, draws = 0.0, []
-    for _ in range(100):
-        z = rng.uniform(0.05, 0.95)
-        s = rng.uniform(0.15, 4.0)
-        w = rng.uniform(-2.5, 4.0)
-        draws.append((z, s, w))
-        mine = incomplete_beta(z, s, w)
-        ref = verify._beta_reference(z, s, w)
-        worst = max(worst, abs(mine - ref) / max(1.0, abs(ref)))
-    return worst, draws
-
-
 def _appell_brute_loop():
     worst, draws = 0.0, _appell_brute_draws()
     for draw in draws:
@@ -896,7 +864,6 @@ def _appell_symmetry_loop():
 
 
 @pytest.mark.parametrize("name,loop,fn", [
-    ("beta_quadrature", _beta_quadrature_loop, "incomplete_beta"),
     ("appell_brute", _appell_brute_loop, "appell_f1"),
     ("appell_symmetry", _appell_symmetry_loop, "appell_f1"),
 ])
@@ -922,7 +889,8 @@ def test_batched_check_is_the_per_draw_loop(monkeypatch, name, loop, fn):
 
 @pytest.mark.parametrize("name", ["beta_quadrature", "appell_symmetry"])
 def test_batched_check_peak_memory(name):
-    # one array per parameter: 100 or 20 draws, far from the 2 MB bound
+    # 100 scalar calls, or one array per parameter for 20 draws: far from
+    # the 2 MB bound
     check = verify.CHECKS[name][1]
     check(verify.Context())   # first-call allocations stay out of the peak
     tracemalloc.start()
@@ -943,55 +911,26 @@ def test_batched_check_peak_memory(name):
 # bits, and raise their exceptions with their messages.  The loops read the
 # module's budget when they are called, as the kernels do.
 
-def _ref_leave(done, live, out, vals):
-    if live is None:
-        live, out = np.arange(done.size), np.empty(done.size)
-    out[live[done]] = vals[done]
-    return live[~done], out
-
-
-def _ref_finish(live, out, vals):
-    if live is None:
-        return vals
-    out[live] = vals
-    return out
-
-
 def _ref_pick(v, mask):
     return v[mask] if isinstance(v, np.ndarray) else v
 
 
-def _ref_any(b):
-    return b.any() if isinstance(b, np.ndarray) else bool(b)
-
-
-def _ref_all(b):
-    return b.all() if isinstance(b, np.ndarray) else bool(b)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def ref_incbeta_series(z, s, w):
-    live = sums = None
-    z_all, s_all = z, s
+    # scalar (s, w): every point stops when the largest z passes its test
     acc = np.full_like(z, 1.0 / s)
     f = np.ones_like(z)
     term = np.empty_like(z)
-    watch = int(np.argmax(z)) if np.ndim(s) == np.ndim(w) == 0 else slice(None)
+    watch = int(np.argmax(z))
     for k in range(1, special._MAX_TERMS + 1):
         np.multiply(f, (k - w) / k, out=f)
         f *= z
         acc += np.divide(f, s + k, out=term)
-        done = abs(term[watch]) <= special._ABS_TOL + special._REL_TOL * abs(acc[watch])
-        if _ref_any(done):
-            if not _ref_all(np.isfinite(acc[watch])):
+        if abs(term[watch]) <= special._ABS_TOL + special._REL_TOL * abs(acc[watch]):
+            if not np.isfinite(acc[watch]):
                 raise NonConvergence("incomplete beta series overflowed before "
                                      "converging")
-            if _ref_all(done):
-                return special._power(z_all, s_all) * _ref_finish(live, sums, acc)
-            live, sums = _ref_leave(done, live, sums, acc)
-            keep = ~done
-            z, f, acc, term = (v[keep] for v in (z, f, acc, term))
-            s, w = _ref_pick(s, keep), _ref_pick(w, keep)
+            return np.power(z, s) * acc
     raise NonConvergence(
         f"incomplete beta series did not converge in {special._MAX_TERMS} terms")
 
@@ -999,43 +938,27 @@ def ref_incbeta_series(z, s, w):
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def ref_incbeta_upper(t, s, w, floor):
     big_t = 1.0 - special._INCBETA_Z0
-    live = out = None
     try:
-        big_te = (np.array([big_t ** v for v in w.tolist()])
-                  if isinstance(w, np.ndarray) else big_t ** w)
+        big_te = big_t ** w
     except OverflowError:
         raise NonConvergence(
             f"incomplete beta series overflowed: {big_t} ** w is out of range "
             "of a double") from None
-    coef, t_e = 1.0, special._power(t, w)
+    coef, t_e = 1.0, np.power(t, w)
     pole = np.rint(-w)
-    poles = set(np.ravel(pole).tolist())
     acc = np.zeros_like(t)
     for k in range(special._MAX_TERMS):
         e = w + k
-        if k in poles:
-            near = k == pole
+        if k == pole:
             log_ratio = np.log(t / big_t)
             x = e * log_ratio
             exprel = np.where(x == 0.0, 1.0, np.expm1(x) / x)
-            term = coef * -big_te * log_ratio * exprel
-            if not _ref_all(near):
-                term = np.where(near, term, np.divide(coef, e) * (big_te - t_e))
+            acc += coef * -big_te * log_ratio * exprel
         else:
-            term = (coef / e) * (big_te - t_e)
-        acc += term
-        done = e > 0.5
-        if _ref_any(done):
-            done &= abs(coef) * big_te / e <= (special._ABS_TOL
-                                               + special._REL_TOL * floor)
-            if _ref_all(done):
-                return _ref_finish(live, out, acc)
-            if _ref_any(done):
-                live, out = _ref_leave(done, live, out, acc)
-                keep = ~done
-                t, t_e, acc = (v[keep] for v in (t, t_e, acc))
-                s, w, coef, big_te, pole, floor = (
-                    _ref_pick(v, keep) for v in (s, w, coef, big_te, pole, floor))
+            acc += (coef / e) * (big_te - t_e)
+        if e > 0.5 and abs(coef) * big_te / e <= (special._ABS_TOL
+                                                  + special._REL_TOL * floor):
+            return acc
         coef *= (k + 1.0 - s) / (k + 1.0)
         big_te *= big_t
         t_e *= t
@@ -1180,16 +1103,31 @@ def test_appell_blocks_are_the_loop(n, per_point, layout, budget, data):
 
 
 @_BLOCK_PROPERTY
-@hypothesis.given(n=_POINTS, per_point=st.booleans(), layout=_LAYOUT,
-                  budget=_BUDGET, data=st.data())
-def test_incbeta_blocks_are_the_loop(n, per_point, layout, budget, data):
+@hypothesis.given(n=_POINTS, layout=_LAYOUT, budget=_BUDGET, data=st.data())
+def test_incbeta_blocks_are_the_loop(n, layout, budget, data):
     # both regions: w on the poles of the upper region's terms at times
-    s, w = _params(data, n, per_point, ((0.05, 5.0), (-3.0, 5.0)))
+    s, w = data.draw(st.floats(0.05, 5.0)), data.draw(st.floats(-3.0, 5.0))
     if data.draw(st.booleans()):
         w = np.rint(w)
     z = np.array(data.draw(st.lists(st.floats(0.001, 0.999), min_size=n, max_size=n)))
     with _blocks(layout, budget):
         _assert_same(incomplete_beta, z, s, w)
+
+
+@_BLOCK_PROPERTY
+@hypothesis.given(z=st.one_of(st.floats(0.001, 0.75),
+                              st.floats(0.75, 0.999, exclude_min=True)),
+                  s=st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.05, 5.0)),
+                  w=st.one_of(st.sampled_from([0.0, -1.0, -2.0]), st.floats(-3.0, 5.0)),
+                  shape=st.sampled_from([(), (1,)]), budget=_BUDGET)
+@hypothesis.example(z=0.75, s=0.5, w=0.0, shape=(), budget=(2048, 1e-16, 1e-14))
+@hypothesis.example(z=0.9, s=2.0, w=-1.0, shape=(1,), budget=(2048, 1e-16, 1e-14))
+@hypothesis.example(z=0.99, s=0.5, w=-2.0, shape=(), budget=(2048, 1e-16, 1e-14))
+def test_incbeta_one_point_is_the_loop(z, s, w, shape, budget):
+    # a one-point series call returns its stop loop's sum and runs no array
+    # loop: at z <= z0 the point itself, past z0 the point z0 of B(z0)
+    with _budget(*budget):
+        _assert_same(incomplete_beta, np.full(shape, z), s, w)
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (2, 1)])
@@ -1198,8 +1136,7 @@ def test_zero_d_and_small_inputs_are_the_loop(shape):
     z = np.full(shape, 0.9)
     for call in ((appell_f1, 0.5, 0.25, 1.5, 2.0, x, x),
                  (appell_f1, 0.5, 0.25, 1.5, 2.0, x, 0.5 * x),
-                 (incomplete_beta, z, 0.5, -1.0),
-                 (incomplete_beta, z, np.full(shape, 0.5), -1.0)):
+                 (incomplete_beta, z, 0.5, -1.0)):
         _assert_same(*call)
     assert type(appell_f1(0.5, 0.25, 1.5, 2.0, 0.6, 0.6)) is float
     assert type(incomplete_beta(0.9, 0.5, -1.0)) is float
@@ -1223,8 +1160,8 @@ def test_many_points_are_the_loop():
             NonConvergence, "appell_f1 series overflowed before converging")
         a[2200] = 0.5
     z = np.linspace(0.01, 0.99, 2500)
-    _assert_same(incomplete_beta, z, np.linspace(0.2, 3.0, 2500), -1.5)
-    _assert_same(incomplete_beta, z, 0.7, np.linspace(-2.0, 2.0, 2500))
+    _assert_same(incomplete_beta, z, 0.7, -1.5)
+    _assert_same(incomplete_beta, z, 2.0, 1.0)
 
 
 def _diagonal_stop(a, b, c, x):
@@ -1265,7 +1202,8 @@ def test_overflow_after_a_point_stops_is_the_loop():
                              (special._appell_f1_recurrence,
                               (1e100, 1e100, 1e100, 0.5, x, 0.99 * x)),
                              (special._incbeta_series, (z, 0.5, -1e200)),
-                             (special._incbeta_series, (z, z, -1e200))):
+                             (special._incbeta_series, (np.array([0.3, 0.7]), 0.5,
+                                                        -1e200))):
             assert isinstance(_assert_same(kernel, *args), list)
 
 
@@ -1276,19 +1214,20 @@ def test_overflow_before_a_point_stops_is_the_loop():
     for y in (x, x[::-1]):
         assert _assert_same(appell_f1, 300.0, 300.0, 300.0, 0.5, x, y) == (
             NonConvergence, "appell_f1 series overflowed before converging")
-    for s in (0.5, np.full(2, 0.5)):
-        assert _assert_same(incomplete_beta, np.array([0.3, 0.7]), s, -600.0) == (
+    for z in (np.array([0.7]), np.array([0.3, 0.7])):
+        assert _assert_same(incomplete_beta, z, 0.5, -600.0) == (
             NonConvergence, "incomplete beta series overflowed before converging")
 
 
 def test_incbeta_overflow_outranks_the_budget_at_any_point():
-    # one point exhausts the budget and the other overflows: the loop raises
-    # the overflow first whatever the points' order, and so must a per-point
-    # loop that would raise at the first point that fails
-    z = np.array([0.7, 0.7])
+    # under a budget of 40 terms w = -1.5 exhausts it at z = 0.7, while at
+    # w = -1e200 the terms overflow within it: the loop raises the overflow,
+    # at one point and at several
     with _budget(40, 1e-16, 1e-15):
-        for w in (np.array([-1.5, -1e200]), np.array([-1e200, -1.5])):
-            assert _assert_same(incomplete_beta, z, 0.5, w) == (
+        for z in (np.array([0.7]), np.array([0.7, 0.3]), np.array([0.3, 0.7])):
+            assert _assert_same(incomplete_beta, z, 0.5, -1.5) == (
+                NonConvergence, "incomplete beta series did not converge in 40 terms")
+            assert _assert_same(incomplete_beta, z, 0.5, -1e200) == (
                 NonConvergence, "incomplete beta series overflowed before converging")
 
 
@@ -1301,9 +1240,8 @@ def test_budget_exhaustion_is_the_loop():
             NonConvergence, "appell_f1 did not converge within 40 diagonals at 3 point(s)")
         assert _assert_same(special._appell_f1_recurrence, 0.5, 1.0, 1.0, 2.0,
                             x, x[::-1])[0] is NonConvergence
-        for s in (0.5, np.full(3, 0.5)):
-            assert _assert_same(incomplete_beta, z, s, -1.5) == (
-                NonConvergence, "incomplete beta series did not converge in 40 terms")
+        assert _assert_same(incomplete_beta, z, 0.5, -1.5) == (
+            NonConvergence, "incomplete beta series did not converge in 40 terms")
 
 
 # --- numeric derivative --------------------------------------------------------
