@@ -37,7 +37,7 @@ from .susy import (
     RationalSin,
 )
 
-__version__ = "0.9.8"
+__version__ = "0.9.9"
 
 
 # oracle imports scipy.linalg, so its names are imported on first access and

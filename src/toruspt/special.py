@@ -12,8 +12,9 @@ Each series is summed one way, and every value is the term-by-term loop's
 bit for bit, with its errors.  The incomplete beta takes scalar s and w; its
 stop loops run on Python floats, whose + - * / round as numpy's do, and give
 the term count for an array loop over all points (and, at one point, the
-sum itself).  Both F1 kernels run in one block loop (_f1_blocks), a block of
-terms per numpy call, in the loop's order; each point stops at its own term.
+sum itself).  incomplete_beta_series is its series in z alone, on every
+point.  F1's recurrence runs a block of terms per numpy call, in the loop's
+order; each point stops at its own term.
 
 All operations are pure and deterministic; there is no shared state.
 """
@@ -32,6 +33,7 @@ __all__ = [
     "JacobiParams",
     "jacobi_poly",
     "incomplete_beta",
+    "incomplete_beta_series",
     "appell_f1",
     "numeric_derivative",
     "uniform_step",
@@ -319,6 +321,37 @@ def _incbeta_upper(t, s, w, floor):
     return _incbeta_upper_sum(steps, w, t, t_e, pole, factors)
 
 
+def _incbeta_args(z, s, w):
+    """(z as an array, s, w as Python floats) for both incomplete beta entry
+    points; DomainError outside their domain (see incomplete_beta)."""
+    z_arr = np.asarray(z, dtype=float)
+    if not np.all((z_arr > 0.0) & (z_arr < 1.0)):
+        raise DomainError("incomplete beta requires 0 < z < 1")
+    if np.ndim(s) or np.ndim(w):
+        raise DomainError("incomplete beta requires scalar s and w")
+    s, w = float(s), float(w)
+    if not (math.isfinite(s) and math.isfinite(w)):
+        raise DomainError("incomplete beta requires finite parameters")
+    if not s > 0.0:
+        raise DomainError("incomplete beta requires s > 0")
+    return z_arr, s, w
+
+
+def incomplete_beta_series(z, s, w):
+    """B(z; s, w) by its series in z alone (DLMF 8.17.7), at every point.
+
+    The series incomplete_beta sums up to z0, with the same argument checks
+    and errors, summed at every z: past z0 it takes more terms, and as z -> 1
+    it exhausts the term budget (NonConvergence), where incomplete_beta
+    switches to the integral from z0.
+    """
+    z_arr, s, w = _incbeta_args(z, s, w)
+    if not z_arr.size:
+        return np.empty(z_arr.shape)
+    out = _incbeta_series(z_arr.ravel(), s, w)
+    return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
+
+
 def incomplete_beta(z, s, w):
     """Incomplete beta function B(z; s, w) = int_0^z u^(s-1) (1-u)^(w-1) du.
 
@@ -337,16 +370,7 @@ def incomplete_beta(z, s, w):
     non-finite s or w, NonConvergence if either series exhausts the term
     budget, the series in z overflows or (1 - z0)^w overflows a double.
     """
-    z_arr = np.asarray(z, dtype=float)
-    if not np.all((z_arr > 0.0) & (z_arr < 1.0)):
-        raise DomainError("incomplete beta requires 0 < z < 1")
-    if np.ndim(s) or np.ndim(w):
-        raise DomainError("incomplete beta requires scalar s and w")
-    s, w = float(s), float(w)
-    if not (math.isfinite(s) and math.isfinite(w)):
-        raise DomainError("incomplete beta requires finite parameters")
-    if not s > 0.0:
-        raise DomainError("incomplete beta requires s > 0")
+    z_arr, s, w = _incbeta_args(z, s, w)
     if not z_arr.size:
         return np.empty(z_arr.shape)
 
@@ -365,51 +389,25 @@ def incomplete_beta(z, s, w):
     return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
 
 
-# Block summation.  The F1 kernels advance a block of terms per numpy call:
-# row j of a (rows, points) array is term k0 + j at every live point.
-# The term recursions are products and the partial sums are sums taken in
-# the loop's order, and running them down the rows is sequential (out[j] =
-# out[j-1] op in[j]), so every row holds the bits the term-by-term loop
-# would hold at that term.  Each point then stops at its first row that
-# passes the stop test, exactly where the loop would have stopped it; the
-# rows a block computes past a point's stop are discarded (under errstate,
-# since they may overflow).  A block is at most _BLOCK_TERMS terms and at
-# most _BLOCK term x point entries (64 KB of doubles, under glibc's default
-# 128 KB mmap threshold), but at least _BLOCK_MIN_TERMS terms, which is more
-# entries from 2048 points on.  The stop test and the compaction of the
-# points that stopped, which cost the most at many points, then run once per
-# 4 terms, not once per term as in the loop: F1 on 100001 x = y points took
-# about 92 ms against 128 ms with one-term blocks and 110 ms for 0.9.0's
-# loop (2 vCPUs, best of 8).  A row is taken before a mask selects from it
-# (v[-1][keep]): numpy's mixed index v[-1, keep] takes a slow path, about
-# 10x on 100001 points.
+# Block summation.  The F1 recurrence advances a block of terms per numpy
+# call: row j of a (rows, points) array is term k0 + j at every live point.
+# The partial sums are a running sum down the rows, which numpy's accumulate
+# takes in sequence, so every row holds the bits the term-by-term loop would
+# hold at that term.  Each point then stops at its first row that passes the
+# stop test, exactly where the loop would have stopped it; the rows a block
+# computes past a point's stop are discarded (under errstate, since they may
+# overflow).  A block is at most _BLOCK_TERMS terms and at most _BLOCK
+# term x point entries (64 KB of doubles), but at least one term.  A row is
+# taken before a mask selects from it (v[-1][keep]): numpy's mixed index
+# v[-1, keep] takes a slow path, about 10x on 100001 points.
 _BLOCK_TERMS = 64
-_BLOCK_MIN_TERMS = 4
 _BLOCK = 8192
-# numpy's accumulate takes about 4 ns an entry in one call; a call per row
-# takes about 1 us plus 0.3 ns an entry, which is less from this many points
-_WIDE = 256
 
 
 def _block_rows(left, points):
     """Terms in the next block: at most _BLOCK_TERMS and the left terms of
-    the budget, at most _BLOCK entries, but at least _BLOCK_MIN_TERMS."""
-    return min(_BLOCK_TERMS, left, max(_BLOCK_MIN_TERMS, _BLOCK // points))
-
-
-def _run(ufunc, carry, rows, out=None):
-    """The running ufunc (np.multiply or np.add) down rows from carry, in
-    sequence: out[0] = carry op rows[0], out[j] = out[j-1] op rows[j].  out
-    is rows (in place) unless given."""
-    out = rows if out is None else out
-    ufunc(carry, rows[0], out=out[0])
-    if rows.shape[1] < _WIDE:
-        if out is not rows:
-            out[1:] = rows[1:]
-        return ufunc.accumulate(out, axis=0, out=out)
-    for j in range(1, len(rows)):
-        ufunc(out[j - 1], rows[j], out=out[j])
-    return out
+    the budget, at most _BLOCK entries, but at least one."""
+    return min(_BLOCK_TERMS, left, max(1, _BLOCK // points))
 
 
 _NONE = np.empty(0, dtype=np.intp)
@@ -436,74 +434,13 @@ def _f1_overflowed():
     return NonConvergence("appell_f1 series overflowed before converging")
 
 
-# Both kernels report an overflowing series as NonConvergence, so numpy's
-# warnings would only repeat it; once a product overflows, inf - inf is nan,
-# which is reported as overflow too.
+# An overflowing series is reported as NonConvergence, so numpy's warnings
+# would only repeat it; once a product overflows, inf - inf is nan, which is
+# reported as overflow too.
 @np.errstate(over="ignore", invalid="ignore")
-def _f1_blocks(step, carry, n):
-    """The block loop of both F1 kernels at n points.  step(kk, *carry) gives
-    the diagonal sums at the term indices kk (a float column) and the live
-    points, as a (rows, points) array, and the carry of the next block:
-    arrays of one value per live point, or scalars that serve them all.  The
-    loop owns the partial sums, the stop rule, the compaction of the points
-    that stopped (and of the carry) and the budget.
-
-    A point stops at the first row where this diagonal sum and the one
-    before it are both small, with its partial sum there.  NonConvergence
-    if a point has a non-finite diagonal sum at or before its stop row,
-    where the term-by-term loop would have raised; a non-finite term leaves
-    every later partial sum non-finite, so finite last sums rule that out."""
-    out = np.empty(n)
-    live = np.arange(n)
-    partial = np.ones(n)
-    prev_small = np.full(n, 1.0 <= _ABS_TOL + _REL_TOL)
-    k = 1
-    while k <= _MAX_TERMS:
-        rows = _block_rows(_MAX_TERMS + 1 - k, live.size)
-        terms, carry = step(np.arange(k, k + rows, dtype=float)[:, None], *carry)
-        sums = _run(np.add, partial, terms, np.empty_like(terms))
-        small = np.abs(terms) <= _ABS_TOL + _REL_TOL * np.abs(sums)
-        done = np.empty_like(small)
-        np.logical_and(small[0], prev_small, out=done[0])
-        np.logical_and(small[1:], small[:-1], out=done[1:])
-        cols, first, keep = _first_rows(done)
-        if not np.isfinite(sums[-1]).all():
-            stop = np.full(live.size, len(terms) - 1)
-            stop[cols] = first
-            if (~np.isfinite(terms) & (np.arange(len(terms))[:, None] <= stop)).any():
-                raise _f1_overflowed()
-        out[live[cols]] = sums[first, cols]
-        if cols.size == live.size:
-            return out
-        live, partial, prev_small = live[keep], sums[-1][keep], small[-1][keep]
-        carry = [_pick(v, keep) for v in carry]
-        k += rows
-    raise _f1_unconverged(live.size)
-
-
-def _f1_recurrence_step(kk, s_prev2, s_prev, g_prev, xpy, bxy, xy, a, b1, b2, c):
-    # g_{k-1} and g_k: one column if a and c are scalars, whose last row
-    # is carried as a scalar
-    rows = len(kk)
-    g = np.empty((rows + 1, np.broadcast(a, c).size))
-    g[0] = g_prev
-    g[1:] = (a + kk - 1.0) / (c + kk - 1.0)
-    lead = (kk - 1.0) * xpy + bxy
-    back = (g[:-1] * (kk - 2.0 + b1 + b2)) * xy
-    scale = g[1:] / kk
-    s = np.empty((rows + 2, xpy.size))
-    s[0], s[1] = s_prev2, s_prev
-    for j in range(rows):
-        row = s[j + 2]
-        np.multiply(lead[j], s[j + 1], out=row)
-        row -= np.multiply(back[j], s[j], out=back[j])
-        row *= scale[j]
-    g_last = g[-1] if g.shape[1] > 1 else g[-1, 0]
-    return s[2:], (s[-2], s[-1], g_last, xpy, bxy, xy, a, b1, b2, c)
-
-
 def _appell_f1_recurrence(a, b1, b2, c, x, y):
-    """F1 at the 1-D points x, y, in O(1) work per diagonal and point.
+    """F1 at the 1-D points x, y (at least one), in O(1) work per diagonal
+    and point.
 
     Diagonal k sums to s_k = (a)_k/(c)_k e_k, where e_k is the t^k coefficient
     of (1 - xt)^(-b1) (1 - yt)^(-b2).  Its logarithmic derivative gives
@@ -511,55 +448,83 @@ def _appell_f1_recurrence(a, b1, b2, c, x, y):
     so with g_k = (a+k-1)/(c+k-1)
     s_k = g_k/k [((k-1)(x+y) + b1 x + b2 y) s_{k-1}
                  - g_{k-1} (k-2+b1+b2) x y s_{k-2}].
-    a, b1, b2 and c are scalars or one value per point.  A three-term
-    recurrence is not a running product, so each block takes its three
-    coefficient rows in one numpy call each and then runs the recurrence's
-    in-place row operations term by term, in _f1_blocks.
+    a, b1, b2 and c are scalars or one value per point.  Each block takes
+    its three coefficient rows in one numpy call each and then runs the
+    recurrence's in-place row operations term by term.
+
+    A point stops at the first row where this diagonal sum and the one
+    before it are both small, with its partial sum there.  NonConvergence
+    if a point has a non-finite diagonal sum at or before its stop row,
+    where the term-by-term loop would have raised; a non-finite term leaves
+    every later partial sum non-finite, so finite last sums rule that out.
     """
-    return _f1_blocks(_f1_recurrence_step, (
-        np.zeros(x.size), np.ones(x.size), 0.0, x + y, b1 * x + b2 * y, x * y,
-        a, b1, b2, c), x.size)
-
-
-def _f1_diagonal_step(kk, term, x, a, b, c):
-    ratio = (a + kk - 1.0) * (b + kk - 1.0) / ((c + kk - 1.0) * kk)
-    terms = _run(np.multiply, term, np.multiply(ratio, x))
-    return terms, (terms[-1], x, a, b, c)
-
-
-def _appell_f1_diagonal(a, b, c, x):
-    """F1 at the 1-D points x = y, with b = b1 + b2: diagonal k sums to
-    (a)_k (b)_k / ((c)_k k!) x^k (Chu-Vandermonde), one term of 2F1(a, b; c; x).
-    A block's terms are the running product of their ratios from the term
-    carried from the block before, in _f1_blocks with the same parameters
-    as _appell_f1_recurrence."""
-    return _f1_blocks(_f1_diagonal_step, (np.ones(x.size), x, a, b, c), x.size)
+    out = np.empty(x.size)
+    live = np.arange(x.size)
+    partial = np.ones(x.size)
+    prev_small = np.full(x.size, 1.0 <= _ABS_TOL + _REL_TOL)
+    s_prev2, s_prev, g_prev = np.zeros(x.size), np.ones(x.size), 0.0
+    xpy, bxy, xy = x + y, b1 * x + b2 * y, x * y
+    k = 1
+    while k <= _MAX_TERMS:
+        rows = _block_rows(_MAX_TERMS + 1 - k, live.size)
+        kk = np.arange(k, k + rows, dtype=float)[:, None]
+        # g_{k-1} and g_k: one column if a and c are scalars, whose last row
+        # is carried as a scalar
+        g = np.empty((rows + 1, np.broadcast(a, c).size))
+        g[0] = g_prev
+        g[1:] = (a + kk - 1.0) / (c + kk - 1.0)
+        lead = (kk - 1.0) * xpy + bxy
+        back = (g[:-1] * (kk - 2.0 + b1 + b2)) * xy
+        scale = g[1:] / kk
+        s = np.empty((rows + 2, live.size))
+        s[0], s[1] = s_prev2, s_prev
+        for j in range(rows):
+            row = s[j + 2]
+            np.multiply(lead[j], s[j + 1], out=row)
+            row -= np.multiply(back[j], s[j], out=back[j])
+            row *= scale[j]
+        terms = s[2:]
+        sums = np.add.accumulate(np.vstack((partial, terms)), axis=0)[1:]
+        small = np.abs(terms) <= _ABS_TOL + _REL_TOL * np.abs(sums)
+        done = np.empty_like(small)
+        np.logical_and(small[0], prev_small, out=done[0])
+        np.logical_and(small[1:], small[:-1], out=done[1:])
+        cols, first, keep = _first_rows(done)
+        if not np.isfinite(sums[-1]).all():
+            stop = np.full(live.size, rows - 1)
+            stop[cols] = first
+            if (~np.isfinite(terms) & (np.arange(rows)[:, None] <= stop)).any():
+                raise _f1_overflowed()
+        out[live[cols]] = sums[first, cols]
+        if cols.size == live.size:
+            return out
+        live, partial, prev_small = live[keep], sums[-1][keep], small[-1][keep]
+        s_prev2, s_prev = s[-2][keep], s[-1][keep]
+        g_prev = g[-1] if g.shape[1] > 1 else g[-1, 0]
+        xpy, bxy, xy, a, b1, b2, c, g_prev = (
+            _pick(v, keep) for v in (xpy, bxy, xy, a, b1, b2, c, g_prev))
+        k += rows
+    raise _f1_unconverged(live.size)
 
 
 def appell_f1(a, b1, b2, c, x, y):
     """Appell F1(a; b1, b2; c; x, y) by truncated double series.
 
     Terms T(m,n) = (a)_{m+n} (b1)_m (b2)_n / ((c)_{m+n} m! n!) x^m y^n are
-    summed by anti-diagonals m+n = k, each diagonal sum built from the ones
-    before it for all points at once, in O(_MAX_TERMS) work per point.  x and
-    y are scalars or arrays of one shape, the points; the result has that
-    shape, and a 0-d input gives a float.  a, b1, b2 and c are each a scalar
-    or an array that broadcasts to the points' shape (one value per point).
-    Each point converges on its own: once two consecutive diagonal sums are
-    both within _ABS_TOL + _REL_TOL |partial sum|, it returns its partial sum
-    and leaves the loop.  So whether the parameters are scalars or per
-    point, each value is bit for bit that of the matching scalar call.
+    summed by anti-diagonals m+n = k, each diagonal sum built from the two
+    before it by a three-term recurrence for all points at once (see
+    _appell_f1_recurrence), in O(_MAX_TERMS) work per point, x = y included.
+    x and y are scalars or arrays of one shape, the points; the result has
+    that shape, and a 0-d input gives a float.  a, b1, b2 and c are each a
+    scalar or an array that broadcasts to the points' shape (one value per
+    point).  Each point converges on its own: once two consecutive diagonal
+    sums are both within _ABS_TOL + _REL_TOL |partial sum|, it returns its
+    partial sum and leaves the loop.  So whether the parameters are scalars
+    or per point, each value is bit for bit that of the matching scalar call.
     Requires |x| < 1, |y| < 1, finite parameters and c not a non-positive
     integer at every point.  Raises NonConvergence if any point is still
     unconverged after _MAX_TERMS diagonals, or if a diagonal sum or a value
     is not finite.
-
-    Where x and y differ, the diagonal sums follow a three-term recurrence
-    (see _appell_f1_recurrence).  At the points where they are equal (every
-    point of the Appell tail), diagonal k collapses to one term,
-    (a)_k (b1+b2)_k / ((c)_k k!) x^k, by Chu-Vandermonde:
-    F1(a; b1, b2; c; x, x) = 2F1(a, b1+b2; c; x), and that one-variable
-    series, cheaper per term, is summed instead.
     """
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
@@ -570,19 +535,10 @@ def appell_f1(a, b1, b2, c, x, y):
     a, b1, b2, c = (_per_point(p, x_arr.shape, "appell_f1") for p in (a, b1, b2, c))
     if _any((c <= 0.0) & (abs(c - np.rint(c)) < 1e-12)):
         raise DomainError("appell_f1 requires c not a non-positive integer")
+    if not x_arr.size:
+        return np.empty(x_arr.shape)
 
-    xf, yf = x_arr.ravel(), y_arr.ravel()
-    diag = xf == yf   # the points that sum the one-variable series
-    if diag.all():    # the Appell tail: no mask and no copy
-        out = _appell_f1_diagonal(a, b1 + b2, c, xf) if xf.size else np.empty(0)
-    else:
-        off = ~diag
-        out = np.empty(xf.size)
-        out[off] = _appell_f1_recurrence(*(_pick(p, off) for p in (a, b1, b2, c)),
-                                         xf[off], yf[off])
-        if diag.any():
-            pa, pb1, pb2, pc = (_pick(p, diag) for p in (a, b1, b2, c))
-            out[diag] = _appell_f1_diagonal(pa, pb1 + pb2, pc, xf[diag])
+    out = _appell_f1_recurrence(a, b1, b2, c, x_arr.ravel(), y_arr.ravel())
     # a partial sum can overflow from finite diagonal sums
     if not np.isfinite(out).all():
         raise _f1_overflowed()

@@ -9,9 +9,11 @@ Four families share the trigonometric core W = A cot x + B csc x:
                       V- = W^2 - W' cancels identically for any mixing
                       constant C1.
   * AppellTail      - core + (G(x) + lambda sin x)/(c + a cos x), where G is
-                      built from the two-variable hypergeometric series; G
-                      kills its own contribution to V-, and the remaining
-                      lambda part cancels under solve_parameter_conditions.
+                      built from the paper's Appell F1 integral, served on
+                      the equal-radii line c = a, where it is an incomplete
+                      beta summed as its series in sin^2(x/2); G kills its
+                      own contribution to V-, and the remaining lambda part
+                      cancels under solve_parameter_conditions.
 
 Every tail is built from two shared pieces: the sin tail lambda sin x / P
 (sin_tail: RationalSin, AppellTail, and the iso(2,1) modification terms) and
@@ -45,10 +47,10 @@ from .errors import (
 from .geometry import TorusGeometry, prefactor_f
 from .special import (
     JacobiParams,
-    appell_f1,
     grid_derivative,
     grid_second_derivative,
     incomplete_beta,
+    incomplete_beta_series,
     jacobi_poly,
     numeric_derivative,
 )
@@ -209,19 +211,26 @@ def _beta_integrand(spec: BetaTail, x):
 
 def _appell_integrand(spec: AppellTail, x):
     """(m, (ln m)', D) of the Appell tail: m = sin^2A x tan^2B(x/2) P^(-2 lam/a),
-    D = C1 - M with M = int_0^x m from the two-variable series; requires P > 0."""
+    D = C1 - M with M = int_0^x m, served on the equal-radii line c = a only.
+
+    The paper's M is 4^A (a+c)^(-r) s^pw/pw F1(pw; 1/2-A+B, r; pw+1; s, 2a s/(a+c))
+    with r = 2 lam/a, pw = 1/2+A+B and s = sin^2(x/2).  At c = a its two
+    variables are equal, F1 is 2F1(pw, 1/2-A+B+r; pw+1; s), and by DLMF
+    8.17.7 M = 4^A (2a)^(-r) B(s; 1/2+A+B, 1/2+A-B-r), which
+    special.incomplete_beta_series sums (NonConvergence near x = pi).
+    """
     A, B, lam = spec.A, spec.B, spec.lam
     a, c = spec.geom.a, spec.geom.c
+    if c != a:
+        raise DomainError(
+            "appell tail: M is served on the equal-radii line c = a only; the "
+            "unequal-radii root of the conditions is not served yet")
     sx, cx = np.sin(x), np.cos(x)
     p = spec.geom.radius(x)
-    if np.any(p <= 0.0):
-        raise DomainError("appell tail needs c + a cos x > 0 on the points")
-    m = sx ** (2.0 * A) * np.tan(0.5 * x) ** (2.0 * B) * p ** (-2.0 * lam / a)
-    s2 = np.sin(0.5 * x) ** 2
-    pw = A + B + 0.5
-    pref = _tail_power(4.0, A) * _tail_power(a + c, -2.0 * lam / a) / pw
-    big_m = pref * s2 ** pw * appell_f1(pw, 0.5 - A + B, 2.0 * lam / a, pw + 1.0,
-                                        s2, 2.0 * a / (a + c) * s2)
+    r = 2.0 * lam / a
+    m = sx ** (2.0 * A) * np.tan(0.5 * x) ** (2.0 * B) * p ** -r
+    big_m = _tail_power(4.0, A) * _tail_power(2.0 * a, -r) * incomplete_beta_series(
+        np.sin(0.5 * x) ** 2, 0.5 + A + B, 0.5 + A - B - r)
     return m, 2.0 * (A * cx + B) / sx + 2.0 * lam * sx / p, spec.C1 - big_m
 
 
@@ -283,10 +292,12 @@ def partner_potentials(spec, x):
         vp = vm + 2.0 * superpotential_deriv(spec, arr)
     else:
         a, c = spec.geom.a, spec.geom.c
-        # unchecked: superpotential_deriv rejects P <= 0 for this family
+        # W' first: it raises unless c = a, where P = a (1 + cos x) > 0, so
+        # P needs no check here
+        wp = superpotential_deriv(spec, arr)
         p = spec.geom.radius(arr)
         vm = vm_pt + lambda_bracket(spec.A, spec.B, spec.lam, a, c, arr) / (2.0 * p**2)
-        vp = vm + 2.0 * superpotential_deriv(spec, arr)
+        vp = vm + 2.0 * wp
     if scalar:
         return float(vm), float(vp)
     return vm, vp
@@ -326,8 +337,8 @@ def solve_parameter_conditions(case: str, *, a: float, B: float | None = None,
     case 'appell' (inputs a, lam, branch): A = lambda/(2a) and, resolving the
     stray constant in the printed conditions against the numeric
     cancellation oracle, B = +-(1 - lambda/a)/2 with c = +-a.  The '-'
-    branch has c = -a, which puts the two-variable series out of its real
-    domain, so only branch '+' yields a usable family.
+    branch has c = -a, which AppellTail rejects (a + c > 0), so only branch
+    '+' yields a usable family.
     """
     if branch not in ("+", "-"):
         raise DomainError("branch must be '+' or '-'")

@@ -26,8 +26,8 @@ in sequence, so the value is bit for bit the per-term loop the test suite
 keeps (tests/test_special.py, appell_brute_oracle).
 
 The Gauss reference of appell_reduce_y0 and appell_reduce_xy is scipy's
-compiled hyp2f1, code independent of the package's x = y series kernel
-(special._appell_f1_diagonal).
+compiled hyp2f1, code independent of the package's F1 recurrence, which
+sums y = 0 and x = y as it sums every other point.
 """
 
 from __future__ import annotations

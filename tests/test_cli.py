@@ -16,7 +16,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from toruspt import cli, susy
+from toruspt import cli, special, susy
 from toruspt.errors import DegenerateJacobiWarning
 from toruspt.geometry import TorusGeometry
 
@@ -594,7 +594,7 @@ def test_columns_whose_squares_overflow_are_normalized(capsys):
     (["algebra", "--B1", "-0.5", "--mu", "1e200", "--a", "1"], "NonFinitePotential"),
     (["potential", "--case", "iso21", "--B1", "-0.5", "--mu", "1e200", "--a", "1"],
      "NonFinitePotential"),
-    # a tail prefactor: 4.0 ** A in the next three, (a + c) ** (-2 lam / a)
+    # a tail prefactor: 4.0 ** A in the next three, (2a) ** (-2 lam / a)
     # = 0.5 ** -1200 in the fourth
     (["potential", "--case", "appell", "--a", "1", "--lambda", "1e200", "--branch", "+"],
      "NonFinitePotential"),
@@ -636,8 +636,8 @@ def test_columns_whose_squares_overflow_are_normalized(capsys):
     (_UNSOLVED_RATIONAL + ["--with-plus"], "DomainError"),
     (["spectrum", "--case", "rational", "--A", "-2", "--B", "0.5", "--lambda", "0.3",
       "--a", "1", "--c", "2"], "DomainError"),
-    # past x = 2.9 the F1 series exhausts its term budget; its blocks of
-    # terms run past a point's stop, and their overflow must not leak
+    # past x = 2.9 the series of the Appell tail's incomplete beta in
+    # sin^2(x/2) exhausts its term budget; its terms must not leak a warning
     (["potential", "--case", "appell", "--a", "1", "--lambda", "2", "--branch", "+",
       "--C1", "-1", "--x-hi", "3", "--n-points", "501"], "NonConvergence"),
     # P_2^(-1, -2) vanishes identically: once an all -0.0 psi2 column, exit 0
@@ -906,6 +906,37 @@ def _in_process(argv, capsys):
         code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+_APPELL_PAST_Z0 = ["potential", "--case", "appell", "--a", "1", "--lambda", "2",
+                   "--branch", "+", "--C1", "-1", "--x-hi", "2.2", "--n-points", "501"]
+
+
+def test_appell_tail_never_calls_f1(monkeypatch, capsys):
+    def no_f1(*args):
+        raise AssertionError("the Appell tail called appell_f1")
+
+    monkeypatch.setattr(special, "appell_f1", no_f1)
+    assert not hasattr(susy, "appell_f1")
+    code, out, err = _in_process(_APPELL_PAST_Z0, capsys)
+    assert (code, err) == (0, "warning: non-normalizable regime (A >= -|B|); "
+                              "values are formal\n")
+    assert len(out.splitlines()) == 502
+
+
+def test_appell_tail_past_z0_keeps_the_series(monkeypatch, capsys):
+    # sin^2(x/2) passes z0 = 0.75 at x = 2.09, inside --x-hi 2.2, where
+    # incomplete_beta would switch to its integral from z0: the served M
+    # stays on the series in z, whose domain ends where its budget does
+    assert math.sin(1.1) ** 2 > special._INCBETA_Z0
+    want = _in_process(_APPELL_PAST_Z0, capsys)
+
+    def no_upper(*args):
+        raise AssertionError("the Appell tail left the series in z")
+
+    monkeypatch.setattr(special, "_incbeta_upper", no_upper)
+    assert _in_process(_APPELL_PAST_Z0, capsys) == want
+    assert want[0] == 0
 
 
 def test_reruns_in_one_process_are_identical(tmp_path, capsys):

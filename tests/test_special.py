@@ -19,6 +19,7 @@ from toruspt.special import (
     grid_derivative,
     grid_second_derivative,
     incomplete_beta,
+    incomplete_beta_series,
     jacobi_poly,
     numeric_derivative,
 )
@@ -379,6 +380,37 @@ def test_incbeta_domain_errors():
         incomplete_beta(0.5, 1.0, math.nan)
 
 
+@pytest.mark.parametrize("entry", [incomplete_beta, incomplete_beta_series])
+def test_incbeta_entry_points_share_their_argument_checks(entry):
+    for z, s, w, match in ((0.0, 1.0, 1.0, "0 < z < 1"),
+                           (np.array([0.5, 1.0]), 1.0, 1.0, "0 < z < 1"),
+                           (0.5, np.ones(2), 1.0, "scalar s and w"),
+                           (0.5, 1.0, math.inf, "finite"),
+                           (0.5, 0.0, 1.0, "s > 0")):
+        with pytest.raises(DomainError, match=match):
+            entry(z, s, w)
+    assert entry(np.empty((0, 2)), 0.5, 0.5).shape == (0, 2)
+
+
+def test_incbeta_series_is_the_series_at_every_point():
+    # up to z0 the series incomplete_beta sums there, bit for bit; past z0
+    # the same series where incomplete_beta takes the integral from z0, so
+    # the two agree to rounding and truncation (the tail past the stop term
+    # grows like 1/(1 - z)); near 1 it exhausts the budget
+    z = np.linspace(0.05, 0.75, 29)
+    assert np.array_equal(incomplete_beta_series(z, 1.5, -0.5),
+                          incomplete_beta(z, 1.5, -0.5))
+    assert incomplete_beta_series(0.3, 1.5, -0.5) == incomplete_beta(0.3, 1.5, -0.5)
+    for s, w in ((1.0, -2.0), (1.25, 0.7), (0.5, -3.25)):
+        for u in (0.8, 0.9):
+            got = incomplete_beta_series(np.array([0.2, u]), s, w)
+            assert _assert_same(incomplete_beta_series, np.array([0.2, u]), s, w) \
+                == np.asarray(got).view(np.int64).tolist()
+            assert got[1] == pytest.approx(incomplete_beta(u, s, w), rel=1e-13)
+    with pytest.raises(NonConvergence, match="did not converge in 2048 terms"):
+        incomplete_beta_series(np.array([0.5, 1.0 - 1e-6]), 1.0, -2.0)
+
+
 @pytest.mark.parametrize("z, s", [(0.875, 1.0), (0.99, 2.5), (0.5, 0.7)])
 def test_incbeta_subnormal_w_is_the_w0_value(z, s):
     # the pole term at e = w near 0 is taken without dividing by e, so a
@@ -536,69 +568,24 @@ def test_appell_budget_exhaustion():
         appell_f1(0.5, 1.0, 1.0, 2.0, 0.9, 0.9)
 
 
-def _gauss_abs_sum(a, b, c, x):
-    """sum_k |(a)_k (b)_k / ((c)_k k!) x^k|: the rounding scale of the series."""
-    t, tot = 1.0, 1.0
-    for k in range(1, 4000):
-        t *= abs((a + k - 1.0) * (b + k - 1.0) / ((c + k - 1.0) * k) * x)
-        tot += t
-        if t < 1e-17 * tot:
-            break
-    return tot
-
-
-@_PROPERTY
-@hypothesis.given(**{**_F1_PARAMS, "x": st.floats(-0.85, 0.85)})
-@hypothesis.example(a=0.5, b1=0.25, b2=1.5, c=2.0, x=0.3)
-@hypothesis.example(a=1.98, b1=1.49, b2=1.41, c=1.24, x=-0.844)  # F1 = 0.0148
-def test_appell_recurrence_agrees_with_diagonal_series(a, b1, b2, c, x):
-    # appell_f1 sums x = y as the one-variable series; the three-term
-    # recurrence for x != y must give the same value there.  A tight budget
-    # makes both stop past rounding, so what is left is the rounding of the
-    # two summations, within 1e-13 of the sum of |terms| (|F1| itself when no
-    # term is negative).
-    pts = np.array([x])
-    with _budget(2048, 1e-18, 1e-16):
-        rec = special._appell_f1_recurrence(a, b1, b2, c, pts, pts)
-        diag = appell_f1(a, b1, b2, c, x, x)
-    assert abs(rec[0] - diag) <= 1e-13 * _gauss_abs_sum(a, b1 + b2, c, x)
-
-
-def test_appell_diagonal_skips_the_recurrence(monkeypatch):
-    def no_recurrence(*args):
-        raise AssertionError("the two-variable recurrence ran on x = y")
-
-    monkeypatch.setattr(special, "_appell_f1_recurrence", no_recurrence)
-    x = np.linspace(-0.8, 0.8, 9).reshape(3, 3)
-    got = appell_f1(0.5, 0.25, 1.5, 2.0, x, x.copy())
-    assert got.shape == (3, 3)
-    for u, v in zip(x.ravel(), got.ravel()):
-        assert v == pytest.approx(gauss_2f1_oracle(0.5, 1.75, 2.0, u), rel=1e-13)
-    assert appell_f1(0.5, 0.25, 1.5, 2.0, 0.4, 0.4) == pytest.approx(
-        gauss_2f1_oracle(0.5, 1.75, 2.0, 0.4), rel=1e-13)
-
-
-def test_appell_budget_message_is_the_same_on_both_paths():
+def test_appell_budget_message_names_the_unconverged_points():
     x = np.array([0.05, 0.95, 0.0, 0.9])
-    with _budget(40, 1e-16, 1e-15):
-        with pytest.raises(NonConvergence) as rec:
-            special._appell_f1_recurrence(0.5, 1.0, 1.0, 2.0, x, x)
-        with pytest.raises(NonConvergence) as diag:
-            appell_f1(0.5, 1.0, 1.0, 2.0, x, x)
-    assert str(diag.value) == str(rec.value) == (
+    with _budget(40, 1e-16, 1e-15), pytest.raises(NonConvergence) as info:
+        appell_f1(0.5, 1.0, 1.0, 2.0, x, x)
+    assert str(info.value) == (
         "appell_f1 did not converge within 40 diagonals at 2 point(s)")
 
 
-def test_appell_overflow_is_nonconvergence_on_both_paths():
+def test_appell_overflow_is_nonconvergence():
     x = np.array([0.1, 0.99])
-    for y in (x, np.array([0.1, 0.98])):  # the diagonal, then the recurrence
+    for y in (x, np.array([0.1, 0.98])):  # on the diagonal x = y, then off it
         with pytest.raises(NonConvergence, match="overflowed"):
             appell_f1(300.0, 300.0, 300.0, 0.5, x, y)
 
 
 def test_appell_overflowing_partial_sum_is_nonconvergence():
     # every diagonal sum is finite and their partial sum overflows: the same
-    # NonConvergence on the x = y path (scalar and array) as for x != y
+    # NonConvergence at x = y (scalar and array) as for x != y
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for x, y in ((0.999, 0.999), (np.array([0.5, 0.999]),) * 2, (0.999, 0.998)):
@@ -677,7 +664,8 @@ def test_appell_matches_mpmath():
         a, b1, b2 = rng.uniform(0.2, 2.0), *rng.uniform(-1.5, 2.0, 2)
         cases.append((a, b1, b2, rng.uniform(0.5, 3.5),
                       rng.uniform(-0.6, 0.6, 1), rng.uniform(-0.6, 0.6, 1)))
-    # the AppellTail parameter line that susy sums at every grid point
+    # the served AppellTail parameter line, where x = y (susy sums it as an
+    # incomplete beta, tests/test_susy.py checks the two agree)
     spec = solve_parameter_conditions("appell", a=1.0, lam=2.0, branch="+")
     a, c = spec.geom.a, spec.geom.c
     pw = spec.A + spec.B + 0.5
@@ -732,8 +720,8 @@ _F1_DRAW = st.tuples(st.floats(0.2, 2.0), st.floats(-1.5, 2.0), st.floats(-1.5, 
 @hypothesis.example(draws=[(0.5, 0.25, 1.5, 2.0, 0.4, 0.2, True),   # the Appell
                            (1.2, -0.7, 0.3, 2.5, -0.5, 0.0, True)])  # tail's case
 def test_appell_per_point_parameters_are_the_scalar_calls(draws):
-    # both paths in one call: the last field puts a draw on x = y; a draw at
-    # x = 0.84 takes far more diagonals than one at x = 0
+    # the last field puts a draw on x = y; a draw at x = 0.84 takes far more
+    # diagonals than one at x = 0
     rows = [(a, b1, b2, c, x, x if on_diag else y)
             for a, b1, b2, c, x, y, on_diag in draws]
     got = appell_f1(*(np.array(col) for col in zip(*rows)))
@@ -1005,35 +993,7 @@ def ref_appell_f1_recurrence(a, b1, b2, c, x, y):
     raise _ref_f1_unconverged(live.size)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def ref_appell_f1_diagonal(a, b, c, x):
-    out = np.empty(x.size)
-    live = np.arange(x.size)
-    term = np.ones(x.size)
-    partial = np.ones(x.size)
-    tol = special._ABS_TOL, special._REL_TOL
-    prev_small = np.full(x.size, 1.0 <= tol[0] + tol[1])
-    for k in range(1, special._MAX_TERMS + 1):
-        term *= (a + k - 1.0) * (b + k - 1.0) / ((c + k - 1.0) * k) * x
-        if not np.all(np.isfinite(term)):
-            raise NonConvergence("appell_f1 series overflowed before converging")
-        partial += term
-        small = np.abs(term) <= tol[0] + tol[1] * np.abs(partial)
-        done = small & prev_small
-        prev_small = small
-        if done.any():
-            out[live[done]] = partial[done]
-            keep = ~done
-            if not keep.any():
-                return out
-            live, x, term, partial, prev_small = (
-                v[keep] for v in (live, x, term, partial, prev_small))
-            a, b, c = (_ref_pick(v, keep) for v in (a, b, c))
-    raise _ref_f1_unconverged(live.size)
-
-
-_LOOPS = {"_appell_f1_diagonal": ref_appell_f1_diagonal,
-          "_appell_f1_recurrence": ref_appell_f1_recurrence,
+_LOOPS = {"_appell_f1_recurrence": ref_appell_f1_recurrence,
           "_incbeta_series": ref_incbeta_series,
           "_incbeta_upper": ref_incbeta_upper}
 
@@ -1062,13 +1022,11 @@ def _assert_same(fn, *args):
 
 
 # 1 to 300 points: a block's height is 64 rows down to 8192 // points.  The
-# layouts drawn below, (block terms, width from which a block runs its
-# products and sums row by row), put block ends at more terms and take both
-# ways of running them; budgets of 3 to 70 terms and a loose tolerance make
-# some points exhaust the budget
+# block heights drawn below put block ends at more terms; budgets of 3 to 70
+# terms and a loose tolerance make some points exhaust the budget
 _BLOCK_PROPERTY = hypothesis.settings(derandomize=True, max_examples=60, deadline=None)
 _POINTS = st.integers(1, 300)
-_LAYOUT = st.sampled_from([(64, 256)] * 2 + [(1, 256), (2, 1), (7, 10 ** 9), (64, 1)])
+_HEIGHT = st.sampled_from([64] * 3 + [1, 2, 7])
 _BUDGET = st.sampled_from([(2048, 1e-16, 1e-14)] * 3 + [(3, 1e-16, 1e-14),
                                                          (70, 1e-16, 1e-10)])
 
@@ -1081,36 +1039,34 @@ def _params(data, n, per_point, bounds):
 
 
 @contextlib.contextmanager
-def _blocks(layout, budget):
+def _blocks(block_terms, budget):
     with _budget(*budget), pytest.MonkeyPatch.context() as mp:
-        for name, value in zip(("_BLOCK_TERMS", "_WIDE"), layout):
-            mp.setattr(special, name, value)
+        mp.setattr(special, "_BLOCK_TERMS", block_terms)
         yield
 
 
 @_BLOCK_PROPERTY
-@hypothesis.given(n=_POINTS, per_point=st.booleans(), layout=_LAYOUT,
+@hypothesis.given(n=_POINTS, per_point=st.booleans(), height=_HEIGHT,
                   budget=_BUDGET, data=st.data())
-def test_appell_blocks_are_the_loop(n, per_point, layout, budget, data):
-    # both kernels, their values and their errors, x = y on some points
+def test_appell_blocks_are_the_loop(n, per_point, height, budget, data):
+    # the recurrence's values and errors, x = y on some points
     a, b1, b2, c = _params(data, n, per_point,
                            ((0.2, 3.0), (-2.0, 3.0), (-2.0, 3.0), (0.3, 4.0)))
     x = np.array(data.draw(st.lists(st.floats(-0.95, 0.95), min_size=n, max_size=n)))
     y = np.where(np.arange(n) % 3 == 0, x, x[::-1])
-    with _blocks(layout, budget):
+    with _blocks(height, budget):
         _assert_same(appell_f1, a, b1, b2, c, x, y)
-        _assert_same(special._appell_f1_diagonal, a, b1 + b2, c, x)
 
 
 @_BLOCK_PROPERTY
-@hypothesis.given(n=_POINTS, layout=_LAYOUT, budget=_BUDGET, data=st.data())
-def test_incbeta_blocks_are_the_loop(n, layout, budget, data):
+@hypothesis.given(n=_POINTS, height=_HEIGHT, budget=_BUDGET, data=st.data())
+def test_incbeta_blocks_are_the_loop(n, height, budget, data):
     # both regions: w on the poles of the upper region's terms at times
     s, w = data.draw(st.floats(0.05, 5.0)), data.draw(st.floats(-3.0, 5.0))
     if data.draw(st.booleans()):
         w = np.rint(w)
     z = np.array(data.draw(st.lists(st.floats(0.001, 0.999), min_size=n, max_size=n)))
-    with _blocks(layout, budget):
+    with _blocks(height, budget):
         _assert_same(incomplete_beta, z, s, w)
 
 
@@ -1143,39 +1099,39 @@ def test_zero_d_and_small_inputs_are_the_loop(shape):
 
 
 def test_many_points_are_the_loop():
-    # 2500 points: blocks of 4 terms, the fewest a block has (more entries
-    # than _BLOCK), run row by row.  The budget leaves three points
-    # unconverged; a point whose terms overflow raises first, as in the
-    # loop, which raises it before its budget runs out
+    # 2500 points: blocks of 8192 // 2500 = 3 terms.  The budget leaves
+    # three points unconverged; a point whose terms overflow raises first, as
+    # in the loop, which raises it before its budget runs out
     x = np.linspace(-0.9, 0.9, 2500)
     x[[5, 2200, 2400]] = 0.999
     a = np.full(x.size, 0.5)
-    for kernel, args in ((special._appell_f1_diagonal, (a, 1.75, 2.0, x)),
-                         (special._appell_f1_recurrence, (a, 1.0, 0.75, 2.0, x, x))):
-        assert _assert_same(kernel, *args) == (
-            NonConvergence, "appell_f1 did not converge within 2048 diagonals "
-                            "at 3 point(s)")
-        a[2200] = 600.0
-        assert _assert_same(kernel, *args) == (
-            NonConvergence, "appell_f1 series overflowed before converging")
-        a[2200] = 0.5
+    args = (a, 1.0, 0.75, 2.0, x, x)
+    assert _assert_same(special._appell_f1_recurrence, *args) == (
+        NonConvergence, "appell_f1 did not converge within 2048 diagonals "
+                        "at 3 point(s)")
+    a[2200] = 600.0
+    assert _assert_same(special._appell_f1_recurrence, *args) == (
+        NonConvergence, "appell_f1 series overflowed before converging")
     z = np.linspace(0.01, 0.99, 2500)
     _assert_same(incomplete_beta, z, 0.7, -1.5)
     _assert_same(incomplete_beta, z, 2.0, 1.0)
 
 
-def _diagonal_stop(a, b, c, x):
-    """The term at which the x = y series stops at the one point x, by the
+def _recurrence_stop(a, b1, b2, c, x):
+    """The term at which the recurrence stops at the one point x = y, by the
     loop's operations on Python floats."""
-    term = partial = 1.0
+    s_prev2, s_prev, g_prev, partial = 0.0, 1.0, 0.0, 1.0
     prev_small = False
     for k in range(1, special._MAX_TERMS + 1):
-        term *= (a + k - 1.0) * (b + k - 1.0) / ((c + k - 1.0) * k) * x
-        partial += term
-        small = abs(term) <= special._ABS_TOL + special._REL_TOL * abs(partial)
+        g = (a + k - 1.0) / (c + k - 1.0)
+        s = ((k - 1.0) * (x + x) + (b1 * x + b2 * x)) * s_prev
+        s -= (g_prev * (k - 2.0 + b1 + b2)) * (x * x) * s_prev2
+        s *= g / k
+        partial += s
+        small = abs(s) <= special._ABS_TOL + special._REL_TOL * abs(partial)
         if small and prev_small:
             return k
-        prev_small = small
+        prev_small, s_prev2, s_prev, g_prev = small, s_prev, s, g
     return None
 
 
@@ -1184,10 +1140,9 @@ def test_appell_point_stopping_on_a_block_edge_is_the_loop(stop):
     # one point: blocks of 64 rows, the first ending at term 64; x is the
     # first grid point whose series stops at that term
     xs = np.linspace(0.3, 0.95, 20001)
-    x = next(u for u in xs.tolist() if _diagonal_stop(0.5, 1.75, 2.0, u) == stop)
+    x = next(u for u in xs.tolist() if _recurrence_stop(0.5, 1.0, 0.75, 2.0, u) == stop)
     for pts in ([x], [x, 0.1], [0.1, x, -x]):
         pts = np.array(pts)
-        _assert_same(special._appell_f1_diagonal, 0.5, 1.75, 2.0, pts)
         _assert_same(special._appell_f1_recurrence, 0.5, 1.0, 0.75, 2.0, pts, pts)
 
 
@@ -1198,8 +1153,7 @@ def test_overflow_after_a_point_stops_is_the_loop():
     x, z = np.array([0.99]), np.array([0.7])
     with _budget(2048, 1e300, 1e-14), warnings.catch_warnings():
         warnings.simplefilter("error")
-        for kernel, args in ((special._appell_f1_diagonal, (1e100, 2e100, 0.5, x)),
-                             (special._appell_f1_recurrence,
+        for kernel, args in ((special._appell_f1_recurrence,
                               (1e100, 1e100, 1e100, 0.5, x, 0.99 * x)),
                              (special._incbeta_series, (z, 0.5, -1e200)),
                              (special._incbeta_series, (np.array([0.3, 0.7]), 0.5,

@@ -293,7 +293,7 @@ _M_TAILS = [
 
 @pytest.mark.parametrize("spec,integrand,x_hi", _M_TAILS)
 def test_integral_tail_d_is_minus_the_integral_of_m(spec, integrand, x_hi):
-    # D' = -m: D from the special function (F1 or incomplete beta) against
+    # D' = -m: D from the incomplete beta (its series in z, for Appell) against
     # adaptive quadrature of the elementary integrand m alone
     x_lo = 0.05
     d_lo, d_hi = integrand(spec, np.array([x_lo, x_hi]))[2]
@@ -303,24 +303,25 @@ def test_integral_tail_d_is_minus_the_integral_of_m(spec, integrand, x_hi):
 
 
 def test_appell_tail_batched_matches_scalar_calls(monkeypatch):
-    spec = solve_parameter_conditions("appell", a=1.0, lam=2.0, branch="+")
+    # the served M, one series call on the grid, against the paper's F1
+    # form, one scalar call per grid point: B(s; pw, w) =
+    # s^pw/pw F1(pw; 1/2-A+B, 2 lam/a; pw+1; s, 2a s/(a+c)), whose two
+    # variables are equal at c = a.  C1 = 0 makes D = -M exactly.
+    spec = solve_parameter_conditions("appell", a=1.0, lam=2.0, branch="+", C1=0.0)
     x = np.linspace(0.002, 2.0, 501)
-    v_minus, v_plus = partner_potentials(spec, x)
+    served = susy._appell_integrand(spec, x)[2]
 
-    # reference: the tail's own F1 line, one scalar call per grid point
     a, c = spec.geom.a, spec.geom.c
-    pw = spec.A + spec.B + 0.5
-    s2 = np.sin(0.5 * x) ** 2
-    line = (pw, 0.5 - spec.A + spec.B, 2.0 * spec.lam / a, pw + 1.0)
+    line = (0.5 - spec.A + spec.B, 2.0 * spec.lam / a)
 
-    def per_point(*args):
-        return np.array([special.appell_f1(*line, u, 2.0 * a / (a + c) * u)
-                         for u in s2])
+    def per_point(z, pw, w):
+        assert line[0] + line[1] == 1.0 - w
+        return np.array([u ** pw / pw * special.appell_f1(
+            pw, *line, pw + 1.0, u, 2.0 * a / (a + c) * u) for u in z])
 
-    monkeypatch.setattr(susy, "appell_f1", per_point)
-    ref_minus, ref_plus = partner_potentials(spec, x)
-    np.testing.assert_allclose(v_minus, ref_minus, rtol=1e-13, atol=0.0)
-    np.testing.assert_allclose(v_plus, ref_plus, rtol=1e-13, atol=0.0)
+    monkeypatch.setattr(susy, "incomplete_beta_series", per_point)
+    np.testing.assert_allclose(served, susy._appell_integrand(spec, x)[2],
+                               rtol=1e-13, atol=0.0)
 
 
 # --- spectra --------------------------------------------------------------------
@@ -656,6 +657,77 @@ def test_unsolved_appell_spectrum_is_a_domain_error():
         analytic_spectrum(spec, 1)
     with pytest.raises(DomainError):
         spinor_psi1(spec, 1, xs)
+
+
+def test_unequal_radii_appell_tail_is_not_served():
+    # M is served on the equal-radii line c = a only: the c != a family
+    # above is built, but evaluating its tail raises
+    spec = AppellTail(0.2, 0.1, 1.3, -1.0, TorusGeometry(1.0, 1.7))
+    xs = np.linspace(0.2, 2.0, 5)
+    for evaluate in (superpotential_eval, superpotential_deriv, partner_potentials):
+        with pytest.raises(DomainError, match="equal-radii line c = a only"):
+            evaluate(spec, xs)
+
+
+def _mp_partner_potentials(spec, x, big_m):
+    """(V-, V+) = W^2 -+ W' of an Appell tail in mpmath at the double x, from
+    the closed-form pieces and M = big_m(s), s = sin^2(x/2), and the size
+    of the terms they are summed from."""
+    A, B, lam, C1 = (mpmath.mpf(v) for v in (spec.A, spec.B, spec.lam, spec.C1))
+    a, c = mpmath.mpf(spec.geom.a), mpmath.mpf(spec.geom.c)
+    x = mpmath.mpf(x)
+    sx, cx = mpmath.sin(x), mpmath.cos(x)
+    p = c + a * cx
+    core = (A * cx + B) / sx
+    tail = lam * sx / p
+    m = sx ** (2 * A) * mpmath.tan(x / 2) ** (2 * B) * p ** (-2 * lam / a)
+    q = m / (C1 - big_m(mpmath.sin(x / 2) ** 2))
+    w = core + q + tail
+    wp_terms = (-(A + B * cx) / sx ** 2, q * 2 * (core + tail), q * q,
+                lam * (cx * p + a * sx ** 2) / p ** 2)
+    wp = sum(wp_terms)
+    size = (abs(core) + abs(q) + abs(tail)) ** 2 + sum(abs(t) for t in wp_terms)
+    return w * w - wp, w * w + wp, size
+
+
+_ELEMENTARY_APPELL = [(0.5, 1.05, -0.25), (1.0, 2.0, -1.0), (1.5, 3.0, -3.0),
+                      (0.8, 1.6, -1.7), (1.33, 2.12, -0.6)]
+# c = a, A + B != 1/2 and 1/2 + A + B > 0: no solved set, so M has no
+# elementary form, and V- keeps its rational remainder
+_UNSOLVED_APPELL = [(1.0, -0.25, 1.3, -1.0, 1.0), (0.75, 0.5, 0.9, -2.0, 1.4),
+                    (-0.2, 0.45, 2.5, -0.5, 0.6)]
+
+
+@pytest.mark.parametrize("spec", [
+    *(solve_parameter_conditions("appell", a=a, lam=a * r, branch="+", C1=c1)
+      for a, r, c1 in _ELEMENTARY_APPELL),
+    *(AppellTail(A, B, lam, c1, TorusGeometry(a, a)) for A, B, lam, c1, a in
+      _UNSOLVED_APPELL),
+])
+def test_appell_tail_matches_mpmath_at_exact_arguments(spec):
+    # M within 1e-13 relative of 40 digits on [0.002, 2], at the doubles x
+    # and the parameters as given: a solved set (A + B = 1/2) against
+    # M = 4^A (2a)^(-2r) expm1(-r log1p(-s))/r with r = lam/a, an unsolved
+    # one against mpmath's incomplete beta.  V-+ within 1e-13 of the size of
+    # the terms they are summed from, which cancel: V+ passes through 0
+    A, B, lam, a = spec.A, spec.B, spec.lam, spec.geom.a
+    x = np.linspace(0.002, 2.0, 201)
+    with mpmath.workdps(40):
+        mA, mB, r = mpmath.mpf(A), mpmath.mpf(B), mpmath.mpf(lam) / a
+        pref = 4 ** mA * (2 * mpmath.mpf(a)) ** (-2 * r)
+        if A + B == 0.5:
+            def big_m(s):
+                return pref * mpmath.expm1(-r * mpmath.log1p(-s)) / r
+        else:
+            def big_m(s):
+                return pref * mpmath.betainc(0.5 + mA + mB, 0.5 + mA - mB - 2 * r, 0, s)
+        want_m = [float(big_m(mpmath.sin(mpmath.mpf(u) / 2) ** 2)) for u in x]
+        want = np.array([[float(v) for v in _mp_partner_potentials(spec, u, big_m)]
+                         for u in x])
+    got_m = -susy._appell_integrand(dataclasses.replace(spec, C1=0.0), x)[2]
+    np.testing.assert_allclose(got_m, want_m, rtol=1e-13, atol=0.0)
+    got_v = np.column_stack(partner_potentials(spec, x))
+    assert np.all(np.abs(got_v - want[:, :2]) <= 1e-13 * want[:, 2:])
 
 
 def test_solved_appell_sets_pass_the_cancellation_gate():
