@@ -4,9 +4,10 @@ potential families on a torus surface.
 The package reconstructs the reduction of a massless spin-1/2 mode on a
 torus to one-dimensional Schrodinger form, the four superpotential families
 with their partner potentials and closed-form spectra, the modified iso(2,1)
-generators whose Casimir operator reproduces the same spectrum, and an
-independent finite-difference eigensolver used as ground truth for every
-closed-form claim.
+generators whose Casimir operator reproduces the same spectrum, and
+independent eigensolvers that check the closed forms: Chebyshev collocation
+for the verify suite's spectra and eigenfunctions, and finite differences on
+the grid the spectrum command is given.
 """
 
 from .errors import (
@@ -37,11 +38,12 @@ from .susy import (
     RationalSin,
 )
 
-__version__ = "0.9.9"
+__version__ = "0.10.0"
 
 
-# oracle imports scipy.linalg, so its names are imported on first access and
-# "import toruspt" stays free of scipy
+# oracle takes about 4 ms to import (its dataclasses and collocation tables),
+# which only spectrum and verify need, so its names are imported on first
+# access
 _ORACLE_NAMES = ("EigenReport", "Grid1D", "SymTridiagonal")
 
 

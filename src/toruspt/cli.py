@@ -33,12 +33,13 @@ The only environment variable consulted is TORUSPT_OUTDIR, an optional
 prefix for relative output paths.
 
 Only spectrum (and algebra) and verify load scipy, inside the command that
-needs it, and only scipy.linalg and scipy.special: importing this module and
-building the parser loads none, and neither do potential, wavefunction and
-errata, so a potential or wavefunction process spends about 0.15 s on
-imports, where scipy.linalg and scipy.special would add about 0.25 s (2 vCPU
-Xeon, Python 3.11).  verify writes the suite's elapsed time as one line to
-stderr, never to its report.
+needs it: spectrum loads scipy.linalg for its finite-difference solve, and
+verify loads scipy.special for its special-function references.  Importing
+this module and building the parser loads none, and neither do potential,
+wavefunction and errata, so a potential or wavefunction process spends about
+0.15 s on imports, where scipy.linalg and scipy.special would add about
+0.25 s (2 vCPU Xeon, Python 3.11).  verify writes the suite's elapsed time
+as one line to stderr, never to its report.
 
 main builds the parser once per process and reuses it; build_parser() itself
 returns a new one on every call.  Building it takes about 2-3 ms against
@@ -680,8 +681,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="toruspt", allow_abbrev=False,
         description="Solvable and rationally extended trigonometric "
-                    "Poschl-Teller families on a torus surface, with an "
-                    "independent finite-difference verification oracle.")
+                    "Poschl-Teller families on a torus surface, with "
+                    "independent eigensolver oracles.")
     sub = parser.add_subparsers(dest="command", required=True)
     spectrum_help = "compare the closed-form spectrum against the oracle"
     cmds = {}

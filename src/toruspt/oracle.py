@@ -1,20 +1,34 @@
-"""Independent finite-difference Sturm-Liouville eigensolver.
+"""Independent Sturm-Liouville eigensolvers: Chebyshev collocation and finite
+differences.
 
-This module is the ground truth against which every closed-form spectrum and
-eigenfunction claim is checked, so it deliberately shares no code with the
-analytic side: the operator -d^2/dx^2 + V is discretized with the standard
-second-order stencil under Dirichlet conditions.  The lowest eigenvalues come
-from Sturm-count bisection and the eigenvectors from inverse iteration, both
-compiled: LAPACK stebz and stein through scipy.linalg.eigh_tridiagonal.
+Both read only samples of the potential V and share no code with the analytic
+side, so they can check every closed-form spectrum and eigenfunction claim.
 
-Singular potential endpoints (the csc^2 walls at 0 and pi) are handled by
-truncating the domain slightly inside (0, pi).  The cutoff sets the accuracy:
-the level error grows as x_lo^2 and, at x_lo = 0.002, plateaus near 1e-5
-relative however fine the grid (1.15e-5 at 4000 nodes, 1.30e-5 at 16000, for
-the PT family A = -2, B = 0.5).  Potentials whose endpoint 1/x^2 coefficient
-falls below the Friedrichs bound -1/4 are rejected: below the bound the
-operator has no unique self-adjoint extension and a Dirichlet spectrum would
-be an artifact of the cutoff.
+Chebyshev collocation is the oracle of the verify suite.  It estimates each
+wall's 1/x^2 coefficient c from V alone, by Neville extrapolation of
+d^2 V(d) to d = 0 from d = 1e-2 2^-k, k = 0..7, and takes the principal
+Frobenius exponent s = 1/2 + sqrt(1/4 + c) (the Friedrichs realisation,
+including the log case c = -1/4).  Writing psi = x^p (pi - x)^q phi with
+those exponents leaves an equation for a smooth phi, collocated at N = 32
+Chebyshev-Gauss points with barycentric differentiation matrices (Berrut and
+Trefethen, SIAM Review 46 (2004) 501) and solved as one dense eigenproblem.
+A polynomial phi cannot hold the second Frobenius solution, so the exponents
+alone choose the realisation.  Where V is analytic after its 1/x^2 terms the
+levels are right to about 1e-12 (9.3e-15 for levels 1-4 of the PT family
+A = -2, B = 0.5) at about 0.5 ms a solve.  Coefficients below the Friedrichs
+bound -1/4 are rejected: the operator then has no distinguished self-adjoint
+realisation.
+
+The finite-difference solver serves the spectrum command, whose
+--x-lo/--x-hi/--n-points flags define its grid: the operator
+-d^2/dx^2 + V is discretized with the standard second-order stencil under
+Dirichlet conditions, and the lowest eigenvalues come from LAPACK stebz
+(Sturm-count bisection) through scipy.linalg.eigh_tridiagonal, imported on
+the first solve.  The singular walls are handled by truncating the domain
+slightly inside (0, pi), and the cutoff sets the accuracy: the level error
+grows as x_lo^2 and, at x_lo = 0.002, plateaus near 1e-5 relative however
+fine the grid (1.15e-5 at 4000 nodes, 1.30e-5 at 16000, for the PT family
+A = -2, B = 0.5).  Its Friedrichs gate reads the two nodes nearest each wall.
 """
 
 from __future__ import annotations
@@ -23,7 +37,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .errors import (
     ConvergenceFailure,
@@ -38,11 +51,12 @@ __all__ = [
     "EigenReport",
     "build_hamiltonian",
     "lowest_eigenvalues",
-    "eigenpairs",
     "solve_potential",
-    "isospectral_check",
     "spectrum_report",
     "check_friedrichs",
+    "COLLOCATION_NODES",
+    "collocation_levels",
+    "collocation_eigenpairs",
 ]
 
 
@@ -94,12 +108,6 @@ class SymTridiagonal:
         m[idx, idx + 1] = self.offdiag
         m[idx + 1, idx] = self.offdiag
         return m
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        out[:-1] += self.offdiag * v[1:]
-        out[1:] += self.offdiag * v[:-1]
-        return out
 
 
 @dataclass
@@ -165,62 +173,28 @@ def check_friedrichs(v_vals, grid: Grid1D) -> None:
             f"endpoint 1/x^2 coefficient {c:.4f} below Friedrichs bound -1/4")
 
 
-def _lowest(m: SymTridiagonal, n_eigs: int, eigvals_only: bool):
-    """LAPACK stebz (Sturm bisection), plus stein (inverse iteration) for vectors."""
-    if not 1 <= n_eigs <= m.n:
-        raise DomainError("need 1 <= n_eigs <= matrix dimension")
-    try:
-        return eigh_tridiagonal(m.diag, m.offdiag, eigvals_only=eigvals_only,
-                                select="i", select_range=(0, n_eigs - 1),
-                                lapack_driver="stebz")
-    except LinAlgError as exc:
-        raise ConvergenceFailure(f"tridiagonal eigensolver failed: {exc}") from exc
-
-
 def lowest_eigenvalues(m: SymTridiagonal, n_eigs: int):
     """The n_eigs smallest eigenvalues, ascending, by Sturm-count bisection.
 
     Deterministic.  Raises ConvergenceFailure if LAPACK reports that the
     bisection failed to converge.
     """
-    return _lowest(m, n_eigs, eigvals_only=True)
+    from scipy.linalg import LinAlgError, eigh_tridiagonal
 
-
-def eigenpairs(m: SymTridiagonal, n_eigs: int, grid: Grid1D):
-    """Lowest eigenvalues with inverse-iteration eigenvectors.
-
-    Vectors have unit discrete L2 norm (h-weighted), first component of
-    appreciable size positive, and relative residual ||Mv - eps v|| / ||v||
-    below 1e-10 * ||M||.
-    """
-    vals, vecs = _lowest(m, n_eigs, eigvals_only=False)
-    h = grid.h
-    scale = float(np.max(np.abs(m.diag)) + 2.0 * np.max(np.abs(m.offdiag)))
-    for j, lam in enumerate(vals):
-        v = vecs[:, j] / np.linalg.norm(vecs[:, j])
-        resid = np.linalg.norm(m.matvec(v) - lam * v)
-        if resid > 1e-10 * scale:
-            raise ConvergenceFailure(
-                f"inverse iteration residual {resid:.2e} too large for level {j}")
-        big = np.nonzero(np.abs(v) > 0.1 * np.max(np.abs(v)))[0][0]
-        if v[big] < 0.0:
-            v = -v
-        vecs[:, j] = v / math.sqrt(h)
-    return vals, vecs
+    if not 1 <= n_eigs <= m.n:
+        raise DomainError("need 1 <= n_eigs <= matrix dimension")
+    try:
+        return eigh_tridiagonal(m.diag, m.offdiag, eigvals_only=True,
+                                select="i", select_range=(0, n_eigs - 1),
+                                lapack_driver="stebz")
+    except LinAlgError as exc:
+        raise ConvergenceFailure(f"tridiagonal eigensolver failed: {exc}") from exc
 
 
 def solve_potential(v_vals, grid: Grid1D, n_eigs: int):
     """Convenience path: gate, build, and solve for the lowest eigenvalues."""
     check_friedrichs(v_vals, grid)
     return lowest_eigenvalues(build_hamiltonian(v_vals, grid), n_eigs)
-
-
-def isospectral_check(v_minus, v_plus, grid: Grid1D, n_levels: int) -> EigenReport:
-    """Compare spec(V+)[0..m-1] with spec(V-)[1..m] level by level, with
-    relative and absolute tolerance 5e-3."""
-    return spectrum_report("isospectral", {"levels": n_levels},
-                           solve_potential(v_minus, grid, n_levels + 1)[1:],
-                           v_plus, grid, 5e-3, 5e-3)
 
 
 def spectrum_report(case: str, params: dict, eps_analytic, v_vals, grid: Grid1D,
@@ -237,3 +211,117 @@ def spectrum_report(case: str, params: dict, eps_analytic, v_vals, grid: Grid1D,
                      "rel_err": float(rel) if rel is not None else None})
     return EigenReport(case=case, params=params, levels=rows,
                        rel_tol=rel_tol, abs_tol=abs_tol)
+
+
+# --------------------------------------------------------------------------
+# Chebyshev collocation on the Frobenius-factored problem
+# --------------------------------------------------------------------------
+
+COLLOCATION_NODES = 32
+_PI_LO = 1.2246467991473532e-16     # pi - math.pi: where sin(x) puts the wall
+_WALL_STEPS = 1e-2 * 2.0 ** -np.arange(8)
+_THETA = (2.0 * np.arange(COLLOCATION_NODES) + 1.0) * math.pi \
+    / (2.0 * COLLOCATION_NODES)
+_NODES = 0.5 * math.pi * (1.0 - np.cos(_THETA))     # ascending in (0, pi)
+_BARY = (-1.0) ** np.arange(COLLOCATION_NODES) * np.sin(_THETA)
+
+
+def _differentiation_matrices():
+    """First and second barycentric differentiation matrices on _NODES."""
+    gap = _NODES[:, None] - _NODES[None, :]
+    np.fill_diagonal(gap, 1.0)
+    d1 = _BARY[None, :] / _BARY[:, None] / gap
+    np.fill_diagonal(d1, 0.0)
+    np.fill_diagonal(d1, -d1.sum(axis=1))
+    return d1, d1 @ d1
+
+
+_D1, _D2 = _differentiation_matrices()
+
+
+def _wall_exponent(d, v_d) -> float:
+    """Principal Frobenius exponent at a wall from V at distances d from it.
+
+    The 1/d^2 coefficient c is the value at d = 0 of the polynomial through
+    (d, d^2 V(d)) (Neville's scheme); s = 1/2 + sqrt(1/4 + c).
+    """
+    p = d * d * v_d
+    for m in range(1, d.size):
+        p = (d[m:] * p[:-1] - d[:-m] * p[1:]) / (d[m:] - d[:-m])
+    c = float(p[0])
+    # the estimate is good to about 1e-13, so the log case c = -1/4 passes
+    if c < -0.25 - 1e-9:
+        raise IllPosedPotential(
+            f"endpoint 1/x^2 coefficient {c:.4f} below Friedrichs bound -1/4")
+    return 0.5 + math.sqrt(max(0.25 + c, 0.0))
+
+
+def _collocate(v, n_levels: int, vectors: bool):
+    """(levels, phi at the nodes or None, p, q) for psi = x^p (pi - x)^q phi."""
+    if not 1 <= n_levels <= COLLOCATION_NODES // 4:
+        raise DomainError(
+            f"need 1 <= n_levels <= {COLLOCATION_NODES // 4} for collocation")
+    x_hi = math.pi - _WALL_STEPS
+    vals = np.asarray(v(np.concatenate([_WALL_STEPS, x_hi, _NODES])), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise NonFinitePotential("potential has non-finite samples")
+    k = _WALL_STEPS.size
+    p = _wall_exponent(_WALL_STEPS, vals[:k])
+    q = _wall_exponent(math.pi - x_hi + _PI_LO, vals[k:2 * k])
+    x, y = _NODES, math.pi - _NODES + _PI_LO
+    # -phi'' - 2 (p/x - q/y) phi' + (V - c0/x^2 - c1/y^2 + 2pq/(xy)) phi
+    # = eps phi, with c0 = p(p - 1) and c1 = q(q - 1)
+    drift = 2.0 * (p / x - q / y)
+    rest = vals[2 * k:] - p * (p - 1.0) / x**2 - q * (q - 1.0) / y**2 \
+        + 2.0 * p * q / (x * y)
+    op = -_D2 - drift[:, None] * _D1
+    op[np.diag_indices_from(op)] += rest
+    try:
+        if vectors:
+            levels, vecs = np.linalg.eig(op)
+        else:
+            levels = np.linalg.eigvals(op)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"collocation eigensolver failed: {exc}") from exc
+    keep = np.argsort(levels.real)[:n_levels]
+    levels = levels[keep]
+    if np.any(np.abs(levels.imag) > 1e-8 * np.maximum(np.abs(levels.real), 1.0)):
+        raise ConvergenceFailure("collocation levels are not real")
+    return levels.real, vecs[:, keep].real if vectors else None, p, q
+
+
+def collocation_levels(v, n_levels: int) -> np.ndarray:
+    """The n_levels lowest levels of -d^2/dx^2 + V on (0, pi), ascending.
+
+    v is a callable that takes an array of x and returns V there; the
+    solver reads V only through it.  Raises IllPosedPotential when a wall's
+    1/x^2 coefficient is below -1/4, NonFinitePotential on a non-finite
+    sample, DomainError unless 1 <= n_levels <= COLLOCATION_NODES // 4.
+    """
+    return _collocate(v, n_levels, vectors=False)[0]
+
+
+def collocation_eigenpairs(v, n_levels: int, x):
+    """(levels, psi): the lowest levels and their eigenfunctions at x.
+
+    psi[:, j] is x^p (pi - x)^q times the barycentric interpolant of the
+    collocated phi_j, scaled to unit maximum with its first sample above a
+    tenth of that maximum positive.  x must lie in (0, pi).
+    """
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0.0) or np.any(x >= math.pi):
+        raise DomainError("x must lie in the open interval (0, pi)")
+    levels, phi, p, q = _collocate(v, n_levels, vectors=True)
+    weights = x[:, None] - _NODES
+    hit = weights == 0.0
+    weights[hit] = 1.0
+    np.divide(_BARY, weights, out=weights)
+    on_node = hit.any(axis=1)
+    weights[on_node] = hit[on_node]     # a sample on a node takes its value
+    phi_x = (weights @ phi) / weights.sum(axis=1)[:, None]
+    psi = (x**p * (math.pi - x + _PI_LO) ** q)[:, None] * phi_x
+    for j in range(n_levels):
+        col = psi[:, j] / np.max(np.abs(psi[:, j]))
+        big = np.nonzero(np.abs(col) > 0.1)[0][0]
+        psi[:, j] = col if col[big] > 0.0 else -col
+    return levels, psi

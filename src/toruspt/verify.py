@@ -4,11 +4,15 @@ Each check measures one invariant (special-function oracle agreement, SUSY
 identities, oracle spectra, algebra closure, ...) and reports a measured
 value against a fixed tolerance.  Checks are pure and independent of one
 another; each quantity that several checks read is computed once per run, by
-one call, and cached on the Context: the ladder grid's eigenvectors and the
+one call, and cached on the Context: the ladder grid's eigenfunctions and the
 ladder images of F_1..F_3, the reference eigenfunctions, the V- levels, and
 the backbone commutator residuals at N = 1024 and 2048.  Output rows are
 emitted in registration order, so two runs of the same suite produce
 identical reports.
+
+Every oracle spectrum and eigenfunction comes from oracle's Chebyshev
+collocation, which reads only samples of the potential; each such check's
+detail names the solver and its node count.
 
 The random-draw check beta_quadrature evaluates one incomplete beta call
 per draw, against one scipy hyp2f1 call per triple, B(z; s, w) = z^s/s
@@ -49,6 +53,7 @@ __all__ = ["CheckResult", "VerifyReport", "run_suite", "SUITES", "CHECKS"]
 
 PT_A, PT_B = -2.0, 0.5  # reference solvable family used throughout
 PT_SPEC = susy.PureTrigPT(PT_A, PT_B)
+COLLOCATION = f"Chebyshev collocation, N={oracle.COLLOCATION_NODES}"
 
 
 @dataclass
@@ -108,12 +113,14 @@ class Context:
 
     @functools.cached_property
     def ladder(self):
-        """(x, vecs): 6001 points of [0.05, pi - 0.05] and the oracle's three
-        lowest eigenvectors of the reference V+ there."""
-        grid = oracle.Grid1D(0.05, math.pi - 0.05, 6001)
-        vp = susy.pt_coefficients(PT_SPEC, "plus")(grid.points)
-        _, vecs = oracle.eigenpairs(oracle.build_hamiltonian(vp, grid), 3, grid)
-        return grid.points, vecs
+        """(x, vecs): the 6001 interior points of a uniform 6003-point grid on
+        [0.05, pi - 0.05] and the oracle's three lowest eigenfunctions of the
+        reference V+ there."""
+        h = (math.pi - 0.05 - 0.05) / 6002
+        x = 0.05 + h * np.arange(1, 6002)
+        _, vecs = oracle.collocation_eigenpairs(
+            susy.pt_coefficients(PT_SPEC, "plus"), 3, x)
+        return x, vecs
 
     @functools.cached_property
     def pt_levels(self):
@@ -124,11 +131,11 @@ class Context:
 
     @functools.cached_property
     def pt_spectrum(self):
-        """(grid, eps): 2000 points of [0.002, pi - 0.002] and the oracle's five
-        lowest levels of the reference V- there."""
-        grid = oracle.Grid1D(0.002, math.pi - 0.002, 2000)
-        vm = susy.pt_coefficients(PT_SPEC, "minus")(grid.points)
-        return grid, oracle.solve_potential(vm, grid, 5)
+        """(eps, seconds): the oracle's five lowest levels of the reference V-
+        and the time the solve took."""
+        t0 = time.perf_counter()
+        eps = oracle.collocation_levels(susy.pt_coefficients(PT_SPEC, "minus"), 5)
+        return eps, time.perf_counter() - t0
 
     @functools.cached_property
     def ladder_images(self):
@@ -464,44 +471,37 @@ def _appell_g_functional(ctx):
 
 @_check("spectrum_pt_oracle", "susy")
 def _spectrum_pt(ctx):
-    grid = oracle.Grid1D(0.002, math.pi - 0.002, 4000)
-    v = susy.pt_coefficients(PT_SPEC, "minus")(grid.points)
-    t0 = time.perf_counter()
-    eps = oracle.solve_potential(v, grid, 5)
-    elapsed = time.perf_counter() - t0
+    eps, elapsed = ctx.pt_spectrum
     expect = [n * (n + 4.0) for n in range(5)]
     abs0 = abs(eps[0])
     rel = max(abs(eps[n] / expect[n] - 1.0) for n in range(1, 5))
     ok = abs0 < 0.01 and rel < 5e-3 and elapsed < 5.0
     # no seconds in the detail, so that reruns print the same bytes
-    detail = f"|eps0|={abs0:.2e}, max rel={rel:.2e}" + \
+    detail = f"|eps0|={abs0:.2e}, max rel={rel:.2e}, {COLLOCATION}" + \
         ("" if elapsed < 5.0 else ", solve took 5 s or more")
     return CheckResult(ok, rel, 5e-3, detail)
 
 
 @_check("isospectral_pt", "susy")
 def _isospectral_pt(ctx):
-    # oracle.isospectral_check with the V- levels the context shares
-    grid, eps_minus = ctx.pt_spectrum
-    rep = oracle.spectrum_report(
-        "isospectral", {"levels": 4}, eps_minus[1:],
-        susy.pt_coefficients(PT_SPEC, "plus")(grid.points), grid, 5e-3, 5e-3)
-    return CheckResult(rep.passed, rep.max_rel_err,
-                       5e-3, "spec(V+) vs spec(V-) shifted by one level")
+    eps_minus, _ = ctx.pt_spectrum
+    eps_plus = oracle.collocation_levels(susy.pt_coefficients(PT_SPEC, "plus"), 4)
+    worst = max(abs(eps_plus[n] / eps_minus[n + 1] - 1.0) for n in range(4))
+    return _result(worst, 5e-3,
+                   f"spec(V+) vs spec(V-) shifted by one level, {COLLOCATION}")
 
 
 @_check("spectrum_b_independence", "susy")
 def _b_independence(ctx):
-    grid, eps_ref = ctx.pt_spectrum
+    eps_ref, _ = ctx.pt_spectrum
     worst = 0.0
     for b in (0.0, 0.25, PT_B):
-        spec = susy.PureTrigPT(PT_A, b)
-        eps = eps_ref if b == PT_B else oracle.solve_potential(
-            susy.pt_coefficients(spec, "minus")(grid.points), grid, 5)
+        eps = eps_ref if b == PT_B else oracle.collocation_levels(
+            susy.pt_coefficients(susy.PureTrigPT(PT_A, b), "minus"), 5)
         for n in range(1, 5):
             worst = max(worst, abs(eps[n] / (n * (n + 4.0)) - 1.0))
-    return _result(worst, 5e-3,
-                   "eps(n) = (n-A)^2 - A^2 for B in {0, 0.25, 0.5}")
+    return _result(worst, 5e-3, f"eps(n) = (n-A)^2 - A^2 for B in "
+                                f"{{0, 0.25, 0.5}}, {COLLOCATION}")
 
 
 @_check("eigenfunction_residual", "susy")
@@ -558,7 +558,7 @@ def _ladder_cosine(ctx):
     deficits = [_cosine_deficit(img, vecs[:, n])
                 for n, (_, img) in enumerate(ctx.ladder_images)]
     detail = "1-cos = " + ", ".join(f"{d:.1e}" for d in deficits)
-    return _result(max(deficits), 1e-6, detail)
+    return _result(max(deficits), 1e-6, f"{detail}, {COLLOCATION}")
 
 
 @_check("ladder_partner_cosine_ground", "susy")
@@ -566,7 +566,8 @@ def _ladder_cosine_ground(ctx):
     _, vecs = ctx.ladder
     _, img = ctx.ladder_images[0]
     return _result(_cosine_deficit(img, vecs[:, 0]), 1e-8,
-                   "lowest partner level against the oracle eigenvector")
+                   f"lowest partner level against the oracle eigenfunction, "
+                   f"{COLLOCATION}")
 
 
 @_check("ladder_norm_ratio", "susy")
@@ -727,9 +728,8 @@ def _eps_identity(ctx):
 def _casimir_oracle(ctx):
     p = iso21.AlgebraParams(B1=-0.5, mu=1.5, K1=0.0, K2=0.0,
                             geom=TorusGeometry(1.0, 1.0))
-    grid = oracle.Grid1D(0.002, math.pi - 0.002, 2000)
-    v = iso21.casimir_potential(p, grid.points)
-    evals = oracle.solve_potential(v, grid, 4)
+    evals = oracle.collocation_levels(
+        functools.partial(iso21.casimir_potential, p), 4)
     shift = iso21.casimir_shift(p)
     worst = 0.0
     for n in range(4):
@@ -737,7 +737,8 @@ def _casimir_oracle(ctx):
         got = evals[n] - shift
         worst = max(worst, abs(got - eps) / max(abs(eps), 1.0))
     return _result(worst, 5e-3,
-                   "Casimir potential spectrum matches eps(n) + const")
+                   f"Casimir potential spectrum matches eps(n) + const, "
+                   f"{COLLOCATION}")
 
 
 @_check("scaling_routes", "algebra")

@@ -1031,8 +1031,9 @@ def test_potential_and_wavefunction_load_no_scipy():
 
 
 def test_verify_and_spectrum_load_no_scipy_integrate_sparse_or_optimize():
-    # the oracle needs scipy.linalg and the special-function references
-    # scipy.special; the incomplete beta's reference is scipy's compiled 2F1,
+    # spectrum's finite-difference oracle needs scipy.linalg and verify's
+    # special-function references scipy.special; the incomplete beta's
+    # reference is scipy's compiled 2F1,
     # not a quadrature that would load scipy.integrate and its dependencies
     argvs = [["verify", "--suite", "all"],
              ["spectrum", "--case", "pt", "--A", "-2", "--B", "0.5", "--levels", "3"]]
@@ -1044,6 +1045,18 @@ def test_verify_and_spectrum_load_no_scipy_integrate_sparse_or_optimize():
     assert "scipy.linalg" in loaded and "scipy.special" in loaded
     heavy = {"scipy.integrate", "scipy.sparse", "scipy.optimize"}
     assert [m for m in loaded if ".".join(m.split(".")[:2]) in heavy] == []
+
+
+def test_verify_loads_no_scipy_linalg():
+    # verify's oracle is the collocation solver, a numpy eigen-solve; only the
+    # finite-difference solve of spectrum and algebra imports scipy.linalg
+    res = run_python("-c", _SCIPY_PROBE, json.dumps([["verify", "--suite", "all"]]))
+    assert res.returncode == 0, res.stderr
+    obj = json.loads(res.stdout)
+    assert obj["codes"] == {"verify --suite all": 0}
+    loaded = obj["loaded"]["requests"]
+    assert "scipy.special" in loaded
+    assert [m for m in loaded if m.startswith("scipy.linalg")] == []
 
 
 def test_errata_and_iso21_load_no_scipy():

@@ -21,7 +21,7 @@ from toruspt.errors import (
     SingularGeometry,
 )
 from toruspt.geometry import TorusGeometry, prefactor_f
-from toruspt.oracle import Grid1D, build_hamiltonian, eigenpairs, solve_potential
+from toruspt.oracle import Grid1D, collocation_eigenpairs, solve_potential
 from toruspt.special import JacobiParams, jacobi_poly
 from toruspt.susy import (
     AppellTail,
@@ -423,10 +423,8 @@ def test_formal_eigenfunctions_are_computed_without_a_warning():
 
 @pytest.fixture(scope="module")
 def ladder_grid():
-    grid = Grid1D(0.05, math.pi - 0.05, 6001)
-    x = grid.points
-    vp = pt_coefficients(PT, "plus")(x)
-    vals, vecs = eigenpairs(build_hamiltonian(vp, grid), 3, grid)
+    x = Grid1D(0.05, math.pi - 0.05, 6001).points
+    vals, vecs = collocation_eigenpairs(pt_coefficients(PT, "plus"), 3, x)
     return x, vals, vecs
 
 
@@ -444,7 +442,7 @@ def test_ladder_maps_to_partner_eigenvectors(ladder_grid):
         v = vecs[:, n]
         cos = abs(float(img @ v)) / (np.linalg.norm(img) * np.linalg.norm(v))
         assert 1.0 - cos < 1e-6
-    # the lowest level meets the tighter oracle-eigenvector bound
+    # the lowest level meets the tighter oracle-eigenfunction bound
     img = ladder_apply(PT, eigenfunction_minus(-2.0, 0.5, 1, x), x)
     cos = abs(float(img @ vecs[:, 0])) / (np.linalg.norm(img)
                                           * np.linalg.norm(vecs[:, 0]))
