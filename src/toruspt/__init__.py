@@ -4,10 +4,10 @@ potential families on a torus surface.
 The package reconstructs the reduction of a massless spin-1/2 mode on a
 torus to one-dimensional Schrodinger form, the four superpotential families
 with their partner potentials and closed-form spectra, the modified iso(2,1)
-generators whose Casimir operator reproduces the same spectrum, and
-independent eigensolvers that check the closed forms: Chebyshev collocation
-for the verify suite's spectra and eigenfunctions, and finite differences on
-the grid the spectrum command is given.
+generators whose Casimir operator reproduces the same spectrum, and an
+independent eigensolver that checks the closed forms: Chebyshev collocation,
+for the verify suite's spectra and eigenfunctions and for the spectrum and
+algebra commands.
 """
 
 from .errors import (
@@ -38,13 +38,13 @@ from .susy import (
     RationalSin,
 )
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 
-# oracle takes about 4 ms to import (its dataclasses and collocation tables),
+# oracle takes about 2.5 ms to import (its dataclass and collocation tables),
 # which only spectrum and verify need, so its names are imported on first
 # access
-_ORACLE_NAMES = ("EigenReport", "Grid1D", "SymTridiagonal")
+_ORACLE_NAMES = ("EigenReport",)
 
 
 def __getattr__(name):

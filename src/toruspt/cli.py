@@ -32,14 +32,13 @@ wavefunction column that vanishes everywhere, are domain failures.
 The only environment variable consulted is TORUSPT_OUTDIR, an optional
 prefix for relative output paths.
 
-Only spectrum (and algebra) and verify load scipy, inside the command that
-needs it: spectrum loads scipy.linalg for its finite-difference solve, and
-verify loads scipy.special for its special-function references.  Importing
-this module and building the parser loads none, and neither do potential,
-wavefunction and errata, so a potential or wavefunction process spends about
-0.15 s on imports, where scipy.linalg and scipy.special would add about
-0.25 s (2 vCPU Xeon, Python 3.11).  verify writes the suite's elapsed time
-as one line to stderr, never to its report.
+Only verify loads scipy, inside the command: scipy.special for its
+special-function references.  spectrum and algebra solve by collocation, a
+numpy eigen-solve.  Importing this module and building the parser loads no
+scipy, and neither do potential, wavefunction, spectrum, algebra and errata,
+so such a process spends about 0.15 s on imports, where scipy.special would
+add about 0.25 s (2 vCPU Xeon, Python 3.11).  verify writes the suite's
+elapsed time as one line to stderr, never to its report.
 
 main builds the parser once per process and reuses it; build_parser() itself
 returns a new one on every call.  Building it takes about 2-3 ms against
@@ -447,6 +446,9 @@ def _add_params(p):
         p.add_argument(f"--{name}", type=_finite, dest=name)
     p.add_argument("--lambda", type=_finite, dest="lam")
     p.add_argument("--branch", choices=("+", "-"))
+
+
+def _add_grid(p):
     p.add_argument("--x-lo", type=_finite, dest="x_lo", default=0.002)
     p.add_argument("--x-hi", type=_finite, dest="x_hi", default=math.pi - 0.002)
     p.add_argument("--n-points", type=int, dest="n_points", default=2001)
@@ -550,32 +552,33 @@ def cmd_potential(args) -> int:
     return 0
 
 
-def _spectrum_inputs(args):
-    """(eps list, potential samples, params dict) for the oracle comparison."""
-    from . import oracle
+def _quiet(f):
+    """f with numpy's floating-point warnings off: the oracle reports a
+    potential that overflows (NonFinitePotential), so they would repeat it."""
+    def v(x):
+        with np.errstate(all="ignore"):
+            return f(x)
+    return v
 
-    grid = oracle.Grid1D(args.x_lo, args.x_hi, args.n_points)
-    x = grid.points
-    # oracle.build_hamiltonian reports a potential that overflows, so
-    # numpy's warnings would only repeat it
+
+def _spectrum_inputs(args):
+    """(eps list, potential callable, params dict) for the oracle comparison."""
     if args.case == "iso21":
         p = _algebra_from_args(args)
         _warn_regime(iso21.susy_family(p))
         eps = [iso21.algebra_spectrum(p, n)[0] for n in range(args.levels)]
-        with np.errstate(all="ignore"):
-            v = iso21.casimir_potential(p, x) - iso21.casimir_shift(p)
-        return eps, v, grid, _params_dict(args)
+        return eps, _quiet(lambda x: iso21.casimir_potential(p, x)
+                           - iso21.casimir_shift(p)), _params_dict(args)
     spec = _family_from_args(args)
     _warn_regime(spec)
     eps = [susy.analytic_spectrum(spec, n) for n in range(args.levels)]
-    with np.errstate(all="ignore"):
-        if args.case == "component2":
-            v = susy.pt_coefficients(spec, "minus")(x)
-        else:
-            v, _ = susy.partner_potentials(spec, x)
+    if args.case == "component2":
+        v = susy.pt_coefficients(spec, "minus")
+    else:
+        v = lambda x: susy.partner_potentials(spec, x)[0]
     params = _params_dict(args)
     params.update({"A_solved": spec.A, "B_solved": spec.B})
-    return eps, v, grid, params
+    return eps, _quiet(v), params
 
 
 def cmd_spectrum(args) -> int:
@@ -583,8 +586,8 @@ def cmd_spectrum(args) -> int:
         raise CLIError(f"levels out of supported range 1..{MAX_LEVELS}")
     from . import oracle
 
-    eps, v, grid, params = _spectrum_inputs(args)
-    report = oracle.spectrum_report(args.case, params, eps, v, grid,
+    eps, v, params = _spectrum_inputs(args)
+    report = oracle.spectrum_report(args.case, params, eps, v,
                                     rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     _write_json(report.to_json_obj(), args.output)
     return 0 if report.passed else 1
@@ -702,13 +705,14 @@ def build_parser() -> argparse.ArgumentParser:
     cmds["algebra"].set_defaults(case="iso21")
     for name in ("potential", "spectrum", "algebra", "wavefunction"):
         _add_params(cmds[name])
+    for name in ("potential", "wavefunction"):
+        _add_grid(cmds[name])
     for name in ("spectrum", "algebra"):
         cmds[name].add_argument("--levels", type=int, default=5)
         cmds[name].add_argument("--rel-tol", type=_finite, dest="rel_tol",
                                 default=5e-3)
         cmds[name].add_argument("--abs-tol", type=_finite, dest="abs_tol",
                                 default=0.01)
-        cmds[name].set_defaults(n_points=4000)
     cmds["wavefunction"].add_argument("--n", type=int, default=0)
     cmds["wavefunction"].add_argument("--with-plus", action="store_true",
                                       dest="with_plus")

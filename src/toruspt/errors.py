@@ -46,7 +46,7 @@ class GridTooCoarse(TorusPTError, ValueError):
 
 
 class NonFinitePotential(TorusPTError, ValueError):
-    """A potential sample is NaN or infinite on the interior grid."""
+    """A potential sample is NaN or infinite."""
 
 
 class IllPosedPotential(TorusPTError, ValueError):

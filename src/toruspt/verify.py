@@ -169,8 +169,13 @@ def _result(measured, tol, detail="", compare="le"):
 
 
 def _cosine_deficit(u, v) -> float:
-    """1 - |cos| of the angle between the sample vectors u and v."""
-    return 1.0 - abs(float(np.dot(u, v))) / (np.linalg.norm(u) * np.linalg.norm(v))
+    """1 - |cos| of the angle between the sample vectors u and v, as
+    |u/|u| - s v/|v||^2 / 2 with s the sign of u.v: free of cancellation, so
+    never negative and accurate to rounding for nearly parallel vectors."""
+    u = u / np.linalg.norm(u)
+    v = v / np.linalg.norm(v)
+    d = u - math.copysign(1.0, float(u @ v)) * v
+    return 0.5 * float(d @ d)
 
 
 # --------------------------------------------------------------------------

@@ -81,6 +81,16 @@ def test_spectrum_passes_and_exit_zero():
     assert set(obj) == {"case", "params", "levels", "max_rel_err", "pass"}
 
 
+def test_deep_well_spectrum_passes_with_warnings_as_errors():
+    # A = -500: a finite-difference grid cut at 0.002 read these levels to
+    # 1.6e-4 relative; the collocation levels are right to about 1e-8
+    res = run_python("-W", "error", "-m", "toruspt", "spectrum", "--case", "pt",
+                     "--A", "-500", "--B", "150", "--levels", "8")
+    assert (res.returncode, res.stderr) == (0, "")
+    obj = json.loads(res.stdout)
+    assert obj["pass"] is True and obj["max_rel_err"] < 1e-6
+
+
 @pytest.mark.parametrize("command", [["spectrum", "--case", "iso21"], ["algebra"]])
 def test_iso21_spectrum_warns_outside_regime(capsys, command):
     # B1 = -0.8, mu = 0.1, K1 = 0.6 maps to A = -0.6, B = 0.8: A >= -|B|
@@ -92,7 +102,7 @@ def test_iso21_spectrum_warns_outside_regime(capsys, command):
 
 def test_algebra_alias_matches_pt_spectrum():
     res = run_cli("algebra", "--B1", "-0.5", "--mu", "1.5", "--a", "1",
-                  "--levels", "4", "--n-points", "2000")
+                  "--levels", "4")
     assert res.returncode == 0
     obj = json.loads(res.stdout)
     assert obj["case"] == "iso21"
@@ -123,14 +133,15 @@ def test_bad_arguments_exit_2():
 def test_domain_failure_exits_1():
     # spectrum for a formal regime has eps(n) < 0: domain failure
     res = run_cli("spectrum", "--case", "pt", "--A", "2", "--B", "0.5",
-                  "--levels", "4", "--n-points", "256")
+                  "--levels", "4")
     assert res.returncode == 1
 
 
 def test_tolerance_failure_exits_1():
+    # the collocation levels are right to a few 1e-15, so only a tolerance
+    # below the rounding of a double fails them
     res = run_cli("spectrum", "--case", "pt", "--A", "-2", "--B", "0.5",
-                  "--levels", "3", "--n-points", "1000", "--rel-tol", "1e-12",
-                  "--abs-tol", "1e-12")
+                  "--levels", "3", "--rel-tol", "1e-16", "--abs-tol", "1e-16")
     assert res.returncode == 1
     assert json.loads(res.stdout)["pass"] is False
 
@@ -256,9 +267,10 @@ def test_wavefunction_component2_rejects_A():
 ], ids=["pt", "rational", "rational-solved", "beta", "appell", "component2",
         "iso21"])
 def test_flag_the_case_does_not_read_exits_2(capsys, argv, unread):
-    assert cli.main(argv + ["--n-points", "65"]) in (0, 1)
+    grid = [] if argv[0] == "spectrum" else ["--n-points", "65"]
+    assert cli.main(argv + grid) in (0, 1)
     capsys.readouterr()
-    assert cli.main(argv + unread + ["--n-points", "65"]) == 2
+    assert cli.main(argv + unread + grid) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{argv[2]} case takes --" in captured.err
@@ -272,21 +284,39 @@ def test_config_key_the_case_does_not_read_exits_2(tmp_path, capsys):
     assert "pt case takes --A, --B" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["potential", "wavefunction", "spectrum",
-                                     "algebra"])
+@pytest.mark.parametrize("command", ["potential", "wavefunction"])
 @pytest.mark.parametrize("grid", [("--n-points", "10"),
                                   ("--x-lo", "2.0", "--x-hi", "1.0")])
 def test_bad_grid_exits_2_for_every_grid_command(capsys, command, grid):
-    case = [] if command == "algebra" else ["--case", "pt", "--A", "-2", "--B", "0.5"]
-    extra = ["--B1", "-0.5", "--mu", "1.5", "--a", "1"] if command == "algebra" else []
-    assert cli.main([command, *case, *extra, *grid]) == 2
+    argv = [command, "--case", "pt", "--A", "-2", "--B", "0.5", *grid]
+    assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "n_points must be at least 64" in err or "0 < x_lo < x_hi < pi" in err
 
 
+# the collocation oracle has no grid: spectrum and algebra take no grid flag
+@pytest.mark.parametrize("command", [
+    ["spectrum", "--case", "pt", "--A", "-2", "--B", "0.5"],
+    ["algebra", "--B1", "-0.5", "--mu", "1.5", "--a", "1"]],
+    ids=["spectrum", "algebra"])
+@pytest.mark.parametrize("flag", [("--x-lo", "0.1"), ("--x-hi", "3.0"),
+                                  ("--n-points", "4000"), "config"])
+def test_spectrum_and_algebra_reject_grid_flags(tmp_path, capsys, command, flag):
+    if flag == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("x_lo=0.1\n")
+        flag = ("--config", str(cfg))
+        message = "unknown key 'x_lo'"
+    else:
+        message = f"unrecognized arguments: {' '.join(flag)}"
+    code, out, err = _in_process([*command, *flag], capsys)
+    assert (code, out) == (2, "")
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_byte_identical_reruns(tmp_path):
-    args = ("spectrum", "--case", "pt", "--A", "-2", "--B", "0.5", "--levels",
-            "3", "--n-points", "1000")
+    args = ("spectrum", "--case", "pt", "--A", "-2", "--B", "0.5", "--levels", "3")
     out = [run_cli(*args).stdout for _ in range(2)]
     assert out[0] == out[1]
     path_args = args + ("--output", str(tmp_path / "rep.json"))
@@ -391,7 +421,7 @@ def test_non_finite_flag_exits_2(flag, value):
 
 
 def test_grid_above_cap_exits_2():
-    res = run_cli("spectrum", "--case", "pt", "--A", "-2", "--B", "0.5",
+    res = run_cli("potential", "--case", "pt", "--A", "-2", "--B", "0.5",
                   "--n-points", "1000002")
     assert res.returncode == 2
     assert "n_points must be at most 1000001" in res.stderr
@@ -720,14 +750,14 @@ def test_appell_zero_radius_is_a_domain_error(command, capsys):
 
 
 def test_component2_overflow_leaks_no_numpy_warning():
-    # build_hamiltonian reports the non-finite V-; numpy's warning would
-    # only repeat it, so stderr is the regime line and the error line alone
+    # the oracle reports the non-finite V-; numpy's warning would only
+    # repeat it, so stderr is the regime line and the error line alone
     res = run_cli("spectrum", "--case", "component2", "--a", "1", "--B", "1e300",
                   "--branch", "+", "--levels", "1")
     assert res.returncode == 1
     assert res.stderr == (
         "warning: non-normalizable regime (A >= -|B|); values are formal\n"
-        "error: NonFinitePotential: potential has non-finite samples on the grid\n")
+        "error: NonFinitePotential: potential has non-finite samples\n")
 
 
 def test_equal_radii_conditions_at_a_b_below_rounding():
@@ -748,18 +778,19 @@ def test_equal_radii_conditions_at_a_small_b(b, capsys):
     # 1 - 2A carries a relative error of about 1e-16/|2B|: the solver once
     # raised "solved c = ... violates a = |c|" here, or (at -3e-5) returned a
     # family whose wavefunction and spectrum failed the cancellation gate
-    base = ["--case", "rational", "--a", "1", "--B", b, "--branch", "-",
-            "--n-points", "64"]
+    base = ["--case", "rational", "--a", "1", "--B", b, "--branch", "-"]
     regime = "warning: non-normalizable regime (A >= -|B|); values are formal\n"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for command in (["potential"], ["wavefunction", "--n", "0"]):
-            code, out, err = _in_process([*command, *base], capsys)
+            code, out, err = _in_process([*command, *base, "--n-points", "64"],
+                                         capsys)
             assert (code, err) == (0, regime)
             assert len(out.splitlines()) == 65
         # A is about 1/2, so the tower has a negative level or the oracle
         # disagrees: that is the spectrum's exit 1, not the conditions'
         code, _, err = _in_process(["spectrum", *base], capsys)
+    assert code == 1
     assert "rational part" not in err and "InconsistentConditions" not in err
 
 
@@ -980,7 +1011,7 @@ def test_verify_stdout_does_not_depend_on_the_clock(monkeypatch, capsys, fmt):
         assert line.startswith("verify: suite=susy took ") and line.endswith(" s")
 
 
-# -- cold start: only spectrum and verify load scipy ------------------------
+# -- cold start: only verify loads scipy -----------------------------------
 
 _LIGHT_CASES = {
     "pt": ["--A", "-2", "--B", "0.5"],
@@ -1017,46 +1048,40 @@ print(json.dumps({"loaded": loaded, "codes": codes}))
 
 
 def test_potential_and_wavefunction_load_no_scipy():
+    # spectrum and algebra too: their oracle is a numpy eigen-solve
     grid = ["--x-lo", "0.2", "--x-hi", "2.0", "--n-points", "65"]
     argvs = [[cmd, "--case", case, *extra, *grid]
              for case, extra in _LIGHT_CASES.items()
              for cmd in ("potential", "wavefunction")]
+    argvs += [["spectrum", "--case", case, *extra, "--levels", "3"]
+              for case, extra in _LIGHT_CASES.items()]
+    argvs.append(["algebra", *_LIGHT_CASES["iso21"], "--levels", "3"])
     res = run_python("-c", _SCIPY_PROBE, json.dumps(argvs))
     assert res.returncode == 0, res.stderr
     obj = json.loads(res.stdout)
     assert obj["loaded"] == {"parser": [], "requests": []}
     expected = {" ".join(a[:3]): 0 for a in argvs}
     expected["wavefunction --case iso21"] = 2  # no wavefunction family for iso21
+    # the formal regimes fail the oracle, and the rational set (A = 1.25) has
+    # a negative level
+    for case in ("rational", "beta", "appell", "component2", "iso21"):
+        expected[f"spectrum --case {case}"] = 1
+    expected["algebra --B1 -0.8"] = 1
     assert obj["codes"] == expected
 
 
-def test_verify_and_spectrum_load_no_scipy_integrate_sparse_or_optimize():
-    # spectrum's finite-difference oracle needs scipy.linalg and verify's
-    # special-function references scipy.special; the incomplete beta's
-    # reference is scipy's compiled 2F1,
-    # not a quadrature that would load scipy.integrate and its dependencies
-    argvs = [["verify", "--suite", "all"],
-             ["spectrum", "--case", "pt", "--A", "-2", "--B", "0.5", "--levels", "3"]]
-    res = run_python("-c", _SCIPY_PROBE, json.dumps(argvs))
-    assert res.returncode == 0, res.stderr
-    obj = json.loads(res.stdout)
-    assert obj["codes"] == {"verify --suite all": 0, "spectrum --case pt": 0}
-    loaded = obj["loaded"]["requests"]
-    assert "scipy.linalg" in loaded and "scipy.special" in loaded
-    heavy = {"scipy.integrate", "scipy.sparse", "scipy.optimize"}
-    assert [m for m in loaded if ".".join(m.split(".")[:2]) in heavy] == []
-
-
 def test_verify_loads_no_scipy_linalg():
-    # verify's oracle is the collocation solver, a numpy eigen-solve; only the
-    # finite-difference solve of spectrum and algebra imports scipy.linalg
+    # verify's oracle is the collocation solver, a numpy eigen-solve, and the
+    # incomplete beta's reference is scipy's compiled 2F1, not a quadrature
+    # that would load scipy.integrate and its dependencies
     res = run_python("-c", _SCIPY_PROBE, json.dumps([["verify", "--suite", "all"]]))
     assert res.returncode == 0, res.stderr
     obj = json.loads(res.stdout)
     assert obj["codes"] == {"verify --suite all": 0}
     loaded = obj["loaded"]["requests"]
     assert "scipy.special" in loaded
-    assert [m for m in loaded if m.startswith("scipy.linalg")] == []
+    heavy = {"scipy.linalg", "scipy.integrate", "scipy.sparse", "scipy.optimize"}
+    assert [m for m in loaded if ".".join(m.split(".")[:2]) in heavy] == []
 
 
 def test_errata_and_iso21_load_no_scipy():
@@ -1084,10 +1109,10 @@ def test_errata_and_iso21_load_no_scipy():
 def test_package_names_resolve_without_loading_scipy_first():
     code = ("import sys, toruspt\n"
             "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
-            "from toruspt import EigenReport, Grid1D, SymTridiagonal, oracle\n"
-            "assert (EigenReport, Grid1D, SymTridiagonal) == "
-            "(oracle.EigenReport, oracle.Grid1D, oracle.SymTridiagonal)\n"
-            "assert not hasattr(toruspt, 'no_such_name')\n")
+            "from toruspt import EigenReport, oracle\n"
+            "assert EigenReport is oracle.EigenReport\n"
+            "assert not hasattr(toruspt, 'no_such_name')\n"
+            "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)\n")
     res = run_python("-c", code)
     assert res.returncode == 0, res.stderr
 

@@ -2,11 +2,12 @@
 
 Each drawn argv runs potential, wavefunction, spectrum or algebra through
 cli.main in process, on any case and with either of the rational case's two
-flag sets, with floats from an edge list and from uniform(-5, 5) and at
-times its own grid ends, and must keep the contract: exit 0, 1 or 2 with no
-exception out of main; an error exit writes exactly one error line (a
-spectrum that misses its tolerance exits 1 with its report instead); exit 0
-writes only finite numbers; and no RuntimeWarning escapes.
+flag sets, with floats from an edge list and from uniform(-5, 5) and, for
+potential and wavefunction, a grid with at times its own ends, and must keep
+the contract: exit 0, 1 or 2 with no exception out of main; an error exit
+writes exactly one error line (a spectrum that misses its tolerance exits 1
+with its report instead); exit 0 writes only finite numbers; and no
+RuntimeWarning escapes.
 """
 
 import contextlib
@@ -63,7 +64,6 @@ def _argv(draw, cases):
         cases = [case for case in cases if case != "iso21"]
     case = "iso21" if command == "algebra" else draw(st.sampled_from(cases))
     argv = [command] + (["--case", case] if command != "algebra" else []) + [
-        "--n-points", str(draw(st.integers(64, 201))),
         "--format", draw(st.sampled_from(["csv", "json"]))]
     required, optional = draw(st.sampled_from(_FLAGS[case]))
     names = list(required) + [name for name in optional if draw(st.booleans())]
@@ -74,9 +74,12 @@ def _argv(draw, cases):
         argv += ["--a", repr(a), "--lambda", repr(a * draw(st.floats(1.1, 3.0)))]
     for name in names:
         argv += draw(_flag(name))
-    for end in ("--x-lo", "--x-hi"):
-        if draw(st.sampled_from([False, False, False, True])):
-            argv += [end, repr(draw(_END))]
+    if command in ("potential", "wavefunction"):
+        # spectrum and algebra solve by collocation, which has no grid
+        argv += ["--n-points", str(draw(st.integers(64, 201)))]
+        for end in ("--x-lo", "--x-hi"):
+            if draw(st.sampled_from([False, False, False, True])):
+                argv += [end, repr(draw(_END))]
     if command == "wavefunction":
         argv += ["--n", str(draw(st.integers(0, 3)))]
         if draw(st.booleans()):

@@ -20,7 +20,7 @@ from toruspt.iso21 import (
     st_functions,
     susy_family,
 )
-from toruspt.oracle import Grid1D, solve_potential
+from toruspt.oracle import collocation_levels
 from toruspt.susy import PureTrigPT, RationalSin, analytic_spectrum, \
     partner_potentials, rational_part_cancels, sin_tail
 
@@ -199,8 +199,7 @@ def test_mu1_is_derived_from_mu():
 def test_algebra_spectrum_oracle():
     p = AlgebraParams(B1=-0.5, mu=1.5, K1=0.0, K2=0.0,
                       geom=TorusGeometry(1.0, 1.0))
-    grid = Grid1D(0.002, math.pi - 0.002, 2000)
-    evals = solve_potential(casimir_potential(p, grid.points), grid, 4)
+    evals = collocation_levels(lambda x: casimir_potential(p, x), 4)
     shift = (p.mu + 0.5) ** 2 - 0.25
     for n in range(4):
         eps, _ = algebra_spectrum(p, n)

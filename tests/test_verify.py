@@ -1,7 +1,10 @@
-"""verify and errata compute each shared quantity once, by one call."""
+"""verify and errata compute each shared quantity once, by one call; the
+cosine deficit the eigenfunction checks read."""
 
 import collections
+import math
 
+import numpy as np
 import pytest
 
 from toruspt import errata, iso21, susy, verify
@@ -61,3 +64,15 @@ def test_a_shared_artifact_gives_each_check_its_own_value(names):
     alone = [verify.CHECKS[n][1](verify.Context()) for n in names]
     assert [(r.measured, r.detail) for r in shared] \
         == [(r.measured, r.detail) for r in alone]
+
+
+def test_cosine_deficit_is_never_negative_and_resolves_a_small_tilt():
+    u = np.sin(np.linspace(0.1, 3.0, 1001)) * np.linspace(1.0, 2.0, 1001)
+    for v in (u, -u, 3.0 * u):
+        assert 0.0 <= verify._cosine_deficit(u, v) < 1e-30
+    # a tilt of t = 1e-6: 1 - cos t = 2 sin^2(t/2), which 1 - cos rounds to
+    # 5.0004e-13
+    t = 1e-6
+    tilted = np.array([math.cos(t), math.sin(t)])
+    got = verify._cosine_deficit(np.array([1.0, 0.0]), tilted)
+    assert got == pytest.approx(2.0 * math.sin(0.5 * t) ** 2, rel=1e-9)
