@@ -38,7 +38,7 @@ from .susy import (
     RationalSin,
 )
 
-__version__ = "0.11.0"
+__version__ = "0.11.1"
 
 
 # oracle takes about 2.5 ms to import (its dataclass and collocation tables),

@@ -5,16 +5,16 @@ evaluator can be checked against an independent brute-force oracle: the test
 suite compares the Jacobi recurrence against a term-by-term hypergeometric
 sum, the incomplete beta against adaptive quadrature and mpmath, and the
 double-variable hypergeometric series against its single-variable reductions.
-The two grid stencils take the sample points and read their step from
-uniform_step, which rejects a grid that is not uniform.
+The two grid stencils take at least 5 sample points and read their step
+from uniform_step, which rejects a zero step or a grid that is not uniform.
 
 Each series is summed one way, and every value is the term-by-term loop's
 bit for bit, with its errors.  The incomplete beta takes scalar s and w; its
 stop loops run on Python floats, whose + - * / round as numpy's do, and give
 the term count for an array loop over all points (and, at one point, the
 sum itself).  incomplete_beta_series is its series in z alone, on every
-point.  F1's recurrence runs a block of terms per numpy call, in the loop's
-order; each point stops at its own term.
+point.  F1 takes scalar parameters and points, and is the term-by-term
+loop itself, on Python floats.
 
 All operations are pure and deterministic; there is no shared state.
 """
@@ -162,32 +162,6 @@ def jacobi_poly(params: JacobiParams, z):
     else:
         out = _jacobi_binomial_sum(n, a, b, zs)
     return float(out[0]) if scalar else out
-
-
-def _per_point(p, shape, name):
-    """A series parameter as a Python float if it is a scalar (numpy is
-    slower with a numpy float operand), else broadcast to the points' shape
-    and flattened; DomainError unless every value is finite."""
-    arr = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} requires finite parameters")
-    if arr.ndim == 0:
-        return float(arr)
-    try:
-        return np.broadcast_to(arr, shape).ravel()
-    except ValueError:
-        raise DomainError(
-            f"{name} parameters must broadcast to the points' shape") from None
-
-
-def _pick(v, mask):
-    """v at the masked points if it is per point; a scalar serves them all."""
-    return v[mask] if isinstance(v, np.ndarray) else v
-
-
-def _any(b):
-    """any() of a mask, or the truth of a bool (a numpy bool's .any() is slow)."""
-    return b.any() if isinstance(b, np.ndarray) else bool(b)
 
 
 def _incbeta_unconverged():
@@ -389,167 +363,63 @@ def incomplete_beta(z, s, w):
     return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
 
 
-# Block summation.  The F1 recurrence advances a block of terms per numpy
-# call: row j of a (rows, points) array is term k0 + j at every live point.
-# The partial sums are a running sum down the rows, which numpy's accumulate
-# takes in sequence, so every row holds the bits the term-by-term loop would
-# hold at that term.  Each point then stops at its first row that passes the
-# stop test, exactly where the loop would have stopped it; the rows a block
-# computes past a point's stop are discarded (under errstate, since they may
-# overflow).  A block is at most _BLOCK_TERMS terms and at most _BLOCK
-# term x point entries (64 KB of doubles), but at least one term.  A row is
-# taken before a mask selects from it (v[-1][keep]): numpy's mixed index
-# v[-1, keep] takes a slow path, about 10x on 100001 points.
-_BLOCK_TERMS = 64
-_BLOCK = 8192
-
-
-def _block_rows(left, points):
-    """Terms in the next block: at most _BLOCK_TERMS and the left terms of
-    the budget, at most _BLOCK entries, but at least one."""
-    return min(_BLOCK_TERMS, left, max(1, _BLOCK // points))
-
-
-_NONE = np.empty(0, dtype=np.intp)
-
-
-def _first_rows(done):
-    """For a (rows, points) stop mask: the columns with a row set, their
-    first set rows, and what selects the other columns (all of them, as a
-    slice and without a copy, if none is set)."""
-    hit = done.any(axis=0)
-    if not hit.any():
-        return _NONE, _NONE, slice(None)
-    cols = np.flatnonzero(hit)
-    return cols, done.take(cols, axis=1).argmax(axis=0), ~hit
-
-
-def _f1_unconverged(points):
-    return NonConvergence(
-        f"appell_f1 did not converge within {_MAX_TERMS} diagonals "
-        f"at {points} point(s)")
-
-
 def _f1_overflowed():
     return NonConvergence("appell_f1 series overflowed before converging")
 
 
-# An overflowing series is reported as NonConvergence, so numpy's warnings
-# would only repeat it; once a product overflows, inf - inf is nan, which is
-# reported as overflow too.
-@np.errstate(over="ignore", invalid="ignore")
-def _appell_f1_recurrence(a, b1, b2, c, x, y):
-    """F1 at the 1-D points x, y (at least one), in O(1) work per diagonal
-    and point.
+def appell_f1(a, b1, b2, c, x, y):
+    """Appell F1(a; b1, b2; c; x, y) by truncated double series, a float.
 
-    Diagonal k sums to s_k = (a)_k/(c)_k e_k, where e_k is the t^k coefficient
-    of (1 - xt)^(-b1) (1 - yt)^(-b2).  Its logarithmic derivative gives
-    k e_k = ((k-1)(x+y) + b1 x + b2 y) e_{k-1} - (k-2+b1+b2) x y e_{k-2},
-    so with g_k = (a+k-1)/(c+k-1)
+    Terms T(m,n) = (a)_{m+n} (b1)_m (b2)_n / ((c)_{m+n} m! n!) x^m y^n
+    (DLMF 16.13.1) are summed by anti-diagonals m+n = k on Python floats,
+    x = y included.  Diagonal k sums to s_k = (a)_k/(c)_k e_k, where e_k is
+    the t^k coefficient of (1 - xt)^(-b1) (1 - yt)^(-b2); its logarithmic
+    derivative gives, with g_k = (a+k-1)/(c+k-1),
     s_k = g_k/k [((k-1)(x+y) + b1 x + b2 y) s_{k-1}
                  - g_{k-1} (k-2+b1+b2) x y s_{k-2}].
-    a, b1, b2 and c are scalars or one value per point.  Each block takes
-    its three coefficient rows in one numpy call each and then runs the
-    recurrence's in-place row operations term by term.
+    The sum stops at the partial sum where two consecutive diagonal sums are
+    both within _ABS_TOL + _REL_TOL |partial sum|.
 
-    A point stops at the first row where this diagonal sum and the one
-    before it are both small, with its partial sum there.  NonConvergence
-    if a point has a non-finite diagonal sum at or before its stop row,
-    where the term-by-term loop would have raised; a non-finite term leaves
-    every later partial sum non-finite, so finite last sums rule that out.
+    Parameters and points are scalars (an array is a DomainError), with
+    |x| < 1, |y| < 1, finite parameters and c not a non-positive integer.
+    NonConvergence after _MAX_TERMS diagonals, or if a diagonal sum or the
+    value is not finite.
     """
-    out = np.empty(x.size)
-    live = np.arange(x.size)
-    partial = np.ones(x.size)
-    prev_small = np.full(x.size, 1.0 <= _ABS_TOL + _REL_TOL)
-    s_prev2, s_prev, g_prev = np.zeros(x.size), np.ones(x.size), 0.0
-    xpy, bxy, xy = x + y, b1 * x + b2 * y, x * y
-    k = 1
-    while k <= _MAX_TERMS:
-        rows = _block_rows(_MAX_TERMS + 1 - k, live.size)
-        kk = np.arange(k, k + rows, dtype=float)[:, None]
-        # g_{k-1} and g_k: one column if a and c are scalars, whose last row
-        # is carried as a scalar
-        g = np.empty((rows + 1, np.broadcast(a, c).size))
-        g[0] = g_prev
-        g[1:] = (a + kk - 1.0) / (c + kk - 1.0)
-        lead = (kk - 1.0) * xpy + bxy
-        back = (g[:-1] * (kk - 2.0 + b1 + b2)) * xy
-        scale = g[1:] / kk
-        s = np.empty((rows + 2, live.size))
-        s[0], s[1] = s_prev2, s_prev
-        for j in range(rows):
-            row = s[j + 2]
-            np.multiply(lead[j], s[j + 1], out=row)
-            row -= np.multiply(back[j], s[j], out=back[j])
-            row *= scale[j]
-        terms = s[2:]
-        sums = np.add.accumulate(np.vstack((partial, terms)), axis=0)[1:]
-        small = np.abs(terms) <= _ABS_TOL + _REL_TOL * np.abs(sums)
-        done = np.empty_like(small)
-        np.logical_and(small[0], prev_small, out=done[0])
-        np.logical_and(small[1:], small[:-1], out=done[1:])
-        cols, first, keep = _first_rows(done)
-        if not np.isfinite(sums[-1]).all():
-            stop = np.full(live.size, rows - 1)
-            stop[cols] = first
-            if (~np.isfinite(terms) & (np.arange(rows)[:, None] <= stop)).any():
-                raise _f1_overflowed()
-        out[live[cols]] = sums[first, cols]
-        if cols.size == live.size:
-            return out
-        live, partial, prev_small = live[keep], sums[-1][keep], small[-1][keep]
-        s_prev2, s_prev = s[-2][keep], s[-1][keep]
-        g_prev = g[-1] if g.shape[1] > 1 else g[-1, 0]
-        xpy, bxy, xy, a, b1, b2, c, g_prev = (
-            _pick(v, keep) for v in (xpy, bxy, xy, a, b1, b2, c, g_prev))
-        k += rows
-    raise _f1_unconverged(live.size)
-
-
-def appell_f1(a, b1, b2, c, x, y):
-    """Appell F1(a; b1, b2; c; x, y) by truncated double series.
-
-    Terms T(m,n) = (a)_{m+n} (b1)_m (b2)_n / ((c)_{m+n} m! n!) x^m y^n are
-    summed by anti-diagonals m+n = k, each diagonal sum built from the two
-    before it by a three-term recurrence for all points at once (see
-    _appell_f1_recurrence), in O(_MAX_TERMS) work per point, x = y included.
-    x and y are scalars or arrays of one shape, the points; the result has
-    that shape, and a 0-d input gives a float.  a, b1, b2 and c are each a
-    scalar or an array that broadcasts to the points' shape (one value per
-    point).  Each point converges on its own: once two consecutive diagonal
-    sums are both within _ABS_TOL + _REL_TOL |partial sum|, it returns its
-    partial sum and leaves the loop.  So whether the parameters are scalars
-    or per point, each value is bit for bit that of the matching scalar call.
-    Requires |x| < 1, |y| < 1, finite parameters and c not a non-positive
-    integer at every point.  Raises NonConvergence if any point is still
-    unconverged after _MAX_TERMS diagonals, or if a diagonal sum or a value
-    is not finite.
-    """
-    x_arr = np.asarray(x, dtype=float)
-    y_arr = np.asarray(y, dtype=float)
-    if x_arr.shape != y_arr.shape:
-        raise DomainError("appell_f1 requires x and y of one shape")
-    if not (np.all(np.abs(x_arr) < 1.0) and np.all(np.abs(y_arr) < 1.0)):
+    if any(np.ndim(v) for v in (a, b1, b2, c, x, y)):
+        raise DomainError("appell_f1 requires scalar parameters and points")
+    a, b1, b2, c, x, y = (float(v) for v in (a, b1, b2, c, x, y))
+    if not (abs(x) < 1.0 and abs(y) < 1.0):
         raise DomainError("appell_f1 requires |x| < 1 and |y| < 1")
-    a, b1, b2, c = (_per_point(p, x_arr.shape, "appell_f1") for p in (a, b1, b2, c))
-    if _any((c <= 0.0) & (abs(c - np.rint(c)) < 1e-12)):
+    if not all(math.isfinite(v) for v in (a, b1, b2, c)):
+        raise DomainError("appell_f1 requires finite parameters")
+    if c <= 0.0 and abs(c - round(c)) < 1e-12:
         raise DomainError("appell_f1 requires c not a non-positive integer")
-    if not x_arr.size:
-        return np.empty(x_arr.shape)
 
-    out = _appell_f1_recurrence(a, b1, b2, c, x_arr.ravel(), y_arr.ravel())
-    # a partial sum can overflow from finite diagonal sums
-    if not np.isfinite(out).all():
-        raise _f1_overflowed()
-    if x_arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(x_arr.shape)
+    xpy, bxy, xy = x + y, b1 * x + b2 * y, x * y
+    s_prev2, s_prev, g_prev, partial = 0.0, 1.0, 0.0, 1.0
+    prev_small = 1.0 <= _ABS_TOL + _REL_TOL
+    for k in range(1, _MAX_TERMS + 1):
+        g = (a + k - 1.0) / (c + k - 1.0)
+        s = ((k - 1.0) * xpy + bxy) * s_prev
+        s -= (g_prev * (k - 2.0 + b1 + b2)) * xy * s_prev2
+        s *= g / k
+        if not math.isfinite(s):
+            raise _f1_overflowed()
+        partial += s
+        small = abs(s) <= _ABS_TOL + _REL_TOL * abs(partial)
+        if small and prev_small:
+            # a partial sum can overflow from finite diagonal sums
+            if not math.isfinite(partial):
+                raise _f1_overflowed()
+            return partial
+        prev_small, s_prev2, s_prev, g_prev = small, s_prev, s, g
+    raise NonConvergence(
+        f"appell_f1 did not converge within {_MAX_TERMS} diagonals")
 
 
 def numeric_derivative(f, x, h=1e-5):
     """Central difference (f(x+h) - f(x-h)) / 2h of a callable, error O(h^2)."""
-    if h <= 0.0:
+    if not h > 0.0:
         raise DomainError("step h must be positive")
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
@@ -562,9 +432,11 @@ _UNIFORM_RTOL = 1e-6
 
 def uniform_step(x):
     """The step x[1] - x[0] of the uniform grid x, the one place a grid step
-    is taken; DomainError where a spacing differs from it by more than 1e-6
-    relative, since every stencil that reads the step assumes it."""
+    is taken; DomainError if it is 0 or a spacing differs from it by more
+    than 1e-6 relative, since every stencil that reads the step assumes it."""
     step = x[1] - x[0]
+    if step == 0.0:
+        raise DomainError("grid step must be nonzero")
     if not np.max(np.abs(np.diff(x) - step)) <= _UNIFORM_RTOL * abs(step):
         raise DomainError("grid must be uniform: its spacings differ by more "
                           "than 1e-6 relative")
@@ -599,8 +471,10 @@ def grid_second_derivative(f, x):
 
     The 5-point stencil (-f[i+2] + 16f[i+1] - 30f[i] + 16f[i-1] - f[i-2]) / 12h^2,
     error O(step^4), with the step uniform_step(x); the result has n - 4
-    entries, aligned with f[2:-2].
+    entries, aligned with f[2:-2].  Needs at least 5 samples.
     """
+    if f.size < 5:
+        raise DomainError("grid_second_derivative needs at least 5 samples")
     step = uniform_step(x)
     return (-f[4:] + 16.0 * f[3:-1] - 30.0 * f[2:-2] + 16.0 * f[1:-3] - f[:-4]) \
         / (12.0 * step * step)

@@ -14,14 +14,11 @@ Every oracle spectrum and eigenfunction comes from oracle's Chebyshev
 collocation, which reads only samples of the potential; each such check's
 detail names the solver and its node count.
 
-The random-draw check beta_quadrature evaluates one incomplete beta call
-per draw, against one scipy hyp2f1 call per triple, B(z; s, w) = z^s/s
-2F1(s, 1 - w; s + 1; z) (DLMF 8.17.7).  appell_brute and appell_symmetry
-draw their parameters as a loop over draws would, then evaluate every draw
-in one call with per-point parameters (two calls for the exchange).  A
-per-point call gives each draw the value of its own scalar call, bit for
-bit, so the measured values are the per-draw loop's.  appell_brute's
-reference stays per draw: one brute-force array per draw.
+The random-draw checks are loops of scalar calls, one per draw:
+beta_quadrature evaluates one incomplete beta call per draw, against one
+scipy hyp2f1 call per triple, B(z; s, w) = z^s/s 2F1(s, 1 - w; s + 1; z)
+(DLMF 8.17.7); appell_brute one F1 call and one brute-force array per draw;
+appell_symmetry two F1 calls per draw, one on each side of the exchange.
 
 The Appell F1 reference of appell_brute is its own double sum, not the
 package's recurrence: one terms x terms numpy array per draw, products by
@@ -256,14 +253,12 @@ def _brute_f1(a, b1, b2, c, x, y, terms=160):
 @_check("appell_brute", "special")
 def _appell_brute(ctx):
     rng = np.random.default_rng(303)
-    draws = [(rng.uniform(0.2, 2.0), rng.uniform(-1.5, 2.0), rng.uniform(-1.5, 2.0),
-              rng.uniform(0.5, 3.5), rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
-             for _ in range(25)]
-    mine = appell_f1(*np.array(draws).T)
     worst = 0.0
-    for draw, val in zip(draws, mine.tolist()):
+    for _ in range(25):
+        draw = (rng.uniform(0.2, 2.0), rng.uniform(-1.5, 2.0), rng.uniform(-1.5, 2.0),
+                rng.uniform(0.5, 3.5), rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
         ref = _brute_f1(*draw)
-        worst = max(worst, abs(val - ref) / max(1.0, abs(ref)))
+        worst = max(worst, abs(appell_f1(*draw) - ref) / max(1.0, abs(ref)))
     return _result(worst, 1e-9,
                    "25 random points vs brute-force double sum")
 
@@ -293,11 +288,15 @@ def _appell_reduce_xy(ctx):
 @_check("appell_symmetry", "special")
 def _appell_symmetry(ctx):
     rng = np.random.default_rng(404)
-    a, b1, b2, c, x, y = np.array([
-        [rng.uniform(0.2, 2.0), *rng.uniform(-1.0, 2.0, 2), rng.uniform(0.5, 3.0),
-         *rng.uniform(-0.6, 0.6, 2)] for _ in range(20)]).T
-    gap = np.abs(appell_f1(a, b1, b2, c, x, y) - appell_f1(a, b2, b1, c, y, x))
-    return _result(float(gap.max()), 1e-12,
+    worst = 0.0
+    for _ in range(20):
+        a = rng.uniform(0.2, 2.0)
+        b1, b2 = rng.uniform(-1.0, 2.0, 2)
+        c = rng.uniform(0.5, 3.0)
+        x, y = rng.uniform(-0.6, 0.6, 2)
+        worst = max(worst, abs(appell_f1(a, b1, b2, c, x, y)
+                               - appell_f1(a, b2, b1, c, y, x)))
+    return _result(worst, 1e-12,
                    "(b1,x) <-> (b2,y) exchange")
 
 

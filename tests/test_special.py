@@ -568,35 +568,21 @@ def test_appell_budget_exhaustion():
         appell_f1(0.5, 1.0, 1.0, 2.0, 0.9, 0.9)
 
 
-def test_appell_budget_message_names_the_unconverged_points():
-    x = np.array([0.05, 0.95, 0.0, 0.9])
-    with _budget(40, 1e-16, 1e-15), pytest.raises(NonConvergence) as info:
-        appell_f1(0.5, 1.0, 1.0, 2.0, x, x)
-    assert str(info.value) == (
-        "appell_f1 did not converge within 40 diagonals at 2 point(s)")
-
-
 def test_appell_overflow_is_nonconvergence():
-    x = np.array([0.1, 0.99])
-    for y in (x, np.array([0.1, 0.98])):  # on the diagonal x = y, then off it
+    for y in (0.99, 0.98):  # on the diagonal x = y, then off it
         with pytest.raises(NonConvergence, match="overflowed"):
-            appell_f1(300.0, 300.0, 300.0, 0.5, x, y)
+            appell_f1(300.0, 300.0, 300.0, 0.5, 0.99, y)
 
 
 def test_appell_overflowing_partial_sum_is_nonconvergence():
     # every diagonal sum is finite and their partial sum overflows: the same
-    # NonConvergence at x = y (scalar and array) as for x != y
+    # NonConvergence at x = y as for x != y
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for x, y in ((0.999, 0.999), (np.array([0.5, 0.999]),) * 2, (0.999, 0.998)):
+        for x, y in ((0.999, 0.999), (0.999, 0.998)):
             with pytest.raises(NonConvergence) as info:
                 appell_f1(300.0, 1.0, 0.75, 2.0, x, y)
             assert str(info.value) == "appell_f1 series overflowed before converging"
-
-
-def test_appell_empty_arrays():
-    out = appell_f1(0.5, 0.25, 1.5, 2.0, np.empty((0, 3)), np.empty((0, 3)))
-    assert out.shape == (0, 3)
 
 
 @pytest.mark.parametrize("shape", [(0,), (0, 3)])
@@ -607,52 +593,28 @@ def test_incbeta_empty_arrays(shape):
         incomplete_beta(np.empty(shape), -0.5, 0.5)
 
 
-def _appell_grid(n):
-    rng = np.random.default_rng(29)
-    return rng.uniform(-0.85, 0.85, n), rng.uniform(-0.85, 0.85, n)
-
-
-def test_appell_array_equals_scalar_calls_bitwise():
-    x, y = _appell_grid(301)
-    got = appell_f1(0.7, -0.4, 1.3, 1.9, x, y)
-    ref = np.array([appell_f1(0.7, -0.4, 1.3, 1.9, float(u), float(v))
-                    for u, v in zip(x, y)])
-    assert np.array_equal(got, ref)
-
-
-def test_appell_array_shapes():
-    x, y = _appell_grid(12)
-    flat = appell_f1(0.5, 0.25, 1.5, 2.0, x, y)
-    assert flat.shape == (12,)
-    grid = appell_f1(0.5, 0.25, 1.5, 2.0, x.reshape(3, 4), y.reshape(3, 4))
-    assert grid.shape == (3, 4)
-    assert np.array_equal(grid.ravel(), flat)
-    scalar = appell_f1(0.5, 0.25, 1.5, 2.0, np.array(x[0]), np.array(y[0]))
-    assert type(scalar) is float
-    assert scalar == flat[0]
-
-
-def test_appell_origin_inside_array_is_one():
-    out = appell_f1(0.5, 1.0, 2.0, 3.0, np.array([0.4, 0.0, -0.3]),
-                    np.array([0.1, 0.0, 0.6]))
-    assert out[1] == 1.0
-
-
-def test_appell_array_domain_errors():
-    with pytest.raises(DomainError):
-        appell_f1(0.5, 1.0, 1.0, 2.0, np.array([0.1, 1.0, 0.2]), np.zeros(3))
-    with pytest.raises(DomainError):
-        appell_f1(0.5, 1.0, 1.0, 2.0, np.zeros(3), np.array([0.1, -1.2, 0.2]))
-    with pytest.raises(DomainError):
-        appell_f1(0.5, 1.0, 1.0, 2.0, np.zeros(3), np.zeros(4))
+def test_appell_takes_scalars_only():
+    # one point per call: an array point or parameter, of any shape, is a
+    # DomainError; a numpy scalar or a 0-d array is a scalar, and the value
+    # is a float
+    args = [0.5, 0.25, 1.5, 2.0, 0.4, 0.2]
+    want = appell_f1(*args)
+    assert type(want) is float
+    for i in range(6):
+        for arr in (np.array([args[i]]), np.full((2, 3), args[i]), np.empty(0)):
+            with pytest.raises(DomainError, match="scalar parameters and points"):
+                appell_f1(*args[:i], arr, *args[i + 1:])
+        for scalar in (np.float64(args[i]), np.array(args[i])):
+            got = appell_f1(*args[:i], scalar, *args[i + 1:])
+            assert type(got) is float and got == want
 
 
 def test_appell_one_slow_point_exhausts_budget():
-    x = np.array([0.05, 0.1, 0.95, 0.0])
     with _budget(40, 1e-16, 1e-15):
-        appell_f1(0.5, 1.0, 1.0, 2.0, x[[0, 1, 3]], x[[0, 1, 3]])  # these converge
-        with pytest.raises(NonConvergence):
+        for x in (0.05, 0.1, 0.0):   # these converge
             appell_f1(0.5, 1.0, 1.0, 2.0, x, x)
+        with pytest.raises(NonConvergence):
+            appell_f1(0.5, 1.0, 1.0, 2.0, 0.95, 0.95)
 
 
 def test_appell_matches_mpmath():
@@ -673,11 +635,11 @@ def test_appell_matches_mpmath():
     cases.append((pw, 0.5 - spec.A + spec.B, 2.0 * spec.lam / a, pw + 1.0,
                   s, 2.0 * a / (a + c) * s))
     for a, b1, b2, c, x, y in cases:
-        got = appell_f1(a, b1, b2, c, x, y)
-        for g, u, v in zip(got, x, y):
+        for u, v in zip(x, y):
+            got = appell_f1(a, b1, b2, c, u, v)
             with mpmath.workdps(30):
                 ref = float(mpmath.appellf1(a, b1, b2, c, u, v))
-            assert g == pytest.approx(ref, rel=1e-12, abs=0.0)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("b1", [0.0, -1.0, -2.0])
@@ -690,43 +652,18 @@ def test_appell_recurrence_matches_mpmath_where_it_is_weakest(b1):
 
     points = [(0.85, 0.05), (0.9, -0.01), (0.6, 1e-4), (-0.8, 0.3),
               (0.7, -0.6), (-0.5, 0.45)]
-    x, y = (np.array(v) for v in zip(*points))
     for a, b2, c in ((0.5, 1.5, 2.0), (1.7, -0.6, 0.8), (1.2, 2.0, 3.1)):
-        got = appell_f1(a, b1, b2, c, x, y)
-        for g, u, v in zip(got, x, y):
+        for u, v in points:
+            got = appell_f1(a, b1, b2, c, u, v)
             with mpmath.workdps(30):
                 ref = float(mpmath.appellf1(a, b1, b2, c, u, v))
-            assert g == pytest.approx(ref, rel=1e-12, abs=0.0), (a, b1, b2, c, u, v)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0), (a, b1, b2, c, u, v)
 
 
-# --- per-point parameters -----------------------------------------------------
+# --- scalar parameters --------------------------------------------------------
 #
-# appell_f1 takes its parameters as scalars or one value per point.  A call
-# with per-point parameters gives each point the value of its own scalar call,
-# bit for bit: each point keeps that call's stop test.  incomplete_beta takes
-# scalar s and w only.
-
-_F1_DRAW = st.tuples(st.floats(0.2, 2.0), st.floats(-1.5, 2.0), st.floats(-1.5, 2.0),
-                     st.floats(0.5, 3.5), st.floats(-0.85, 0.85), st.floats(-0.85, 0.85),
-                     st.booleans())
-
-
-@_PROPERTY
-@hypothesis.given(draws=st.lists(_F1_DRAW, min_size=1, max_size=12))
-@hypothesis.example(draws=[(0.5, 0.25, 1.5, 2.0, 0.4, 0.2, False),
-                           (1.2, -0.7, 0.3, 2.5, -0.5, 0.0, True),
-                           (0.8, 1.1, 2.2, 3.0, 0.84, 0.0, False),
-                           (0.8, 1.1, 2.2, 3.0, 0.0, 0.0, False)])
-@hypothesis.example(draws=[(0.5, 0.25, 1.5, 2.0, 0.4, 0.2, True),   # the Appell
-                           (1.2, -0.7, 0.3, 2.5, -0.5, 0.0, True)])  # tail's case
-def test_appell_per_point_parameters_are_the_scalar_calls(draws):
-    # the last field puts a draw on x = y; a draw at x = 0.84 takes far more
-    # diagonals than one at x = 0
-    rows = [(a, b1, b2, c, x, x if on_diag else y)
-            for a, b1, b2, c, x, y, on_diag in draws]
-    got = appell_f1(*(np.array(col) for col in zip(*rows)))
-    assert np.array_equal(got, [appell_f1(*row) for row in rows])
-
+# incomplete_beta takes scalar s and w and array points z; appell_f1 takes
+# scalar parameters and points.
 
 def test_incbeta_array_parameters_are_domain_errors():
     z = np.linspace(0.1, 0.9, 3)
@@ -738,17 +675,6 @@ def test_incbeta_array_parameters_are_domain_errors():
     # a numpy scalar or a 0-d array is a scalar
     assert incomplete_beta(z, np.float64(1.5), np.array(0.5)).tolist() == \
         incomplete_beta(z, 1.5, 0.5).tolist()
-
-
-def test_per_point_parameters_broadcast():
-    z = np.linspace(0.1, 0.9, 12).reshape(3, 4)
-    s = np.array([0.5, 1.5, 2.5, 3.5])
-    x = z - 0.5
-    f1 = appell_f1(0.7, s, 0.3, 1.9, x, 0.5 * x)
-    assert f1.shape == (3, 4)
-    assert f1[1, 3] == appell_f1(0.7, 3.5, 0.3, 1.9, x[1, 3], 0.5 * x[1, 3])
-    with pytest.raises(DomainError, match="broadcast"):
-        appell_f1(np.ones(5), 1.0, 1.0, 2.0, x, x)
 
 
 @pytest.mark.parametrize("call", [
@@ -772,7 +698,6 @@ def test_non_finite_parameters_are_domain_errors(call):
 def test_per_point_domain_errors(n, data):
     # one bad point in an array of good ones is a DomainError, not a value
     at = data.draw(st.integers(0, n - 1))
-    x = np.linspace(-0.5, 0.5, n)
     z = np.linspace(0.1, 0.9, n)
 
     def spoil(good, bad):
@@ -782,9 +707,7 @@ def test_per_point_domain_errors(n, data):
 
     bad_c = data.draw(st.sampled_from([0.0, -1.0, -3.0, math.nan, math.inf]))
     with pytest.raises(DomainError):
-        appell_f1(0.5, 1.0, 1.0, spoil(2.0, bad_c), x, x[::-1])
-    with pytest.raises(DomainError):
-        appell_f1(spoil(0.5, math.nan), 1.0, 1.0, 2.0, x, x)
+        appell_f1(0.5, 1.0, 1.0, bad_c, 0.3, -0.2)
     with pytest.raises(DomainError):
         incomplete_beta(z, data.draw(st.sampled_from(
             [0.0, -0.5, math.nan, math.inf])), 1.0)
@@ -826,7 +749,7 @@ def test_incbeta_largest_z_converges_last(s, w, z):
     assert np.all(first > 0)
 
 
-# verify's batched checks: the draws, in the loop's order, and its value
+# verify's random-draw checks: the draws, in the loop's order, and its value
 
 def _appell_brute_loop():
     worst, draws = 0.0, _appell_brute_draws()
@@ -867,18 +790,14 @@ def test_batched_check_is_the_per_draw_loop(monkeypatch, name, loop, fn):
     result = verify.CHECKS[name][1](verify.Context())
     assert type(result.measured) is float
     assert result.measured == worst
-    # every draw in one array call (two for the exchange), in the loop's order
-    assert len(calls) == (2 if name == "appell_symmetry" else 1)
-    batched = [tuple(map(float, row)) for args in calls for row in zip(*args)]
-    if name == "appell_symmetry":   # the loop alternates the two calls
-        batched = [d for pair in zip(batched[:20], batched[20:]) for d in pair]
-    assert batched == draws
+    # one scalar call per draw (two for the exchange), in the loop's order
+    assert len(calls) == (40 if name == "appell_symmetry" else 25)
+    assert [tuple(map(float, args)) for args in calls] == draws
 
 
 @pytest.mark.parametrize("name", ["beta_quadrature", "appell_symmetry"])
 def test_batched_check_peak_memory(name):
-    # 100 scalar calls, or one array per parameter for 20 draws: far from
-    # the 2 MB bound
+    # 100 or 40 scalar calls: far from the 2 MB bound
     check = verify.CHECKS[name][1]
     check(verify.Context())   # first-call allocations stay out of the peak
     tracemalloc.start()
@@ -890,18 +809,14 @@ def test_batched_check_peak_memory(name):
     assert peak < 2_000_000
 
 
-# --- block summation -----------------------------------------------------------
+# --- the series against their term-by-term loops ---------------------------------
 #
-# The series kernels sum a block of terms per numpy call.  Their specification
-# is the term-by-term loops below (the kernels of version 0.9.0): each keeps
-# one array entry per live point, advances every entry one term per pass, and
-# drops a point from the arrays once it stops.  The kernels must give their
-# bits, and raise their exceptions with their messages.  The loops read the
-# module's budget when they are called, as the kernels do.
-
-def _ref_pick(v, mask):
-    return v[mask] if isinstance(v, np.ndarray) else v
-
+# The specification of each series is the term-by-term numpy loop below (the
+# kernels of version 0.9.0): each keeps one array entry per live point,
+# advances every entry one term per pass, and drops a point from the arrays
+# once it stops.  The series must give their bits, and raise their exceptions
+# with their messages.  The loops read the module's budget when they are
+# called, as the series do.
 
 @np.errstate(over="ignore", invalid="ignore")
 def ref_incbeta_series(z, s, w):
@@ -954,12 +869,6 @@ def ref_incbeta_upper(t, s, w, floor):
         f"incomplete beta series did not converge in {special._MAX_TERMS} terms")
 
 
-def _ref_f1_unconverged(points):
-    return NonConvergence(
-        f"appell_f1 did not converge within {special._MAX_TERMS} diagonals "
-        f"at {points} point(s)")
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def ref_appell_f1_recurrence(a, b1, b2, c, x, y):
     out = np.empty(x.size)
@@ -989,12 +898,19 @@ def ref_appell_f1_recurrence(a, b1, b2, c, x, y):
             live, xpy, bxy, xy, s_prev, s_prev2, partial, prev_small = (
                 v[keep] for v in
                 (live, xpy, bxy, xy, s_prev, s_prev2, partial, prev_small))
-            a, b1, b2, c, g_prev = (_ref_pick(v, keep) for v in (a, b1, b2, c, g_prev))
-    raise _ref_f1_unconverged(live.size)
+    raise NonConvergence(
+        f"appell_f1 did not converge within {special._MAX_TERMS} diagonals")
 
 
-_LOOPS = {"_appell_f1_recurrence": ref_appell_f1_recurrence,
-          "_incbeta_series": ref_incbeta_series,
+def ref_appell_f1(a, b1, b2, c, x, y):
+    """appell_f1 at the one point (x, y) by the reference loop."""
+    out = ref_appell_f1_recurrence(a, b1, b2, c, np.array([x]), np.array([y]))
+    if not np.isfinite(out[0]):   # from finite diagonal sums
+        raise NonConvergence("appell_f1 series overflowed before converging")
+    return float(out[0])
+
+
+_LOOPS = {"_incbeta_series": ref_incbeta_series,
           "_incbeta_upper": ref_incbeta_upper}
 
 
@@ -1021,56 +937,45 @@ def _assert_same(fn, *args):
     return got
 
 
-# 1 to 300 points: a block's height is 64 rows down to 8192 // points.  The
-# block heights drawn below put block ends at more terms; budgets of 3 to 70
-# terms and a loose tolerance make some points exhaust the budget
-_BLOCK_PROPERTY = hypothesis.settings(derandomize=True, max_examples=60, deadline=None)
-_POINTS = st.integers(1, 300)
-_HEIGHT = st.sampled_from([64] * 3 + [1, 2, 7])
+def _assert_f1_same(*args):
+    """appell_f1's outcome at one point, asserted to be the reference loop's."""
+    got = _outcome(appell_f1, *args)
+    assert got == _outcome(ref_appell_f1, *args)
+    return got
+
+
+# Budgets of 3 to 70 terms and a loose tolerance make some points exhaust
+# the budget
+_LOOP_PROPERTY = hypothesis.settings(derandomize=True, max_examples=60, deadline=None)
 _BUDGET = st.sampled_from([(2048, 1e-16, 1e-14)] * 3 + [(3, 1e-16, 1e-14),
                                                          (70, 1e-16, 1e-10)])
 
 
-def _params(data, n, per_point, bounds):
-    """One scalar, or n values, for each (lo, hi)."""
-    return [np.array(data.draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
-            if per_point and data.draw(st.booleans()) else data.draw(st.floats(lo, hi))
-            for lo, hi in bounds]
+@_LOOP_PROPERTY
+@hypothesis.given(budget=_BUDGET, data=st.data())
+def test_appell_blocks_are_the_loop(budget, data):
+    # the recurrence's values and errors at each drawn point, x = y at some
+    a, b1, b2, c = (data.draw(st.floats(lo, hi)) for lo, hi in
+                    ((0.2, 3.0), (-2.0, 3.0), (-2.0, 3.0), (0.3, 4.0)))
+    x = data.draw(st.lists(st.floats(-0.95, 0.95), min_size=1, max_size=12))
+    with _budget(*budget):
+        for i, (u, v) in enumerate(zip(x, x[::-1])):
+            _assert_f1_same(a, b1, b2, c, u, u if i % 3 == 0 else v)
 
 
-@contextlib.contextmanager
-def _blocks(block_terms, budget):
-    with _budget(*budget), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(special, "_BLOCK_TERMS", block_terms)
-        yield
-
-
-@_BLOCK_PROPERTY
-@hypothesis.given(n=_POINTS, per_point=st.booleans(), height=_HEIGHT,
-                  budget=_BUDGET, data=st.data())
-def test_appell_blocks_are_the_loop(n, per_point, height, budget, data):
-    # the recurrence's values and errors, x = y on some points
-    a, b1, b2, c = _params(data, n, per_point,
-                           ((0.2, 3.0), (-2.0, 3.0), (-2.0, 3.0), (0.3, 4.0)))
-    x = np.array(data.draw(st.lists(st.floats(-0.95, 0.95), min_size=n, max_size=n)))
-    y = np.where(np.arange(n) % 3 == 0, x, x[::-1])
-    with _blocks(height, budget):
-        _assert_same(appell_f1, a, b1, b2, c, x, y)
-
-
-@_BLOCK_PROPERTY
-@hypothesis.given(n=_POINTS, height=_HEIGHT, budget=_BUDGET, data=st.data())
-def test_incbeta_blocks_are_the_loop(n, height, budget, data):
+@_LOOP_PROPERTY
+@hypothesis.given(n=st.integers(1, 300), budget=_BUDGET, data=st.data())
+def test_incbeta_blocks_are_the_loop(n, budget, data):
     # both regions: w on the poles of the upper region's terms at times
     s, w = data.draw(st.floats(0.05, 5.0)), data.draw(st.floats(-3.0, 5.0))
     if data.draw(st.booleans()):
         w = np.rint(w)
     z = np.array(data.draw(st.lists(st.floats(0.001, 0.999), min_size=n, max_size=n)))
-    with _blocks(height, budget):
+    with _budget(*budget):
         _assert_same(incomplete_beta, z, s, w)
 
 
-@_BLOCK_PROPERTY
+@_LOOP_PROPERTY
 @hypothesis.given(z=st.one_of(st.floats(0.001, 0.75),
                               st.floats(0.75, 0.999, exclude_min=True)),
                   s=st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.05, 5.0)),
@@ -1088,29 +993,19 @@ def test_incbeta_one_point_is_the_loop(z, s, w, shape, budget):
 
 @pytest.mark.parametrize("shape", [(), (1,), (2, 1)])
 def test_zero_d_and_small_inputs_are_the_loop(shape):
-    x = np.full(shape, 0.6)
-    z = np.full(shape, 0.9)
-    for call in ((appell_f1, 0.5, 0.25, 1.5, 2.0, x, x),
-                 (appell_f1, 0.5, 0.25, 1.5, 2.0, x, 0.5 * x),
-                 (incomplete_beta, z, 0.5, -1.0)):
-        _assert_same(*call)
+    _assert_f1_same(0.5, 0.25, 1.5, 2.0, 0.6, 0.6)
+    _assert_f1_same(0.5, 0.25, 1.5, 2.0, 0.6, 0.3)
+    _assert_same(incomplete_beta, np.full(shape, 0.9), 0.5, -1.0)
     assert type(appell_f1(0.5, 0.25, 1.5, 2.0, 0.6, 0.6)) is float
     assert type(incomplete_beta(0.9, 0.5, -1.0)) is float
 
 
 def test_many_points_are_the_loop():
-    # 2500 points: blocks of 8192 // 2500 = 3 terms.  The budget leaves
-    # three points unconverged; a point whose terms overflow raises first, as
-    # in the loop, which raises it before its budget runs out
-    x = np.linspace(-0.9, 0.9, 2500)
-    x[[5, 2200, 2400]] = 0.999
-    a = np.full(x.size, 0.5)
-    args = (a, 1.0, 0.75, 2.0, x, x)
-    assert _assert_same(special._appell_f1_recurrence, *args) == (
-        NonConvergence, "appell_f1 did not converge within 2048 diagonals "
-                        "at 3 point(s)")
-    a[2200] = 600.0
-    assert _assert_same(special._appell_f1_recurrence, *args) == (
+    # F1 at x = y = 0.999 exhausts the budget; where its terms overflow it
+    # raises that first, as the loop does, before its budget runs out
+    assert _assert_f1_same(0.5, 1.0, 0.75, 2.0, 0.999, 0.999) == (
+        NonConvergence, "appell_f1 did not converge within 2048 diagonals")
+    assert _assert_f1_same(600.0, 1.0, 0.75, 2.0, 0.999, 0.999) == (
         NonConvergence, "appell_f1 series overflowed before converging")
     z = np.linspace(0.01, 0.99, 2500)
     _assert_same(incomplete_beta, z, 0.7, -1.5)
@@ -1137,25 +1032,25 @@ def _recurrence_stop(a, b1, b2, c, x):
 
 @pytest.mark.parametrize("stop", [64, 65, 66, 128])
 def test_appell_point_stopping_on_a_block_edge_is_the_loop(stop):
-    # one point: blocks of 64 rows, the first ending at term 64; x is the
-    # first grid point whose series stops at that term
+    # x is the first grid point whose series stops at that term (the edges
+    # of 64-term blocks, which version 0.11.0 summed); x, -x and 0.1 are
+    # each the loop
     xs = np.linspace(0.3, 0.95, 20001)
     x = next(u for u in xs.tolist() if _recurrence_stop(0.5, 1.0, 0.75, 2.0, u) == stop)
-    for pts in ([x], [x, 0.1], [0.1, x, -x]):
-        pts = np.array(pts)
-        _assert_same(special._appell_f1_recurrence, 0.5, 1.0, 0.75, 2.0, pts, pts)
+    for u in (x, 0.1, -x):
+        _assert_f1_same(0.5, 1.0, 0.75, 2.0, u, u)
 
 
 def test_overflow_after_a_point_stops_is_the_loop():
     # a stop test loose enough (|term| <= 1e300) that a point stops at its
     # first term, about 1e200; its next terms overflow inside the block,
     # where the loop had already returned: a value, and no warning
-    x, z = np.array([0.99]), np.array([0.7])
+    z = np.array([0.7])
     with _budget(2048, 1e300, 1e-14), warnings.catch_warnings():
         warnings.simplefilter("error")
-        for kernel, args in ((special._appell_f1_recurrence,
-                              (1e100, 1e100, 1e100, 0.5, x, 0.99 * x)),
-                             (special._incbeta_series, (z, 0.5, -1e200)),
+        assert isinstance(_assert_f1_same(1e100, 1e100, 1e100, 0.5, 0.99, 0.99 * 0.99),
+                          int)
+        for kernel, args in ((special._incbeta_series, (z, 0.5, -1e200)),
                              (special._incbeta_series, (np.array([0.3, 0.7]), 0.5,
                                                         -1e200))):
             assert isinstance(_assert_same(kernel, *args), list)
@@ -1164,9 +1059,8 @@ def test_overflow_after_a_point_stops_is_the_loop():
 def test_overflow_before_a_point_stops_is_the_loop():
     # terms that overflow before the point stops: NonConvergence, on every
     # path, where the loop raises it
-    x = np.array([0.5, 0.999])
-    for y in (x, x[::-1]):
-        assert _assert_same(appell_f1, 300.0, 300.0, 300.0, 0.5, x, y) == (
+    for x, y in ((0.999, 0.999), (0.999, 0.5), (0.5, 0.999)):
+        assert _assert_f1_same(300.0, 300.0, 300.0, 0.5, x, y) == (
             NonConvergence, "appell_f1 series overflowed before converging")
     for z in (np.array([0.7]), np.array([0.3, 0.7])):
         assert _assert_same(incomplete_beta, z, 0.5, -600.0) == (
@@ -1186,14 +1080,16 @@ def test_incbeta_overflow_outranks_the_budget_at_any_point():
 
 
 def test_budget_exhaustion_is_the_loop():
-    # the same count of unconverged points in the same message
-    x = np.array([0.05, 0.95, 0.0, 0.9, 0.99])
+    # the same error in the same message
+    x = [0.05, 0.95, 0.0, 0.9, 0.99]
     z = np.array([0.05, 0.7, 0.3])
     with _budget(40, 1e-16, 1e-15):
-        assert _assert_same(appell_f1, 0.5, 1.0, 1.0, 2.0, x, x) == (
-            NonConvergence, "appell_f1 did not converge within 40 diagonals at 3 point(s)")
-        assert _assert_same(special._appell_f1_recurrence, 0.5, 1.0, 1.0, 2.0,
-                            x, x[::-1])[0] is NonConvergence
+        for u, v in zip(x, x[::-1]):
+            got = _assert_f1_same(0.5, 1.0, 1.0, 2.0, u, u)
+            if u >= 0.9:
+                assert got == (NonConvergence,
+                               "appell_f1 did not converge within 40 diagonals")
+            _assert_f1_same(0.5, 1.0, 1.0, 2.0, u, v)
         assert _assert_same(incomplete_beta, z, 0.5, -1.5) == (
             NonConvergence, "incomplete beta series did not converge in 40 terms")
 
@@ -1241,6 +1137,24 @@ def test_grid_derivative_is_not_exact_on_quintic():
 def test_grid_derivative_needs_five_samples():
     with pytest.raises(DomainError):
         grid_derivative(np.ones(4), np.linspace(0.0, 0.3, 4))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: grid_second_derivative(np.ones(4), np.linspace(0.0, 0.3, 4)),
+    lambda: grid_second_derivative(np.ones(1), np.zeros(1)),
+    lambda: special.uniform_step(np.full(6, 0.5)),
+    lambda: grid_derivative(np.ones(6), np.full(6, 0.5)),
+    lambda: grid_second_derivative(np.ones(6), np.full(6, 0.5)),
+    lambda: numeric_derivative(math.sin, 0.3, h=math.nan),
+], ids=["second_derivative_of_4_samples", "second_derivative_of_1_sample",
+        "zero_step", "derivative_on_a_zero_step", "second_derivative_on_a_zero_step",
+        "nan_h"])
+def test_stencils_reject_what_they_cannot_differentiate(call):
+    # each returned [], raised IndexError, returned 0.0 or divided by zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_grid_second_derivative_exact_on_quintic():
