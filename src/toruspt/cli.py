@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Subcommands: potential, spectrum, wavefunction, verify, algebra (an alias of
-spectrum --case iso21) and errata.  Outputs are deterministic: floats are
+spectrum --case iso21) and errata.  Only potential, wavefunction (CSV or
+JSON) and verify (text or JSON) take --format.  spectrum and algebra always
+write a JSON report, which cmd_spectrum builds from the oracle's levels, and
+errata always writes text.  Outputs are deterministic: floats are
 rendered with 17 significant digits, CSV uses '.' decimals, comma delimiters
 and LF line endings with a header row, and JSON key order is fixed, so a
 rerun with the same configuration produces byte-identical files.  Tables are
@@ -64,7 +67,6 @@ from .errors import NonFinitePotential, NormalizationFailure, TorusPTError
 from .geometry import TorusGeometry, prefactor_f
 
 CASES = ("pt", "rational", "beta", "appell", "component2", "iso21")
-MAX_LEVELS = 8
 MAX_POINTS = 1_000_001
 MAX_N = 1000    # highest wavefunction --n: a level's cost grows with n
 # verify.SUITES, spelled out so that building the parser loads no verify (a
@@ -435,9 +437,11 @@ def _check_finite(header, cols, error) -> None:
         raise error("non-finite values in output column(s) " + ", ".join(bad))
 
 
-def _add_common(p):
+def _add_common(p, name):
     p.add_argument("--config", help="key=value file; explicit flags override")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    # spectrum and algebra always write JSON, errata always text
+    if name in ("potential", "wavefunction", "verify"):
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default="-", help="output path ('-' for stdout)")
 
 
@@ -582,15 +586,28 @@ def _spectrum_inputs(args):
 
 
 def cmd_spectrum(args) -> int:
-    if not 1 <= args.levels <= MAX_LEVELS:
-        raise CLIError(f"levels out of supported range 1..{MAX_LEVELS}")
+    """Write the closed-form levels against the oracle's as a JSON report;
+    exit 0 iff every level is within --rel-tol (--abs-tol for a level at 0)."""
     from . import oracle
 
+    top = oracle.COLLOCATION_NODES // 4     # the most levels the oracle solves
+    if not 1 <= args.levels <= top:
+        raise CLIError(f"levels out of supported range 1..{top}")
     eps, v, params = _spectrum_inputs(args)
-    report = oracle.spectrum_report(args.case, params, eps, v,
-                                    rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-    _write_json(report.to_json_obj(), args.output)
-    return 0 if report.passed else 1
+    rows, passed = [], True
+    levels = oracle.collocation_levels(v, args.levels)
+    for n, (ref, got) in enumerate(zip(eps, levels)):
+        ref, got = float(ref), float(got)
+        abs_err = abs(got - ref)
+        # a level near 0 has no relative error: it passes on --abs-tol
+        rel = abs_err / abs(ref) if abs(ref) > 1e-9 else None
+        passed &= abs_err <= args.abs_tol if rel is None else rel <= args.rel_tol
+        rows.append({"n": n, "eps_analytic": ref, "eps_numeric": got,
+                     "abs_err": abs_err, "rel_err": rel})
+    rels = [row["rel_err"] for row in rows if row["rel_err"] is not None]
+    _write_json({"case": args.case, "params": params, "levels": rows,
+                 "max_rel_err": max(rels, default=0.0), "pass": passed}, args.output)
+    return 0 if passed else 1
 
 
 def cmd_wavefunction(args) -> int:
@@ -718,8 +735,8 @@ def build_parser() -> argparse.ArgumentParser:
                                       dest="with_plus")
     cmds["verify"].add_argument("--suite", default="all",
                                 choices=("all",) + VERIFY_SUITES)
-    for p in cmds.values():
-        _add_common(p)
+    for name, p in cmds.items():
+        _add_common(p, name)
     return parser
 
 

@@ -2,7 +2,9 @@
 
 It reads only samples of the potential V and shares no code with the
 analytic side, so it can check every closed-form spectrum and eigenfunction
-claim; it serves the verify suite and the spectrum and algebra commands.
+claim.  It returns levels and eigenfunctions and nothing else: the verify
+suite and the spectrum and algebra commands compare them with the closed
+forms and write their own reports.
 
 The solver estimates each wall's 1/x^2 coefficient c from V alone, by
 Neville extrapolation of d^2 V(d) to d = 0 from d = 1e-2 2^-k, k = 0..7, and
@@ -27,7 +29,6 @@ has no distinguished self-adjoint realisation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,64 +39,7 @@ from .errors import (
     NonFinitePotential,
 )
 
-__all__ = [
-    "EigenReport",
-    "spectrum_report",
-    "COLLOCATION_NODES",
-    "collocation_levels",
-    "collocation_eigenpairs",
-]
-
-
-@dataclass
-class EigenReport:
-    """Comparison of a reference spectrum against the collocation one."""
-
-    case: str
-    params: dict
-    levels: list  # rows {n, eps_analytic, eps_numeric, abs_err, rel_err}
-    rel_tol: float
-    abs_tol: float
-    max_rel_err: float = field(init=False)
-    passed: bool = field(init=False)
-
-    def __post_init__(self):
-        rels = [row["rel_err"] for row in self.levels if row["rel_err"] is not None]
-        self.max_rel_err = max(rels) if rels else 0.0
-        # a level near 0 has no relative error: it passes on abs_tol
-        self.passed = all(row["abs_err"] <= self.abs_tol if row["rel_err"] is None
-                          else row["rel_err"] <= self.rel_tol for row in self.levels)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "case": self.case,
-            "params": self.params,
-            "levels": self.levels,
-            "max_rel_err": self.max_rel_err,
-            "pass": self.passed,
-        }
-
-
-def spectrum_report(case: str, params: dict, eps_analytic, v,
-                    rel_tol: float = 5e-3, abs_tol: float = 0.01) -> EigenReport:
-    """EigenReport for an analytic eps list against the collocation levels
-    of the potential v (a callable, as collocation_levels takes it)."""
-    eps_analytic = [float(e) for e in eps_analytic]
-    eps_numeric = collocation_levels(v, len(eps_analytic))
-    rows = []
-    for n, (ref, got) in enumerate(zip(eps_analytic, eps_numeric)):
-        abs_err = abs(got - ref)
-        rel = abs_err / abs(ref) if abs(ref) > 1e-9 else None
-        rows.append({"n": n, "eps_analytic": ref, "eps_numeric": float(got),
-                     "abs_err": float(abs_err),
-                     "rel_err": float(rel) if rel is not None else None})
-    return EigenReport(case=case, params=params, levels=rows,
-                       rel_tol=rel_tol, abs_tol=abs_tol)
-
-
-# --------------------------------------------------------------------------
-# Chebyshev collocation on the Frobenius-factored problem
-# --------------------------------------------------------------------------
+__all__ = ["COLLOCATION_NODES", "collocation_levels", "collocation_eigenpairs"]
 
 COLLOCATION_NODES = 32
 _PI_LO = 1.2246467991473532e-16     # pi - math.pi: where sin(x) puts the wall
@@ -193,10 +137,14 @@ def collocation_eigenpairs(v, n_levels: int, x):
 
     psi[:, j] is sin(x/2)^p cos(x/2)^q times the barycentric interpolant of
     the collocated phi_j, scaled to unit maximum with its first sample above
-    a tenth of that maximum positive.  x must lie in (0, pi).
+    a tenth of that maximum positive.  x, a non-empty 1-D array, must lie in
+    (0, pi).
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0) or np.any(x >= math.pi):
+    if x.ndim != 1 or x.size == 0:
+        raise DomainError("x must be a non-empty 1-D array of points")
+    # NaN fails both comparisons, so it is rejected too
+    if not np.all((x > 0.0) & (x < math.pi)):
         raise DomainError("x must lie in the open interval (0, pi)")
     levels, phi, p, q = _collocate(v, n_levels, vectors=True)
     weights = x[:, None] - _NODES

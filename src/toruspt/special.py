@@ -432,8 +432,11 @@ _UNIFORM_RTOL = 1e-6
 
 def uniform_step(x):
     """The step x[1] - x[0] of the uniform grid x, the one place a grid step
-    is taken; DomainError if it is 0 or a spacing differs from it by more
-    than 1e-6 relative, since every stencil that reads the step assumes it."""
+    is taken; DomainError if x has fewer than 2 points, if the step is 0 or
+    if a spacing differs from it by more than 1e-6 relative, since every
+    stencil that reads the step assumes it."""
+    if np.size(x) < 2:
+        raise DomainError("a grid step needs at least 2 points")
     step = x[1] - x[0]
     if step == 0.0:
         raise DomainError("grid step must be nonzero")
@@ -447,16 +450,25 @@ def uniform_step(x):
 _ONE_SIDED_D1 = np.array([-25.0 / 12.0, 4.0, -3.0, 4.0 / 3.0, -0.25])
 
 
+def _stencil_step(name, f, x):
+    """uniform_step(x) for a 5-point stencil on the samples f of the grid x;
+    DomainError unless f and x have one shape and at least 5 samples."""
+    if np.shape(f) != np.shape(x):
+        raise DomainError(f"{name} needs samples f of the grid x's shape, "
+                          f"got {np.shape(f)} and {np.shape(x)}")
+    if f.size < 5:
+        raise DomainError(f"{name} needs at least 5 samples")
+    return uniform_step(x)
+
+
 def grid_derivative(f, x):
     """First derivative of samples f on the uniform grid x, error O(step^4).
 
     The 4th-order central stencil (-f[i+2] + 8f[i+1] - 8f[i-1] + f[i-2]) / 12h
     inside, the 4th-order one-sided stencil at the two nodes on each edge.
-    Needs at least 5 samples; the step is uniform_step(x).
+    Needs at least 5 samples, one per node of x; the step is uniform_step(x).
     """
-    if f.size < 5:
-        raise DomainError("grid_derivative needs at least 5 samples")
-    step = uniform_step(x)
+    step = _stencil_step("grid_derivative", f, x)
     out = np.empty_like(f)
     out[2:-2] = (-f[4:] + 8.0 * f[3:-1] - 8.0 * f[1:-3] + f[:-4]) / (12.0 * step)
     for i in (0, 1):
@@ -471,10 +483,8 @@ def grid_second_derivative(f, x):
 
     The 5-point stencil (-f[i+2] + 16f[i+1] - 30f[i] + 16f[i-1] - f[i-2]) / 12h^2,
     error O(step^4), with the step uniform_step(x); the result has n - 4
-    entries, aligned with f[2:-2].  Needs at least 5 samples.
+    entries, aligned with f[2:-2].  Needs at least 5 samples, one per node.
     """
-    if f.size < 5:
-        raise DomainError("grid_second_derivative needs at least 5 samples")
-    step = uniform_step(x)
+    step = _stencil_step("grid_second_derivative", f, x)
     return (-f[4:] + 16.0 * f[3:-1] - 30.0 * f[2:-2] + 16.0 * f[1:-3] - f[:-4]) \
         / (12.0 * step * step)

@@ -160,7 +160,8 @@ def pt_coefficients(spec, partner: str = "minus") -> PTCoefficients:
 
 def _check_open_interval(x):
     arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= math.pi):
+    # NaN fails both comparisons, so it is rejected too
+    if not np.all((arr > 0.0) & (arr < math.pi)):
         raise DomainError("x must lie in the open interval (0, pi)")
     return arr
 

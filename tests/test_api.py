@@ -24,7 +24,6 @@ def test_every_package_import_exists():
         tree = ast.parse(fh.read())
     names = [alias.asname or alias.name for node in tree.body
              if isinstance(node, ast.ImportFrom) for alias in node.names]
-    names += list(toruspt._ORACLE_NAMES)
     assert names
     missing = [n for n in names if not hasattr(toruspt, n)]
     assert not missing

@@ -78,7 +78,11 @@ def test_spectrum_passes_and_exit_zero():
     obj = json.loads(res.stdout)
     assert obj["pass"] is True
     assert [row["eps_analytic"] for row in obj["levels"]] == [0, 5, 12, 21, 32]
-    assert set(obj) == {"case", "params", "levels", "max_rel_err", "pass"}
+    assert list(obj) == ["case", "params", "levels", "max_rel_err", "pass"]
+    for row in obj["levels"]:
+        assert list(row) == ["n", "eps_analytic", "eps_numeric", "abs_err", "rel_err"]
+    # the zero ground level has no relative error
+    assert obj["levels"][0]["rel_err"] is None
 
 
 def test_deep_well_spectrum_passes_with_warnings_as_errors():
@@ -309,6 +313,27 @@ def test_spectrum_and_algebra_reject_grid_flags(tmp_path, capsys, command, flag)
         message = "unknown key 'x_lo'"
     else:
         message = f"unrecognized arguments: {' '.join(flag)}"
+    code, out, err = _in_process([*command, *flag], capsys)
+    assert (code, out) == (2, "")
+    assert message in err
+    assert "Traceback" not in err
+
+
+# spectrum and algebra always write JSON and errata always text, so none of
+# them takes --format (spectrum --format csv once printed JSON and exited 0)
+@pytest.mark.parametrize("command", [
+    ["spectrum", "--case", "pt", "--A", "-2", "--B", "0.5"],
+    ["algebra", "--B1", "-0.5", "--mu", "1.5", "--a", "1"],
+    ["errata"]], ids=["spectrum", "algebra", "errata"])
+@pytest.mark.parametrize("how", ["csv", "json", "config"])
+def test_single_format_commands_reject_format(tmp_path, capsys, command, how):
+    if how == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format=json\n")
+        flag, message = ("--config", str(cfg)), "unknown key 'format'"
+    else:
+        flag = ("--format", how)
+        message = f"unrecognized arguments: --format {how}"
     code, out, err = _in_process([*command, *flag], capsys)
     assert (code, out) == (2, "")
     assert message in err
@@ -1109,8 +1134,8 @@ def test_errata_and_iso21_load_no_scipy():
 def test_package_names_resolve_without_loading_scipy_first():
     code = ("import sys, toruspt\n"
             "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
-            "from toruspt import EigenReport, oracle\n"
-            "assert EigenReport is oracle.EigenReport\n"
+            "from toruspt import PureTrigPT, oracle\n"
+            "assert not hasattr(toruspt, 'EigenReport')\n"
             "assert not hasattr(toruspt, 'no_such_name')\n"
             "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)\n")
     res = run_python("-c", code)

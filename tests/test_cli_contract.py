@@ -63,8 +63,10 @@ def _argv(draw, cases):
     if command == "wavefunction":
         cases = [case for case in cases if case != "iso21"]
     case = "iso21" if command == "algebra" else draw(st.sampled_from(cases))
-    argv = [command] + (["--case", case] if command != "algebra" else []) + [
-        "--format", draw(st.sampled_from(["csv", "json"]))]
+    argv = [command] + (["--case", case] if command != "algebra" else [])
+    if command in ("potential", "wavefunction"):
+        # spectrum and algebra always write JSON: they take no --format
+        argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
     required, optional = draw(st.sampled_from(_FLAGS[case]))
     names = list(required) + [name for name in optional if draw(st.booleans())]
     if case == "appell" and draw(st.booleans()):

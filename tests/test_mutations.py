@@ -1,4 +1,5 @@
-"""Each check of verify's special suite reads FAIL under one named defect.
+"""Each check of verify's special suite, and each check that reads the
+collocation oracle, reads FAIL under one named defect.
 
 A defect is a one-token edit of the source of the function a check exercises
 (a mutant).  The mutant is compiled in that function's module and put in
@@ -11,7 +12,7 @@ import textwrap
 
 import pytest
 
-from toruspt import special, verify
+from toruspt import oracle, special, verify
 
 # (check, function, defect, text, mutated text)
 _MUTANTS = [
@@ -33,6 +34,14 @@ _MUTANTS = [
      "one-sided difference", "(f(x + h) - f(x - h)) / (2.0 * h)", "(f(x + h) - f(x)) / h"),
 ]
 
+# the checks that read the collocation oracle share one defect of its
+# Frobenius-factored operator
+_ORACLE_CHECKS = ("spectrum_pt_oracle", "isospectral_pt", "spectrum_b_independence",
+                  "casimir_spectrum_oracle", "ladder_partner_cosine",
+                  "ladder_partner_cosine_ground")
+_MUTANTS += [(check, oracle._collocate, "wall term p(p - 1) taken as p(p + 1)",
+              "p * (p - 1.0)", "p * (p + 1.0)") for check in _ORACLE_CHECKS]
+
 
 def _mutant(fn, text, mutated):
     """fn compiled from its source with the one occurrence of text mutated."""
@@ -45,9 +54,11 @@ def _mutant(fn, text, mutated):
 
 
 def test_every_special_check_has_a_defect():
+    # and so has every check that reads the collocation oracle
     special_checks = [name for name, (suite, _) in verify.CHECKS.items()
                       if suite == "special"]
-    assert [row[0] for row in _MUTANTS] == special_checks
+    assert set(_ORACLE_CHECKS) <= set(verify.CHECKS)
+    assert [row[0] for row in _MUTANTS] == special_checks + list(_ORACLE_CHECKS)
 
 
 @pytest.mark.parametrize("check, fn, defect, text, mutated", _MUTANTS,
@@ -56,7 +67,8 @@ def test_check_fails_under_its_defect(monkeypatch, check, fn, defect, text, muta
     run = verify.CHECKS[check][1]
     assert run(verify.Context()).status == "PASS"
     mutant = _mutant(fn, text, mutated)
-    bound = [m for m in (special, verify) if getattr(m, fn.__name__, None) is fn]
+    bound = [m for m in (special, oracle, verify)
+             if getattr(m, fn.__name__, None) is fn]
     assert bound
     for module in bound:
         monkeypatch.setattr(module, fn.__name__, mutant)

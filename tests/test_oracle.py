@@ -18,7 +18,6 @@ from toruspt.oracle import (
     COLLOCATION_NODES,
     collocation_eigenpairs,
     collocation_levels,
-    spectrum_report,
 )
 
 
@@ -77,16 +76,6 @@ def test_friedrichs_gate():
         collocation_levels(lambda x: -0.3 / x ** 2, 1)
     collocation_levels(np.zeros_like, 1)                     # regular potential
     collocation_levels(lambda x: 2.25 / np.sin(x) ** 2, 1)  # repulsive wall
-
-
-def test_spectrum_report_schema():
-    rep = spectrum_report("box", {"note": "free"}, [1.0, 4.0], np.zeros_like,
-                          rel_tol=1e-2)
-    obj = rep.to_json_obj()
-    assert set(obj) == {"case", "params", "levels", "max_rel_err", "pass"}
-    assert set(obj["levels"][0]) == {"n", "eps_analytic", "eps_numeric",
-                                     "abs_err", "rel_err"}
-    assert obj["pass"] is True
 
 
 # --- Chebyshev collocation ----------------------------------------------------
@@ -180,7 +169,9 @@ def test_collocation_eigenfunctions_on_the_nodes_and_off_the_interval():
     _, psi = collocation_eigenpairs(v, 2, x)
     ref = np.stack([susy.eigenfunction_minus(-2.0, 0.5, n, x) for n in range(2)], 1)
     np.testing.assert_allclose(psi / psi[-1], ref / ref[-1], rtol=1e-10)
-    for bad in ([0.0, 1.0], [1.0, math.pi]):
+    # an end point, a scalar, a 2-D array and no point at all: the last three
+    # raised IndexError, ValueError and ValueError
+    for bad in ([0.0, 1.0], [1.0, math.pi], 1.0, [[1.0, 2.0]], []):
         with pytest.raises(DomainError):
             collocation_eigenpairs(v, 2, np.array(bad))
 

@@ -1146,11 +1146,16 @@ def test_grid_derivative_needs_five_samples():
     lambda: grid_derivative(np.ones(6), np.full(6, 0.5)),
     lambda: grid_second_derivative(np.ones(6), np.full(6, 0.5)),
     lambda: numeric_derivative(math.sin, 0.3, h=math.nan),
+    lambda: grid_derivative(np.ones(6), np.linspace(0.0, 1.0, 10)),
+    lambda: grid_second_derivative(np.ones(6), np.linspace(0.0, 1.0, 3)),
+    lambda: special.uniform_step(np.array([0.5])),
 ], ids=["second_derivative_of_4_samples", "second_derivative_of_1_sample",
         "zero_step", "derivative_on_a_zero_step", "second_derivative_on_a_zero_step",
-        "nan_h"])
+        "nan_h", "derivative_on_a_longer_grid", "second_derivative_on_a_shorter_grid",
+        "step_of_1_point"])
 def test_stencils_reject_what_they_cannot_differentiate(call):
-    # each returned [], raised IndexError, returned 0.0 or divided by zero
+    # each returned [], raised IndexError, returned 0.0, divided by zero or
+    # took the step of a grid that its samples do not lie on
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):

@@ -90,6 +90,20 @@ def test_superpotential_rejects_exterior_points():
         superpotential_eval(PT, math.pi)
 
 
+@pytest.mark.parametrize("call", [
+    lambda x: superpotential_eval(PT, x),
+    lambda x: partner_potentials(PT, x),
+    lambda x: collocation_eigenpairs(pt_coefficients(PT, "minus"), 2, x),
+], ids=["superpotential_eval", "partner_potentials", "collocation_eigenpairs"])
+@pytest.mark.parametrize("x", [np.array([0.5, math.nan]), math.nan],
+                         ids=["array", "scalar"])
+def test_nan_points_are_not_in_the_open_interval(call, x):
+    # NaN fails x <= 0 and x >= pi alike: these returned NaN or raised
+    # IndexError
+    with pytest.raises(DomainError):
+        call(x)
+
+
 # --- partner potentials and the defining identity ------------------------------
 
 def test_partner_values_at_midpoint():
