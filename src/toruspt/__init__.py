@@ -39,5 +39,5 @@ from .susy import (
     RationalSin,
 )
 
-__version__ = "0.12.0"
+__version__ = "0.12.1"
 

@@ -418,6 +418,15 @@ def _finite(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --rel-tol and --abs-tol: a finite number >= 0, since
+    no level passes a negative tolerance."""
+    value = _finite(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def _check_grid(args) -> None:
     """Reject bad grids: x_lo, x_hi outside 0 < x_lo < x_hi < pi, or fewer
     than 64 or more than MAX_POINTS points."""
@@ -726,9 +735,9 @@ def build_parser() -> argparse.ArgumentParser:
         _add_grid(cmds[name])
     for name in ("spectrum", "algebra"):
         cmds[name].add_argument("--levels", type=int, default=5)
-        cmds[name].add_argument("--rel-tol", type=_finite, dest="rel_tol",
+        cmds[name].add_argument("--rel-tol", type=_tolerance, dest="rel_tol",
                                 default=5e-3)
-        cmds[name].add_argument("--abs-tol", type=_finite, dest="abs_tol",
+        cmds[name].add_argument("--abs-tol", type=_tolerance, dest="abs_tol",
                                 default=0.01)
     cmds["wavefunction"].add_argument("--n", type=int, default=0)
     cmds["wavefunction"].add_argument("--with-plus", action="store_true",

@@ -9,12 +9,12 @@ The two grid stencils take at least 5 sample points and read their step
 from uniform_step, which rejects a zero step or a grid that is not uniform.
 
 Each series is summed one way, and every value is the term-by-term loop's
-bit for bit, with its errors.  The incomplete beta takes scalar s and w; its
-stop loops run on Python floats, whose + - * / round as numpy's do, and give
-the term count for an array loop over all points (and, at one point, the
-sum itself).  incomplete_beta_series is its series in z alone, on every
-point.  F1 takes scalar parameters and points, and is the term-by-term
-loop itself, on Python floats.
+bit for bit, with its errors.  The incomplete beta takes scalar s and w and
+is one loop per region: the series in z finds its stop term at the largest
+z on Python floats and then sums every point to it, and the integral past
+z0 tests its t-free bound as it sums.  incomplete_beta_series is its series
+in z alone, on every point.  F1 takes scalar parameters and points, and is
+the term-by-term loop itself, on Python floats.
 
 All operations are pure and deterministic; there is no shared state.
 """
@@ -169,28 +169,6 @@ def _incbeta_unconverged():
         f"incomplete beta series did not converge in {_MAX_TERMS} terms")
 
 
-def _incbeta_overflowed():
-    return NonConvergence("incomplete beta series overflowed before converging")
-
-
-def _incbeta_series_terms(z, s, w):
-    """The term after which the series at the one point z stops and its sum
-    there, or None if it has not stopped within the budget, by the array
-    loop's own + - * / on Python floats, which round as numpy's do: the sum
-    is the array loop's entry for z bit for bit.  NonConvergence if the sum
-    there is not finite (an inf sum passes the stop test, inf <= inf)."""
-    f, acc = 1.0, 1.0 / s
-    for k in range(1, _MAX_TERMS + 1):
-        f = f * ((k - w) / k) * z
-        term = f / (s + k)
-        acc += term
-        if abs(term) <= _ABS_TOL + _REL_TOL * abs(acc):
-            if not math.isfinite(acc):
-                raise _incbeta_overflowed()
-            return k, acc
-    return None
-
-
 # The Python floats' + - * / do not warn; numpy's would only repeat the
 # NonConvergence that an overflowing series raises.
 @np.errstate(over="ignore", invalid="ignore")
@@ -198,19 +176,30 @@ def _incbeta_series(z, s, w):
     """sum form B(z;s,w) = z^s sum_k (1-w)_k z^k / (k! (s+k)) at the 1-D points z.
 
     The largest z converges last (its terms are the largest and its sum, for
-    w >= 1, the smallest), so every point stops with it: its loop
-    (_incbeta_series_terms) gives the number of terms, and the array loop
-    runs exactly that many with no stop test.  At one point that loop's sum
-    is the array loop's, so the array loop is not run."""
-    stop = _incbeta_series_terms(float(z.max()), s, w)
-    if stop is None:
+    w >= 1, the smallest), so every point stops with it.  Its loop runs
+    first, on Python floats, whose + - * / round as numpy's do; the array
+    loop then runs exactly as many terms with no stop test.  At one point
+    the first loop's sum is the array loop's, so the array loop is not run.
+    NonConvergence if the sum at the largest z is not finite (an inf sum
+    passes the stop test, inf <= inf)."""
+    top = float(z.max())
+    f, head = 1.0, 1.0 / s
+    for j in range(1, _MAX_TERMS + 1):
+        f = f * ((j - w) / j) * top
+        term = f / (s + j)
+        head += term
+        if abs(term) <= _ABS_TOL + _REL_TOL * abs(head):
+            break
+    else:
         raise _incbeta_unconverged()
+    if not math.isfinite(head):
+        raise NonConvergence("incomplete beta series overflowed before converging")
     if z.size == 1:
-        return np.power(z, s) * stop[1]
+        return np.power(z, s) * head
     acc = np.full_like(z, 1.0 / s)
     f = np.ones_like(z)
     term = np.empty_like(z)
-    for k in range(1, stop[0] + 1):
+    for k in range(1, j + 1):
         np.multiply(f, (k - w) / k, out=f)
         f *= z
         acc += np.divide(f, s + k, out=term)
@@ -218,58 +207,6 @@ def _incbeta_series(z, s, w):
 
 
 _INCBETA_Z0 = 0.75  # the series in z serves z <= z0; past it, it crawls
-
-
-def _upper_power(w):
-    """(1 - z0) ** w by Python's pow.  NonConvergence where it is out of
-    range of a double (w <= -512): the series for B(z0) mostly raises first,
-    but at a huge s (1e19) it stops at its first term."""
-    big_t = 1.0 - _INCBETA_Z0
-    try:
-        return big_t ** w
-    except OverflowError:
-        raise NonConvergence(
-            f"incomplete beta series overflowed: {big_t} ** w is out of range "
-            "of a double") from None
-
-
-def _incbeta_upper_steps(s, w, floor, big_te):
-    """(coef, T^e) of each term of _incbeta_upper's sum at one (s, w, floor),
-    up to the one whose t-free bound stops it, on Python floats; big_te is
-    T^w.  NonConvergence if none does within the budget."""
-    big_t = 1.0 - _INCBETA_Z0
-    steps = []
-    coef = 1.0
-    for k in range(_MAX_TERMS):
-        steps.append((coef, big_te))
-        e = w + k
-        if e > 0.5 and abs(coef) * big_te / e <= _ABS_TOL + _REL_TOL * floor:
-            return steps
-        coef *= (k + 1.0 - s) / (k + 1.0)
-        big_te *= big_t
-    raise _incbeta_unconverged()
-
-
-def _pole_factors(t, e):
-    """ln(t/T) and expm1(x)/x at x = e ln(t/T), 1 where x = 0: the factors of
-    the term whose exponent e is within 1/2 of 0."""
-    log_ratio = np.log(t / (1.0 - _INCBETA_Z0))
-    x = e * log_ratio
-    return log_ratio, np.where(x == 0.0, 1.0, np.expm1(x) / x)
-
-
-def _incbeta_upper_sum(steps, w, t, t_e, pole, factors):
-    """The terms of steps summed at the points t, where t_e = t^w.  Term pole
-    takes the pole form with factors, the _pole_factors at that term."""
-    acc = 0.0
-    for k, (coef, big_te) in enumerate(steps):
-        if k == pole:
-            log_ratio, exprel = factors
-            acc += coef * -big_te * log_ratio * exprel
-        else:
-            acc += (coef / (w + k)) * (big_te - t_e)
-        t_e *= t
-    return acc
 
 
 # expm1(x)/x is computed and then replaced where x = 0
@@ -280,19 +217,37 @@ def _incbeta_upper(t, s, w, floor):
     For the one k with |e| <= 1/2 the difference is -T^e ln(t/T) expm1(x)/x,
     x = e ln(t/T), with expm1(x)/x = 1 at x = 0, so no term has a pole in w
     and none divides by e: a subnormal e, whose x is 0 or subnormal, gives
-    the limit T^e ln(T/t).  A term with e > 0 is at most |(1-s)_k/k!| T^e/e;
-    the sum stops once that is within the tolerances of floor = B(z0) > 0,
-    to which the result is added.
+    the limit T^e ln(T/t).  A term with e > 0 is at most |(1-s)_k/k!| T^e/e,
+    a bound that does not depend on t: the sum stops once it is within the
+    tolerances of floor = B(z0) > 0, to which the result is added.
 
-    The bound does not depend on t, so its loop (_incbeta_upper_steps) runs
-    once, and the sum runs exactly that many terms on the array of points
-    with no stop test; the pole term's log and expm1 are taken only if it is
-    among them."""
+    NonConvergence where T^w, by Python's pow, is out of range of a double
+    (w <= -512): the series for B(z0) mostly raises first, but at a huge s
+    (1e19) it stops at its first term."""
+    big_t = 1.0 - _INCBETA_Z0
+    try:
+        big_te = big_t ** w
+    except OverflowError:
+        raise NonConvergence(
+            f"incomplete beta series overflowed: {big_t} ** w is out of range "
+            "of a double") from None
     t_e = np.power(t, w)
-    steps = _incbeta_upper_steps(s, w, floor, _upper_power(w))
     pole = round(-w)   # the k with |e| <= 1/2
-    factors = _pole_factors(t, w + pole) if 0 <= pole < len(steps) else None
-    return _incbeta_upper_sum(steps, w, t, t_e, pole, factors)
+    coef, acc = 1.0, 0.0
+    for k in range(_MAX_TERMS):
+        e = w + k
+        if k == pole:
+            log_ratio = np.log(t / big_t)
+            x = e * log_ratio
+            acc += coef * -big_te * log_ratio * np.where(x == 0.0, 1.0, np.expm1(x) / x)
+        else:
+            acc += (coef / e) * (big_te - t_e)
+        if e > 0.5 and abs(coef) * big_te / e <= _ABS_TOL + _REL_TOL * floor:
+            return acc
+        coef *= (k + 1.0 - s) / (k + 1.0)
+        big_te *= big_t
+        t_e *= t
+    raise _incbeta_unconverged()
 
 
 def _incbeta_args(z, s, w):

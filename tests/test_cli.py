@@ -340,6 +340,29 @@ def test_single_format_commands_reject_format(tmp_path, capsys, command, how):
     assert "Traceback" not in err
 
 
+# no level passes a negative tolerance: an argument error, not a failing
+# report (which exited 1); zero stays a tolerance
+@pytest.mark.parametrize("command", [
+    ["spectrum", "--case", "pt", "--A", "-2", "--B", "0.5", "--levels", "2"],
+    ["algebra", "--B1", "-0.5", "--mu", "1.5", "--a", "1", "--levels", "2"]],
+    ids=["spectrum", "algebra"])
+@pytest.mark.parametrize("how", ["rel-tol", "abs-tol", "config"])
+def test_negative_tolerance_exits_2(tmp_path, capsys, command, how):
+    if how == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rel_tol=-1\n")
+        flag, name = ("--config", str(cfg)), "rel-tol"
+    else:
+        flag, name = (f"--{how}", "-1"), how
+    code, out, err = _in_process([*command, *flag], capsys)
+    assert (code, out) == (2, "")
+    assert f"error: argument --{name}: must be >= 0, got -1" in err
+    assert "Traceback" not in err
+    code, out, _ = _in_process([*command, "--rel-tol", "0", "--abs-tol", "0"], capsys)
+    assert code in (0, 1)
+    assert json.loads(out)["levels"]
+
+
 def test_byte_identical_reruns(tmp_path):
     args = ("spectrum", "--case", "pt", "--A", "-2", "--B", "0.5", "--levels", "3")
     out = [run_cli(*args).stdout for _ in range(2)]
