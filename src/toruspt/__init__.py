@@ -5,10 +5,10 @@ The package reconstructs the reduction of a massless spin-1/2 mode on a
 torus to one-dimensional Schrodinger form, the four superpotential families
 with their partner potentials and closed-form spectra, the modified iso(2,1)
 generators whose Casimir operator reproduces the same spectrum, and an
-independent eigensolver that checks the closed forms: Chebyshev collocation
-(toruspt.oracle), for the verify suite's spectra and eigenfunctions and for
-the spectrum and algebra commands.  Importing the package loads neither the
-oracle nor scipy.
+independent eigensolver that checks the closed forms: Gauss-Jacobi
+collocation (toruspt.oracle), for the verify suite's spectra and
+eigenfunctions and for the spectrum and algebra commands.  Importing the
+package loads neither the oracle nor scipy.
 """
 
 from .errors import (
@@ -39,5 +39,5 @@ from .susy import (
     RationalSin,
 )
 
-__version__ = "0.12.1"
+__version__ = "0.13.0"
 

@@ -36,12 +36,13 @@ The only environment variable consulted is TORUSPT_OUTDIR, an optional
 prefix for relative output paths.
 
 Only verify loads scipy, inside the command: scipy.special for its
-special-function references.  spectrum and algebra solve by collocation, a
-numpy eigen-solve.  Importing this module and building the parser loads no
-scipy, and neither do potential, wavefunction, spectrum, algebra and errata,
-so such a process spends about 0.15 s on imports, where scipy.special would
-add about 0.25 s (2 vCPU Xeon, Python 3.11).  verify writes the suite's
-elapsed time as one line to stderr, never to its report.
+special-function references.  spectrum and algebra solve by Gauss-Jacobi
+collocation, two symmetric numpy eigensolves.  Importing this module and
+building the parser loads no scipy, and neither do potential, wavefunction,
+spectrum, algebra and errata, so such a process spends about 0.15 s on
+imports, where scipy.special would add about 0.25 s (2 vCPU Xeon,
+Python 3.11).  verify writes the suite's elapsed time as one line to stderr,
+never to its report.
 
 main builds the parser once per process and reuses it; build_parser() itself
 returns a new one on every call.  Building it takes about 2-3 ms against

@@ -10,7 +10,7 @@ the backbone commutator residuals at N = 1024 and 2048.  Output rows are
 emitted in registration order, so two runs of the same suite produce
 identical reports.
 
-Every oracle spectrum and eigenfunction comes from oracle's Chebyshev
+Every oracle spectrum and eigenfunction comes from oracle's Gauss-Jacobi
 collocation, which reads only samples of the potential; each such check's
 detail names the solver and its node count.
 
@@ -50,7 +50,7 @@ __all__ = ["CheckResult", "VerifyReport", "run_suite", "SUITES", "CHECKS"]
 
 PT_A, PT_B = -2.0, 0.5  # reference solvable family used throughout
 PT_SPEC = susy.PureTrigPT(PT_A, PT_B)
-COLLOCATION = f"Chebyshev collocation, N={oracle.COLLOCATION_NODES}"
+COLLOCATION = f"Gauss-Jacobi collocation, N={oracle.COLLOCATION_NODES}"
 
 
 @dataclass

@@ -87,12 +87,14 @@ def test_spectrum_passes_and_exit_zero():
 
 def test_deep_well_spectrum_passes_with_warnings_as_errors():
     # A = -500: a finite-difference grid cut at 0.002 read these levels to
-    # 1.6e-4 relative; the collocation levels are right to about 1e-8
-    res = run_python("-W", "error", "-m", "toruspt", "spectrum", "--case", "pt",
-                     "--A", "-500", "--B", "150", "--levels", "8")
-    assert (res.returncode, res.stderr) == (0, "")
-    obj = json.loads(res.stdout)
-    assert obj["pass"] is True and obj["max_rel_err"] < 1e-6
+    # 1.6e-4 relative.  (-1000, 990) has wall exponents 10 and 1990, where a
+    # non-symmetric collocation matrix gave complex levels and exit 1
+    for A, B in (("-500", "150"), ("-1000", "990")):
+        res = run_python("-W", "error", "-m", "toruspt", "spectrum", "--case", "pt",
+                         "--A", A, "--B", B, "--levels", "8")
+        assert (res.returncode, res.stderr) == (0, ""), (A, B)
+        obj = json.loads(res.stdout)
+        assert obj["pass"] is True and obj["max_rel_err"] < 1e-6, (A, B)
 
 
 @pytest.mark.parametrize("command", [["spectrum", "--case", "iso21"], ["algebra"]])

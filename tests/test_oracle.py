@@ -29,10 +29,10 @@ def test_box_spectrum():
 
 def test_lapack_failure_maps_to_convergence_failure(monkeypatch):
     def failing(*args, **kwargs):
-        raise np.linalg.LinAlgError("geev did not converge")
+        raise np.linalg.LinAlgError("syevd did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvals", failing)
-    monkeypatch.setattr(np.linalg, "eig", failing)
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    monkeypatch.setattr(np.linalg, "eigh", failing)
     with pytest.raises(ConvergenceFailure):
         collocation_levels(np.zeros_like, 3)
     with pytest.raises(ConvergenceFailure):
@@ -78,7 +78,7 @@ def test_friedrichs_gate():
     collocation_levels(lambda x: 2.25 / np.sin(x) ** 2, 1)  # repulsive wall
 
 
-# --- Chebyshev collocation ----------------------------------------------------
+# --- Gauss-Jacobi collocation -------------------------------------------------
 
 def _pt_minus(A, B):
     """V- = W^2 - W' of W = A cot x + B csc x, written out from W."""
@@ -114,19 +114,29 @@ def test_collocation_levels_match_the_friedrichs_pt_spectrum(ab):
 
 @hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
 @hypothesis.given(st.floats(math.log(3.0), math.log(1000.0)),
-                  st.floats(-0.35, 0.35))
+                  st.floats(-0.99, 0.99))
 def test_collocation_levels_of_deep_wells(log_depth, skew):
-    # A in [-1000, -3], |B| <= 0.35 (-A - 1/2): the half-angle factor is exact
-    # for PT, so N = 32 holds all 8 levels of a deep well.  More skewed wells
-    # lose this: at A = -1000 the error is 1.5e-6 for |B| = 0.5 (-A - 1/2)
+    # A in [-1000, -3], |B| <= 0.99 (-A - 1/2): the half-angle factor is exact
+    # for PT, so N = 32 holds all 8 levels of a deep well
     A = -math.exp(log_depth)
     B = skew * (-A - 0.5)
+    _assert_deep_well_levels(A, B, 1e-6)
+
+
+def _assert_deep_well_levels(A, B, rtol):
     n = np.arange(8)
     ref = n * (n - 2.0 * A)
     got = collocation_levels(_pt_minus(A, B), 8)
     # relative to each level, and to level 1 for the zero ground level
     np.testing.assert_array_less(np.abs(got - ref),
-                                 1e-6 * np.maximum(ref, 1.0 - 2.0 * A))
+                                 rtol * np.maximum(ref, 1.0 - 2.0 * A))
+
+
+@pytest.mark.parametrize("A, B", [(-1000.0, 990.0), (-1e5, 3e4)])
+def test_collocation_levels_of_skewed_and_deeper_wells(A, B):
+    # the wall exponents 10 and 1990 at (-1000, 990), where a
+    # non-symmetric collocation matrix gave complex levels
+    _assert_deep_well_levels(A, B, 1e-9)
 
 
 @pytest.mark.parametrize("v, expect", [
@@ -161,11 +171,10 @@ def test_collocation_eigenfunctions_match_eigenfunction_minus(A, B):
         assert col[np.nonzero(np.abs(col) > 0.1)[0][0]] > 0.0
 
 
-def test_collocation_eigenfunctions_on_the_nodes_and_off_the_interval():
-    from toruspt.oracle import _NODES
-
+def test_collocation_eigenfunctions_at_points_and_off_the_interval():
     v = _pt_minus(-2.0, 0.5)
-    x = np.concatenate([_NODES[:3], [1.0]])
+    # near each wall and inside, against the closed form pointwise
+    x = np.array([0.05, 2.0, 3.1, 1.0])
     _, psi = collocation_eigenpairs(v, 2, x)
     ref = np.stack([susy.eigenfunction_minus(-2.0, 0.5, n, x) for n in range(2)], 1)
     np.testing.assert_allclose(psi / psi[-1], ref / ref[-1], rtol=1e-10)
