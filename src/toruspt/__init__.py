@@ -7,8 +7,8 @@ with their partner potentials and closed-form spectra, the modified iso(2,1)
 generators whose Casimir operator reproduces the same spectrum, and an
 independent eigensolver that checks the closed forms: Gauss-Jacobi
 collocation (toruspt.oracle), for the verify suite's spectra and
-eigenfunctions and for the spectrum and algebra commands.  Importing the
-package loads neither the oracle nor scipy.
+eigenfunctions and for the spectrum and algebra commands.  Its only runtime
+dependency is numpy; importing the package does not load the oracle.
 """
 
 from .errors import (
@@ -39,5 +39,5 @@ from .susy import (
     RationalSin,
 )
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 

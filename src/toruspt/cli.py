@@ -35,14 +35,14 @@ wavefunction column that vanishes everywhere, are domain failures.
 The only environment variable consulted is TORUSPT_OUTDIR, an optional
 prefix for relative output paths.
 
-Only verify loads scipy, inside the command: scipy.special for its
-special-function references.  spectrum and algebra solve by Gauss-Jacobi
-collocation, two symmetric numpy eigensolves.  Importing this module and
-building the parser loads no scipy, and neither do potential, wavefunction,
-spectrum, algebra and errata, so such a process spends about 0.15 s on
-imports, where scipy.special would add about 0.25 s (2 vCPU Xeon,
-Python 3.11).  verify writes the suite's elapsed time as one line to stderr,
-never to its report.
+No command loads scipy: the package runs on numpy alone.  spectrum and
+algebra solve by Gauss-Jacobi collocation, two symmetric numpy eigensolves,
+and verify's special-function references are a continued fraction and a
+double sum in Python and numpy.  A potential, wavefunction, spectrum,
+algebra or errata process spends about 0.15 s on imports, and a verify
+process about 0.23 s in all, where scipy.special alone added about 0.2 s
+(2 vCPU Xeon, Python 3.11).  verify writes the suite's elapsed time as one
+line to stderr, never to its report.
 
 main builds the parser once per process and reuses it; build_parser() itself
 returns a new one on every call.  Building it takes about 2-3 ms against

@@ -164,8 +164,7 @@ def sector_operator(p: AlgebraParams, mu_sector: float, direction: str, grid):
     two boundary rows) with the step special.uniform_step(grid), so the grid
     must be uniform (DomainError otherwise); at least 256 points are
     required.  The returned function applies i (+-D + diag(label S - T + U))
-    to psi by numpy slices and builds no matrix, so importing or calling it
-    loads no scipy.  Each
+    to psi by numpy slices and builds no matrix.  Each
     row sums its three products in column order (i-1, i, i+1), the end rows
     with the diagonal stencil weight and multiplication term added first,
     as a CSR matvec of the same matrix does, so the two agree bit for bit.

@@ -40,6 +40,7 @@ from .errors import (
     DomainError,
     IllPosedPotential,
     NonFinitePotential,
+    NormalizationFailure,
 )
 
 __all__ = ["COLLOCATION_NODES", "collocation_levels", "collocation_eigenpairs"]
@@ -137,7 +138,8 @@ def collocation_eigenpairs(v, n_levels: int, x):
     psi[:, j] is sin(x/2)^p cos(x/2)^q phi_j, with phi_j summed from the
     Jacobi polynomials by their three-term recurrence, scaled to unit maximum
     with its first sample above a tenth of that maximum positive.  x, a
-    non-empty 1-D array, must lie in (0, pi).
+    non-empty 1-D array, must lie in (0, pi).  Raises NormalizationFailure
+    when an eigenfunction has no nonzero sample at x.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size == 0:
@@ -157,7 +159,12 @@ def collocation_eigenpairs(v, n_levels: int, x):
     s, c = _half_angles(x)
     psi = (s**p * c**q)[:, None] * phi_x
     for j in range(n_levels):
-        col = psi[:, j] / np.max(np.abs(psi[:, j]))
+        peak = np.max(np.abs(psi[:, j]))
+        # where the wall factor underflows at every point of x
+        if not peak > 0.0:
+            raise NormalizationFailure(
+                f"eigenfunction {j} vanishes at every point of x")
+        col = psi[:, j] / peak
         big = np.nonzero(np.abs(col) > 0.1)[0][0]
         psi[:, j] = col if col[big] > 0.0 else -col
     return levels, psi

@@ -1061,7 +1061,7 @@ def test_verify_stdout_does_not_depend_on_the_clock(monkeypatch, capsys, fmt):
         assert line.startswith("verify: suite=susy took ") and line.endswith(" s")
 
 
-# -- cold start: only verify loads scipy -----------------------------------
+# -- cold start: no command loads scipy ------------------------------------
 
 _LIGHT_CASES = {
     "pt": ["--A", "-2", "--B", "0.5"],
@@ -1120,18 +1120,29 @@ def test_potential_and_wavefunction_load_no_scipy():
     assert obj["codes"] == expected
 
 
-def test_verify_loads_no_scipy_linalg():
-    # verify's oracle is the collocation solver, a numpy eigen-solve, and the
-    # incomplete beta's reference is scipy's compiled 2F1, not a quadrature
-    # that would load scipy.integrate and its dependencies
+def test_verify_loads_no_scipy():
+    # verify's oracle is the collocation solver, a numpy eigen-solve, and its
+    # special-function references are a continued fraction and a double sum
+    # on numpy
     res = run_python("-c", _SCIPY_PROBE, json.dumps([["verify", "--suite", "all"]]))
     assert res.returncode == 0, res.stderr
     obj = json.loads(res.stdout)
     assert obj["codes"] == {"verify --suite all": 0}
-    loaded = obj["loaded"]["requests"]
-    assert "scipy.special" in loaded
-    heavy = {"scipy.linalg", "scipy.integrate", "scipy.sparse", "scipy.optimize"}
-    assert [m for m in loaded if ".".join(m.split(".")[:2]) in heavy] == []
+    assert obj["loaded"] == {"parser": [], "requests": []}
+
+
+def test_every_command_runs_with_scipy_blocked():
+    # a None entry in sys.modules makes every import of scipy or of one of its
+    # submodules raise ImportError, as on an install with numpy alone
+    argvs = [["verify", "--suite", "all"], ["errata"],
+             ["spectrum", "--case", "pt", "--A", "-2", "--B", "0.5", "--levels", "3"],
+             ["algebra", "--B1", "-0.5", "--mu", "1.5", "--a", "1", "--levels", "3"]]
+    argvs += [[cmd, "--case", case, *_LIGHT_CASES[case], "--n-points", "65"]
+              for cmd in ("potential", "wavefunction") for case in ("pt", "beta")]
+    probe = "import sys\nsys.modules['scipy'] = None\n" + _SCIPY_PROBE
+    res = run_python("-c", probe, json.dumps(argvs))
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["codes"] == {" ".join(a[:3]): 0 for a in argvs}
 
 
 def test_errata_and_iso21_load_no_scipy():

@@ -13,6 +13,7 @@ from toruspt.errors import (
     DomainError,
     IllPosedPotential,
     NonFinitePotential,
+    NormalizationFailure,
 )
 from toruspt.oracle import (
     COLLOCATION_NODES,
@@ -183,6 +184,21 @@ def test_collocation_eigenfunctions_at_points_and_off_the_interval():
     for bad in ([0.0, 1.0], [1.0, math.pi], 1.0, [[1.0, 2.0]], []):
         with pytest.raises(DomainError):
             collocation_eigenpairs(v, 2, np.array(bad))
+
+
+@pytest.mark.filterwarnings("error")
+def test_collocation_eigenfunction_that_underflows_at_every_point():
+    # sin(x/2)^p cos(x/2)^q of (-1e5, 3e4) underflows to 0 on the whole grid;
+    # the unit-maximum scaling divided by it (a RuntimeWarning) and then
+    # raised IndexError
+    x = np.linspace(0.01, math.pi - 0.01, 201)
+    with pytest.raises(NormalizationFailure):
+        collocation_eigenpairs(_pt_minus(-1e5, 3e4), 3, x)
+    # a deep well whose factor stays representable on the same grid
+    levels, psi = collocation_eigenpairs(_pt_minus(-400.0, 100.0), 3, x)
+    np.testing.assert_allclose(levels[1:], [n * (n + 800.0) for n in (1, 2)],
+                               rtol=1e-9)
+    assert np.all(np.max(np.abs(psi), axis=0) == 1.0)
 
 
 def test_collocation_gates():

@@ -284,26 +284,55 @@ def test_incbeta_vs_quadrature(z, s, w):
                                                      rel=1e-11, abs=1e-12)
 
 
-def test_beta_quadrature_reference_matches_mpmath():
-    # verify's reference, scipy's compiled 2F1, on the check's 100 draws
-    # against the same DLMF 8.17.7 form, B(z; s, w) = z^s/s 2F1(s, 1 - w;
-    # s + 1; z), in 40-digit mpmath
+def _beta_reference_rel_err(z, s, w):
+    """verify's reference against B(z; s, w) = z^s/s 2F1(s, 1 - w; s + 1; z)
+    (DLMF 8.17.7) in 40-digit mpmath, relative."""
     import mpmath
 
+    with mpmath.workdps(40):
+        zm, sm, wm = (mpmath.mpf(float(v)) for v in (z, s, w))
+        ref = zm ** sm / sm * mpmath.hyp2f1(sm, 1 - wm, sm + 1, zm)
+        return float(abs((verify._beta_reference(z, s, w) - ref) / ref))
+
+
+def test_beta_quadrature_reference_matches_mpmath():
+    # verify's reference, the continued fraction of DLMF 8.17.22, on the
+    # check's 100 draws against the 2F1 form of DLMF 8.17.7 in mpmath
     rng = np.random.default_rng(202)
     worst = 0.0
     for _ in range(100):
         z, s, w = rng.uniform(0.05, 0.95), rng.uniform(0.15, 4.0), rng.uniform(-2.5, 4.0)
-        with mpmath.workdps(40):
-            zm, sm, wm = (mpmath.mpf(float(v)) for v in (z, s, w))
-            ref = zm ** sm / sm * mpmath.hyp2f1(sm, 1 - wm, sm + 1, zm)
-            worst = max(worst, float(abs((verify._beta_reference(z, s, w) - ref) / ref)))
+        worst = max(worst, _beta_reference_rel_err(z, s, w))
+    assert worst < 1e-14
+
+
+@pytest.mark.parametrize("z, s, w", [
+    # w > 1 on both sides of the switch z = (s + 1)/(s + w + 2) = 0.4
+    (0.399, 1.0, 2.0), (0.401, 1.0, 2.0), (0.95, 0.15, 4.0), (0.05, 4.0, 4.0),
+    # w just above 1 takes the complement, whose B(s, w) is finite
+    (0.9, 0.5, 1.0 + 1e-9), (0.95, 4.0, 1.001),
+    # w just above 0, where B(s, w) ~ 1/w: the fraction is summed directly
+    (0.95, 0.15, 0.0018), (0.95, 4.0, 1e-6), (0.5, 2.0, 0.0018),
+    # w = 1 and negative w never switch
+    (0.95, 1.5, 1.0), (0.95, 0.15, -2.5), (0.05, 0.15, -2.5), (0.7, 3.0, -1.3),
+])
+def test_beta_reference_edges_match_mpmath(z, s, w):
+    assert _beta_reference_rel_err(z, s, w) < 1e-14
+
+
+def test_beta_reference_matches_mpmath_over_the_domain():
+    # the whole of beta_quadrature's domain, not only its 100 draws
+    rng = np.random.default_rng(8)
+    worst = 0.0
+    for _ in range(2000):
+        z, s, w = rng.uniform(0.05, 0.95), rng.uniform(0.15, 4.0), rng.uniform(-2.5, 4.0)
+        worst = max(worst, _beta_reference_rel_err(z, s, w))
     assert worst < 1e-14
 
 
 def test_beta_quadrature_reference_matches_qaws():
-    # QUADPACK QAWS, a quadrature independent of any 2F1 code, agrees with
-    # verify's 2F1 reference on the check's 100 draws
+    # QUADPACK QAWS, a quadrature independent of any series or continued
+    # fraction, agrees with verify's reference on the check's 100 draws
     rng = np.random.default_rng(202)
     worst = 0.0
     for _ in range(100):
@@ -311,6 +340,21 @@ def test_beta_quadrature_reference_matches_qaws():
         ref = verify._beta_reference(z, s, w)
         worst = max(worst, abs(incbeta_qaws_oracle(z, s, w) - ref) / abs(ref))
     assert worst < 1e-14
+
+
+@pytest.mark.parametrize("a, b, c, x", [
+    # appell_reduce_y0's (a, b1, c, x)
+    (0.5, 0.25, 2.0, 0.4), (1.2, -0.7, 2.5, -0.5), (0.8, 1.1, 3.0, 0.7),
+    # appell_reduce_xy's (a, b1 + b2, c, x)
+    (0.5, 1.75, 2.0, 0.3), (1.2, -0.4, 2.5, -0.4), (0.8, 3.3, 4.2, 0.55),
+])
+def test_verify_brute_f1_at_y0_is_gauss_2f1(a, b, c, x):
+    # the Gauss reference of verify's two reduction checks
+    import mpmath
+
+    with mpmath.workdps(40):
+        ref = mpmath.hyp2f1(a, b, c, x)
+        assert float(abs((verify._brute_f1(a, b, 0.0, c, x, 0.0) - ref) / ref)) < 2e-15
 
 
 def test_incbeta_random_triples_vs_quadrature():
